@@ -8,21 +8,13 @@
 //! `devices/hypercube_1024.json`) so this crate's tests stay independent of
 //! the device layer above it.
 
+mod frozen;
+
+use frozen::digest;
 use snailqc_topology::{builders, CouplingGraph};
 use snailqc_transpiler::{
     dense_layout, route, try_dense_layout, LayoutStrategy, Pipeline, RoutedCircuit, RouterConfig,
 };
-
-/// FNV-1a digest of the routed instruction stream plus the final layout —
-/// the same fingerprint the frozen `router_equivalence` suite uses.
-fn digest(routed: &RoutedCircuit) -> u64 {
-    let mut bytes = Vec::new();
-    for inst in routed.circuit.instructions() {
-        bytes.extend_from_slice(format!("{:?}|{:?};", inst.gate, inst.qubits).as_bytes());
-    }
-    bytes.extend_from_slice(format!("final={:?}", routed.final_layout.as_slice()).as_bytes());
-    snailqc_util::fnv1a_64(&bytes)
-}
 
 fn route_kiloqubit(graph: &CouplingGraph, qubits: usize) -> RoutedCircuit {
     let circuit = snailqc_workloads::ghz(qubits);

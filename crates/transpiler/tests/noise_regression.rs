@@ -16,48 +16,13 @@
 //!    [`transpile`] shim produce bitwise-identical routed circuits and
 //!    reports for every catalog topology (the PR-3 redesign regression).
 
+mod frozen;
+
+use frozen::BASELINE;
 use snailqc_circuit::Circuit;
 use snailqc_topology::{builders, catalog, CouplingGraph};
 use snailqc_transpiler::{Pipeline, RouterConfig, TranspileOptions};
 use snailqc_workloads::Workload;
-
-/// `(catalog name, workload, swap_count, swap_depth)` captured from the
-/// pre-noise-aware router with `TranspileOptions::default()` on
-/// `workload.generate(12, 7)`.
-const BASELINE: [(&str, Workload, usize, usize); 32] = [
-    ("heavy-hex-20", Workload::QaoaVanilla, 217, 124),
-    ("hex-lattice-20", Workload::QaoaVanilla, 71, 40),
-    ("square-lattice-16", Workload::QaoaVanilla, 45, 30),
-    ("lattice-alt-diagonals-16", Workload::QaoaVanilla, 35, 23),
-    ("hypercube-16", Workload::QaoaVanilla, 43, 24),
-    ("tree-20", Workload::QaoaVanilla, 16, 14),
-    ("tree-rr-20", Workload::QaoaVanilla, 18, 11),
-    ("corral11-16", Workload::QaoaVanilla, 33, 22),
-    ("corral12-16", Workload::QaoaVanilla, 22, 11),
-    ("heavy-hex-84", Workload::QaoaVanilla, 245, 144),
-    ("hex-lattice-84", Workload::QaoaVanilla, 116, 65),
-    ("square-lattice-84", Workload::QaoaVanilla, 51, 34),
-    ("lattice-alt-diagonals-84", Workload::QaoaVanilla, 27, 18),
-    ("hypercube-84", Workload::QaoaVanilla, 41, 30),
-    ("tree-84", Workload::QaoaVanilla, 15, 13),
-    ("tree-rr-84", Workload::QaoaVanilla, 14, 8),
-    ("heavy-hex-20", Workload::QuantumVolume, 199, 83),
-    ("hex-lattice-20", Workload::QuantumVolume, 88, 42),
-    ("square-lattice-16", Workload::QuantumVolume, 46, 23),
-    ("lattice-alt-diagonals-16", Workload::QuantumVolume, 30, 16),
-    ("hypercube-16", Workload::QuantumVolume, 36, 20),
-    ("tree-20", Workload::QuantumVolume, 32, 25),
-    ("tree-rr-20", Workload::QuantumVolume, 28, 19),
-    ("corral11-16", Workload::QuantumVolume, 41, 22),
-    ("corral12-16", Workload::QuantumVolume, 23, 15),
-    ("heavy-hex-84", Workload::QuantumVolume, 100, 40),
-    ("hex-lattice-84", Workload::QuantumVolume, 111, 54),
-    ("square-lattice-84", Workload::QuantumVolume, 54, 30),
-    ("lattice-alt-diagonals-84", Workload::QuantumVolume, 36, 21),
-    ("hypercube-84", Workload::QuantumVolume, 34, 15),
-    ("tree-84", Workload::QuantumVolume, 32, 29),
-    ("tree-rr-84", Workload::QuantumVolume, 26, 16),
-];
 
 fn same_instructions(a: &Circuit, b: &Circuit) -> bool {
     a.len() == b.len()
