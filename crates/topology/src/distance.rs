@@ -1,4 +1,4 @@
-//! Compact, lazily materialized shortest-path state for kiloqubit devices.
+//! Compact, lazily materialized shortest-path state for routing.
 //!
 //! The router's distance lookups used to live in `Vec<Vec<usize>>` /
 //! `Vec<Vec<f64>>` all-pairs matrices: simple, but O(n²·8) bytes per matrix
@@ -9,18 +9,16 @@
 //!
 //! This module provides the replacements:
 //!
-//! * [`HopMatrix`] — BFS hop counts in one flat `u16` allocation
-//!   ([`UNREACHABLE`] sentinel), 4× smaller than the old `usize` rows.
-//! * [`WeightedRows`] — weighted (Dijkstra) distances as flat `f64` rows.
+//! * [`HopMatrix`] — BFS hop counts as `u16` rows ([`UNREACHABLE`]
+//!   sentinel), 4× smaller than the old `usize` rows.
+//! * [`WeightedRows`] — weighted (Dijkstra) distances as `f64` rows.
 //!
-//! Both switch from eager whole-matrix materialization to **on-demand
-//! per-source rows** once the device reaches [`LAZY_ROW_THRESHOLD`] qubits:
-//! each row is computed on first use (synchronized with a [`OnceLock`], so
-//! parallel routing trials race safely and compute it once) and retained.
-//! A 24-qubit program routed on the 1024-qubit hypercube only ever pays for
-//! the rows its placed qubits touch. Row values are identical in either
-//! mode — laziness changes *when* a row is computed, never *what* it holds —
-//! so routed output is bitwise-independent of the storage mode.
+//! Both hold **on-demand per-source rows** on every device: each row is
+//! computed on first use (synchronized with a [`OnceLock`], so parallel
+//! routing trials race safely and compute it once) and retained. A
+//! 24-qubit program routed on the 1024-qubit hypercube only ever pays for
+//! the rows its placed qubits touch, and a row holds exactly what the
+//! legacy all-pairs matrix held for that source.
 
 use crate::graph::CouplingGraph;
 use std::sync::OnceLock;
@@ -28,93 +26,54 @@ use std::sync::OnceLock;
 /// Hop distance marking an unreachable pair in a [`HopMatrix`].
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// Device size (qubits) at which [`HopMatrix::new`] and [`WeightedRows::new`]
-/// switch from one eagerly computed flat matrix to on-demand per-source rows.
-///
-/// Below it, devices are small enough that the whole matrix is at most a few
-/// hundred kilobytes and every row tends to get used; above it, eager
-/// materialization is the O(n²) cost the kiloqubit catalog entries cannot
-/// afford when a program only occupies a corner of the device.
-pub const LAZY_ROW_THRESHOLD: usize = 256;
+/// One [`OnceLock`] slot per source row, all empty.
+fn empty_rows<T>(n: usize) -> Box<[OnceLock<Box<[T]>>]> {
+    (0..n).map(|_| OnceLock::new()).collect()
+}
+
+/// Number of filled slots.
+fn filled<T>(rows: &[OnceLock<T>]) -> usize {
+    rows.iter().filter(|r| r.get().is_some()).count()
+}
 
 /// All-pairs BFS hop distances in compact `u16` storage.
 ///
-/// Dense mode is a single flat `n × n` allocation; lazy mode holds one
-/// [`OnceLock`] slot per source row and fills rows on first access. The
-/// coupling graph is passed at access time (rows are computed from it on
-/// demand); callers must pass the graph the matrix was built for —
-/// `snailqc_transpiler::RoutingCache` maintains that pairing per device.
+/// Holds one [`OnceLock`] slot per source row and fills rows on first
+/// access. The coupling graph is passed at access time (rows are computed
+/// from it on demand); callers must pass the graph the matrix was built for
+/// — `snailqc_transpiler::RoutingCache` maintains that pairing per device.
 #[derive(Debug)]
 pub struct HopMatrix {
-    n: usize,
-    storage: HopStorage,
-}
-
-#[derive(Debug)]
-enum HopStorage {
-    /// One flat row-major allocation, fully computed up front.
-    Dense(Vec<u16>),
-    /// Per-source rows, each computed on first use.
-    Lazy(Box<[OnceLock<Box<[u16]>>]>),
+    rows: Box<[OnceLock<Box<[u16]>>]>,
 }
 
 impl HopMatrix {
-    /// Builds the hop matrix for `graph`, choosing dense storage below
-    /// [`LAZY_ROW_THRESHOLD`] qubits and lazy per-source rows at or above it.
+    /// An empty hop matrix for `graph`; rows materialize on first access.
     pub fn new(graph: &CouplingGraph) -> Self {
-        if graph.num_qubits() >= LAZY_ROW_THRESHOLD {
-            Self::new_lazy(graph)
-        } else {
-            Self::new_dense(graph)
-        }
-    }
-
-    /// Builds the fully materialized flat matrix (one allocation).
-    pub fn new_dense(graph: &CouplingGraph) -> Self {
-        let n = graph.num_qubits();
-        let mut data = vec![UNREACHABLE; n * n];
-        for (source, row) in data.chunks_mut(n.max(1)).enumerate().take(n) {
-            graph.bfs_hops_into(source, row);
-        }
         Self {
-            n,
-            storage: HopStorage::Dense(data),
-        }
-    }
-
-    /// Builds the lazy per-source-row form (rows computed on first access).
-    pub fn new_lazy(graph: &CouplingGraph) -> Self {
-        let n = graph.num_qubits();
-        let rows: Vec<OnceLock<Box<[u16]>>> = (0..n).map(|_| OnceLock::new()).collect();
-        Self {
-            n,
-            storage: HopStorage::Lazy(rows.into_boxed_slice()),
+            rows: empty_rows(graph.num_qubits()),
         }
     }
 
     /// Number of qubits the matrix covers.
     pub fn num_qubits(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
-    /// True when rows are materialized on demand rather than up front.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.storage, HopStorage::Lazy(_))
-    }
-
-    /// The hop-distance row of `source`, computing it on first use in lazy
-    /// mode. `graph` must be the graph the matrix was built for.
+    /// The hop-distance row of `source`, computing it on first use. `graph`
+    /// must be the graph the matrix was built for.
     #[inline]
     pub fn row(&self, graph: &CouplingGraph, source: usize) -> &[u16] {
-        debug_assert_eq!(graph.num_qubits(), self.n, "hop matrix/graph mismatch");
-        match &self.storage {
-            HopStorage::Dense(data) => &data[source * self.n..(source + 1) * self.n],
-            HopStorage::Lazy(rows) => rows[source].get_or_init(|| {
-                let mut row = vec![UNREACHABLE; self.n].into_boxed_slice();
-                graph.bfs_hops_into(source, &mut row);
-                row
-            }),
-        }
+        debug_assert_eq!(
+            graph.num_qubits(),
+            self.rows.len(),
+            "hop matrix/graph mismatch"
+        );
+        self.rows[source].get_or_init(|| {
+            let mut row = vec![UNREACHABLE; self.rows.len()].into_boxed_slice();
+            graph.bfs_hops_into(source, &mut row);
+            row
+        })
     }
 
     /// Hop distance from `a` to `b` ([`UNREACHABLE`] when disconnected).
@@ -123,77 +82,46 @@ impl HopMatrix {
         self.row(graph, a)[b]
     }
 
-    /// Number of rows currently materialized (`n` in dense mode).
+    /// Number of rows currently materialized.
     pub fn materialized_rows(&self) -> usize {
-        match &self.storage {
-            HopStorage::Dense(_) => self.n,
-            HopStorage::Lazy(rows) => rows.iter().filter(|r| r.get().is_some()).count(),
-        }
+        filled(&self.rows)
     }
 
     /// Bytes of distance payload currently resident (excluding per-row
-    /// bookkeeping) — what the perf harness reports as peak matrix bytes.
+    /// bookkeeping).
     pub fn resident_bytes(&self) -> usize {
-        self.materialized_rows() * self.n * std::mem::size_of::<u16>()
+        self.materialized_rows() * self.rows.len() * std::mem::size_of::<u16>()
     }
 }
 
-/// Weighted (Dijkstra) shortest-path distances as flat `f64` rows — the
-/// scoring matrix of noise-aware routing.
+/// Weighted (Dijkstra) shortest-path distances as `f64` rows — the scoring
+/// matrix of noise-aware routing.
 ///
-/// Same storage policy as [`HopMatrix`]: one flat allocation below
-/// [`LAZY_ROW_THRESHOLD`] qubits, on-demand per-source rows above it. The
-/// per-edge cost function is supplied at access time; callers must pass the
-/// same (deterministic) cost function for every access, which is what makes
-/// a lazily computed row identical to its eagerly computed counterpart.
+/// Same storage as [`HopMatrix`]: on-demand per-source rows. The per-edge
+/// cost function is supplied at access time; callers must pass the same
+/// (deterministic) cost function for every access, which is what makes each
+/// lazily computed row identical to the legacy all-pairs matrix's row.
 #[derive(Debug)]
 pub struct WeightedRows {
-    n: usize,
-    storage: WeightedStorage,
-}
-
-#[derive(Debug)]
-enum WeightedStorage {
-    Dense(Vec<f64>),
-    Lazy(Box<[OnceLock<Box<[f64]>>]>),
+    rows: Box<[OnceLock<Box<[f64]>>]>,
 }
 
 impl WeightedRows {
-    /// Builds the weighted-distance store for `graph` under `cost`, choosing
-    /// the storage mode by [`LAZY_ROW_THRESHOLD`]. In lazy mode nothing is
-    /// computed here; rows materialize on first [`WeightedRows::row`] call.
-    pub fn new(graph: &CouplingGraph, cost: impl Fn(usize, usize) -> f64) -> Self {
-        let n = graph.num_qubits();
-        if n >= LAZY_ROW_THRESHOLD {
-            let rows: Vec<OnceLock<Box<[f64]>>> = (0..n).map(|_| OnceLock::new()).collect();
-            Self {
-                n,
-                storage: WeightedStorage::Lazy(rows.into_boxed_slice()),
-            }
-        } else {
-            let mut data = Vec::with_capacity(n * n);
-            for source in 0..n {
-                data.extend_from_slice(&graph.weighted_distances(source, &cost));
-            }
-            Self {
-                n,
-                storage: WeightedStorage::Dense(data),
-            }
+    /// An empty weighted-distance store for `graph`; rows materialize on
+    /// first [`WeightedRows::row`] call.
+    pub fn new(graph: &CouplingGraph) -> Self {
+        Self {
+            rows: empty_rows(graph.num_qubits()),
         }
     }
 
     /// Number of qubits the store covers.
     pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// True when rows are materialized on demand rather than up front.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.storage, WeightedStorage::Lazy(_))
+        self.rows.len()
     }
 
     /// The weighted-distance row of `source`, computing it via Dijkstra
-    /// under `cost` on first use in lazy mode.
+    /// under `cost` on first use.
     #[inline]
     pub fn row(
         &self,
@@ -201,12 +129,12 @@ impl WeightedRows {
         cost: &impl Fn(usize, usize) -> f64,
         source: usize,
     ) -> &[f64] {
-        debug_assert_eq!(graph.num_qubits(), self.n, "weighted rows/graph mismatch");
-        match &self.storage {
-            WeightedStorage::Dense(data) => &data[source * self.n..(source + 1) * self.n],
-            WeightedStorage::Lazy(rows) => rows[source]
-                .get_or_init(|| graph.weighted_distances(source, cost).into_boxed_slice()),
-        }
+        debug_assert_eq!(
+            graph.num_qubits(),
+            self.rows.len(),
+            "weighted rows/graph mismatch"
+        );
+        self.rows[source].get_or_init(|| graph.weighted_distances(source, cost).into_boxed_slice())
     }
 
     /// Weighted distance from `a` to `b` (`f64::INFINITY` when disconnected).
@@ -221,17 +149,14 @@ impl WeightedRows {
         self.row(graph, cost, a)[b]
     }
 
-    /// Number of rows currently materialized (`n` in dense mode).
+    /// Number of rows currently materialized.
     pub fn materialized_rows(&self) -> usize {
-        match &self.storage {
-            WeightedStorage::Dense(_) => self.n,
-            WeightedStorage::Lazy(rows) => rows.iter().filter(|r| r.get().is_some()).count(),
-        }
+        filled(&self.rows)
     }
 
     /// Bytes of distance payload currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.materialized_rows() * self.n * std::mem::size_of::<f64>()
+        self.materialized_rows() * self.rows.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -241,26 +166,22 @@ mod tests {
     use crate::builders;
 
     #[test]
-    fn dense_and_lazy_hop_rows_match_legacy_bfs() {
+    fn hop_rows_match_legacy_bfs() {
         let g = builders::square_lattice(4, 5);
-        let dense = HopMatrix::new_dense(&g);
-        let lazy = HopMatrix::new_lazy(&g);
-        assert!(!dense.is_lazy() && lazy.is_lazy());
+        let m = HopMatrix::new(&g);
         for s in 0..g.num_qubits() {
             let legacy = g.bfs_distances(s);
             for (t, &expect) in legacy.iter().enumerate() {
-                assert_eq!(dense.get(&g, s, t) as usize, expect);
-                assert_eq!(lazy.get(&g, s, t) as usize, expect);
+                assert_eq!(m.get(&g, s, t) as usize, expect);
             }
         }
-        assert_eq!(dense.materialized_rows(), g.num_qubits());
-        assert_eq!(lazy.materialized_rows(), g.num_qubits());
+        assert_eq!(m.materialized_rows(), g.num_qubits());
     }
 
     #[test]
-    fn lazy_mode_materializes_only_touched_rows() {
+    fn only_touched_rows_materialize() {
         let g = builders::square_lattice(3, 4);
-        let m = HopMatrix::new_lazy(&g);
+        let m = HopMatrix::new(&g);
         assert_eq!(m.materialized_rows(), 0);
         assert_eq!(m.resident_bytes(), 0);
         m.row(&g, 5);
@@ -280,31 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn threshold_picks_the_storage_mode() {
-        assert!(!HopMatrix::new(&builders::line(8)).is_lazy());
-        assert!(HopMatrix::new(&builders::line(LAZY_ROW_THRESHOLD)).is_lazy());
-    }
-
-    #[test]
-    fn weighted_rows_match_weighted_distances_in_both_modes() {
+    fn weighted_rows_match_weighted_distances() {
         let g = builders::hypercube(3);
         let cost = |a: usize, b: usize| 1.0 + 0.1 * ((a + b) % 3) as f64;
         let eager = g.weighted_distance_matrix(cost);
-        let dense = WeightedRows::new(&g, cost);
-        assert!(!dense.is_lazy());
-        // A hand-built lazy instance must produce bit-identical rows.
-        let lazy = WeightedRows {
-            n: g.num_qubits(),
-            storage: WeightedStorage::Lazy(
-                (0..g.num_qubits())
-                    .map(|_| OnceLock::new())
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            ),
-        };
+        let rows = WeightedRows::new(&g);
+        assert_eq!(rows.materialized_rows(), 0);
         for (s, expect) in eager.iter().enumerate() {
-            assert_eq!(dense.row(&g, &cost, s), expect.as_slice());
-            assert_eq!(lazy.row(&g, &cost, s), expect.as_slice());
+            assert_eq!(rows.row(&g, &cost, s), expect.as_slice());
         }
     }
 }

@@ -20,9 +20,8 @@
 //! * [`catalog`] — the paper's named instances (`Tree-20`, `Corral1,2-16`,
 //!   `Heavy-Hex-84`, …) and [`catalog::TopologyKind`], the registry used by
 //!   the experiment harness.
-//! * [`distance`] — compact all-pairs distance state for kiloqubit devices:
-//!   flat `u16` hop matrices and flat `f64` weighted rows, with on-demand
-//!   per-source materialization above [`distance::LAZY_ROW_THRESHOLD`].
+//! * [`distance`] — compact all-pairs distance state for routing: `u16` hop
+//!   rows and `f64` weighted rows, each materialized on demand per source.
 
 #![warn(missing_docs)]
 
@@ -32,5 +31,5 @@ pub mod distance;
 pub mod graph;
 
 pub use catalog::TopologyKind;
-pub use distance::{HopMatrix, WeightedRows, LAZY_ROW_THRESHOLD, UNREACHABLE};
+pub use distance::{HopMatrix, WeightedRows, UNREACHABLE};
 pub use graph::{CouplingGraph, TopologyMetrics, DEFAULT_EDGE_ERROR};

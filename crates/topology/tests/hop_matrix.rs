@@ -1,7 +1,6 @@
 //! Property tests pinning the compact `u16` hop matrix (and the weighted
 //! rows) to the legacy `Vec<Vec<usize>>` / `Vec<Vec<f64>>` all-pairs
-//! matrices on arbitrary graphs — connected or not, calibrated or not,
-//! in both dense and lazy storage modes.
+//! matrices on arbitrary graphs — connected or not, calibrated or not.
 
 use proptest::prelude::*;
 use snailqc_topology::distance::{HopMatrix, WeightedRows, UNREACHABLE};
@@ -40,17 +39,14 @@ proptest! {
             builders::calibrate_edge_errors(&mut g, 1e-3, 1.5, seed);
         }
         let legacy = g.distance_matrix();
-        let dense = HopMatrix::new_dense(&g);
-        let lazy = HopMatrix::new_lazy(&g);
+        let hops = HopMatrix::new(&g);
         for (a, legacy_row) in legacy.iter().enumerate() {
             for (b, &expect) in legacy_row.iter().enumerate() {
-                for m in [&dense, &lazy] {
-                    let got = m.get(&g, a, b);
-                    if expect == usize::MAX {
-                        prop_assert_eq!(got, UNREACHABLE);
-                    } else {
-                        prop_assert_eq!(got as usize, expect);
-                    }
+                let got = hops.get(&g, a, b);
+                if expect == usize::MAX {
+                    prop_assert_eq!(got, UNREACHABLE);
+                } else {
+                    prop_assert_eq!(got as usize, expect);
                 }
             }
         }
@@ -68,7 +64,7 @@ proptest! {
             if g.has_edge(a, b) { 1.0 + 100.0 * g.edge_error(a, b) } else { 1.0 }
         };
         let legacy = g.weighted_distance_matrix(cost);
-        let rows = WeightedRows::new(&g, cost);
+        let rows = WeightedRows::new(&g);
         for (a, expect) in legacy.iter().enumerate() {
             // Bitwise equality, including infinities on disconnected pairs.
             prop_assert_eq!(rows.row(&g, &cost, a), expect.as_slice());
@@ -89,7 +85,7 @@ proptest! {
         for w in comps.windows(2) {
             prop_assert!(w[0].len() >= w[1].len());
         }
-        let hops = HopMatrix::new_dense(&g);
+        let hops = HopMatrix::new(&g);
         let mut comp_of = vec![usize::MAX; n];
         for (ci, members) in comps.iter().enumerate() {
             for &q in members {

@@ -12,17 +12,16 @@
 //! implementation is organised around what is shared, what is incremental,
 //! and what is parallel:
 //!
-//! * **Shared across trials** ([`route`]): the dependency DAG (per-qubit
-//!   predecessor chains), the initial front, the program-order pending-2Q
-//!   list, the compact `u16` hop matrix and (in noise-aware mode) the
-//!   error-weighted Dijkstra rows are all layout-independent — they are
-//!   built once per `route` call and borrowed by every trial. With a
-//!   [`RoutingCache`] (see [`route_with_cache`]) the distance state is
-//!   further shared across *calls* on the same graph, so a sweep stops
-//!   recomputing all-pairs BFS for every (workload, size, seed) cell. On
-//!   kiloqubit devices the distance rows additionally materialize on
-//!   demand per source qubit, so memory scales with the qubits a program
-//!   actually touches rather than with n².
+//! * **Shared across trials** ([`route_with_cache`]): the dependency DAG
+//!   (per-qubit predecessor chains), the initial front and the
+//!   program-order pending-2Q list are layout-independent — they are built
+//!   once per call and borrowed by every trial. The distance state — `u16`
+//!   hop rows and (in noise-aware mode) error-weighted Dijkstra rows —
+//!   lives in a [`RoutingCache`] shared across *calls* on the same graph,
+//!   so a sweep stops recomputing BFS for every (workload, size, seed)
+//!   cell. Rows materialize on demand per source qubit on every device, so
+//!   memory scales with the qubits a program actually touches rather than
+//!   with n².
 //! * **Incremental within a trial** (`route_once`): the lookahead window
 //!   is read from an intrusive linked list over pending two-qubit gates
 //!   (O(lookahead) per SWAP decision, where a full rescan of the
@@ -31,8 +30,8 @@
 //!   bitmap instead of a linear `Vec::contains`; and candidates are scored
 //!   through one scratch swap/unswap of the live layout instead of a
 //!   `Layout` clone per candidate. Adjacency tests on the blocked front use
-//!   a flat `n × n` boolean matrix on small devices (the CSR binary search
-//!   above the lazy-row threshold), and the trial loop reuses all of its
+//!   a flat `n × n` boolean matrix up to `DENSE_ADJACENCY_MAX_BYTES` of
+//!   flags (the CSR binary search beyond it), and the trial loop reuses all of its
 //!   per-decision scratch buffers, so steady-state routing allocates only
 //!   the output circuit.
 //! * **Parallel across trials**: the best-of-`trials` loop fans out with
@@ -298,18 +297,17 @@ impl NoiseContext {
 // ---------------------------------------------------------------------------
 
 /// Shareable cache of the per-graph distance state routing needs: the
-/// compact `u16` hop matrix ([`HopMatrix`]), plus one weighted scoring
-/// store ([`WeightedRows`]) per noise-aware (error weight, edge source)
+/// compact `u16` hop rows ([`HopMatrix`]), plus one weighted scoring store
+/// ([`WeightedRows`]) per noise-aware (error weight, edge source)
 /// configuration. Noise-blind scoring reads hop counts directly (`u16 →
 /// f64` is value-exact), so it needs no separate scoring matrix at all.
 ///
 /// One cache belongs to one graph — `snailqc_core::device::Device` owns one
 /// per device and threads it through every transpile, so sweeps and batch
-/// runs compute distance rows once per device instead of once per cell. On
-/// kiloqubit devices (n ≥ [`snailqc_topology::distance::LAZY_ROW_THRESHOLD`]) rows materialize on
-/// demand, so a small program only pays for the rows it touches. The cached
-/// distances are exactly what an uncached [`route`] would compute, so routed
-/// output is bitwise-identical either way.
+/// runs compute each distance row once per device instead of once per cell.
+/// Rows materialize on demand, so a small program only pays for the rows it
+/// touches. A row holds the same distances whichever call computes it, so
+/// routed output does not depend on whether the cache is fresh or warm.
 ///
 /// Hit/miss accounting is **exact**, including under concurrent first use:
 /// the miss is counted inside the one closure `OnceLock::get_or_init` /
@@ -349,15 +347,11 @@ impl RoutingCache {
         hops
     }
 
-    /// The weighted scoring store for a noise-aware `config`, built on first
-    /// use. The vacant/occupied split under the map's mutex makes the
-    /// hit/miss counts exact: the thread that inserts counts the one miss.
-    fn scoring(
-        &self,
-        graph: &CouplingGraph,
-        config: &RouterConfig,
-        noise: &NoiseContext,
-    ) -> Arc<WeightedRows> {
+    /// The weighted scoring store for a noise-aware `config`, created on
+    /// first use (its rows fill as routing reads them). The vacant/occupied
+    /// split under the map's mutex makes the hit/miss counts exact: the
+    /// thread that inserts counts the one miss.
+    fn scoring(&self, graph: &CouplingGraph, config: &RouterConfig) -> Arc<WeightedRows> {
         let key = config.matrix_key();
         let mut cache = self.scoring.lock().expect("routing cache poisoned");
         match cache.entry(key) {
@@ -371,18 +365,13 @@ impl RoutingCache {
                 if obs::is_enabled() {
                     obs::counter_add("routing_cache.misses", 1);
                 }
-                entry
-                    .insert(Arc::new(WeightedRows::new(graph, |a, b| {
-                        noise.edge_cost(graph.edge_index(a, b).expect("cost of an edge"))
-                    })))
-                    .clone()
+                entry.insert(Arc::new(WeightedRows::new(graph))).clone()
             }
         }
     }
 
-    /// Bytes of distance payload currently resident across the hop matrix
-    /// and every scoring store — the number the perf harness tracks to keep
-    /// kiloqubit devices off the old O(n²)-eager footprint.
+    /// Bytes of distance payload currently resident across the hop rows
+    /// and every scoring store.
     pub fn resident_distance_bytes(&self) -> usize {
         let hops = self.hops.get().map_or(0, |h| h.resident_bytes());
         let scoring: usize = self
@@ -550,9 +539,7 @@ pub fn route_with_cache(
     // links; noise-blind scoring reads hop counts directly (`u16 → f64` is
     // value-exact, so the scores match the old hop-derived f64 matrix bit
     // for bit).
-    let weighted = noise
-        .as_ref()
-        .map(|noise| cache.scoring(graph, config, noise));
+    let weighted = noise.is_some().then(|| cache.scoring(graph, config));
 
     // The occupied physical qubits must be mutually reachable — one hop row
     // from the first occupied qubit checks all of them, whatever the rest of
