@@ -3,10 +3,12 @@
 //! Each thread owns a private buffer (`thread_local!`) holding its open-span
 //! stack and finished events, so recording a span is lock-free: the only
 //! synchronisation on the hot path is one atomic fetch-add for the span id.
-//! Buffers drain into the global collector either when the owning thread
-//! exits (the buffer's `Drop` flushes) or when [`take_spans`] runs. The
-//! workspace `rayon` stand-in joins its scoped workers before returning, so
-//! a caller that drains after a parallel region always sees worker spans.
+//! Buffers drain into the global collector whenever a thread's outermost
+//! span closes, when the owning thread exits (the buffer's `Drop` flushes)
+//! or when [`take_spans`] runs. Flushing at the outermost span matters for
+//! scoped workers: `std::thread::scope` can return before a finished
+//! worker's thread-local destructors run, so a caller that drains right
+//! after a parallel region would otherwise miss worker spans.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,6 +165,9 @@ impl Drop for SpanGuard {
                 start_ns: open.start_ns,
                 dur_ns,
             });
+            if buffer.open.is_empty() {
+                buffer.flush();
+            }
         });
     }
 }
