@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snailqc_decompose::BasisGate;
 use snailqc_topology::catalog;
-use snailqc_transpiler::Pipeline;
+use snailqc_transpiler::{Pipeline, RoutingCache};
 use snailqc_workloads::Workload;
 
 fn bench_routing_16q(c: &mut Criterion) {
@@ -29,7 +29,11 @@ fn bench_routing_16q(c: &mut Criterion) {
     for (name, graph, basis) in cases {
         let pipeline = Pipeline::builder().trials(2).translate_to(basis).build();
         group.bench_with_input(BenchmarkId::new("qft16", name), &graph, |b, g| {
-            b.iter(|| pipeline.run(&circuit, g))
+            b.iter(|| {
+                pipeline
+                    .run(&circuit, g, None, &RoutingCache::new())
+                    .unwrap()
+            })
         });
     }
     group.finish();
@@ -50,7 +54,11 @@ fn bench_routing_large(c: &mut Criterion) {
             .translate_to(BasisGate::SqrtISwap)
             .build();
         group.bench_with_input(BenchmarkId::new("qv32", name), &graph, |b, g| {
-            b.iter(|| pipeline.run(&circuit, g))
+            b.iter(|| {
+                pipeline
+                    .run(&circuit, g, None, &RoutingCache::new())
+                    .unwrap()
+            })
         });
     }
     group.finish();

@@ -248,12 +248,7 @@ impl Device {
         circuit: &Circuit,
         pipeline: &Pipeline,
     ) -> Result<TranspileResult, TranspileError> {
-        pipeline.try_run_with_native_basis_cached(
-            circuit,
-            &self.graph,
-            self.basis,
-            &self.routing_cache,
-        )
+        pipeline.run(circuit, &self.graph, self.basis, &self.routing_cache)
     }
 
     /// A stable fingerprint of the device's per-edge error rates, mixed into

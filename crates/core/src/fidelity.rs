@@ -178,7 +178,7 @@ pub fn fidelity_advantage(
 mod tests {
     use super::*;
     use snailqc_topology::catalog;
-    use snailqc_transpiler::Pipeline;
+    use snailqc_transpiler::{Pipeline, RoutingCache};
     use snailqc_workloads::Workload;
 
     fn report_for(basis: BasisGate, graph: &snailqc_topology::CouplingGraph) -> TranspileReport {
@@ -186,7 +186,8 @@ mod tests {
         Pipeline::builder()
             .translate_to(basis)
             .build()
-            .run(&circuit, graph)
+            .run(&circuit, graph, None, &RoutingCache::new())
+            .unwrap()
             .report
     }
 
@@ -244,7 +245,8 @@ mod tests {
     fn rejects_reports_without_basis() {
         let circuit = Workload::Ghz.generate(6, 1);
         let report = Pipeline::default()
-            .run(&circuit, &catalog::tree_20())
+            .run(&circuit, &catalog::tree_20(), None, &RoutingCache::new())
+            .unwrap()
             .report;
         estimate_fidelity(&report, &ErrorModel::default());
     }
@@ -253,7 +255,8 @@ mod tests {
     fn routed_estimate_works_without_basis() {
         let circuit = Workload::Qft.generate(8, 2);
         let report = Pipeline::default()
-            .run(&circuit, &catalog::tree_20())
+            .run(&circuit, &catalog::tree_20(), None, &RoutingCache::new())
+            .unwrap()
             .report;
         let est = estimate_fidelity_routed(&report, &ErrorModel::default());
         assert!(est.basis.is_none());
@@ -292,8 +295,14 @@ mod tests {
             .router(RouterConfig::default())
             .translate_to(BasisGate::SqrtISwap)
             .build();
-        let clean = pipeline.run(&circuit, &graph).report;
-        let noisy = pipeline.run(&circuit, &degraded).report;
+        let clean = pipeline
+            .run(&circuit, &graph, None, &RoutingCache::new())
+            .unwrap()
+            .report;
+        let noisy = pipeline
+            .run(&circuit, &degraded, None, &RoutingCache::new())
+            .unwrap()
+            .report;
         assert_eq!(clean.swap_count, noisy.swap_count);
         let model = ErrorModel::default();
         let f_clean = estimate_fidelity_edges(&clean, &model);

@@ -20,7 +20,7 @@ use snailqc_circuit::simulator::reference;
 use snailqc_circuit::{simulate, ExecMode, Gate, StateVector};
 use snailqc_sim::{verify_equivalent, PauliString, Tableau, Verdict};
 use snailqc_topology::builders;
-use snailqc_transpiler::{route, LayoutStrategy, RouterConfig};
+use snailqc_transpiler::{route_with_cache, LayoutStrategy, RouterConfig, RoutingCache};
 use snailqc_workloads::{clifford_qv, random_clifford_circuit};
 use support::{bitwise_eq, mixed_circuit, row_stabilizes};
 
@@ -81,7 +81,7 @@ proptest! {
             _ => builders::hypercube(3),
         };
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let verdict = verify_equivalent(&circuit, &routed);
         prop_assert!(verdict.is_equivalent(), "{verdict} (seed={seed}, dev={dev})");
     }
@@ -93,7 +93,13 @@ fn stabilizer_engine_refutes_a_tampered_route() {
     let circuit = random_clifford_circuit(8, 40, 17);
     let graph = builders::square_lattice(3, 3);
     let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-    let mut routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(17));
+    let mut routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::deterministic(17),
+        &RoutingCache::new(),
+    );
     assert!(verify_equivalent(&circuit, &routed).is_equivalent());
     // Corrupt the route: an extra H on an occupied wire rotates that
     // qubit's stabilizer components, changing the group.
@@ -114,7 +120,13 @@ fn dense_engine_verifies_and_refutes_non_clifford_routes() {
     assert!(!circuit.is_clifford(), "want a non-Clifford sample");
     let graph = builders::line(8);
     let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-    let mut routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(23));
+    let mut routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::deterministic(23),
+        &RoutingCache::new(),
+    );
     assert!(verify_equivalent(&circuit, &routed).is_equivalent());
     routed.circuit.push(Gate::X, &[0]);
     assert!(matches!(
@@ -134,7 +146,13 @@ fn pauli_spot_checks_catch_large_near_clifford_tampering() {
     assert!(!circuit.is_clifford());
     let graph = builders::square_lattice(7, 7);
     let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-    let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(31));
+    let routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::deterministic(31),
+        &RoutingCache::new(),
+    );
     let verdict = verify_equivalent(&circuit, &routed);
     assert!(
         matches!(verdict, Verdict::Inconclusive(_)),
@@ -145,7 +163,13 @@ fn pauli_spot_checks_catch_large_near_clifford_tampering() {
     // Tamper: flip logical qubit 0's wire *before* the routed circuit runs.
     // The Z_0 probe anticommutes with the inserted X at time zero, so its
     // propagated sign differs and the spot checks must refute.
-    let mut tampered = route(&circuit, &graph, &layout, &RouterConfig::deterministic(31));
+    let mut tampered = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::deterministic(31),
+        &RoutingCache::new(),
+    );
     let mut prefixed = snailqc_circuit::Circuit::new(tampered.circuit.num_qubits());
     prefixed.push(Gate::X, &[tampered.initial_layout.physical(0)]);
     prefixed.compose(&tampered.circuit);

@@ -8,12 +8,18 @@
 
 use snailqc_sim::{verify_equivalent, Verdict};
 use snailqc_topology::builders;
-use snailqc_transpiler::{dense_layout, route, RouterConfig};
+use snailqc_transpiler::{dense_layout, route_with_cache, RouterConfig, RoutingCache};
 
 fn verify_ghz_cell(graph: &snailqc_topology::CouplingGraph, qubits: usize) -> Verdict {
     let circuit = snailqc_workloads::ghz(qubits);
     let layout = dense_layout(&circuit, graph);
-    let routed = route(&circuit, graph, &layout, &RouterConfig::default());
+    let routed = route_with_cache(
+        &circuit,
+        graph,
+        &layout,
+        &RouterConfig::default(),
+        &RoutingCache::new(),
+    );
     assert!(routed.swap_count > 0, "kiloqubit routes must insert SWAPs");
     verify_equivalent(&circuit, &routed)
 }
@@ -39,7 +45,13 @@ fn kiloqubit_tampering_is_refuted() {
     let graph = builders::square_lattice(25, 25);
     let circuit = snailqc_workloads::ghz(625);
     let layout = dense_layout(&circuit, &graph);
-    let mut routed = route(&circuit, &graph, &layout, &RouterConfig::default());
+    let mut routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::default(),
+        &RoutingCache::new(),
+    );
     routed
         .circuit
         .push(snailqc_circuit::Gate::H, &[routed.final_layout.physical(0)]);

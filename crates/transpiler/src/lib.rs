@@ -29,9 +29,7 @@ pub mod translate;
 pub use layout::{dense_layout, try_dense_layout, Layout, LayoutError, LayoutStrategy};
 pub use pipeline::{
     BasisChoice, PassTrace, Pipeline, PipelineBuilder, StageCounters, StageTrace, TranspileError,
-    TranspileOptions, TranspileReport, TranspileResult,
+    TranspileReport, TranspileResult,
 };
-pub use routing::{
-    route, route_with_cache, EdgeErrorSource, RoutedCircuit, RouterConfig, RoutingCache,
-};
+pub use routing::{route_with_cache, EdgeErrorSource, RoutedCircuit, RouterConfig, RoutingCache};
 pub use translate::{count_basis_gates, critical_path_basis_gates, translate_to_basis};

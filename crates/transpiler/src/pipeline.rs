@@ -5,7 +5,7 @@
 //! [`Pipeline::builder`], each with its own configuration:
 //!
 //! ```
-//! use snailqc_transpiler::{Pipeline, LayoutStrategy, RouterConfig};
+//! use snailqc_transpiler::{Pipeline, LayoutStrategy, RouterConfig, RoutingCache};
 //! use snailqc_decompose::BasisGate;
 //! use snailqc_topology::builders;
 //! use snailqc_workloads::qft;
@@ -15,9 +15,16 @@
 //!     .router(RouterConfig::default())
 //!     .translate_to(BasisGate::SqrtISwap)
 //!     .build();
-//! let result = pipeline.run(&qft(8, true), &builders::hypercube(4));
+//! let graph = builders::hypercube(4);
+//! // No native basis (a bare graph), and a fresh cache of distance rows.
+//! let result = pipeline
+//!     .run(&qft(8, true), &graph, None, &RoutingCache::new())
+//!     .unwrap();
 //! assert!(result.report.basis_gate_count >= result.report.swap_count);
 //! ```
+//!
+//! `snailqc_core::device::Device::try_transpile` makes the same call with
+//! the device's graph, native basis and long-lived routing cache.
 //!
 //! A run produces a [`TranspileResult`]: the routed (and optionally
 //! basis-translated) circuit, the [`TranspileReport`] bundling the four data
@@ -77,61 +84,12 @@ impl From<LayoutError> for TranspileError {
     }
 }
 
-/// Options controlling the transpilation pipeline.
-///
-/// A plain-data configuration carrier, kept for callers that assemble
-/// options field by field; [`Pipeline::from_options`] converts it into the
-/// equivalent staged [`Pipeline`], which is what new code builds directly.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub struct TranspileOptions {
-    /// Initial-placement strategy (the paper uses dense placement).
-    pub layout: LayoutStrategy,
-    /// Router configuration.
-    pub router: RouterConfig,
-    /// Native basis gate for the final translation pass; `None` stops after
-    /// routing (used for the gate-agnostic SWAP studies of Figs. 4/11/12).
-    pub basis: Option<BasisGate>,
-}
-
-impl Default for TranspileOptions {
-    fn default() -> Self {
-        Self {
-            layout: LayoutStrategy::Dense,
-            router: RouterConfig::default(),
-            basis: None,
-        }
-    }
-}
-
-impl TranspileOptions {
-    /// Pipeline options with a basis-translation stage.
-    pub fn with_basis(basis: BasisGate) -> Self {
-        Self {
-            basis: Some(basis),
-            ..Self::default()
-        }
-    }
-
-    /// Overrides the router seed (used to decorrelate sweep points).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.router.seed = seed;
-        self
-    }
-
-    /// Enables noise-aware routing against the device calibration with the
-    /// given fidelity weight (`0` keeps the router noise-blind).
-    pub fn with_error_weight(mut self, error_weight: f64) -> Self {
-        self.router.error_weight = error_weight;
-        self
-    }
-}
-
 /// How the translation stage picks its target basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum BasisChoice {
     /// Use the native basis of the device the pipeline runs on, when it has
-    /// one (resolved by `snailqc_core::device::Device::transpile`; running
-    /// directly on a bare [`CouplingGraph`] skips translation). This is the
+    /// one (the `native_basis` argument of [`Pipeline::run`]; a bare
+    /// [`CouplingGraph`] has none, so translation is skipped). This is the
     /// default: on a co-designed machine the modulator chooses the gate.
     Device,
     /// Always translate into this basis, whatever the device says.
@@ -186,20 +144,6 @@ impl Pipeline {
         }
     }
 
-    /// Converts [`TranspileOptions`] into the equivalent pipeline
-    /// (`basis: None` maps to [`BasisChoice::Skip`], preserving the
-    /// options' semantics exactly).
-    pub fn from_options(options: &TranspileOptions) -> Self {
-        Self {
-            layout: options.layout,
-            router: options.router,
-            translation: match options.basis {
-                Some(basis) => BasisChoice::Fixed(basis),
-                None => BasisChoice::Skip,
-            },
-        }
-    }
-
     /// The configured layout strategy.
     pub fn layout(&self) -> LayoutStrategy {
         self.layout
@@ -215,81 +159,22 @@ impl Pipeline {
         self.translation
     }
 
-    /// Runs the pipeline on `circuit` against a bare coupling graph. With
-    /// the default [`BasisChoice::Device`] translation, a bare graph carries
-    /// no native basis, so translation is skipped; use
-    /// [`PipelineBuilder::translate_to`] or run through
-    /// `snailqc_core::device::Device` to get a translated circuit.
+    /// Runs the pipeline on `circuit`: layout → routing → translation →
+    /// analysis.
     ///
-    /// # Panics
-    /// Panics where [`Pipeline::try_run`] would return an error.
-    pub fn run(&self, circuit: &Circuit, graph: &CouplingGraph) -> TranspileResult {
-        self.run_with_native_basis(circuit, graph, None)
-    }
-
-    /// [`Pipeline::run`], reporting a [`TranspileError`] instead of
-    /// panicking when the program cannot be placed on the device.
-    pub fn try_run(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-    ) -> Result<TranspileResult, TranspileError> {
-        self.try_run_with_native_basis(circuit, graph, None)
-    }
-
-    /// Runs the pipeline with the device's native basis supplied by the
-    /// caller — the hook `snailqc_core::device::Device::transpile` uses to
-    /// resolve [`BasisChoice::Device`] without this crate depending on the
-    /// device layer.
+    /// `native_basis` is the basis [`BasisChoice::Device`] resolves to —
+    /// `None` for a bare coupling graph, which then skips translation.
+    /// `cache` holds the distance rows routing reads; it must belong to
+    /// `graph` (same structure and edge errors), and reusing it across runs
+    /// on that graph saves recomputing rows without changing the output.
+    /// `snailqc_core::device::Device::try_transpile` passes the device's
+    /// graph, native basis and cache.
     ///
-    /// # Panics
-    /// Panics where [`Pipeline::try_run_with_native_basis`] would error.
-    pub fn run_with_native_basis(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        native_basis: Option<BasisGate>,
-    ) -> TranspileResult {
-        self.run_with_native_basis_cached(circuit, graph, native_basis, &RoutingCache::new())
-    }
-
-    /// Fallible form of [`Pipeline::run_with_native_basis`].
-    pub fn try_run_with_native_basis(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        native_basis: Option<BasisGate>,
-    ) -> Result<TranspileResult, TranspileError> {
-        self.try_run_with_native_basis_cached(circuit, graph, native_basis, &RoutingCache::new())
-    }
-
-    /// [`Pipeline::run_with_native_basis`], reusing `cache`'s distance
-    /// state across runs on the same graph. `snailqc_core::device::Device`
-    /// owns one cache per device and threads it through here, so sweeps stop
-    /// recomputing all-pairs BFS for every cell; output is bitwise-identical
-    /// to the uncached path.
-    ///
-    /// # Panics
-    /// Panics where [`Pipeline::try_run_with_native_basis_cached`] would
-    /// error.
-    pub fn run_with_native_basis_cached(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        native_basis: Option<BasisGate>,
-        cache: &RoutingCache,
-    ) -> TranspileResult {
-        self.try_run_with_native_basis_cached(circuit, graph, native_basis, cache)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The full fallible pipeline run: layout → routing → translation →
-    /// analysis, reusing `cache`'s distance state. Returns a
-    /// [`TranspileError`] when the program cannot be placed (e.g. it
-    /// straddles every connected component of a fragmented device) — the
+    /// Returns a [`TranspileError`] when the program cannot be placed (e.g.
+    /// it straddles every connected component of a fragmented device) — the
     /// error the CLI and the serve daemon surface as a diagnostic instead of
     /// a crash.
-    pub fn try_run_with_native_basis_cached(
+    pub fn run(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
@@ -640,11 +525,18 @@ mod tests {
         Pipeline::builder().translate_to(basis).build()
     }
 
+    /// A run on a bare graph with a fresh cache.
+    fn run(pipeline: &Pipeline, circuit: &Circuit, graph: &CouplingGraph) -> TranspileResult {
+        pipeline
+            .run(circuit, graph, None, &RoutingCache::new())
+            .unwrap()
+    }
+
     #[test]
     fn report_fields_are_consistent() {
         let c = qft(8, true);
         let graph = builders::square_lattice(3, 3);
-        let result = with_basis(BasisGate::Cnot).run(&c, &graph);
+        let result = run(&with_basis(BasisGate::Cnot), &c, &graph);
         let r = result.report;
         assert_eq!(r.logical_qubits, 8);
         assert_eq!(r.physical_qubits, 9);
@@ -664,7 +556,7 @@ mod tests {
     fn bare_graph_run_skips_translation_under_device_choice() {
         let c = ghz(6);
         let graph = builders::line(6);
-        let result = Pipeline::default().run(&c, &graph);
+        let result = run(&Pipeline::default(), &c, &graph);
         assert!(result.translated.is_none());
         assert_eq!(result.report.basis_gate_count, 0);
         assert!(result.trace.stage("translation").is_none());
@@ -674,15 +566,18 @@ mod tests {
     fn native_basis_resolves_the_device_choice() {
         let c = ghz(6);
         let graph = builders::line(6);
-        let result =
-            Pipeline::default().run_with_native_basis(&c, &graph, Some(BasisGate::SqrtISwap));
+        let cache = RoutingCache::new();
+        let result = Pipeline::default()
+            .run(&c, &graph, Some(BasisGate::SqrtISwap), &cache)
+            .unwrap();
         assert_eq!(result.report.basis, Some(BasisGate::SqrtISwap));
         assert!(result.translated.is_some());
         // An explicit Skip ignores the native basis.
         let skipped = Pipeline::builder()
             .routing_only()
             .build()
-            .run_with_native_basis(&c, &graph, Some(BasisGate::SqrtISwap));
+            .run(&c, &graph, Some(BasisGate::SqrtISwap), &cache)
+            .unwrap();
         assert!(skipped.translated.is_none());
     }
 
@@ -690,7 +585,7 @@ mod tests {
     fn ghz_on_a_line_with_trivial_adjacency_needs_no_swaps() {
         let c = ghz(6);
         let graph = builders::line(6);
-        let result = Pipeline::builder().routing_only().build().run(&c, &graph);
+        let result = run(&Pipeline::builder().routing_only().build(), &c, &graph);
         assert_eq!(result.report.swap_count, 0);
     }
 
@@ -702,8 +597,8 @@ mod tests {
         let corral = catalog::corral11_16();
         let heavy = catalog::heavy_hex_20();
         let pipeline = Pipeline::default();
-        let on_corral = pipeline.run(&c, &corral).report;
-        let on_heavy = pipeline.run(&c, &heavy).report;
+        let on_corral = run(&pipeline, &c, &corral).report;
+        let on_heavy = run(&pipeline, &c, &heavy).report;
         assert!(
             on_corral.swap_count < on_heavy.swap_count,
             "corral {} vs heavy-hex {}",
@@ -718,8 +613,8 @@ mod tests {
         // needs more applications than SYC.
         let c = qft(10, true);
         let graph = builders::hypercube(4);
-        let siswap = with_basis(BasisGate::SqrtISwap).run(&c, &graph);
-        let syc = with_basis(BasisGate::Syc).run(&c, &graph);
+        let siswap = run(&with_basis(BasisGate::SqrtISwap), &c, &graph);
+        let syc = run(&with_basis(BasisGate::Syc), &c, &graph);
         assert!(siswap.report.basis_gate_count <= syc.report.basis_gate_count);
     }
 
@@ -746,7 +641,7 @@ mod tests {
     fn pass_trace_records_every_stage_and_the_swap_delta() {
         let c = qft(8, true);
         let graph = builders::square_lattice(3, 3);
-        let result = with_basis(BasisGate::Cnot).run(&c, &graph);
+        let result = run(&with_basis(BasisGate::Cnot), &c, &graph);
         let names: Vec<&str> = result.trace.stages.iter().map(|s| s.stage).collect();
         assert_eq!(names, ["layout", "routing", "translation", "analysis"]);
         assert_eq!(result.trace.swaps_inserted(), result.report.swap_count);
@@ -759,40 +654,5 @@ mod tests {
         for stage in &result.trace.stages {
             assert!(stage.micros >= 0.0, "{}", stage.stage);
         }
-    }
-
-    #[test]
-    fn from_options_matches_the_explicitly_built_pipeline_bitwise() {
-        let c = qft(10, true);
-        let graph = catalog::tree_20();
-        for options in [
-            TranspileOptions::default(),
-            TranspileOptions::with_basis(BasisGate::SqrtISwap).with_seed(7),
-            TranspileOptions::with_basis(BasisGate::Cnot).with_error_weight(1.0),
-        ] {
-            let mut builder = Pipeline::builder()
-                .layout(options.layout)
-                .router(options.router);
-            builder = match options.basis {
-                Some(basis) => builder.translate_to(basis),
-                None => builder.routing_only(),
-            };
-            let by_hand = builder.build();
-            assert_eq!(Pipeline::from_options(&options), by_hand);
-            let converted = Pipeline::from_options(&options).run(&c, &graph);
-            let explicit = by_hand.run(&c, &graph);
-            assert_eq!(converted.report, explicit.report);
-            assert_eq!(
-                converted.routed.circuit.instructions(),
-                explicit.routed.circuit.instructions()
-            );
-        }
-    }
-
-    #[test]
-    fn options_builders() {
-        let o = TranspileOptions::with_basis(BasisGate::SqrtISwap).with_seed(99);
-        assert_eq!(o.basis, Some(BasisGate::SqrtISwap));
-        assert_eq!(o.router.seed, 99);
     }
 }

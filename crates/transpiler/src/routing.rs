@@ -428,8 +428,8 @@ impl Adjacency {
 // ---------------------------------------------------------------------------
 
 /// Everything about one (circuit, graph, config) routing problem that does
-/// not depend on the evolving layout: built once in [`route`], borrowed by
-/// every trial.
+/// not depend on the evolving layout: built once in [`route_with_cache`],
+/// borrowed by every trial.
 struct TrialTemplate {
     /// Remaining-predecessor count per instruction (cloned per trial).
     in_degree: Vec<usize>,
@@ -502,6 +502,11 @@ impl TrialTemplate {
 /// Routes `circuit` onto `graph` starting from `initial_layout`, inserting
 /// SWAP gates wherever a two-qubit gate acts on non-adjacent physical qubits.
 ///
+/// Distance rows come from `cache`, which must belong to `graph` (same
+/// structure and edge errors); `snailqc_core::device::Device` maintains that
+/// pairing. Pass `&RoutingCache::new()` for a one-off route. The output does
+/// not depend on whether the cache is fresh or warm.
+///
 /// The graph may be disconnected as long as every physical qubit the layout
 /// occupies sits in one connected component (the layout stage guarantees
 /// this; see `LayoutStrategy::try_compute`).
@@ -509,18 +514,6 @@ impl TrialTemplate {
 /// # Panics
 /// Panics if the device has fewer qubits than the circuit or the initial
 /// layout straddles disconnected components.
-pub fn route(
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    initial_layout: &Layout,
-    config: &RouterConfig,
-) -> RoutedCircuit {
-    route_with_cache(circuit, graph, initial_layout, config, &RoutingCache::new())
-}
-
-/// [`route`], reusing `cache`'s distance matrices. The cache must belong to
-/// `graph` (same structure and edge errors); `snailqc_core::device::Device`
-/// maintains that pairing. Output is bitwise-identical to [`route`].
 pub fn route_with_cache(
     circuit: &Circuit,
     graph: &CouplingGraph,
@@ -980,7 +973,7 @@ mod tests {
         seed: u64,
     ) -> RoutedCircuit {
         let layout = strategy.compute(circuit, graph);
-        route(
+        route_with_cache(
             circuit,
             graph,
             &layout,
@@ -988,6 +981,7 @@ mod tests {
                 seed,
                 ..RouterConfig::default()
             },
+            &RoutingCache::new(),
         )
     }
 
@@ -1116,7 +1110,7 @@ mod tests {
         let graph = builders::square_lattice(4, 4);
         let c = quantum_volume(16, 8, 9);
         let layout = LayoutStrategy::Dense.compute(&c, &graph);
-        let one = route(
+        let one = route_with_cache(
             &c,
             &graph,
             &layout,
@@ -1125,8 +1119,9 @@ mod tests {
                 seed: 3,
                 ..RouterConfig::default()
             },
+            &RoutingCache::new(),
         );
-        let many = route(
+        let many = route_with_cache(
             &c,
             &graph,
             &layout,
@@ -1135,6 +1130,7 @@ mod tests {
                 seed: 3,
                 ..RouterConfig::default()
             },
+            &RoutingCache::new(),
         );
         assert!(many.swap_count <= one.swap_count);
     }
@@ -1176,7 +1172,7 @@ mod tests {
                 ..RouterConfig::noise_aware(0.5)
             },
         ] {
-            let fresh = route(&c, &graph, &layout, &config);
+            let fresh = route_with_cache(&c, &graph, &layout, &config, &RoutingCache::new());
             let cache = RoutingCache::new();
             let cold = route_with_cache(&c, &graph, &layout, &config, &cache);
             let warm = route_with_cache(&c, &graph, &layout, &config, &cache);
@@ -1212,9 +1208,9 @@ mod tests {
             },
         ] {
             let graph = builders::calibrated(&graph, 1e-3, 1.2, 17);
-            let first = route(&c, &graph, &layout, &config);
+            let first = route_with_cache(&c, &graph, &layout, &config, &RoutingCache::new());
             for _ in 0..3 {
-                let again = route(&c, &graph, &layout, &config);
+                let again = route_with_cache(&c, &graph, &layout, &config, &RoutingCache::new());
                 assert_eq!(first.swap_count, again.swap_count);
                 assert_eq!(
                     first.circuit.instructions(),

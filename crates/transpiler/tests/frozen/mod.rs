@@ -5,7 +5,9 @@
 #![allow(dead_code)]
 
 use snailqc_topology::{builders, catalog};
-use snailqc_transpiler::{route, LayoutStrategy, RoutedCircuit, RouterConfig};
+use snailqc_transpiler::{
+    route_with_cache, LayoutStrategy, RoutedCircuit, RouterConfig, RoutingCache,
+};
 use snailqc_workloads::Workload;
 
 /// FNV-1a digest of a routed circuit: every instruction's gate (debug form
@@ -33,7 +35,7 @@ pub fn route_cell(name: &str, noise_aware: bool) -> RoutedCircuit {
     };
     let circuit = workload.generate(12, 7);
     let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-    route(&circuit, &graph, &layout, &config)
+    route_with_cache(&circuit, &graph, &layout, &config, &RoutingCache::new())
 }
 
 /// `(catalog name, noise-blind digest, noise-aware digest)` frozen from the
@@ -69,8 +71,8 @@ pub const FROZEN: [(&str, u64, u64); 16] = [
 ];
 
 /// `(catalog name, workload, swap_count, swap_depth)` captured from the
-/// pre-noise-aware router with `TranspileOptions::default()` on
-/// `workload.generate(12, 7)`.
+/// pre-noise-aware router with the default configuration (dense layout,
+/// default router, no translation) on `workload.generate(12, 7)`.
 pub const BASELINE: [(&str, Workload, usize, usize); 32] = [
     ("heavy-hex-20", Workload::QaoaVanilla, 217, 124),
     ("hex-lattice-20", Workload::QaoaVanilla, 71, 40),

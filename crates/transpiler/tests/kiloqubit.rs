@@ -13,13 +13,20 @@ mod frozen;
 use frozen::digest;
 use snailqc_topology::{builders, CouplingGraph};
 use snailqc_transpiler::{
-    dense_layout, route, try_dense_layout, LayoutStrategy, Pipeline, RoutedCircuit, RouterConfig,
+    dense_layout, route_with_cache, try_dense_layout, LayoutStrategy, Pipeline, RoutedCircuit,
+    RouterConfig, RoutingCache,
 };
 
 fn route_kiloqubit(graph: &CouplingGraph, qubits: usize) -> RoutedCircuit {
     let circuit = snailqc_workloads::ghz(qubits);
     let layout = dense_layout(&circuit, graph);
-    route(&circuit, graph, &layout, &RouterConfig::default())
+    route_with_cache(
+        &circuit,
+        graph,
+        &layout,
+        &RouterConfig::default(),
+        &RoutingCache::new(),
+    )
 }
 
 /// Beyond digest stability: the stabilizer engine proves the kiloqubit
@@ -34,7 +41,13 @@ fn kiloqubit_routes_are_stabilizer_verified() {
     for (graph, qubits) in &cells {
         let circuit = snailqc_workloads::ghz(*qubits);
         let layout = dense_layout(&circuit, graph);
-        let routed = route(&circuit, graph, &layout, &RouterConfig::default());
+        let routed = route_with_cache(
+            &circuit,
+            graph,
+            &layout,
+            &RouterConfig::default(),
+            &RoutingCache::new(),
+        );
         let verdict = snailqc_sim::verify_equivalent(&circuit, &routed);
         assert!(verdict.is_equivalent(), "{}: {verdict}", graph.name());
     }
@@ -89,7 +102,13 @@ fn disconnected_device_routes_within_the_largest_component() {
     for logical in 0..circuit.num_qubits() {
         assert!(layout.physical(logical) < 16, "layout strayed off the grid");
     }
-    let routed = route(&circuit, &graph, &layout, &RouterConfig::default());
+    let routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::default(),
+        &RoutingCache::new(),
+    );
     assert_eq!(digest(&routed), digest(&routed), "routable");
 
     // Asking for more qubits than the largest component holds is an error
@@ -104,7 +123,7 @@ fn disconnected_device_routes_within_the_largest_component() {
     let err = Pipeline::builder()
         .layout(LayoutStrategy::Dense)
         .build()
-        .try_run(&too_big, &graph)
+        .run(&too_big, &graph, None, &RoutingCache::new())
         .expect_err("pipeline must refuse the placement");
     assert!(
         err.to_string().contains("largest connected component"),

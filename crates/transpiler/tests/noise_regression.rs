@@ -1,6 +1,6 @@
 //! Noise-aware routing regression suite.
 //!
-//! Three guarantees:
+//! Four guarantees:
 //!
 //! 1. **Frozen baseline** — with the default (noise-blind) configuration the
 //!    router reproduces the exact SWAP totals and depths the pre-noise-aware
@@ -12,17 +12,25 @@
 //! 3. **Monotonicity** — raising one edge's error rate never increases the
 //!    number of two-qubit gates the noise-aware router schedules across that
 //!    edge, on a fixed seed corpus.
-//! 4. **API equivalence** — the staged [`Pipeline`] and the deprecated
-//!    [`transpile`] shim produce bitwise-identical routed circuits and
-//!    reports for every catalog topology (the PR-3 redesign regression).
+//! 4. **Cache transparency** — a [`Pipeline`] run that reuses a warm
+//!    [`RoutingCache`] produces the same routed circuit and report as a run
+//!    with a fresh cache, for every catalog topology.
 
 mod frozen;
 
 use frozen::BASELINE;
 use snailqc_circuit::Circuit;
+use snailqc_decompose::BasisGate;
 use snailqc_topology::{builders, catalog, CouplingGraph};
-use snailqc_transpiler::{Pipeline, RouterConfig, TranspileOptions};
+use snailqc_transpiler::{Pipeline, RouterConfig, RoutingCache, TranspileResult};
 use snailqc_workloads::Workload;
+
+/// A run on a bare graph (no native basis) with a fresh routing cache.
+fn run(pipeline: &Pipeline, circuit: &Circuit, graph: &CouplingGraph) -> TranspileResult {
+    pipeline
+        .run(circuit, graph, None, &RoutingCache::new())
+        .unwrap()
+}
 
 fn same_instructions(a: &Circuit, b: &Circuit) -> bool {
     a.len() == b.len()
@@ -37,7 +45,7 @@ fn noise_blind_router_matches_frozen_baseline_on_every_catalog_topology() {
     for &(name, workload, swaps, depth) in &BASELINE {
         let circuit = workload.generate(12, 7);
         let graph = catalog::by_name(name).unwrap();
-        let report = Pipeline::default().run(&circuit, &graph).report;
+        let report = run(&Pipeline::default(), &circuit, &graph).report;
         assert_eq!(
             (report.swap_count, report.swap_depth),
             (swaps, depth),
@@ -49,30 +57,28 @@ fn noise_blind_router_matches_frozen_baseline_on_every_catalog_topology() {
 
 #[test]
 fn cached_pipeline_matches_the_uncached_run_bitwise_on_every_catalog_topology() {
-    // Successor of the PR-3 acceptance regression (which compared the
-    // Pipeline against the since-removed transpile() shim): for any
-    // (graph, options) the Pipeline run with a shared, reused RoutingCache
-    // is bitwise-identical to the fresh uncached run across all 16 catalog
-    // topologies — same routed instructions, same report.
-    use snailqc_decompose::BasisGate;
-    use snailqc_transpiler::RoutingCache;
-    let option_sets = [
-        TranspileOptions::default(),
-        TranspileOptions::with_basis(BasisGate::SqrtISwap).with_seed(23),
-        TranspileOptions::default().with_error_weight(1.0),
+    // For any (graph, pipeline) the run with a shared, reused RoutingCache
+    // is bitwise-identical to the run with a fresh cache across all 16
+    // catalog topologies — same routed instructions, same report.
+    let pipelines = [
+        Pipeline::builder().routing_only().build(),
+        Pipeline::builder()
+            .translate_to(BasisGate::SqrtISwap)
+            .seed(23)
+            .build(),
+        Pipeline::builder().routing_only().error_weight(1.0).build(),
     ];
     let names = catalog::names();
     assert_eq!(names.len(), 16, "catalog grew; extend the regression");
     for name in names {
         let graph = catalog::by_name(name).unwrap();
         let circuit = Workload::QuantumVolume.generate(12, 7);
-        // One cache per graph, shared across every option set — the Device
-        // ownership pattern, with warm matrices by the second iteration.
+        // One cache per graph, shared across every pipeline — the Device
+        // ownership pattern, with warm rows by the second iteration.
         let cache = RoutingCache::new();
-        for options in &option_sets {
-            let pipeline = Pipeline::from_options(options);
-            let fresh = pipeline.run(&circuit, &graph);
-            let cached = pipeline.run_with_native_basis_cached(&circuit, &graph, None, &cache);
+        for pipeline in &pipelines {
+            let fresh = run(pipeline, &circuit, &graph);
+            let cached = pipeline.run(&circuit, &graph, None, &cache).unwrap();
             assert_eq!(
                 fresh.report, cached.report,
                 "{name}: cached pipeline report drifted from the uncached run"
@@ -99,12 +105,15 @@ fn uniform_error_models_route_bitwise_identically() {
         let calibrated = builders::calibrated(&graph, 1e-3, 1.2, 17);
         let circuit = Workload::QaoaVanilla.generate(12, 7);
 
-        let blind = Pipeline::default().run(&circuit, &graph);
-        let zero_weight_on_calibrated = Pipeline::default().run(&circuit, &calibrated);
-        let weighted_on_uniform = Pipeline::builder()
-            .router(RouterConfig::noise_aware(1.0))
-            .build()
-            .run(&circuit, &graph);
+        let blind = run(&Pipeline::default(), &circuit, &graph);
+        let zero_weight_on_calibrated = run(&Pipeline::default(), &circuit, &calibrated);
+        let weighted_on_uniform = run(
+            &Pipeline::builder()
+                .router(RouterConfig::noise_aware(1.0))
+                .build(),
+            &circuit,
+            &graph,
+        );
 
         for (label, run) in [
             (
@@ -162,10 +171,10 @@ fn raising_one_edges_error_never_attracts_traffic_to_it() {
             })
             .build();
         for &(a, b) in &edges {
-            let base = pipeline.run(&circuit, &graph);
+            let base = run(&pipeline, &circuit, &graph);
             let mut degraded = graph.clone();
             degraded.scale_edge_error(a, b, 10.0);
-            let noisy = pipeline.run(&circuit, &degraded);
+            let noisy = run(&pipeline, &circuit, &degraded);
             let before = gates_on_edge(&base.routed.circuit, (a, b));
             let after = gates_on_edge(&noisy.routed.circuit, (a, b));
             assert!(

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use snailqc_obs as obs;
 use snailqc_topology::catalog;
-use snailqc_transpiler::{route, LayoutStrategy, RouterConfig};
+use snailqc_transpiler::{route_with_cache, LayoutStrategy, RouterConfig, RoutingCache};
 use snailqc_workloads::Workload;
 
 /// Upper bound per disabled span+counter+histogram op, in nanoseconds.
@@ -34,7 +34,13 @@ fn disabled_span_and_counter_ops_stay_within_budget_on_the_84q_cell() {
     let graph = catalog::by_name("heavy-hex-84").unwrap();
     let circuit = Workload::QuantumVolume.generate(24, 11);
     let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-    let routed = route(&circuit, &graph, &layout, &RouterConfig::default());
+    let routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::default(),
+        &RoutingCache::new(),
+    );
     assert!(routed.swap_count > 0, "cell routed trivially");
     assert!(
         obs::take_spans().is_empty(),

@@ -8,7 +8,8 @@ use snailqc_decompose::BasisGate;
 use snailqc_topology::builders;
 use snailqc_topology::CouplingGraph;
 use snailqc_transpiler::{
-    count_basis_gates, route, translate_to_basis, LayoutStrategy, Pipeline, RouterConfig,
+    count_basis_gates, route_with_cache, translate_to_basis, LayoutStrategy, Pipeline,
+    RouterConfig, RoutingCache,
 };
 
 /// Random logical circuit over `n` qubits with 1Q and 2Q gates.
@@ -55,7 +56,7 @@ proptest! {
     fn routing_preserves_gate_multiset(circuit in arb_circuit(8, 30), dev in 0usize..5, seed in 0u64..500) {
         let graph = device(dev);
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         // Every non-SWAP gate of the output corresponds 1:1 to an input gate.
         // The router may interleave gates on independent qubits (a legal
         // topological reordering), so compare as multisets.
@@ -78,7 +79,7 @@ proptest! {
     fn routed_two_qubit_gates_respect_the_device(circuit in arb_circuit(8, 30), dev in 0usize..5, seed in 0u64..500) {
         let graph = device(dev);
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         for inst in routed.circuit.instructions() {
             if inst.is_two_qubit() {
                 prop_assert!(graph.has_edge(inst.qubits[0], inst.qubits[1]));
@@ -90,7 +91,7 @@ proptest! {
     fn final_layout_is_always_a_valid_injection(circuit in arb_circuit(8, 25), dev in 0usize..5, seed in 0u64..500) {
         let graph = device(dev);
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let mut seen = std::collections::HashSet::new();
         for l in 0..circuit.num_qubits() {
             let p = routed.final_layout.physical(l);
@@ -125,7 +126,8 @@ proptest! {
             .router(RouterConfig { trials: 1, seed, ..RouterConfig::default() })
             .translate_to(BasisGate::SqrtISwap)
             .build();
-        let report = pipeline.run(&circuit, &graph).report;
+        let report = pipeline.run(&circuit, &graph, None, &RoutingCache::new())
+.unwrap().report;
         prop_assert_eq!(report.input_two_qubit_gates, circuit.two_qubit_count());
         prop_assert_eq!(
             report.routed_two_qubit_gates,
@@ -151,7 +153,7 @@ proptest! {
     fn complete_device_is_always_swap_free(circuit in arb_circuit(8, 30), seed in 0u64..200) {
         let graph = builders::complete(8);
         let layout = LayoutStrategy::Trivial.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         prop_assert_eq!(routed.swap_count, 0);
     }
 
@@ -170,7 +172,7 @@ proptest! {
             seed,
             ..RouterConfig::noise_aware(error_weight)
         };
-        let routed = route(&circuit, &graph, &layout, &config);
+        let routed = route_with_cache(&circuit, &graph, &layout, &config, &RoutingCache::new());
         for inst in routed.circuit.instructions() {
             if inst.is_two_qubit() {
                 prop_assert!(graph.has_edge(inst.qubits[0], inst.qubits[1]));
@@ -211,7 +213,7 @@ proptest! {
             seed,
             ..RouterConfig::noise_aware(error_weight)
         };
-        let routed = route(&circuit, &graph, &layout, &config);
+        let routed = route_with_cache(&circuit, &graph, &layout, &config, &RoutingCache::new());
         let sv_original = simulate(&circuit);
         let sv_routed = simulate(&routed.circuit);
         let perm: Vec<usize> = (0..n)
@@ -243,7 +245,7 @@ proptest! {
     ) {
         let graph = device(dev);
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let verdict = snailqc_sim::verify_equivalent(&circuit, &routed);
         if graph.num_qubits() <= snailqc_sim::DENSE_VERIFY_MAX_QUBITS || circuit.is_clifford() {
             prop_assert!(verdict.is_equivalent(), "dev={dev} seed={seed}: {verdict}");
@@ -264,7 +266,7 @@ proptest! {
         prop_assert!(circuit.is_clifford());
         let graph = device(dev);
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::deterministic(seed));
+        let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let verdict = snailqc_sim::verify_equivalent(&circuit, &routed);
         prop_assert!(verdict.is_equivalent(), "dev={dev} seed={seed}: {verdict}");
     }

@@ -23,7 +23,7 @@ mod frozen;
 use frozen::{digest, route_cell, FROZEN};
 use snailqc_sim::{verify_equivalent, Verdict, DENSE_VERIFY_MAX_QUBITS};
 use snailqc_topology::catalog;
-use snailqc_transpiler::{route, LayoutStrategy, RouterConfig};
+use snailqc_transpiler::{route_with_cache, LayoutStrategy, RouterConfig, RoutingCache};
 use snailqc_workloads::Workload;
 
 #[test]
@@ -96,7 +96,13 @@ fn clifford_qv_is_exactly_verified_on_the_large_devices() {
     for name in ["heavy-hex-84", "hypercube-84", "tree-rr-84"] {
         let graph = catalog::by_name(name).unwrap();
         let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
-        let routed = route(&circuit, &graph, &layout, &RouterConfig::default());
+        let routed = route_with_cache(
+            &circuit,
+            &graph,
+            &layout,
+            &RouterConfig::default(),
+            &RoutingCache::new(),
+        );
         let verdict = verify_equivalent(&circuit, &routed);
         assert!(matches!(verdict, Verdict::Equivalent), "{name}: {verdict}");
     }

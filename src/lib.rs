@@ -101,7 +101,7 @@ pub mod prelude {
     pub use snailqc_topology::{CouplingGraph, TopologyKind};
     pub use snailqc_transpiler::{
         BasisChoice, EdgeErrorSource, LayoutStrategy, PassTrace, Pipeline, RouterConfig,
-        StageCounters, TranspileOptions,
+        StageCounters,
     };
     pub use snailqc_workloads::Workload;
 }

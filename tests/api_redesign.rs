@@ -1,14 +1,14 @@
-//! PR-3 API-redesign equivalence suite, exercised through the façade crate:
+//! API equivalence suite, exercised through the façade crate:
 //!
-//! * the option-driven `Pipeline::from_options` path is bitwise-identical
-//!   to the `Device`-driven path on every catalog topology (frozen-baseline
-//!   regression, formerly pinned against the since-removed `transpile()`
-//!   shim);
+//! * a pipeline run on a bare catalog graph with an explicit basis is
+//!   bitwise-identical to the `Device`-driven run, where the basis comes
+//!   from the device, on every catalog topology;
 //! * `Device::from_machine` round-trips with `Machine`;
 //! * the sweep store replays cells bitwise.
 
 use snailqc::prelude::*;
 use snailqc::topology::catalog;
+use snailqc::transpiler::RoutingCache;
 
 fn same_instructions(a: &Circuit, b: &Circuit) -> bool {
     a.len() == b.len()
@@ -19,23 +19,25 @@ fn same_instructions(a: &Circuit, b: &Circuit) -> bool {
 }
 
 #[test]
-fn device_pipeline_matches_the_options_pipeline_on_every_catalog_topology() {
-    // Acceptance criterion: for any (graph, options) the Device-driven
-    // Pipeline output is bitwise-identical to the plain option-driven run
-    // across all 16 catalog topologies — the two ways consumers reach the
-    // same staged flow.
+fn device_pipeline_matches_the_bare_graph_pipeline_on_every_catalog_topology() {
+    // For any (graph, basis) the Device-driven Pipeline output is
+    // bitwise-identical to the same pipeline run on the bare graph with the
+    // basis fixed up front, across all 16 catalog topologies.
     let names = catalog::names();
     assert_eq!(names.len(), 16);
     let circuit = Workload::Qft.generate(12, 7);
     for name in names {
         let graph = catalog::by_name(name).unwrap();
         for basis in [None, Some(BasisGate::SqrtISwap)] {
-            let options = TranspileOptions {
-                basis,
-                ..TranspileOptions::default()
+            let builder = Pipeline::builder().seed(19);
+            let explicit = match basis {
+                Some(basis) => builder.translate_to(basis),
+                None => builder.routing_only(),
             }
-            .with_seed(19);
-            let from_options = Pipeline::from_options(&options).run(&circuit, &graph);
+            .build();
+            let bare = explicit
+                .run(&circuit, &graph, None, &RoutingCache::new())
+                .unwrap();
 
             let mut device = Device::from_catalog(name).unwrap();
             if let Some(basis) = basis {
@@ -44,11 +46,11 @@ fn device_pipeline_matches_the_options_pipeline_on_every_catalog_topology() {
             let staged = device.transpile(&circuit, &Pipeline::builder().seed(19).build());
 
             assert_eq!(
-                from_options.report, staged.report,
+                bare.report, staged.report,
                 "{name} basis {basis:?}: report drifted"
             );
             assert!(
-                same_instructions(&from_options.routed.circuit, &staged.routed.circuit),
+                same_instructions(&bare.routed.circuit, &staged.routed.circuit),
                 "{name} basis {basis:?}: routed circuit drifted"
             );
         }

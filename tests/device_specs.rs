@@ -11,7 +11,9 @@
 use snailqc::core::device::Device;
 use snailqc::devices::DeviceSpec;
 use snailqc::topology::{builders, catalog, CouplingGraph};
-use snailqc::transpiler::{route, LayoutStrategy, RoutedCircuit, RouterConfig};
+use snailqc::transpiler::{
+    route_with_cache, LayoutStrategy, RoutedCircuit, RouterConfig, RoutingCache,
+};
 use snailqc::workloads::Workload;
 
 /// FNV-1a digest of a routed circuit — same construction as the frozen
@@ -35,7 +37,7 @@ fn route_on(graph: &CouplingGraph, noise_aware: bool) -> RoutedCircuit {
     };
     let circuit = workload.generate(12, 7);
     let layout = LayoutStrategy::Dense.compute(&circuit, graph);
-    route(&circuit, graph, &layout, &config)
+    route_with_cache(&circuit, graph, &layout, &config, &RoutingCache::new())
 }
 
 /// Round-trips a graph through the spec format and returns the reloaded

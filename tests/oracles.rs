@@ -24,7 +24,7 @@ use sim_support::{bitwise_eq, mixed_circuit, row_stabilizes};
 use snailqc::prelude::*;
 use snailqc::sim::Tableau;
 use snailqc::topology::{builders, catalog};
-use snailqc::transpiler::{route, RoutedCircuit};
+use snailqc::transpiler::{route_with_cache, RoutedCircuit, RoutingCache};
 use snailqc::workloads::random_clifford_circuit;
 
 #[test]
@@ -95,7 +95,7 @@ fn stabilizer_tableau_agrees_with_the_dense_state() {
 
 fn route_dense(circuit: &Circuit, graph: &CouplingGraph, config: &RouterConfig) -> RoutedCircuit {
     let layout = LayoutStrategy::Dense.compute(circuit, graph);
-    route(circuit, graph, &layout, config)
+    route_with_cache(circuit, graph, &layout, config, &RoutingCache::new())
 }
 
 #[test]

@@ -31,9 +31,15 @@ fn observation2_connectivity_reduces_swaps_at_scale() {
     // §3.2 / Fig. 4 directionality on a reduced 40-qubit QAOA instance.
     let circuit = Workload::QaoaVanilla.generate(40, 8);
     let pipeline = Pipeline::default();
-    let heavy = pipeline.run(&circuit, &catalog::heavy_hex_84()).report;
-    let square = pipeline.run(&circuit, &catalog::square_lattice_84()).report;
-    let hyper = pipeline.run(&circuit, &catalog::hypercube_84()).report;
+    let heavy = Device::from(catalog::heavy_hex_84())
+        .transpile(&circuit, &pipeline)
+        .report;
+    let square = Device::from(catalog::square_lattice_84())
+        .transpile(&circuit, &pipeline)
+        .report;
+    let hyper = Device::from(catalog::hypercube_84())
+        .transpile(&circuit, &pipeline)
+        .report;
     assert!(square.swap_count < heavy.swap_count);
     assert!(hyper.swap_count < square.swap_count);
     assert!(hyper.swap_depth < heavy.swap_depth);
@@ -75,8 +81,12 @@ fn tree_beats_heavy_hex_on_ghz_but_not_necessarily_on_qft() {
     // stresses its root bottleneck; at minimum the Tree must win on GHZ.
     let ghz = Workload::Ghz.generate(60, 2);
     let pipeline = Pipeline::default();
-    let tree = pipeline.run(&ghz, &catalog::tree_84()).report;
-    let heavy = pipeline.run(&ghz, &catalog::heavy_hex_84()).report;
+    let tree = Device::from(catalog::tree_84())
+        .transpile(&ghz, &pipeline)
+        .report;
+    let heavy = Device::from(catalog::heavy_hex_84())
+        .transpile(&ghz, &pipeline)
+        .report;
     assert!(tree.swap_count < heavy.swap_count);
 }
 

@@ -165,10 +165,9 @@ fn basis_choice_does_not_change_routing() {
     let graph = catalog::tree_20();
     let mut counts = Vec::new();
     for basis in BasisGate::all() {
-        let report = Pipeline::builder()
-            .translate_to(basis)
-            .build()
-            .run(&circuit, &graph)
+        let pipeline = Pipeline::builder().translate_to(basis).build();
+        let report = Device::from(graph.clone())
+            .transpile(&circuit, &pipeline)
             .report;
         counts.push(report.swap_count);
     }

@@ -164,7 +164,7 @@ fn reimported_circuits_route_and_verify_across_dialects() {
     // generator output. GHZ exercises the stabilizer engine, QFT the dense
     // engine (16 physical qubits is exactly the dense ceiling).
     use snailqc::topology::catalog;
-    use snailqc::transpiler::route;
+    use snailqc::transpiler::{route_with_cache, RoutingCache};
     let graph = catalog::by_name("square-lattice-16").unwrap();
     for version in [QasmVersion::V2, QasmVersion::V3] {
         for (workload, size) in [(Workload::Ghz, 12), (Workload::Qft, 8)] {
@@ -172,11 +172,12 @@ fn reimported_circuits_route_and_verify_across_dialects() {
             let text = workload.emit_qasm_versioned(size, 11, version);
             let reimported = qasm::parse_any(&text).unwrap().circuit;
             let layout = LayoutStrategy::Dense.compute(&reimported, &graph);
-            let routed = route(
+            let routed = route_with_cache(
                 &reimported,
                 &graph,
                 &layout,
                 &RouterConfig::deterministic(11),
+                &RoutingCache::new(),
             );
             let verdict = verify_equivalent(&direct, &routed);
             assert!(
@@ -194,7 +195,7 @@ fn large_clifford_interchange_is_stabilizer_verified() {
     // Clifford circuit survives emit → parse (both dialects) → routing onto
     // a 64-qubit grid, with the stabilizer engine proving exact equivalence.
     use snailqc::topology::builders;
-    use snailqc::transpiler::route;
+    use snailqc::transpiler::{route_with_cache, RoutingCache};
     let direct = snailqc::workloads::random_clifford_circuit(60, 300, 19);
     let graph = builders::square_lattice(8, 8);
     for version in [QasmVersion::V2, QasmVersion::V3] {
@@ -202,11 +203,12 @@ fn large_clifford_interchange_is_stabilizer_verified() {
         let reimported = qasm::parse_any(&text).unwrap().circuit;
         assert_eq!(reimported, direct, "{version}: interchange drifted");
         let layout = LayoutStrategy::Dense.compute(&reimported, &graph);
-        let routed = route(
+        let routed = route_with_cache(
             &reimported,
             &graph,
             &layout,
             &RouterConfig::deterministic(19),
+            &RoutingCache::new(),
         );
         let verdict = verify_equivalent(&direct, &routed);
         assert!(verdict.is_equivalent(), "{version}: {verdict}");
