@@ -282,16 +282,26 @@ pub fn names() -> Vec<&'static str> {
     REGISTRY.iter().map(|(name, _)| *name).collect()
 }
 
+fn entry(name: &str) -> Option<&'static (&'static str, TopologyBuilder)> {
+    REGISTRY
+        .iter()
+        .find(|(canonical, _)| names_match(canonical, name))
+}
+
+/// The canonical name of the catalog instance `name` refers to, without
+/// building it. Matching is as forgiving as [`by_name`]'s; returns `None`
+/// for unknown names.
+pub fn canonical_name(name: &str) -> Option<&'static str> {
+    entry(name).map(|(canonical, _)| *canonical)
+}
+
 /// Builds a catalog instance by name.
 ///
 /// Matching is forgiving: case, punctuation and separators are ignored, so
 /// `corral11-16`, `Corral1,1-16` and `CORRAL_1_1_16` all resolve to the same
 /// instance. Returns `None` for unknown names.
 pub fn by_name(name: &str) -> Option<CouplingGraph> {
-    REGISTRY
-        .iter()
-        .find(|(canonical, _)| names_match(canonical, name))
-        .map(|(_, build)| build())
+    entry(name).map(|(_, build)| build())
 }
 
 /// 16-qubit lattice with alternating diagonals (4×4), Table 1.
@@ -439,6 +449,19 @@ mod tests {
             "Lattice+AltDiagonals-84"
         );
         assert!(by_name("no-such-device").is_none());
+    }
+
+    #[test]
+    fn canonical_name_matches_by_name_without_building() {
+        assert_eq!(canonical_name("CORRAL_1_1_16"), Some("corral11-16"));
+        assert_eq!(
+            canonical_name("Lattice+AltDiagonals-84"),
+            Some("lattice-alt-diagonals-84")
+        );
+        assert_eq!(canonical_name("no-such-device"), None);
+        for name in names() {
+            assert_eq!(canonical_name(name), Some(name));
+        }
     }
 
     #[test]

@@ -1268,7 +1268,7 @@ fn devices_show(args: &[String]) -> Result<(), String> {
     let device = registry.resolve(arg)?;
     let source = if arg.contains('/') || arg.ends_with(".json") || Path::new(arg).is_file() {
         arg.clone()
-    } else if catalog::by_name(arg).is_some() {
+    } else if catalog::canonical_name(arg).is_some() {
         "builtin".to_string()
     } else {
         registry

@@ -281,7 +281,7 @@ fn resolve_device_target(params: &Value) -> Result<DeviceTarget<'_>, String> {
             let path_like = arg.contains('/')
                 || arg.ends_with(".json")
                 || std::path::Path::new(arg.as_str()).is_file();
-            if !path_like && catalog::by_name(arg).is_some() {
+            if !path_like && catalog::canonical_name(arg).is_some() {
                 return Ok(DeviceTarget::Catalog(arg));
             }
             let path = if path_like {
@@ -1247,6 +1247,25 @@ mod tests {
                 "bad `{name}` accepted"
             );
         }
+    }
+
+    #[test]
+    fn device_names_resolve_against_the_catalog_and_unknown_names_error() {
+        let device = |name: &str| protocol::object(vec![("device", Value::String(name.into()))]);
+        for name in ["tree-20", "Corral1,2-16", "HEAVY_HEX_84"] {
+            assert!(
+                matches!(
+                    resolve_device_target(&device(name)),
+                    Ok(DeviceTarget::Catalog(n)) if n == name
+                ),
+                "`{name}` did not resolve to a catalog device"
+            );
+        }
+        let err = match resolve_device_target(&device("no-such-device")) {
+            Err(err) => err,
+            Ok(_) => panic!("an unknown device name resolved"),
+        };
+        assert!(err.contains("unknown device `no-such-device`"), "{err}");
     }
 
     #[test]
