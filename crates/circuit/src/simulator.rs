@@ -741,8 +741,8 @@ mod kernels {
 ///
 /// These scan all `2^n` indices per gate and skip non-base indices, applying
 /// the generic matrix product for every gate. They define the bitwise
-/// reference semantics the rewritten engine must reproduce exactly, and they
-/// are the "old" side of the `sim` tier in the perf harness.
+/// reference semantics the rewritten engine must reproduce exactly
+/// (`tests/qv20_reference.rs` and the sim crate's agreement suite check it).
 pub mod reference {
     use super::*;
 

@@ -614,7 +614,7 @@ pub fn route_with_cache(
     let best = best.expect("at least one routing trial");
 
     // One registry flush per route call, far off the inner loop. The
-    // counters feed `--metrics-json` / the perf bench's metrics block.
+    // counters feed `--metrics-json`.
     if obs::is_enabled() {
         obs::counter_add("router.calls", 1);
         obs::counter_add("router.trials_run", seeds.len() as u64);
