@@ -369,20 +369,6 @@ impl RoutingCache {
             }
         }
     }
-
-    /// Bytes of distance payload currently resident across the hop rows
-    /// and every scoring store.
-    pub fn resident_distance_bytes(&self) -> usize {
-        let hops = self.hops.get().map_or(0, |h| h.resident_bytes());
-        let scoring: usize = self
-            .scoring
-            .lock()
-            .expect("routing cache poisoned")
-            .values()
-            .map(|rows| rows.resident_bytes())
-            .sum();
-        hops + scoring
-    }
 }
 
 /// Cap on the flat adjacency matrix: one byte per qubit pair, so 2 MiB
