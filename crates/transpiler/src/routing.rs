@@ -31,9 +31,9 @@
 //!   through one scratch swap/unswap of the live layout instead of a
 //!   `Layout` clone per candidate. Adjacency tests on the blocked front use
 //!   a flat `n × n` boolean matrix up to `DENSE_ADJACENCY_MAX_BYTES` of
-//!   flags (the CSR binary search beyond it), and the trial loop reuses all of its
-//!   per-decision scratch buffers, so steady-state routing allocates only
-//!   the output circuit.
+//!   flags (the CSR binary search beyond it), and the trial loop reuses all
+//!   of its per-decision scratch buffers, so steady-state routing allocates
+//!   only the output circuit.
 //! * **Parallel across trials**: the best-of-`trials` loop fans out with
 //!   rayon — each trial derives its own RNG seed from the trial index — and
 //!   the winner is selected by a deterministic trial-index-ordered
