@@ -14,261 +14,13 @@ impl std::fmt::Display for Error {
 }
 impl std::error::Error for Error {}
 
-/// Maximum container nesting depth accepted by [`from_str`]; keeps malicious
-/// or accidental deeply-nested input from overflowing the stack.
-const MAX_DEPTH: usize = 128;
-
-/// Parses JSON text into a [`Value`] tree (recursive descent; rejects
-/// trailing garbage and nesting deeper than `MAX_DEPTH` levels).
+/// Parses JSON text into a [`Value`] tree: a [`spanned::from_str`] parse
+/// with the spans stripped, so both entry points share one grammar. The
+/// error names the byte offset where parsing failed.
 pub fn from_str(text: &str) -> Result<Value, Error> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error(format!("trailing characters at byte {pos}")));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), Error> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(Error(format!("expected `{}` at byte {}", c as char, *pos)))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
-    if depth > MAX_DEPTH {
-        return Err(Error(format!("nesting deeper than {MAX_DEPTH} levels")));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(Error("unexpected end of input".into())),
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(entries));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos, depth + 1)? {
-                    Value::String(s) => s,
-                    _ => {
-                        return Err(Error(format!(
-                            "object key at byte {} must be a string",
-                            *pos
-                        )))
-                    }
-                };
-                expect(bytes, pos, b':')?;
-                entries.push((key, parse_value(bytes, pos, depth + 1)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(entries));
-                    }
-                    _ => return Err(Error(format!("expected `,` or `}}` at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(Error(format!("expected `,` or `]` at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'"') => parse_string(bytes, pos).map(Value::String),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, Error> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(Error(format!("invalid literal at byte {}", *pos)))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(Error("unterminated string".into())),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        let scalar = if (0xD800..0xDC00).contains(&code) {
-                            // UTF-16 high surrogate: a `\uXXXX` low surrogate
-                            // must follow; combine them into one scalar.
-                            if bytes.get(*pos + 1..*pos + 3) != Some(br"\u") {
-                                return Err(Error("unpaired \\u surrogate".into()));
-                            }
-                            let low = parse_hex4(bytes, *pos + 3)?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(Error("invalid low \\u surrogate".into()));
-                            }
-                            *pos += 6;
-                            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                        } else {
-                            code
-                        };
-                        out.push(
-                            char::from_u32(scalar)
-                                .ok_or_else(|| Error("invalid \\u codepoint".into()))?,
-                        );
-                    }
-                    _ => return Err(Error(format!("invalid escape at byte {}", *pos))),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error("invalid UTF-8 in string".into()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-/// Reads the four hex digits of a `\uXXXX` escape starting at `at`.
-fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, Error> {
-    let hex = bytes
-        .get(at..at + 4)
-        .ok_or_else(|| Error("truncated \\u escape".into()))?;
-    u32::from_str_radix(
-        std::str::from_utf8(hex).map_err(|_| Error("invalid \\u escape".into()))?,
-        16,
-    )
-    .map_err(|_| Error("invalid \\u escape".into()))
-}
-
-/// Parses a number following the RFC 8259 grammar exactly:
-/// `-? (0 | [1-9][0-9]*) ('.' [0-9]+)? ([eE] [+-]? [0-9]+)?`.
-///
-/// Spec-invalid spellings that Rust's own `from_str` impls would happily
-/// accept — a leading `+`, leading zeros, a bare trailing `.`/`e` — are
-/// rejected here instead of leaking into round-tripped files. Numbers whose
-/// `f64` value overflows to infinity (e.g. `1e999`) are rejected too: the
-/// emitter has no representation for non-finite floats, so accepting them
-/// would corrupt a parse → emit round trip.
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-    let start = *pos;
-    let mut i = *pos;
-    if bytes.get(i) == Some(&b'-') {
-        i += 1;
-    }
-    // Integer part: `0` alone or a nonzero digit run (no leading zeros).
-    match bytes.get(i) {
-        Some(b'0') => i += 1,
-        Some(b'1'..=b'9') => {
-            while matches!(bytes.get(i), Some(b'0'..=b'9')) {
-                i += 1;
-            }
-        }
-        _ => return Err(Error(format!("invalid number at byte {start}"))),
-    }
-    let mut is_float = false;
-    if bytes.get(i) == Some(&b'.') {
-        is_float = true;
-        i += 1;
-        if !matches!(bytes.get(i), Some(b'0'..=b'9')) {
-            return Err(Error(format!(
-                "invalid number at byte {start}: expected digit after `.`"
-            )));
-        }
-        while matches!(bytes.get(i), Some(b'0'..=b'9')) {
-            i += 1;
-        }
-    }
-    if matches!(bytes.get(i), Some(b'e' | b'E')) {
-        is_float = true;
-        i += 1;
-        if matches!(bytes.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        if !matches!(bytes.get(i), Some(b'0'..=b'9')) {
-            return Err(Error(format!(
-                "invalid number at byte {start}: expected exponent digit"
-            )));
-        }
-        while matches!(bytes.get(i), Some(b'0'..=b'9')) {
-            i += 1;
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..i]).expect("ascii number");
-    *pos = i;
-    if !is_float {
-        if let Ok(u) = text.parse::<u64>() {
-            return Ok(Value::UInt(u));
-        }
-        if let Ok(i) = text.parse::<i64>() {
-            return Ok(Value::Int(i));
-        }
-        // Integers beyond 64 bits fall through to f64 below.
-    }
-    let f: f64 = text
-        .parse()
-        .map_err(|_| Error(format!("invalid number `{text}` at byte {start}")))?;
-    if !f.is_finite() {
-        return Err(Error(format!(
-            "number `{text}` at byte {start} overflows f64 to a non-finite value"
-        )));
-    }
-    Ok(Value::Float(f))
+    spanned::from_str(text)
+        .map(spanned::Spanned::into_value)
+        .map_err(|e| Error(format!("{} at byte {}", e.message, e.at)))
 }
 
 /// Lowers any serializable value into a [`Value`] tree.
@@ -397,13 +149,19 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Span-carrying JSON parsing: the same strict RFC 8259 grammar as
-/// [`from_str`], but every value — and every object key — records the byte
-/// range it occupies in the source text. Higher layers (device-spec
-/// validation) use the spans to report `line:col` diagnostics against
-/// user-authored files instead of a bare "invalid spec".
+/// The crate's JSON parser: strict RFC 8259 recursive descent in which
+/// every value — and every object key — records the byte range it occupies
+/// in the source text. [`from_str`](super::from_str) is this parse with the
+/// spans stripped. Higher layers (device-spec validation) use the spans to
+/// report `line:col` diagnostics against user-authored files instead of a
+/// bare "invalid spec".
 pub mod spanned {
-    use super::{skip_ws, Value, MAX_DEPTH};
+    use super::Value;
+
+    /// Maximum container nesting depth accepted by the parser; keeps
+    /// malicious or accidental deeply-nested input from overflowing the
+    /// stack.
+    const MAX_DEPTH: usize = 128;
 
     /// A parse error carrying the byte offset where it was detected; feed
     /// the offset to [`line_col`] to render a `line:col` position.
@@ -474,26 +232,32 @@ pub mod spanned {
     }
 
     impl Spanned {
-        /// Strips the spans, yielding the plain [`Value`] tree — used when a
-        /// validated subtree is handed on to span-unaware machinery.
-        pub fn to_value(&self) -> Value {
-            match &self.value {
+        /// Strips the spans, yielding the plain [`Value`] tree; strings move
+        /// into the result rather than being copied.
+        pub fn into_value(self) -> Value {
+            match self.value {
                 SpannedValue::Null => Value::Null,
-                SpannedValue::Bool(b) => Value::Bool(*b),
-                SpannedValue::Int(i) => Value::Int(*i),
-                SpannedValue::UInt(u) => Value::UInt(*u),
-                SpannedValue::Float(f) => Value::Float(*f),
-                SpannedValue::String(s) => Value::String(s.clone()),
+                SpannedValue::Bool(b) => Value::Bool(b),
+                SpannedValue::Int(i) => Value::Int(i),
+                SpannedValue::UInt(u) => Value::UInt(u),
+                SpannedValue::Float(f) => Value::Float(f),
+                SpannedValue::String(s) => Value::String(s),
                 SpannedValue::Array(items) => {
-                    Value::Array(items.iter().map(Spanned::to_value).collect())
+                    Value::Array(items.into_iter().map(Spanned::into_value).collect())
                 }
                 SpannedValue::Object(entries) => Value::Object(
                     entries
-                        .iter()
-                        .map(|(k, v)| (k.name.clone(), v.to_value()))
+                        .into_iter()
+                        .map(|(k, v)| (k.name, v.into_value()))
                         .collect(),
                 ),
             }
+        }
+
+        /// [`into_value`](Self::into_value) on a copy — used when a
+        /// validated subtree is handed on to span-unaware machinery.
+        pub fn to_value(&self) -> Value {
+            self.clone().into_value()
         }
 
         /// The JSON type name of this value, for "expected X, found Y"
@@ -511,16 +275,15 @@ pub mod spanned {
         }
     }
 
-    /// Parses JSON text into a span-annotated tree. Accepts exactly the
-    /// inputs [`from_str`](super::from_str) accepts (same grammar, same
-    /// depth limit, same trailing-garbage rejection).
+    /// Parses JSON text into a span-annotated tree (rejects trailing
+    /// garbage and nesting deeper than `MAX_DEPTH` levels).
     pub fn from_str(text: &str) -> Result<Spanned, SpanError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
         let value = parse_spanned(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(err(format!("trailing characters at byte {pos}"), pos));
+            return Err(err("trailing characters", pos));
         }
         Ok(value)
     }
@@ -535,6 +298,12 @@ pub mod spanned {
         let line = 1 + upto.iter().filter(|&&b| b == b'\n').count();
         let col = 1 + byte - upto.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
         (line, col)
+    }
+
+    fn skip_ws(bytes: &[u8], pos: &mut usize) {
+        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+            *pos += 1;
+        }
     }
 
     fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), SpanError> {
@@ -570,8 +339,7 @@ pub mod spanned {
                     if bytes.get(*pos) != Some(&b'"') {
                         return Err(err("object key must be a string", key_start));
                     }
-                    let name = super::parse_string(bytes, pos)
-                        .map_err(|e| err(e.to_string(), key_start))?;
+                    let name = parse_string(bytes, pos)?;
                     let key = SpannedKey {
                         name,
                         start: key_start,
@@ -612,7 +380,7 @@ pub mod spanned {
                 }
             }
             Some(b'"') => {
-                let s = super::parse_string(bytes, pos).map_err(|e| err(e.to_string(), start))?;
+                let s = parse_string(bytes, pos)?;
                 Ok(spanned(SpannedValue::String(s), *pos))
             }
             Some(c @ (b't' | b'f' | b'n')) => {
@@ -629,16 +397,162 @@ pub mod spanned {
                 }
             }
             Some(_) => {
-                let value =
-                    match super::parse_number(bytes, pos).map_err(|e| err(e.to_string(), start))? {
-                        Value::Int(i) => SpannedValue::Int(i),
-                        Value::UInt(u) => SpannedValue::UInt(u),
-                        Value::Float(f) => SpannedValue::Float(f),
-                        _ => unreachable!("parse_number yields numbers"),
-                    };
+                let value = parse_number(bytes, pos)?;
                 Ok(spanned(value, *pos))
             }
         }
+    }
+
+    /// Parses the string whose opening quote is at `*pos`, in time linear in
+    /// its length: each run of bytes up to the next `"`, `\` or control
+    /// character is validated and copied once. The delimiters are ASCII, so
+    /// every run ends on a char boundary. Unescaped control characters
+    /// (U+0000–U+001F) are rejected, as RFC 8259 requires.
+    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SpanError> {
+        let open = *pos;
+        *pos += 1; // opening quote
+        let mut out = String::new();
+        loop {
+            let run_start = *pos;
+            *pos += bytes[run_start..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0x00..=0x1F))
+                .unwrap_or(bytes.len() - run_start);
+            let run = std::str::from_utf8(&bytes[run_start..*pos])
+                .map_err(|e| err("invalid UTF-8 in string", run_start + e.valid_up_to()))?;
+            out.push_str(run);
+            match bytes.get(*pos) {
+                None => return Err(err("unterminated string", open)),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {}
+                Some(_) => return Err(err("unescaped control character in string", *pos)),
+            }
+            *pos += 1; // backslash
+            match bytes.get(*pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let escape = *pos - 1;
+                    let code = parse_hex4(bytes, *pos + 1, escape)?;
+                    *pos += 4;
+                    let scalar = if (0xD800..0xDC00).contains(&code) {
+                        // UTF-16 high surrogate: a `\uXXXX` low surrogate
+                        // must follow; combine them into one scalar.
+                        if bytes.get(*pos + 1..*pos + 3) != Some(br"\u") {
+                            return Err(err("unpaired \\u surrogate", escape));
+                        }
+                        let low = parse_hex4(bytes, *pos + 3, escape)?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(err("invalid low \\u surrogate", escape));
+                        }
+                        *pos += 6;
+                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    } else {
+                        code
+                    };
+                    out.push(
+                        char::from_u32(scalar)
+                            .ok_or_else(|| err("invalid \\u codepoint", escape))?,
+                    );
+                }
+                _ => return Err(err("invalid escape", *pos)),
+            }
+            *pos += 1;
+        }
+    }
+
+    /// Reads the four hex digits of a `\uXXXX` escape starting at `at`;
+    /// errors point at the escape's backslash, `escape`.
+    fn parse_hex4(bytes: &[u8], at: usize, escape: usize) -> Result<u32, SpanError> {
+        let hex = bytes
+            .get(at..at + 4)
+            .ok_or_else(|| err("truncated \\u escape", escape))?;
+        u32::from_str_radix(
+            std::str::from_utf8(hex).map_err(|_| err("invalid \\u escape", escape))?,
+            16,
+        )
+        .map_err(|_| err("invalid \\u escape", escape))
+    }
+
+    /// Parses a number following the RFC 8259 grammar exactly:
+    /// `-? (0 | [1-9][0-9]*) ('.' [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    ///
+    /// Spec-invalid spellings that Rust's own `from_str` impls would happily
+    /// accept — a leading `+`, leading zeros, a bare trailing `.`/`e` — are
+    /// rejected here instead of leaking into round-tripped files. Numbers
+    /// whose `f64` value overflows to infinity (e.g. `1e999`) are rejected
+    /// too: the emitter has no representation for non-finite floats, so
+    /// accepting them would corrupt a parse → emit round trip.
+    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<SpannedValue, SpanError> {
+        let start = *pos;
+        let mut i = *pos;
+        if bytes.get(i) == Some(&b'-') {
+            i += 1;
+        }
+        // Integer part: `0` alone or a nonzero digit run (no leading zeros).
+        match bytes.get(i) {
+            Some(b'0') => i += 1,
+            Some(b'1'..=b'9') => {
+                while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                    i += 1;
+                }
+            }
+            _ => return Err(err("invalid number", start)),
+        }
+        let mut is_float = false;
+        if bytes.get(i) == Some(&b'.') {
+            is_float = true;
+            i += 1;
+            if !matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                return Err(err("invalid number: expected digit after `.`", start));
+            }
+            while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                i += 1;
+            }
+        }
+        if matches!(bytes.get(i), Some(b'e' | b'E')) {
+            is_float = true;
+            i += 1;
+            if matches!(bytes.get(i), Some(b'+' | b'-')) {
+                i += 1;
+            }
+            if !matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                return Err(err("invalid number: expected exponent digit", start));
+            }
+            while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                i += 1;
+            }
+        }
+        let text = std::str::from_utf8(&bytes[start..i]).expect("ascii number");
+        *pos = i;
+        if !is_float {
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(SpannedValue::UInt(u));
+            }
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(SpannedValue::Int(i));
+            }
+            // Integers beyond 64 bits fall through to f64 below.
+        }
+        let f: f64 = text
+            .parse()
+            .map_err(|_| err(format!("invalid number `{text}`"), start))?;
+        if !f.is_finite() {
+            return Err(err(
+                format!("number `{text}` overflows f64 to a non-finite value"),
+                start,
+            ));
+        }
+        Ok(SpannedValue::Float(f))
     }
 
     #[cfg(test)]
@@ -664,38 +578,6 @@ pub mod spanned {
             let (kb, vb) = &entries[1];
             assert_eq!(&text[kb.start..kb.end], "\"bb\"");
             assert_eq!(vb.value, SpannedValue::String("x".into()));
-        }
-
-        #[test]
-        fn stripping_spans_matches_plain_parser() {
-            let text = r#"{"a": [1, -2, 2.5, true, null], "b": {"c": "d"}}"#;
-            assert_eq!(
-                from_str(text).unwrap().to_value(),
-                super::super::from_str(text).unwrap()
-            );
-        }
-
-        #[test]
-        fn rejects_what_the_plain_parser_rejects() {
-            for bad in [
-                "",
-                "{",
-                "[1,",
-                "{\"a\" 1}",
-                "12 34",
-                "\"open",
-                "{1: 2}",
-                "01",
-                "+1",
-                "1.",
-                "1e999",
-            ] {
-                assert!(from_str(bad).is_err(), "`{bad}` should not parse");
-                assert!(
-                    super::super::from_str(bad).is_err(),
-                    "`{bad}` rejected only by the spanned parser"
-                );
-            }
         }
 
         #[test]
@@ -764,6 +646,25 @@ mod tests {
             Some("c")
         );
         assert_eq!(v.get("d").unwrap(), &Value::Object(vec![]));
+        let text = r#"{"a": [1, -2, 2.5, true, null], "b": {"c": "d"}}"#;
+        let expected = Value::Object(vec![
+            (
+                "a".into(),
+                Value::Array(vec![
+                    Value::UInt(1),
+                    Value::Int(-2),
+                    Value::Float(2.5),
+                    Value::Bool(true),
+                    Value::Null,
+                ]),
+            ),
+            (
+                "b".into(),
+                Value::Object(vec![("c".into(), Value::String("d".into()))]),
+            ),
+        ]);
+        assert_eq!(from_str(text).unwrap(), expected);
+        assert_eq!(spanned::from_str(text).unwrap().to_value(), expected);
     }
 
     #[test]
@@ -775,9 +676,34 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "12 34", "\"open", "{1: 2}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "12 34",
+            "\"open",
+            "{1: 2}",
+            "01",
+            "+1",
+            "1.",
+            "1e999",
+            // RFC 8259: control characters inside strings must be escaped.
+            "\"a\tb\"",
+            "\"a\nb\"",
+            "\"a\u{1}b\"",
+        ] {
             assert!(from_str(bad).is_err(), "`{bad}` should not parse");
+            assert!(spanned::from_str(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn errors_name_the_byte_offset_once() {
+        let err = from_str("[1, 1.]").unwrap_err().to_string();
+        assert_eq!(err, "invalid number: expected digit after `.` at byte 4");
+        let err = from_str("[\"ok\", \"a\tb\"]").unwrap_err().to_string();
+        assert_eq!(err, "unescaped control character in string at byte 9");
     }
 
     #[test]
@@ -856,6 +782,25 @@ mod tests {
         assert!(from_str(r#""\uD83D""#).is_err(), "unpaired high surrogate");
         assert!(from_str(r#""\uD83DA""#).is_err(), "bad low surrogate");
         assert!(from_str(r#""\uDE00""#).is_err(), "lone low surrogate");
+    }
+
+    #[test]
+    fn escapes_and_multi_byte_runs_join_at_their_boundaries() {
+        // Escapes, surrogate pairs and multi-byte UTF-8 butt against each
+        // other, so every run boundary of the string scanner is exercised.
+        let text = r#""é\n😀\uD83D\uDE00é\"\u00e9x😀\\""#;
+        assert_eq!(
+            from_str(text).unwrap(),
+            Value::String("é\n😀😀é\"éx😀\\".into())
+        );
+        assert_eq!(from_str(r#""\té""#).unwrap(), Value::String("\té".into()));
+        assert_eq!(from_str(r#""é""#).unwrap(), Value::String("é".into()));
+        assert_eq!(from_str(r#""""#).unwrap(), Value::String(String::new()));
+        let round = "a\u{1}b\u{1f}😀\t\"";
+        assert_eq!(
+            from_str(&to_string(&round).unwrap()).unwrap(),
+            Value::String(round.into())
+        );
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   routed-instruction digest bitwise-identical to one-shot
 //!   `snailqc transpile` — the caches never change results, they only skip
 //!   recomputing them.
-//! * **Metrics.** Every request is timed into the `snailqc-obs` registry;
-//!   the `stats` RPC surfaces p50/p90/p99 latency, queue depth, cache hit
-//!   rates (memory, `RoutingCache`, `SweepStore`) and request counters.
+//! * **Metrics.** Every frame's JSON decode and every transpile job are
+//!   timed into the `snailqc-obs` registry; the `stats` RPC surfaces their
+//!   p50/p90/p99 (`decode_micros`, `latency_micros`), queue depth, cache
+//!   hit rates (memory, `RoutingCache`, `SweepStore`) and request counters.
 //! * **Shared store.** With a store file configured, reports persist across
 //!   daemon restarts and are shared with the batch CLI — both sides key
 //!   cells with [`source_cell_key`], and the store's append-only flush (PR
@@ -490,19 +491,23 @@ impl ServerState {
         Ok(device)
     }
 
-    /// The `stats` RPC payload.
+    /// The `stats` RPC payload. `latency_micros` times only a worker's
+    /// handling of a transpile job, not its frame decode (`decode_micros`,
+    /// every frame) or its wait in the queue.
     fn stats_value(&self) -> Value {
         let snapshot = obs::snapshot();
-        let latency = snapshot.histogram("serve.request_micros");
         let counter = |name: &str| Value::UInt(snapshot.counter(name).unwrap_or(0));
-        let latency_micros = object(vec![
-            ("count", Value::UInt(latency.map_or(0, |h| h.count))),
-            ("mean", Value::Float(latency.map_or(0.0, |h| h.mean))),
-            ("p50", Value::UInt(latency.map_or(0, |h| h.p50))),
-            ("p90", Value::UInt(latency.map_or(0, |h| h.p90))),
-            ("p99", Value::UInt(latency.map_or(0, |h| h.p99))),
-            ("max", Value::UInt(latency.map_or(0, |h| h.max))),
-        ]);
+        let micros = |name: &str| {
+            let h = snapshot.histogram(name);
+            object(vec![
+                ("count", Value::UInt(h.map_or(0, |h| h.count))),
+                ("mean", Value::Float(h.map_or(0.0, |h| h.mean))),
+                ("p50", Value::UInt(h.map_or(0, |h| h.p50))),
+                ("p90", Value::UInt(h.map_or(0, |h| h.p90))),
+                ("p99", Value::UInt(h.map_or(0, |h| h.p99))),
+                ("max", Value::UInt(h.map_or(0, |h| h.max))),
+            ])
+        };
         let store = match &self.store {
             None => Value::Null,
             Some(store) => {
@@ -553,7 +558,8 @@ impl ServerState {
                     ("failed", Value::UInt(self.failed.load(Ordering::SeqCst))),
                 ]),
             ),
-            ("latency_micros", latency_micros),
+            ("latency_micros", micros("serve.request_micros")),
+            ("decode_micros", micros("serve.decode_micros")),
             (
                 "cache",
                 object(vec![
@@ -721,7 +727,13 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
 
 /// Dispatches one request line from a connection.
 fn handle_line(state: &Arc<ServerState>, line: &str, reply: &Sender<String>) {
-    let request = match parse_request(line) {
+    let decode_started = Instant::now();
+    let parsed = parse_request(line);
+    obs::histogram_record(
+        "serve.decode_micros",
+        decode_started.elapsed().as_micros() as u64,
+    );
+    let request = match parsed {
         Ok(request) => request,
         Err(message) => {
             let _ = reply.send(error_response(&Value::Null, "bad_request", &message));
@@ -1186,8 +1198,22 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_busy_and_drain_with_shutting_down() {
+        obs::enable();
         let (state, rx) = test_state(1);
-        assert!(state.try_enqueue(test_job(&state)).is_ok());
+        // The first job arrives as a frame, so `stats` sees its decode time.
+        let (reply, replies) = std::sync::mpsc::channel();
+        let frame = r#"{"id": 1, "method": "transpile", "params": {"source": "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n", "topology": "tree-20"}}"#;
+        handle_line(&state, frame, &reply);
+        assert!(
+            replies.try_recv().is_err(),
+            "the frame was answered, not queued"
+        );
+        let stats = state.stats_value();
+        let decoded = stats
+            .get("decode_micros")
+            .and_then(|d| d.get("count"))
+            .and_then(Value::as_u64);
+        assert!(decoded >= Some(1), "stats: {stats:?}");
         let (_, code) = state.try_enqueue(test_job(&state)).unwrap_err();
         assert_eq!(code, "busy");
         // Draining takes precedence over capacity.

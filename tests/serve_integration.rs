@@ -138,14 +138,13 @@ fn serve_matches_one_shot_cli_and_surfaces_cache_hits_in_stats() {
     let store_stats = cache.get("store").expect("stats.cache.store");
     assert!(count(store_stats.get("hits")) >= 5, "stats: {stats:?}");
     assert_eq!(count(store_stats.get("entries")), 1, "stats: {stats:?}");
-    for field in ["p50", "p90", "p99", "count", "mean", "max"] {
-        assert!(
-            stats
-                .get("latency_micros")
-                .and_then(|l| l.get(field))
-                .is_some(),
-            "latency_micros.{field} missing: {stats:?}"
-        );
+    for histogram in ["latency_micros", "decode_micros"] {
+        for field in ["p50", "p90", "p99", "count", "mean", "max"] {
+            assert!(
+                stats.get(histogram).and_then(|l| l.get(field)).is_some(),
+                "{histogram}.{field} missing: {stats:?}"
+            );
+        }
     }
     assert!(
         count(stats.get("requests").and_then(|r| r.get("completed"))) >= 6,
