@@ -22,8 +22,7 @@
 //! Sweep cells are additionally cached in
 //! `target/paper-results/sweep-store.jsonl` ([`run_sweep_cached`]) and
 //! replayed on repeated runs; set `SNAILQC_NO_CACHE=1` to bypass the store.
-//! Criterion benches (`cargo bench`) time the underlying kernels: topology
-//! construction/metrics, the transpilation pipeline, and the NuOp optimizer.
+//! Timing lives in the repository's `perfbench/` harness, not here.
 
 #![warn(missing_docs)]
 

@@ -151,7 +151,7 @@ fn write_string(s: &str, out: &mut String) {
 
 /// The crate's JSON parser: strict RFC 8259 recursive descent in which
 /// every value — and every object key — records the byte range it occupies
-/// in the source text. [`from_str`](super::from_str) is this parse with the
+/// in the source text. [`from_str`] is this parse with the
 /// spans stripped. Higher layers (device-spec validation) use the spans to
 /// report `line:col` diagnostics against user-authored files instead of a
 /// bare "invalid spec".
@@ -471,11 +471,16 @@ pub mod spanned {
     }
 
     /// Reads the four hex digits of a `\uXXXX` escape starting at `at`;
-    /// errors point at the escape's backslash, `escape`.
+    /// errors point at the escape's backslash, `escape`. The digits are
+    /// checked first: `u32::from_str_radix` alone would also take a leading
+    /// `+`.
     fn parse_hex4(bytes: &[u8], at: usize, escape: usize) -> Result<u32, SpanError> {
         let hex = bytes
             .get(at..at + 4)
             .ok_or_else(|| err("truncated \\u escape", escape))?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(err("invalid \\u escape", escape));
+        }
         u32::from_str_radix(
             std::str::from_utf8(hex).map_err(|_| err("invalid \\u escape", escape))?,
             16,
@@ -692,6 +697,9 @@ mod tests {
             "\"a\tb\"",
             "\"a\nb\"",
             "\"a\u{1}b\"",
+            // `\u` takes exactly four hex digits; no sign.
+            r#""\u+041""#,
+            r#""\u+04A""#,
         ] {
             assert!(from_str(bad).is_err(), "`{bad}` should not parse");
             assert!(spanned::from_str(bad).is_err(), "`{bad}` should not parse");

@@ -81,6 +81,6 @@ pub use fidelity::{
 pub use headline::{headline_ratios, quantum_volume_headline, HeadlineConfig, HeadlineRatios};
 pub use machine::{Machine, SizeClass};
 pub use noise::{EdgeNoise, ErrorModelSpec};
-pub use registry::{DeviceRegistry, DeviceSource, RegistryEntry, DEVICE_PATH_ENV};
+pub use registry::{DeviceRegistry, DeviceSource, LocatedDevice, RegistryEntry, DEVICE_PATH_ENV};
 pub use store::SweepStore;
 pub use sweep::{run_sweep, run_sweep_with_store, SweepConfig, SweepPoint};

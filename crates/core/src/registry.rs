@@ -5,8 +5,7 @@
 //! in one fixed order:
 //!
 //! 1. Anything that looks like a path (contains a separator, ends in
-//!    `.json`, or names an existing file) loads directly via
-//!    [`Device::from_spec_file`].
+//!    `.json`, or names an existing file) loads that spec file.
 //! 2. Built-in catalog names ([`catalog::by_name`], forgiving matching).
 //! 3. Spec files in the search path: every directory in
 //!    [`DEVICE_PATH_ENV`] (`SNAILQC_DEVICE_PATH`, platform path-separator
@@ -16,6 +15,9 @@
 //!
 //! Built-ins win over files of the same name so a stray spec file can never
 //! silently change what the frozen-digest benchmarks run on.
+//!
+//! [`DeviceRegistry::locate`] applies that order without building anything;
+//! [`DeviceRegistry::resolve`] builds what it located.
 
 use crate::device::Device;
 use snailqc_devices::DeviceSpec;
@@ -34,6 +36,37 @@ pub enum DeviceSource {
     Builtin,
     /// A device-spec JSON file.
     File(PathBuf),
+}
+
+/// Where a device's definition lives, found without building the device
+/// (see [`DeviceRegistry::locate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LocatedDevice {
+    /// A built-in catalog topology, by canonical name.
+    Catalog(&'static str),
+    /// Device-spec JSON text, and the file it was read from (`None` for
+    /// text that came from no file, such as an inline request object).
+    Spec {
+        /// The spec file, when there is one.
+        path: Option<PathBuf>,
+        /// The spec's JSON text.
+        text: String,
+    },
+}
+
+impl LocatedDevice {
+    /// Builds the device; spec errors are prefixed with the file's path.
+    pub fn build(&self) -> Result<Device, String> {
+        match self {
+            LocatedDevice::Catalog(name) => Device::from_catalog(name),
+            LocatedDevice::Spec { path, text } => {
+                Device::from_spec_str(text).map_err(|e| match path {
+                    Some(path) => format!("device spec `{}`: {e}", path.display()),
+                    None => e,
+                })
+            }
+        }
+    }
 }
 
 /// A named entry the registry can enumerate and resolve.
@@ -80,17 +113,32 @@ impl DeviceRegistry {
     /// catalog name, or the name of a spec in the search path — into a
     /// ready [`Device`].
     pub fn resolve(&self, arg: &str) -> Result<Device, String> {
-        if looks_like_path(arg) {
-            return Device::from_spec_file(arg);
-        }
-        if let Some(graph) = catalog::by_name(arg) {
-            return Ok(Device::from_graph(graph));
-        }
-        if let Some(path) = self.find_spec(arg) {
-            return Device::from_spec_file(path);
-        }
+        self.locate(arg)?.build()
+    }
+
+    /// Finds where a `--device` argument's definition lives, in the order
+    /// the module docs give, without building the device: the canonical
+    /// catalog name, or the spec file's path and text.
+    pub fn locate(&self, arg: &str) -> Result<LocatedDevice, String> {
+        let path = if looks_like_path(arg) {
+            PathBuf::from(arg)
+        } else if let Some(name) = catalog::canonical_name(arg) {
+            return Ok(LocatedDevice::Catalog(name));
+        } else {
+            self.find_spec(arg)
+                .ok_or_else(|| self.unknown_device(arg))?
+        };
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("reading device spec `{}`: {e}", path.display()))?;
+        Ok(LocatedDevice::Spec {
+            path: Some(path),
+            text,
+        })
+    }
+
+    fn unknown_device(&self, arg: &str) -> String {
         let searched: Vec<String> = self.dirs.iter().map(|d| d.display().to_string()).collect();
-        Err(format!(
+        format!(
             "unknown device `{arg}`; built-ins: {}; spec directories searched: {}",
             catalog::names().join(", "),
             if searched.is_empty() {
@@ -98,7 +146,7 @@ impl DeviceRegistry {
             } else {
                 searched.join(", ")
             }
-        ))
+        )
     }
 
     /// Finds the spec file a bare name refers to, without building the

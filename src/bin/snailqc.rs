@@ -23,11 +23,12 @@ use snailqc::core::fidelity::{
     estimate_fidelity, estimate_fidelity_edges, estimate_fidelity_routed, FidelityEstimate,
 };
 use snailqc::core::noise::ErrorModelSpec;
-use snailqc::core::registry::{DeviceRegistry, DeviceSource};
+use snailqc::core::registry::{DeviceRegistry, DeviceSource, LocatedDevice};
+use snailqc::core::store::source_cell_key;
 use snailqc::decompose::BasisGate;
 use snailqc::devices::{basis_name, DeviceSpec, GeneratorSpec, TopologySource};
 use snailqc::prelude::*;
-use snailqc::topology::catalog;
+use snailqc::request::{parse_source, DeviceArg, TranspileArgs};
 use snailqc::transpiler::{TranspileReport, TranspileResult};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -50,8 +51,7 @@ COMMANDS:
                             catalog name, or the name of a spec found on
                             SNAILQC_DEVICE_PATH / ./devices
                             (see `snailqc devices`)
-        --topology <name>   Target device from the built-in catalog only
-                            (exactly one of --device / --topology)
+        --topology <arg>    Alias of --device (give only one of the two)
         --basis <gate>      cnot | syc | sqrt-iswap | none
                             [default: the spec's basis, else none]
         --layout <strategy> dense | trivial                  [default: dense]
@@ -248,12 +248,16 @@ impl Options {
     }
 
     fn numeric<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: invalid value `{v}`")),
-        }
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name}: invalid value `{v}`"))
+            })
+            .transpose()
     }
 }
 
@@ -266,26 +270,6 @@ fn read_source(path: &str) -> Result<String, String> {
         Ok(buffer)
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))
-    }
-}
-
-fn parse_basis(name: &str) -> Result<Option<BasisGate>, String> {
-    BasisGate::by_name(name)
-}
-
-/// Resolves the target device from `--device` (a spec file, a built-in
-/// catalog name, or the name of a spec on the `SNAILQC_DEVICE_PATH` search
-/// path) or the historical `--topology` (catalog names only) — exactly one
-/// of the two.
-fn resolve_device(opts: &Options) -> Result<Device, String> {
-    match (opts.value("device"), opts.value("topology")) {
-        (Some(_), Some(_)) => Err("--device and --topology are mutually exclusive".into()),
-        (Some(arg), None) => DeviceRegistry::with_default_paths().resolve(arg),
-        (None, Some(name)) => Device::from_catalog(name),
-        (None, None) => Err(
-            "transpile needs --device <file-or-name> or --topology <name> (see `snailqc devices`)"
-                .into(),
-        ),
     }
 }
 
@@ -316,87 +300,21 @@ fn emit_output(text: &str, out: Option<&str>) -> Result<(), String> {
 // transpile
 // ---------------------------------------------------------------------------
 
-/// The device and pipeline a `transpile` invocation resolved from its flags —
-/// the single entry point both the one-file and the batch paths share.
-struct TranspileSetup {
-    device: Device,
-    pipeline: Pipeline,
-}
-
-impl TranspileSetup {
-    fn from_options(opts: &Options) -> Result<Self, String> {
-        let mut device = resolve_device(opts)?;
-        let error_model = opts
+/// Maps `transpile`'s flags onto the shared request resolver.
+fn transpile_args(opts: &Options) -> Result<TranspileArgs<'_>, String> {
+    Ok(TranspileArgs {
+        device: opts.value("device").map(DeviceArg::Name),
+        topology: opts.value("topology"),
+        basis: opts.value("basis"),
+        error_model: opts
             .value("error-model")
             .map(ErrorModelSpec::parse)
-            .transpose()?;
-        // A spec file can ship its own error model; noise-aware scoring is
-        // the right default whenever the device ends up calibrated, however
-        // the calibration arrived.
-        let device_has_noise = error_model.is_some() || device.error_model().is_some();
-        let error_weight: f64 =
-            opts.numeric("error-weight", if device_has_noise { 1.0 } else { 0.0 })?;
-        if error_weight < 0.0 {
-            return Err("--error-weight must be non-negative".into());
-        }
-        if let Some(spec) = error_model {
-            device = device.with_error_model(spec)?;
-        }
-        // An explicit `--basis` always wins over a spec-declared native
-        // basis (`--basis none` strips it); with no flag the spec's stands.
-        if let Some(name) = opts.value("basis") {
-            device = match parse_basis(name)? {
-                Some(basis) => device.with_basis(basis),
-                None => device.without_basis(),
-            };
-        }
-        let layout = match opts.value("layout").unwrap_or("dense") {
-            "dense" => LayoutStrategy::Dense,
-            "trivial" => LayoutStrategy::Trivial,
-            other => return Err(format!("unknown layout `{other}` (dense | trivial)")),
-        };
-        let trials: usize = opts.numeric("trials", 4)?;
-        let seed: u64 = opts.numeric("seed", 11)?;
-        let pipeline = Pipeline::builder()
-            .layout(layout)
-            .router(RouterConfig {
-                trials,
-                seed,
-                error_weight,
-                ..RouterConfig::default()
-            })
-            .build();
-        Ok(Self { device, pipeline })
-    }
-
-    fn layout(&self) -> LayoutStrategy {
-        self.pipeline.layout()
-    }
-
-    fn trials(&self) -> usize {
-        self.pipeline.router().trials
-    }
-
-    fn seed(&self) -> u64 {
-        self.pipeline.router().seed
-    }
-
-    fn error_weight(&self) -> f64 {
-        self.pipeline.router().error_weight
-    }
-
-    fn parse_circuit(&self, name: &str, source: &str) -> Result<Circuit, String> {
-        let program = snailqc::qasm::parse_any(source).map_err(|e| e.to_string())?;
-        if !self.device.fits(&program.circuit) {
-            return Err(format!(
-                "circuit `{name}` has {} qubits but `{}` only has {}",
-                program.circuit.num_qubits(),
-                self.device.graph().name(),
-                self.device.num_qubits()
-            ));
-        }
-        Ok(program.circuit)
-    }
+            .transpose()?,
+        error_weight: opts.parsed("error-weight")?,
+        layout: opts.value("layout"),
+        trials: opts.parsed("trials")?,
+        seed: opts.parsed("seed")?,
+    })
 }
 
 #[derive(serde::Serialize)]
@@ -457,12 +375,13 @@ fn cmd_transpile(args: &[String]) -> Result<(), String> {
     let [file] = opts.positional.as_slice() else {
         return Err("transpile needs exactly one <file.qasm | directory> argument".into());
     };
-    let setup = TranspileSetup::from_options(&opts)?;
+    let (device, pipeline) =
+        transpile_args(&opts)?.resolve(&DeviceRegistry::with_default_paths())?;
     let observed = obs_setup(&opts);
     if file != "-" && Path::new(file).is_dir() {
-        transpile_directory(file, &setup, &opts)?;
+        transpile_directory(file, &device, &pipeline, &opts)?;
     } else {
-        transpile_one_file(file, &setup, &opts)?;
+        transpile_one_file(file, &device, &pipeline, &opts)?;
     }
     if observed {
         obs_finish(&opts)?;
@@ -504,13 +423,18 @@ fn obs_finish(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn transpile_one_file(file: &str, setup: &TranspileSetup, opts: &Options) -> Result<(), String> {
+fn transpile_one_file(
+    file: &str,
+    device: &Device,
+    pipeline: &Pipeline,
+    opts: &Options,
+) -> Result<(), String> {
     let source = read_source(file)?;
-    let circuit = setup.parse_circuit(file, &source)?;
-    let device = &setup.device;
+    let circuit = parse_source(&source, device).map_err(|e| format!("`{file}`: {e}"))?;
     let result = device
-        .try_transpile(&circuit, &setup.pipeline)
+        .try_transpile(&circuit, pipeline)
         .map_err(|e| format!("`{file}`: {e}"))?;
+    let error_weight = pipeline.router().error_weight;
 
     // With an error model, also run the noise-blind router on the same
     // calibrated device so the output surfaces both fidelity estimates. On a
@@ -518,16 +442,10 @@ fn transpile_one_file(file: &str, setup: &TranspileSetup, opts: &Options) -> Res
     // identical to the noise-blind one, so reuse its report instead of
     // routing twice.
     let fidelity = device.error_model().map(|spec| {
-        let blind_report = if setup.error_weight() == 0.0 || device.graph().edge_errors_uniform() {
+        let blind_report = if error_weight == 0.0 || device.graph().edge_errors_uniform() {
             result.report
         } else {
-            let blind = Pipeline::builder()
-                .layout(setup.layout())
-                .router(RouterConfig {
-                    error_weight: 0.0,
-                    ..*setup.pipeline.router()
-                })
-                .build();
+            let blind = pipeline.to_builder().error_weight(0.0).build();
             device.transpile(&circuit, &blind).report
         };
         let estimate = |report: &TranspileReport| estimate_fidelity_edges(report, &spec.model);
@@ -559,12 +477,12 @@ fn transpile_one_file(file: &str, setup: &TranspileSetup, opts: &Options) -> Res
         let output = TranspileOutput {
             file: file.to_string(),
             topology: device.graph().name().to_string(),
-            layout: format!("{:?}", setup.layout()),
+            layout: format!("{:?}", pipeline.layout()),
             basis: device.basis().map(|b| b.label()),
-            trials: setup.trials(),
-            seed: setup.seed(),
+            trials: pipeline.router().trials,
+            seed: pipeline.router().seed,
             error_model: device.error_model().cloned(),
-            error_weight: setup.error_weight(),
+            error_weight,
             report: result.report,
             routed_digest: snailqc::serve::circuit_digest(&result.routed.circuit),
             basis_digest: result
@@ -578,13 +496,7 @@ fn transpile_one_file(file: &str, setup: &TranspileSetup, opts: &Options) -> Res
             serde_json::to_string_pretty(&output).map_err(|e| e.to_string())?
         );
     } else {
-        print_human_report(
-            file,
-            device,
-            &result,
-            setup.error_weight(),
-            fidelity.as_ref(),
-        );
+        print_human_report(file, device, &result, error_weight, fidelity.as_ref());
     }
     Ok(())
 }
@@ -703,17 +615,6 @@ fn collect_qasm_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> 
     Ok(())
 }
 
-/// The cache key of one batch cell. Delegates to the workspace-wide
-/// [`source_cell_key`](snailqc::core::store::source_cell_key) so the batch
-/// CLI and the `snailqc serve` daemon address the *same* store entries for
-/// the same (source, seed, configuration) — a cell transpiled by one is a
-/// cache hit for the other. (The old private `batch-v1` key also omitted
-/// the store's version fingerprint, so stale entries could survive a
-/// format-breaking upgrade.)
-fn batch_cell_key(source: &str, seed: u64, setup: &TranspileSetup) -> String {
-    snailqc::core::store::source_cell_key(source, seed, &setup.device, &setup.pipeline)
-}
-
 /// Batch mode: transpile every `.qasm` file under `dir` — recursively — in
 /// parallel and emit one aggregated report. Each file's router seed is
 /// derived from the base seed and the file's directory-relative path alone,
@@ -721,7 +622,12 @@ fn batch_cell_key(source: &str, seed: u64, setup: &TranspileSetup) -> String {
 /// order, and which other files are present. With `--store <file>`, reports
 /// are cached in a `SweepStore` keyed by file contents + device + routing
 /// config, and repeated runs replay cached cells instead of re-routing.
-fn transpile_directory(dir: &str, setup: &TranspileSetup, opts: &Options) -> Result<(), String> {
+fn transpile_directory(
+    dir: &str,
+    device: &Device,
+    pipeline: &Pipeline,
+    opts: &Options,
+) -> Result<(), String> {
     let root = Path::new(dir);
     let mut paths: Vec<PathBuf> = Vec::new();
     collect_qasm_files(root, &mut paths)?;
@@ -749,10 +655,12 @@ fn transpile_directory(dir: &str, setup: &TranspileSetup, opts: &Options) -> Res
                 .strip_prefix(root)
                 .map(|p| p.to_string_lossy().into_owned())
                 .unwrap_or_else(|_| path.display().to_string());
-            let seed = setup.seed() ^ snailqc_util::fnv1a_64(name.as_bytes());
+            let seed = pipeline.router().seed ^ snailqc_util::fnv1a_64(name.as_bytes());
             let outcome = std::fs::read_to_string(path)
                 .map(|source| {
-                    let key = batch_cell_key(&source, seed, setup);
+                    // The same key `snailqc serve` uses, so a cell transpiled
+                    // by either is a store hit for the other.
+                    let key = source_cell_key(&source, seed, device, pipeline);
                     let cached = if emit_dir.is_some() {
                         None
                     } else {
@@ -805,10 +713,9 @@ fn transpile_directory(dir: &str, setup: &TranspileSetup, opts: &Options) -> Res
                     None,
                 ),
                 Prepared::Work(source, key) => {
-                    let outcome = setup.parse_circuit(&name, source).and_then(|circuit| {
-                        let pipeline = setup.pipeline.to_builder().seed(seed).build();
-                        let result = setup
-                            .device
+                    let outcome = parse_source(source, device).and_then(|circuit| {
+                        let pipeline = pipeline.to_builder().seed(seed).build();
+                        let result = device
                             .try_transpile(&circuit, &pipeline)
                             .map_err(|e| e.to_string())?;
                         let emitted = match &emit_dir {
@@ -894,13 +801,13 @@ fn transpile_directory(dir: &str, setup: &TranspileSetup, opts: &Options) -> Res
     };
     let output = BatchOutput {
         directory: dir.to_string(),
-        topology: setup.device.graph().name().to_string(),
-        layout: format!("{:?}", setup.layout()),
-        basis: setup.device.basis().map(|b| b.label()),
-        trials: setup.trials(),
-        base_seed: setup.seed(),
-        error_model: setup.device.error_model().cloned(),
-        error_weight: setup.error_weight(),
+        topology: device.graph().name().to_string(),
+        layout: format!("{:?}", pipeline.layout()),
+        basis: device.basis().map(|b| b.label()),
+        trials: pipeline.router().trials,
+        base_seed: pipeline.router().seed,
+        error_model: device.error_model().cloned(),
+        error_weight: pipeline.router().error_weight,
         summary,
         files,
     };
@@ -915,7 +822,7 @@ fn transpile_directory(dir: &str, setup: &TranspileSetup, opts: &Options) -> Res
         println!(
             "== transpile {} .qasm files from {dir} onto {} ==",
             output.summary.files,
-            setup.device.graph().name()
+            device.graph().name()
         );
         println!(
             "  {:<28} {:>6} {:>8} {:>10} {:>10}",
@@ -1264,17 +1171,13 @@ fn devices_show(args: &[String]) -> Result<(), String> {
     let [arg] = opts.positional.as_slice() else {
         return Err("devices show needs exactly one <name-or-file> argument".into());
     };
-    let registry = DeviceRegistry::with_default_paths();
-    let device = registry.resolve(arg)?;
-    let source = if arg.contains('/') || arg.ends_with(".json") || Path::new(arg).is_file() {
-        arg.clone()
-    } else if catalog::canonical_name(arg).is_some() {
-        "builtin".to_string()
-    } else {
-        registry
-            .find_spec(arg)
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "builtin".to_string())
+    let located = DeviceRegistry::with_default_paths().locate(arg)?;
+    let device = located.build()?;
+    let source = match &located {
+        LocatedDevice::Spec {
+            path: Some(path), ..
+        } => path.display().to_string(),
+        _ => "builtin".to_string(),
     };
     let metrics = device.graph().metrics();
     let output = DeviceShow {
@@ -1427,7 +1330,7 @@ fn cmd_device_gen(args: &[String]) -> Result<(), String> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("{}_{}", generator.spec_name().replace('-', "_"), qubits));
     let basis = match opts.value("basis") {
-        Some(n) => parse_basis(n)?,
+        Some(n) => BasisGate::by_name(n)?,
         None => None,
     };
     let mut spec = DeviceSpec {

@@ -23,6 +23,7 @@
 //! | [`sim`] | `snailqc-sim` | verification engines: bit-packed stabilizer tableau, Pauli propagation, routed-circuit equivalence checking |
 //! | [`core`] | `snailqc-core` | `Device`, machines, sweeps, the sweep store and headline ratios |
 //! | [`obs`] | `snailqc-obs` | tracing spans, metrics registry, Chrome-trace/JSON exporters |
+//! | [`request`] | (this crate) | the one resolver turning transpile arguments (CLI flags or daemon params) into a `Device` and a `Pipeline` |
 //! | [`serve`] | (this crate) | the `snailqc serve` daemon: line-delimited JSON-RPC over TCP/Unix sockets with warm device/routing caches |
 //!
 //! ## Quick start
@@ -65,6 +66,7 @@
 
 #![warn(missing_docs)]
 
+pub mod request;
 pub mod serve;
 
 pub use snailqc_circuit as circuit;

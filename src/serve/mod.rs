@@ -43,6 +43,7 @@
 
 pub mod protocol;
 
+use crate::request::{parse_source, DeviceArg, DeviceRecipe, TranspileArgs};
 use protocol::{error_response, object, ok_response, parse_request, Request};
 use serde::Value;
 use snailqc_circuit::Circuit;
@@ -50,11 +51,9 @@ use snailqc_core::device::Device;
 use snailqc_core::noise::ErrorModelSpec;
 use snailqc_core::registry::DeviceRegistry;
 use snailqc_core::store::{source_cell_key, SweepStore};
-use snailqc_decompose::BasisGate;
 use snailqc_obs as obs;
 use snailqc_qasm::QasmVersion;
-use snailqc_topology::catalog;
-use snailqc_transpiler::{LayoutStrategy, Pipeline, RouterConfig, TranspileReport};
+use snailqc_transpiler::{Pipeline, TranspileReport};
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -167,209 +166,86 @@ struct TranspileSpec {
     source: String,
     device: Device,
     pipeline: Pipeline,
-    seed: u64,
     emit: Option<QasmVersion>,
 }
 
-/// Canonical form of the `error_model` parameter, also the device-pool key
-/// component for it.
-enum ErrorModelParam {
-    None,
-    /// A named preset (`default`, `control`, `decoherence`, `calibrated`).
-    Preset(String),
-    /// An inline JSON object (rendered compactly for the pool key).
-    Inline(String),
-}
-
-impl ErrorModelParam {
-    fn canon(&self) -> &str {
-        match self {
-            ErrorModelParam::None => "",
-            ErrorModelParam::Preset(name) => name,
-            ErrorModelParam::Inline(json) => json,
-        }
-    }
-
-    fn spec(&self) -> Result<Option<ErrorModelSpec>, String> {
-        match self {
-            ErrorModelParam::None => Ok(None),
-            ErrorModelParam::Preset(name) => ErrorModelSpec::preset(name)
-                .map(Some)
-                .ok_or_else(|| format!("unknown error-model preset `{name}`")),
-            ErrorModelParam::Inline(json) => ErrorModelSpec::from_json(json).map(Some),
-        }
-    }
-}
-
-fn param_u64(params: &Value, name: &str, default: u64) -> Result<u64, String> {
+/// Reads an optional param through `get`; `null` counts as absent, and a
+/// value `get` rejects is an error naming the expected `kind`.
+fn param<'a, T>(
+    params: &'a Value,
+    name: &str,
+    get: fn(&'a Value) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, String> {
     match params.get(name) {
-        None | Some(Value::Null) => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("`{name}` must be a non-negative integer")),
-    }
-}
-
-fn param_f64(params: &Value, name: &str, default: f64) -> Result<f64, String> {
-    match params.get(name) {
-        None | Some(Value::Null) => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| format!("`{name}` must be a number")),
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => get(v)
+            .map(Some)
+            .ok_or_else(|| format!("`{name}` must be {kind}")),
     }
 }
 
 fn param_str<'a>(params: &'a Value, name: &str) -> Result<Option<&'a str>, String> {
-    match params.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| format!("`{name}` must be a string")),
-    }
+    param(params, name, Value::as_str, "a string")
 }
 
-fn parse_basis(name: &str) -> Result<Option<BasisGate>, String> {
-    BasisGate::by_name(name)
-}
-
-/// The machine a request targets: a built-in catalog topology (pooled by
-/// normalized name) or device-spec JSON (pooled by content digest, so an
-/// edited spec file is never served stale).
-enum DeviceTarget<'a> {
-    /// A built-in catalog name.
-    Catalog(&'a str),
-    /// Device-spec text — from a file, a search-path name, or an inline
-    /// request object — plus the FNV-1a digest of that exact text.
-    Spec { digest: u64, text: String },
-}
-
-impl DeviceTarget<'_> {
-    /// The pool-key component identifying the machine.
-    fn pool_id(&self) -> String {
-        match self {
-            DeviceTarget::Catalog(name) => snailqc_util::normalize_name(name),
-            DeviceTarget::Spec { digest, .. } => format!("spec:{digest:016x}"),
+/// Maps `transpile` params onto the shared request resolver. `device` takes
+/// a name or path, or a spec as an inline object; `error_model` takes a
+/// preset name or an inline object.
+fn transpile_args(params: &Value) -> Result<TranspileArgs<'_>, String> {
+    let device = match params.get("device") {
+        None => None,
+        Some(Value::String(arg)) => Some(DeviceArg::Name(arg)),
+        Some(inline @ Value::Object(_)) => Some(DeviceArg::Spec(
+            serde_json::to_string(inline).map_err(|e| format!("device: {e}"))?,
+        )),
+        Some(_) => {
+            return Err("`device` must be a name, a spec-file path, or a spec object".into())
         }
-    }
-
-    fn build(&self) -> Result<Device, String> {
-        match self {
-            DeviceTarget::Catalog(name) => Device::from_catalog(name),
-            DeviceTarget::Spec { text, .. } => Device::from_spec_str(text),
-        }
-    }
-}
-
-/// Resolves the `device` / `topology` request params into a target.
-/// `topology` (and a `device` naming a built-in) pools by name; anything
-/// spec-backed is re-read on every request and pooled by content digest, so
-/// editing a spec file on disk invalidates its warm entry automatically.
-fn resolve_device_target(params: &Value) -> Result<DeviceTarget<'_>, String> {
-    let device = params.get("device");
-    let topology = param_str(params, "topology")?;
-    let from_text = |text: String| {
-        let digest = snailqc_util::fnv1a_64(text.as_bytes());
-        DeviceTarget::Spec { digest, text }
     };
-    match (device, topology) {
-        (Some(_), Some(_)) => Err("`device` and `topology` are mutually exclusive".into()),
-        (None, Some(name)) => Ok(DeviceTarget::Catalog(name)),
-        (None, None) => {
-            Err("transpile needs `device` or `topology` (see `snailqc devices`)".into())
-        }
-        (Some(Value::String(arg)), None) => {
-            let path_like = arg.contains('/')
-                || arg.ends_with(".json")
-                || std::path::Path::new(arg.as_str()).is_file();
-            if !path_like && catalog::canonical_name(arg).is_some() {
-                return Ok(DeviceTarget::Catalog(arg));
-            }
-            let path = if path_like {
-                PathBuf::from(arg.as_str())
-            } else {
-                DeviceRegistry::with_default_paths()
-                    .find_spec(arg)
-                    .ok_or_else(|| format!("unknown device `{arg}` (see `snailqc devices`)"))?
-            };
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading device spec `{}`: {e}", path.display()))?;
-            Ok(from_text(text))
-        }
-        (Some(inline @ Value::Object(_)), None) => {
-            let text = serde_json::to_string(inline).map_err(|e| format!("device: {e}"))?;
-            Ok(from_text(text))
-        }
-        (Some(_), None) => {
-            Err("`device` must be a name, a spec-file path, or a spec object".into())
-        }
-    }
+    let error_model = match params.get("error_model") {
+        None | Some(Value::Null) => None,
+        Some(Value::String(name)) => Some(
+            ErrorModelSpec::preset(name)
+                .ok_or_else(|| format!("unknown error-model preset `{name}`"))?,
+        ),
+        Some(inline @ Value::Object(_)) => Some(ErrorModelSpec::from_json(
+            &serde_json::to_string(inline).map_err(|e| format!("error_model: {e}"))?,
+        )?),
+        Some(_) => return Err("`error_model` must be a preset name or an object".into()),
+    };
+    Ok(TranspileArgs {
+        device,
+        topology: param_str(params, "topology")?,
+        basis: param_str(params, "basis")?,
+        error_model,
+        error_weight: param(params, "error_weight", Value::as_f64, "a number")?,
+        layout: param_str(params, "layout")?,
+        trials: param(params, "trials", Value::as_u64, "a non-negative integer")?
+            .map(|trials| trials as usize),
+        seed: param(params, "seed", Value::as_u64, "a non-negative integer")?,
+    })
 }
 
 /// Resolves `transpile` params into a spec, pulling the device from the warm
-/// pool (or building and pooling it). Mirrors the one-shot CLI's flag
-/// resolution — same defaults, same derived error-weight — so the daemon and
-/// `snailqc transpile` agree on every configuration axis.
+/// pool (or building and pooling it).
 fn resolve_spec(state: &ServerState, params: &Value) -> Result<TranspileSpec, String> {
     let source = param_str(params, "source")?
         .ok_or("transpile needs `source` (the QASM text)")?
         .to_string();
-    let target = resolve_device_target(params)?;
-    // Tri-state: absent inherits the spec's native basis; an explicit
-    // `"none"` strips it; a gate name sets it.
-    let basis = match param_str(params, "basis")? {
-        None => None,
-        Some(name) => Some(parse_basis(name)?),
-    };
-    let error_model = match params.get("error_model") {
-        None | Some(Value::Null) => ErrorModelParam::None,
-        Some(Value::String(name)) => ErrorModelParam::Preset(name.clone()),
-        Some(inline @ Value::Object(_)) => ErrorModelParam::Inline(
-            serde_json::to_string(inline).map_err(|e| format!("error_model: {e}"))?,
-        ),
-        Some(_) => return Err("`error_model` must be a preset name or an object".into()),
-    };
-    let device = state.warm_device(&target, basis, &error_model)?;
-    // A spec can ship its own calibration; noise-aware scoring is the right
-    // default whenever the device ends up carrying an error model.
-    let has_error_model =
-        !matches!(error_model, ErrorModelParam::None) || device.error_model().is_some();
-    let error_weight = param_f64(
-        params,
-        "error_weight",
-        if has_error_model { 1.0 } else { 0.0 },
-    )?;
-    if error_weight.is_nan() || error_weight < 0.0 {
-        return Err("`error_weight` must be non-negative".into());
-    }
-    let layout = match param_str(params, "layout")?.unwrap_or("dense") {
-        "dense" => LayoutStrategy::Dense,
-        "trivial" => LayoutStrategy::Trivial,
-        other => return Err(format!("unknown layout `{other}` (dense | trivial)")),
-    };
-    let trials = param_u64(params, "trials", 4)? as usize;
-    let seed = param_u64(params, "seed", 11)?;
+    let args = transpile_args(params)?;
+    let device = state.warm_device(&args.recipe(&state.registry)?)?;
+    let pipeline = args.pipeline(&device)?;
     let emit = match param_str(params, "emit")? {
         None => None,
         Some("qasm2") => Some(QasmVersion::V2),
         Some("qasm3") => Some(QasmVersion::V3),
         Some(other) => return Err(format!("unknown emit dialect `{other}` (qasm2 | qasm3)")),
     };
-
-    let pipeline = Pipeline::builder()
-        .layout(layout)
-        .router(RouterConfig {
-            trials,
-            seed,
-            error_weight,
-            ..RouterConfig::default()
-        })
-        .build();
     Ok(TranspileSpec {
         source,
         device,
         pipeline,
-        seed,
         emit,
     })
 }
@@ -404,6 +280,8 @@ struct ServerState {
     depth: AtomicUsize,
     queue_capacity: usize,
     workers: usize,
+    /// Device lookup, with the search path read once at startup.
+    registry: DeviceRegistry,
     devices: Mutex<HashMap<String, Device>>,
     memory: Mutex<HashMap<String, CachedResult>>,
     store: Option<Mutex<SweepStore>>,
@@ -456,34 +334,18 @@ impl ServerState {
         }
     }
 
-    /// Fetches (or builds and pools) the warm device for a request. Pool
-    /// hits share the device's `RoutingCache`, which is the daemon's whole
-    /// reason to exist.
-    fn warm_device(
-        &self,
-        target: &DeviceTarget<'_>,
-        basis: Option<Option<BasisGate>>,
-        error_model: &ErrorModelParam,
-    ) -> Result<Device, String> {
-        let basis_key = match basis {
-            None => "inherit".to_string(),
-            Some(explicit) => format!("{explicit:?}"),
-        };
-        let key = format!("{}|{}|{}", target.pool_id(), basis_key, error_model.canon());
+    /// Fetches (or builds and pools) the warm device for a request. The key
+    /// is computed before anything is built, so a pool hit builds nothing,
+    /// and pool hits share the device's `RoutingCache`, which is the
+    /// daemon's whole reason to exist.
+    fn warm_device(&self, recipe: &DeviceRecipe) -> Result<Device, String> {
+        let key = recipe.key();
         if let Some(device) = self.devices.lock().expect("device pool lock").get(&key) {
             obs::counter_add("serve.device_pool.hits", 1);
             return Ok(device.clone());
         }
         obs::counter_add("serve.device_pool.misses", 1);
-        let mut device = target.build()?;
-        if let Some(spec) = error_model.spec()? {
-            device = device.with_error_model(spec)?;
-        }
-        match basis {
-            None => {}
-            Some(Some(gate)) => device = device.with_basis(gate),
-            Some(None) => device = device.without_basis(),
-        }
+        let device = recipe.build()?;
         let mut pool = self.devices.lock().expect("device pool lock");
         if pool.len() < DEVICE_POOL_CAP {
             pool.insert(key, device.clone());
@@ -600,7 +462,8 @@ impl ServerState {
 fn handle_transpile(state: &ServerState, job: &Job) -> String {
     let started = Instant::now();
     let spec = &job.spec;
-    let key = source_cell_key(&spec.source, spec.seed, &spec.device, &spec.pipeline);
+    let seed = spec.pipeline.router().seed;
+    let key = source_cell_key(&spec.source, seed, &spec.device, &spec.pipeline);
 
     // Store probe first (even though the memory cache is cheaper) so shared-
     // store hit rates in `stats` reflect every replayable request.
@@ -635,21 +498,7 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
         obs::counter_add("serve.cache.store_replayed", 1);
         (report, None, None, None, "store")
     } else {
-        let outcome = snailqc_qasm::parse_any(&spec.source)
-            .map_err(|e| e.to_string())
-            .and_then(|program| {
-                if spec.device.fits(&program.circuit) {
-                    Ok(program.circuit)
-                } else {
-                    Err(format!(
-                        "circuit has {} qubits but `{}` only has {}",
-                        program.circuit.num_qubits(),
-                        spec.device.graph().name(),
-                        spec.device.num_qubits()
-                    ))
-                }
-            });
-        let circuit = match outcome {
+        let circuit = match parse_source(&spec.source, &spec.device) {
             Ok(circuit) => circuit,
             Err(message) => {
                 state.failed.fetch_add(1, Ordering::SeqCst);
@@ -718,7 +567,7 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
             ("basis_digest", opt_string(basis_digest)),
             ("cached", Value::String(cached.to_string())),
             ("cache_key", Value::String(key)),
-            ("seed", Value::UInt(spec.seed)),
+            ("seed", Value::UInt(seed)),
             ("qasm", opt_string(qasm)),
             ("micros", Value::UInt(micros)),
         ]),
@@ -983,6 +832,7 @@ impl Server {
             depth: AtomicUsize::new(0),
             queue_capacity,
             workers,
+            registry: DeviceRegistry::with_default_paths(),
             devices: Mutex::new(HashMap::new()),
             memory: Mutex::new(HashMap::new()),
             store: config
@@ -1155,6 +1005,7 @@ pub fn run(config: ServeConfig) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snailqc_core::registry::LocatedDevice;
 
     fn test_state(queue_capacity: usize) -> (Arc<ServerState>, Receiver<Job>) {
         let (tx, rx) = sync_channel(queue_capacity);
@@ -1164,6 +1015,7 @@ mod tests {
             depth: AtomicUsize::new(0),
             queue_capacity,
             workers: 1,
+            registry: DeviceRegistry::with_default_paths(),
             devices: Mutex::new(HashMap::new()),
             memory: Mutex::new(HashMap::new()),
             store: None,
@@ -1234,7 +1086,7 @@ mod tests {
             ("topology", Value::String("tree-20".into())),
         ]);
         let spec = resolve_spec(&state, &params).unwrap();
-        assert_eq!(spec.seed, 11);
+        assert_eq!(spec.pipeline.router().seed, 11);
         assert_eq!(spec.pipeline.router().trials, 4);
         assert_eq!(spec.pipeline.router().error_weight, 0.0);
         assert!(spec.emit.is_none());
@@ -1255,6 +1107,7 @@ mod tests {
             ("basis", Value::String("nope".into())),
             ("trials", Value::String("four".into())),
             ("layout", Value::String("spiral".into())),
+            ("error_weight", Value::Float(-1.0)),
             ("emit", Value::String("qasm4".into())),
             ("error_model", Value::UInt(3)),
         ] {
@@ -1277,40 +1130,39 @@ mod tests {
 
     #[test]
     fn device_names_resolve_against_the_catalog_and_unknown_names_error() {
-        let device = |name: &str| protocol::object(vec![("device", Value::String(name.into()))]);
+        let registry = DeviceRegistry::with_default_paths();
+        let recipe = |name: &str| {
+            let params = protocol::object(vec![("device", Value::String(name.into()))]);
+            transpile_args(&params)?.recipe(&registry)
+        };
         for name in ["tree-20", "Corral1,2-16", "HEAVY_HEX_84"] {
             assert!(
                 matches!(
-                    resolve_device_target(&device(name)),
-                    Ok(DeviceTarget::Catalog(n)) if n == name
+                    recipe(name),
+                    Ok(DeviceRecipe { located: LocatedDevice::Catalog(n), .. })
+                        if snailqc_util::names_match(n, name)
                 ),
                 "`{name}` did not resolve to a catalog device"
             );
         }
-        let err = match resolve_device_target(&device("no-such-device")) {
-            Err(err) => err,
-            Ok(_) => panic!("an unknown device name resolved"),
-        };
+        let err = recipe("no-such-device").expect_err("an unknown device name resolved");
         assert!(err.contains("unknown device `no-such-device`"), "{err}");
     }
 
     #[test]
     fn warm_device_pool_shares_routing_caches() {
         let (state, _rx) = test_state(4);
-        let a = state
-            .warm_device(
-                &DeviceTarget::Catalog("tree-20"),
-                Some(Some(BasisGate::SqrtISwap)),
-                &ErrorModelParam::None,
-            )
-            .unwrap();
-        let b = state
-            .warm_device(
-                &DeviceTarget::Catalog("TREE_20"),
-                Some(Some(BasisGate::SqrtISwap)),
-                &ErrorModelParam::None,
-            )
-            .unwrap();
+        let recipe = |name| {
+            TranspileArgs {
+                device: Some(DeviceArg::Name(name)),
+                basis: Some("sqrt-iswap"),
+                ..TranspileArgs::default()
+            }
+            .recipe(&state.registry)
+            .unwrap()
+        };
+        let a = state.warm_device(&recipe("tree-20")).unwrap();
+        let b = state.warm_device(&recipe("TREE_20")).unwrap();
         // Forgiving name spellings normalize to one pool entry.
         assert_eq!(state.devices.lock().unwrap().len(), 1);
         assert_eq!(a, b);

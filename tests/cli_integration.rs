@@ -784,21 +784,28 @@ fn routed_digest_of(args: &[&str]) -> String {
 
 #[test]
 fn device_flag_accepts_builtins_and_matches_topology_flag() {
-    let via_topology = routed_digest_of(&[
-        "transpile",
-        "examples/qaoa12.qasm",
-        "--topology",
-        "tree-20",
-        "--json",
-    ]);
-    let via_device = routed_digest_of(&[
-        "transpile",
-        "examples/qaoa12.qasm",
-        "--device",
-        "tree-20",
-        "--json",
-    ]);
-    assert_eq!(via_topology, via_device);
+    // `--topology` is an alias of `--device`: it takes catalog names and
+    // shipped spec names alike.
+    for (topology, device) in [
+        ("tree-20", "tree-20"),
+        ("ibm-heavy-hex-127", "devices/ibm_heavy_hex_127.json"),
+    ] {
+        let via_topology = routed_digest_of(&[
+            "transpile",
+            "examples/qaoa12.qasm",
+            "--topology",
+            topology,
+            "--json",
+        ]);
+        let via_device = routed_digest_of(&[
+            "transpile",
+            "examples/qaoa12.qasm",
+            "--device",
+            device,
+            "--json",
+        ]);
+        assert_eq!(via_topology, via_device, "`{topology}`");
+    }
 
     let both = snailqc(&[
         "transpile",
@@ -812,6 +819,33 @@ fn device_flag_accepts_builtins_and_matches_topology_flag() {
         "{}",
         String::from_utf8_lossy(&both.stderr)
     );
+}
+
+#[test]
+fn non_finite_and_negative_error_weights_are_rejected_before_routing() {
+    for weight in ["nan", "inf", "-1"] {
+        let output = snailqc(&[
+            "transpile",
+            "examples/qaoa12.qasm",
+            "--topology",
+            "corral11-16",
+            "--error-model",
+            "calibrated",
+            &format!("--error-weight={weight}"),
+            "--json",
+        ]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "`{weight}` accepted: {stderr}");
+        assert!(
+            output.stdout.is_empty(),
+            "`{weight}` routed before failing: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+        assert!(
+            stderr.contains("error weight must be a finite, non-negative number"),
+            "`{weight}`: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -349,3 +349,120 @@ fn file_backed_devices_match_the_cli_and_are_never_served_stale() {
     server.join().expect("drain completes");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `snailqc transpile examples/qaoa12.qasm <flags> --json` and parses
+/// its report.
+fn cli_json(flags: &[&str]) -> Value {
+    let cli = Command::new(env!("CARGO_BIN_EXE_snailqc"))
+        .args(["transpile", "examples/qaoa12.qasm", "--json"])
+        .args(flags)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("one-shot CLI runs");
+    assert!(
+        cli.status.success(),
+        "{flags:?}: {}",
+        String::from_utf8_lossy(&cli.stderr)
+    );
+    serde_json::from_str(&String::from_utf8(cli.stdout).unwrap()).expect("CLI emits valid JSON")
+}
+
+#[test]
+fn daemon_and_cli_resolve_every_request_axis_identically() {
+    let text = |s: &str| Value::String(s.to_string());
+    let cases = vec![
+        // A catalog name, through the alias and through `device`.
+        (
+            vec!["--topology", "corral11-16", "--basis", "sqrt-iswap"],
+            vec![
+                ("topology", text("corral11-16")),
+                ("basis", text("sqrt-iswap")),
+            ],
+        ),
+        (
+            vec!["--device", "Corral1,1-16", "--basis", "sqrt-iswap"],
+            vec![
+                ("device", text("Corral1,1-16")),
+                ("basis", text("sqrt-iswap")),
+            ],
+        ),
+        // A shipped spec by name through the alias: the basis is inherited
+        // from the spec, or stripped with `none`.
+        (
+            vec!["--topology", "ibm-heavy-hex-127"],
+            vec![("topology", text("ibm-heavy-hex-127"))],
+        ),
+        (
+            vec!["--topology", "ibm-heavy-hex-127", "--basis", "none"],
+            vec![
+                ("topology", text("ibm-heavy-hex-127")),
+                ("basis", text("none")),
+            ],
+        ),
+        // An error model, with the derived weight and with an explicit one.
+        (
+            vec!["--device", "tree-20", "--error-model", "calibrated"],
+            vec![
+                ("device", text("tree-20")),
+                ("error_model", text("calibrated")),
+            ],
+        ),
+        (
+            vec![
+                "--device",
+                "tree-20",
+                "--error-model",
+                "calibrated",
+                "--error-weight",
+                "0.5",
+            ],
+            vec![
+                ("device", text("tree-20")),
+                ("error_model", text("calibrated")),
+                ("error_weight", Value::Float(0.5)),
+            ],
+        ),
+        // The pipeline axes.
+        (
+            vec![
+                "--topology",
+                "tree-20",
+                "--layout",
+                "trivial",
+                "--trials",
+                "2",
+                "--seed",
+                "5",
+            ],
+            vec![
+                ("topology", text("tree-20")),
+                ("layout", text("trivial")),
+                ("trials", Value::UInt(2)),
+                ("seed", Value::UInt(5)),
+            ],
+        ),
+    ];
+
+    let source = qaoa12_source();
+    let (server, addr) = spawn_tcp(None);
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+    for (flags, params) in cases {
+        let cli = cli_json(&flags);
+        let mut pairs = vec![("source", Value::String(source.clone()))];
+        pairs.extend(params);
+        let daemon = client
+            .call("transpile", object(pairs))
+            .unwrap_or_else(|e| panic!("{flags:?}: {e:?}"));
+        assert!(!str_field(&daemon, "routed_digest").is_empty());
+        assert!(daemon.get("report").is_some(), "{daemon:?}");
+        for field in ["routed_digest", "basis_digest", "report"] {
+            assert_eq!(
+                daemon.get(field),
+                cli.get(field),
+                "`{field}` differs for {flags:?}"
+            );
+        }
+    }
+    server.shutdown();
+    server.join().expect("drain completes");
+}
