@@ -232,7 +232,7 @@ impl Circuit {
     /// With `weight = |_| 1.0` this is the ordinary circuit depth; with a
     /// filter selecting two-qubit gates it is the paper's "critical path 2Q
     /// count" / pulse-duration proxy.
-    pub fn weighted_depth<F: Fn(&Instruction) -> f64>(&self, weight: F) -> f64 {
+    pub fn weighted_depth<F: FnMut(&Instruction) -> f64>(&self, mut weight: F) -> f64 {
         let mut level = vec![0.0f64; self.num_qubits];
         for inst in &self.instructions {
             let w = weight(inst);

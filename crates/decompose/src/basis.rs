@@ -15,10 +15,18 @@
 //! * **SYC** — the best known analytic constructions need one more
 //!   application than CNOT for non-trivial classes, and exactly 4 in the
 //!   generic case (paper Observation 1).
+//!
+//! [`BasisGate::count_for_unitary`] is the one place that decides a class.
+//! Translation asks it once per gate kind and parameter value, not once per
+//! gate: the fixed kinds (CX, CZ, SWAP, iSWAP, √iSWAP, SYC) come from a
+//! per-basis table filled by `count_for_unitary` on first use, and a
+//! [`GateClassifier`] memoises the parametric kinds for one pass.
 
 use snailqc_circuit::Gate;
 use snailqc_math::weyl::{weyl_coordinates, WeylCoordinates};
 use snailqc_math::Matrix4;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Tolerance used when classifying Weyl-chamber coordinates.
 pub const CLASS_TOL: f64 = 1e-9;
@@ -118,8 +126,10 @@ impl BasisGate {
                 }
             }
             BasisGate::Syc => {
-                let syc_coords = weyl_coordinates(&snailqc_math::gates::syc());
-                if w.approx_eq(&syc_coords, 1e-7) {
+                static SYC_COORDS: OnceLock<WeylCoordinates> = OnceLock::new();
+                let syc_coords =
+                    SYC_COORDS.get_or_init(|| weyl_coordinates(&snailqc_math::gates::syc()));
+                if w.approx_eq(syc_coords, 1e-7) {
                     1
                 } else {
                     // One more than the CNOT count, capped at the analytic
@@ -136,16 +146,26 @@ impl BasisGate {
     }
 
     /// Number of applications needed for a circuit gate. Single-qubit gates
-    /// cost zero. Unknown or parameterized two-qubit gates fall back to the
-    /// unitary classification.
+    /// cost zero, the fixed kinds are looked up in a table built once per
+    /// process by [`BasisGate::count_for_unitary`], and parameterised or
+    /// arbitrary two-qubit gates are classified from their unitary.
     pub fn count_for_gate(&self, gate: &Gate) -> usize {
-        match gate.num_qubits() {
-            1 => 0,
-            _ => {
-                let u = gate.matrix4().expect("two-qubit gate has a matrix");
-                self.count_for_unitary(&u)
-            }
+        if gate.num_qubits() == 1 {
+            return 0;
         }
+        if let Some(slot) = FIXED_KINDS.iter().position(|kind| kind == gate) {
+            static TABLE: OnceLock<[[usize; FIXED_KINDS.len()]; 3]> = OnceLock::new();
+            let table = TABLE.get_or_init(|| {
+                BasisGate::all().map(|basis| {
+                    FIXED_KINDS.each_ref().map(|kind| {
+                        basis.count_for_unitary(&kind.matrix4().expect("two-qubit kind"))
+                    })
+                })
+            });
+            return table[*self as usize][slot];
+        }
+        let u = gate.matrix4().expect("two-qubit gate has a matrix");
+        self.count_for_unitary(&u)
     }
 
     /// Number of applications needed to implement a SWAP (the routing
@@ -174,6 +194,61 @@ impl BasisGate {
             BasisGate::SqrtISwap => 0.5,
             BasisGate::Cnot | BasisGate::Syc => 1.0,
         }
+    }
+}
+
+/// The two-qubit gate kinds without parameters, whose class never changes.
+/// `BasisGate::all()` is in declaration order, so `basis as usize` indexes
+/// the per-basis rows of the table built from these.
+const FIXED_KINDS: [Gate; 6] = [
+    Gate::CX,
+    Gate::CZ,
+    Gate::Swap,
+    Gate::ISwap,
+    Gate::SqrtISwap,
+    Gate::Syc,
+];
+
+/// Counts basis-gate applications for the gates of one pass.
+///
+/// Fixed kinds and single-qubit gates go straight to
+/// [`BasisGate::count_for_gate`]. Parameterised kinds are memoised on their
+/// kind and the exact bits of their parameters, so a repeated angle is
+/// classified once; `Unitary2` is classified in full every time. Every
+/// answer is the one `count_for_gate` gives for the same gate.
+#[derive(Debug)]
+pub struct GateClassifier {
+    basis: BasisGate,
+    memo: HashMap<(&'static str, [u64; 3]), usize>,
+}
+
+impl GateClassifier {
+    /// A classifier for `basis` with an empty memo.
+    pub fn new(basis: BasisGate) -> Self {
+        Self {
+            basis,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// Number of `basis` applications `gate` needs.
+    pub fn count(&mut self, gate: &Gate) -> usize {
+        let params = match *gate {
+            Gate::CPhase(a)
+            | Gate::ISwapPow(a)
+            | Gate::ZXInteraction(a)
+            | Gate::RZZ(a)
+            | Gate::RXX(a)
+            | Gate::RYY(a) => [a, 0.0, 0.0],
+            Gate::Fsim(a, b) => [a, b, 0.0],
+            Gate::Canonical(a, b, c) => [a, b, c],
+            _ => return self.basis.count_for_gate(gate),
+        };
+        let basis = self.basis;
+        *self
+            .memo
+            .entry((gate.name(), params.map(f64::to_bits)))
+            .or_insert_with(|| basis.count_for_gate(gate))
     }
 }
 

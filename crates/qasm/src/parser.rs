@@ -128,6 +128,31 @@ impl Expr {
     }
 }
 
+/// Rejects a gate application whose evaluated parameters include a NaN or an
+/// infinity (`cu1(0/0)`, `rzz(1e308*10)`, or `1/a` inside a gate body applied
+/// with `a = 0`): no gate has a non-finite angle, and one would otherwise
+/// reach the circuit and fail far from its source line.
+pub(crate) fn check_finite(
+    name: &str,
+    params: &[f64],
+    line: usize,
+    col: usize,
+) -> Result<(), QasmError> {
+    for (i, p) in params.iter().enumerate() {
+        if !p.is_finite() {
+            return Err(QasmError::new(
+                line,
+                col,
+                format!(
+                    "parameter {} of `{name}` evaluates to {p}, not a finite number",
+                    i + 1
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Gate environment
 // ---------------------------------------------------------------------------
@@ -765,6 +790,7 @@ impl Parser {
         if depth > 64 {
             return Err(QasmError::new(line, col, "gate expansion too deep"));
         }
+        check_finite(name, params, line, col)?;
         if name == "gphase" {
             // A zero-qubit global-phase entry (OpenQASM 3); reachable from
             // v3 top-level statements and from v3 gate-definition bodies.
@@ -1225,6 +1251,35 @@ mod tests {
             ))
             .is_err(),
             "opaque without lowering"
+        );
+    }
+
+    #[test]
+    fn rejects_non_finite_parameters_with_spans() {
+        for (body, line) in [
+            ("qreg q[2];\ncu1(0/0) q[0],q[1];\n", 4),
+            ("qreg q[2];\nrzz(1e308*10) q[0],q[1];\n", 4),
+            ("qreg q[1];\nh q[0];\nrz(-1/0) q[0];\n", 5),
+            // Composite lowering: cu3's (λ + φ)/2 overflows.
+            ("qreg q[2];\ncu3(0,1e308,1e308) q[0],q[1];\n", 4),
+            // Inside a gate body, at the body call's position.
+            (
+                "gate g(a) q,r {\n  cu1(1/a) q,r;\n}\nqreg q[2];\ng(0) q[0],q[1];\n",
+                4,
+            ),
+        ] {
+            let err = parse_circuit(&with_header(body)).unwrap_err();
+            assert!(err.message.contains("not a finite number"), "{err}");
+            assert_eq!(err.line, line, "{err}");
+        }
+        let err = parse_circuit(&with_header("qreg q[2];\ncu1(0/0) q[0],q[1];\n")).unwrap_err();
+        assert_eq!(err.col, 1, "{err}");
+        assert!(err.message.contains("`cu1`"), "{err}");
+        // The same body is fine when its parameter is not zero.
+        let ok = with_header("gate g(a) q,r { cu1(1/a) q,r; }\nqreg q[2];\ng(2) q[0],q[1];\n");
+        assert_eq!(
+            parse_circuit(&ok).unwrap().instructions()[0].gate,
+            Gate::CPhase(0.5)
         );
     }
 

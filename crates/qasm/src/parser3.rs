@@ -23,7 +23,7 @@
 use crate::emit::QasmVersion;
 use crate::error::QasmError;
 use crate::lexer::{lex, Tok};
-use crate::parser::{Parser, QasmProgram};
+use crate::parser::{check_finite, Parser, QasmProgram};
 use snailqc_circuit::Circuit;
 use std::f64::consts::PI;
 
@@ -162,6 +162,7 @@ impl Parser3 {
                 format!("`gphase` takes exactly one parameter, got {}", params.len()),
             ));
         }
+        check_finite("gphase", &params, line, col)?;
         self.p.circuit.add_global_phase(params[0]);
         Ok(())
     }
@@ -539,5 +540,23 @@ mod tests {
         assert_eq!((err.line, err.col), (2, 1));
         let err = crate::parser::parse("OPENQASM 2.0;\nqreg q[1];\ngphase(0.1);\n").unwrap_err();
         assert!(err.message.contains("OpenQASM 3 syntax"), "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_parameters_with_spans() {
+        for (body, line) in [
+            ("qubit[2] q;\ncp(0/0) q[0],q[1];\n", 4),
+            ("qubit[2] q;\nrzz(1e308*10) q[0],q[1];\n", 4),
+            ("qubit[2] q;\nctrl @ rz(1/0) q[0],q[1];\n", 4),
+            ("qubit[1] q;\ngphase(0/0);\n", 4),
+            (
+                "gate g(a) q,r {\n  cp(1/a) q,r;\n}\nqubit[2] q;\ng(0) q[0],q[1];\n",
+                4,
+            ),
+        ] {
+            let err = parse3_circuit(&with_header(body)).unwrap_err();
+            assert!(err.message.contains("not a finite number"), "{err}");
+            assert_eq!(err.line, line, "{err}");
+        }
     }
 }

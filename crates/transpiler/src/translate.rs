@@ -3,15 +3,21 @@
 //! After routing, every two-qubit gate is rewritten into the machine's native
 //! basis gate (CNOT for CR, SYC for FSIM, √iSWAP for the SNAIL) using the
 //! analytic Weyl-chamber counting rules of [`snailqc_decompose::BasisGate`].
+//! Each pass classifies through one [`GateClassifier`], so a gate kind is
+//! classified once, not once per gate.
+//!
 //! The pass is *structural*: it expands each two-qubit gate into exactly the
-//! required number of basis-gate applications, which is what the paper's
-//! metrics (total 2Q count and critical-path 2Q count / pulse duration)
-//! measure; the interleaved single-qubit corrections are treated as free
-//! (§3.1) and can be synthesized exactly on demand with
-//! [`snailqc_decompose::NuOpDecomposer`].
+//! required number of bare basis-gate applications, which is what the
+//! paper's metrics (total 2Q count and critical-path 2Q count / pulse
+//! duration) measure. The interleaved single-qubit corrections are treated
+//! as free (§3.1) and are **dropped**, so the translated circuit is a
+//! counting skeleton: it is not equivalent to its input, and neither is
+//! anything written out from it (`snailqc transpile -o`, `--emit-dir`, the
+//! serve daemon's `emit`). Exact corrections for a single gate can be
+//! fitted on demand with [`snailqc_decompose::NuOpDecomposer`].
 
 use snailqc_circuit::Circuit;
-use snailqc_decompose::BasisGate;
+use snailqc_decompose::{BasisGate, GateClassifier};
 
 /// Summary of one basis-translation pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -29,6 +35,7 @@ pub struct TranslationStats {
 /// Single-qubit gates are passed through unchanged. Returns the translated
 /// circuit and per-pass statistics.
 pub fn translate_to_basis(circuit: &Circuit, basis: BasisGate) -> (Circuit, TranslationStats) {
+    let mut classifier = GateClassifier::new(basis);
     let mut out = Circuit::new(circuit.num_qubits());
     let mut stats = TranslationStats {
         input_two_qubit_gates: 0,
@@ -41,7 +48,7 @@ pub fn translate_to_basis(circuit: &Circuit, basis: BasisGate) -> (Circuit, Tran
             continue;
         }
         stats.input_two_qubit_gates += 1;
-        let count = basis.count_for_gate(&inst.gate);
+        let count = classifier.count(&inst.gate);
         if count == 1 {
             stats.native_gates += 1;
         }
@@ -56,11 +63,11 @@ pub fn translate_to_basis(circuit: &Circuit, basis: BasisGate) -> (Circuit, Tran
 /// Convenience: the total number of basis gates a circuit needs without
 /// materializing the translated circuit.
 pub fn count_basis_gates(circuit: &Circuit, basis: BasisGate) -> usize {
+    let mut classifier = GateClassifier::new(basis);
     circuit
         .instructions()
         .iter()
-        .filter(|i| i.is_two_qubit())
-        .map(|i| basis.count_for_gate(&i.gate))
+        .map(|i| classifier.count(&i.gate))
         .sum()
 }
 
@@ -68,14 +75,9 @@ pub fn count_basis_gates(circuit: &Circuit, basis: BasisGate) -> usize {
 /// longest dependency chain where each two-qubit gate contributes its basis
 /// decomposition length and single-qubit gates are free.
 pub fn critical_path_basis_gates(circuit: &Circuit, basis: BasisGate) -> usize {
+    let mut classifier = GateClassifier::new(basis);
     circuit
-        .weighted_depth(|inst| {
-            if inst.is_two_qubit() {
-                basis.count_for_gate(&inst.gate) as f64
-            } else {
-                0.0
-            }
-        })
+        .weighted_depth(|inst| classifier.count(&inst.gate) as f64)
         .round() as usize
 }
 

@@ -1,12 +1,14 @@
-//! The frozen routing oracles, shared by the `router_equivalence` and
-//! `noise_regression` suites and by the root `oracles` suite (which pulls
-//! this file in with `#[path]`), so the tables live in exactly one place.
+//! The frozen routing and basis-count oracles, shared by the
+//! `router_equivalence` and `noise_regression` suites and by the root
+//! `oracles` suite (which pulls this file in with `#[path]`), so the tables
+//! live in exactly one place.
 
 #![allow(dead_code)]
 
+use snailqc_decompose::BasisGate;
 use snailqc_topology::{builders, catalog};
 use snailqc_transpiler::{
-    route_with_cache, LayoutStrategy, RoutedCircuit, RouterConfig, RoutingCache,
+    route_with_cache, translate_to_basis, LayoutStrategy, RoutedCircuit, RouterConfig, RoutingCache,
 };
 use snailqc_workloads::Workload;
 
@@ -36,6 +38,28 @@ pub fn route_cell(name: &str, noise_aware: bool) -> RoutedCircuit {
     let circuit = workload.generate(12, 7);
     let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
     route_with_cache(&circuit, &graph, &layout, &config, &RoutingCache::new())
+}
+
+/// Routes `workload.generate(12, 7)` on the catalog topology `name` once
+/// (dense layout, default router) and translates the routed circuit into
+/// every basis of [`BasisGate::all`], returning each translation's
+/// `(two_qubit_count, two_qubit_depth)` — the report's `basis_gate_count`
+/// and `basis_gate_depth`.
+pub fn basis_cell(name: &str, workload: Workload) -> BasisCounts {
+    let graph = catalog::by_name(name).unwrap();
+    let circuit = workload.generate(12, 7);
+    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let routed = route_with_cache(
+        &circuit,
+        &graph,
+        &layout,
+        &RouterConfig::default(),
+        &RoutingCache::new(),
+    );
+    BasisGate::all().map(|basis| {
+        let (translated, _) = translate_to_basis(&routed.circuit, basis);
+        (translated.two_qubit_count(), translated.two_qubit_depth())
+    })
 }
 
 /// `(catalog name, noise-blind digest, noise-aware digest)` frozen from the
@@ -106,4 +130,80 @@ pub const BASELINE: [(&str, Workload, usize, usize); 32] = [
     ("hypercube-84", Workload::QuantumVolume, 34, 15),
     ("tree-84", Workload::QuantumVolume, 32, 29),
     ("tree-rr-84", Workload::QuantumVolume, 26, 16),
+];
+
+/// `(basis_gate_count, basis_gate_depth)` in each basis of
+/// [`BasisGate::all`], in its order (CX, √iSWAP, SYC).
+pub type BasisCounts = [(usize, usize); 3];
+
+/// `(catalog name, workload, basis counts)` captured with
+/// [`basis_cell`] from the per-gate Weyl classification that preceded the
+/// class table. Quantum Volume exercises `Unitary2`, QFT controlled phases
+/// with SWAPs, QAOA `rzz` and the adder CX.
+#[rustfmt::skip]
+pub const BASIS: [(&str, Workload, BasisCounts); 64] = [
+    ("heavy-hex-20", Workload::QuantumVolume, [(813, 315), (757, 297), (1084, 420)]),
+    ("hex-lattice-20", Workload::QuantumVolume, [(480, 195), (424, 176), (640, 260)]),
+    ("square-lattice-16", Workload::QuantumVolume, [(354, 153), (298, 136), (472, 204)]),
+    ("lattice-alt-diagonals-16", Workload::QuantumVolume, [(306, 147), (250, 123), (408, 196)]),
+    ("hypercube-16", Workload::QuantumVolume, [(324, 153), (268, 131), (432, 204)]),
+    ("tree-20", Workload::QuantumVolume, [(312, 204), (256, 172), (416, 272)]),
+    ("tree-rr-20", Workload::QuantumVolume, [(300, 144), (244, 125), (400, 192)]),
+    ("corral11-16", Workload::QuantumVolume, [(339, 129), (283, 110), (452, 172)]),
+    ("corral12-16", Workload::QuantumVolume, [(285, 123), (229, 105), (380, 164)]),
+    ("heavy-hex-84", Workload::QuantumVolume, [(516, 186), (460, 169), (688, 248)]),
+    ("hex-lattice-84", Workload::QuantumVolume, [(549, 210), (493, 198), (732, 280)]),
+    ("square-lattice-84", Workload::QuantumVolume, [(378, 165), (322, 145), (504, 220)]),
+    ("lattice-alt-diagonals-84", Workload::QuantumVolume, [(324, 165), (268, 138), (432, 220)]),
+    ("hypercube-84", Workload::QuantumVolume, [(318, 102), (262, 89), (424, 136)]),
+    ("tree-84", Workload::QuantumVolume, [(312, 210), (256, 179), (416, 280)]),
+    ("tree-rr-84", Workload::QuantumVolume, [(294, 114), (238, 100), (392, 152)]),
+    ("heavy-hex-20", Workload::Qft, [(597, 288), (597, 288), (818, 396)]),
+    ("hex-lattice-20", Workload::Qft, [(447, 229), (447, 229), (618, 318)]),
+    ("square-lattice-16", Workload::Qft, [(318, 163), (318, 163), (446, 228)]),
+    ("lattice-alt-diagonals-16", Workload::Qft, [(261, 149), (261, 149), (370, 213)]),
+    ("hypercube-16", Workload::Qft, [(303, 157), (303, 157), (426, 219)]),
+    ("tree-20", Workload::Qft, [(204, 135), (204, 135), (294, 194)]),
+    ("tree-rr-20", Workload::Qft, [(204, 85), (204, 85), (294, 122)]),
+    ("corral11-16", Workload::Qft, [(273, 167), (273, 167), (386, 236)]),
+    ("corral12-16", Workload::Qft, [(237, 128), (237, 128), (338, 182)]),
+    ("heavy-hex-84", Workload::Qft, [(987, 501), (987, 501), (1338, 678)]),
+    ("hex-lattice-84", Workload::Qft, [(576, 298), (576, 298), (790, 409)]),
+    ("square-lattice-84", Workload::Qft, [(318, 154), (318, 154), (446, 215)]),
+    ("lattice-alt-diagonals-84", Workload::Qft, [(255, 170), (255, 170), (362, 241)]),
+    ("hypercube-84", Workload::Qft, [(285, 172), (285, 172), (402, 242)]),
+    ("tree-84", Workload::Qft, [(204, 135), (204, 135), (294, 194)]),
+    ("tree-rr-84", Workload::Qft, [(219, 114), (219, 114), (314, 162)]),
+    ("heavy-hex-20", Workload::QaoaVanilla, [(783, 436), (783, 436), (1066, 592)]),
+    ("hex-lattice-20", Workload::QaoaVanilla, [(345, 205), (345, 205), (482, 288)]),
+    ("square-lattice-16", Workload::QaoaVanilla, [(267, 163), (267, 163), (378, 230)]),
+    ("lattice-alt-diagonals-16", Workload::QaoaVanilla, [(237, 153), (237, 153), (338, 218)]),
+    ("hypercube-16", Workload::QaoaVanilla, [(261, 138), (261, 138), (370, 195)]),
+    ("tree-20", Workload::QaoaVanilla, [(180, 129), (180, 129), (262, 187)]),
+    ("tree-rr-20", Workload::QaoaVanilla, [(186, 87), (186, 87), (270, 125)]),
+    ("corral11-16", Workload::QaoaVanilla, [(231, 142), (231, 142), (330, 202)]),
+    ("corral12-16", Workload::QaoaVanilla, [(198, 88), (198, 88), (286, 127)]),
+    ("heavy-hex-84", Workload::QaoaVanilla, [(867, 498), (867, 498), (1178, 675)]),
+    ("hex-lattice-84", Workload::QaoaVanilla, [(480, 265), (480, 265), (662, 365)]),
+    ("square-lattice-84", Workload::QaoaVanilla, [(285, 190), (285, 190), (402, 269)]),
+    ("lattice-alt-diagonals-84", Workload::QaoaVanilla, [(213, 130), (213, 130), (306, 186)]),
+    ("hypercube-84", Workload::QaoaVanilla, [(255, 156), (255, 156), (362, 219)]),
+    ("tree-84", Workload::QaoaVanilla, [(177, 123), (177, 123), (258, 178)]),
+    ("tree-rr-84", Workload::QaoaVanilla, [(174, 70), (174, 70), (254, 101)]),
+    ("heavy-hex-20", Workload::Adder, [(243, 191), (324, 259), (378, 300)]),
+    ("hex-lattice-20", Workload::Adder, [(462, 417), (543, 486), (670, 602)]),
+    ("square-lattice-16", Workload::Adder, [(147, 107), (228, 170), (250, 184)]),
+    ("lattice-alt-diagonals-16", Workload::Adder, [(162, 128), (243, 196), (270, 216)]),
+    ("hypercube-16", Workload::Adder, [(171, 136), (252, 203), (282, 226)]),
+    ("tree-20", Workload::Adder, [(378, 170), (459, 243), (558, 274)]),
+    ("tree-rr-20", Workload::Adder, [(132, 110), (213, 178), (230, 192)]),
+    ("corral11-16", Workload::Adder, [(114, 90), (195, 156), (206, 164)]),
+    ("corral12-16", Workload::Adder, [(132, 108), (213, 177), (230, 190)]),
+    ("heavy-hex-84", Workload::Adder, [(261, 199), (342, 266), (402, 310)]),
+    ("hex-lattice-84", Workload::Adder, [(273, 207), (354, 277), (418, 322)]),
+    ("square-lattice-84", Workload::Adder, [(153, 115), (234, 179), (258, 196)]),
+    ("lattice-alt-diagonals-84", Workload::Adder, [(129, 104), (210, 172), (226, 184)]),
+    ("hypercube-84", Workload::Adder, [(162, 133), (243, 200), (270, 222)]),
+    ("tree-84", Workload::Adder, [(129, 117), (210, 189), (226, 204)]),
+    ("tree-rr-84", Workload::Adder, [(132, 110), (213, 178), (230, 192)]),
 ];

@@ -849,6 +849,40 @@ fn non_finite_and_negative_error_weights_are_rejected_before_routing() {
 }
 
 #[test]
+fn non_finite_gate_parameters_are_rejected_with_a_span_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("snailqc-non-finite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        ("v2.qasm", "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncu1(0/0) q[0],q[1];\n", "4:1"),
+        ("v3.qasm", "OPENQASM 3.0;\ninclude \"stdgates.inc\";\nqubit[2] q;\nrzz(1e308*10) q[0],q[1];\n", "4:1"),
+        (
+            "body.qasm",
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\ngate g(a) q,r { cu1(1/a) q,r; }\nqreg q[2];\ng(0) q[0],q[1];\n",
+            "3:17",
+        ),
+    ];
+    for (file, source, span) in cases {
+        let path = dir.join(file);
+        std::fs::write(&path, source).unwrap();
+        let output = snailqc(&[
+            "transpile",
+            path.to_str().unwrap(),
+            "--topology",
+            "corral11-16",
+            "--basis",
+            "sqrt-iswap",
+        ]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{file} accepted: {stderr}");
+        assert_ne!(output.status.code(), Some(101), "{file} panicked: {stderr}");
+        assert!(!stderr.contains("panicked"), "{file}: {stderr}");
+        assert!(stderr.contains(span), "{file}: no `{span}` in {stderr}");
+        assert!(stderr.contains("not a finite number"), "{file}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn device_file_inherits_the_spec_basis_and_transpiles() {
     let output = snailqc(&[
         "transpile",

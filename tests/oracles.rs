@@ -6,6 +6,7 @@
 //!
 //! * the frozen router digests (`snailqc-transpiler`'s `router_equivalence`);
 //! * the frozen noise-blind SWAP baselines (`noise_regression`);
+//! * the frozen basis-gate counts and depths in all three bases;
 //! * sim engine agreement: dense kernels vs the reference kernels bit for
 //!   bit, the stabilizer tableau vs the dense state, and routed-circuit
 //!   verification with tamper refutation (`snailqc-sim`'s
@@ -57,6 +58,23 @@ fn pipeline_matches_the_frozen_swap_baselines() {
             (report.swap_count, report.swap_depth),
             (swaps, depth),
             "{} on {name}: router output drifted from the frozen baseline",
+            workload.label()
+        );
+    }
+}
+
+#[test]
+fn basis_translation_matches_the_frozen_counts_on_every_catalog_topology() {
+    let names = catalog::names();
+    assert_eq!(frozen::BASIS.len(), 4 * names.len());
+    for name in names {
+        assert!(frozen::BASIS.iter().any(|row| row.0 == name), "{name}");
+    }
+    for &(name, workload, counts) in &frozen::BASIS {
+        assert_eq!(
+            frozen::basis_cell(name, workload),
+            counts,
+            "{} on {name}: basis-gate (count, depth) per basis drifted",
             workload.label()
         );
     }

@@ -179,6 +179,56 @@ fn serve_matches_one_shot_cli_and_surfaces_cache_hits_in_stats() {
 }
 
 #[test]
+fn a_non_finite_parameter_gets_an_error_reply_and_the_single_worker_lives_on() {
+    let server = Server::spawn(ServeConfig {
+        bind: Bind::Tcp("127.0.0.1:0".into()),
+        workers: 1,
+        queue_capacity: 4,
+        store: None,
+    })
+    .expect("server spawns");
+    let BoundAddr::Tcp(addr) = server.addr() else {
+        unreachable!("tcp bind")
+    };
+    let addr = addr.to_string();
+    let bad = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncu1(0/0) q[0],q[1];\n";
+    let params = |source: &str| {
+        object(vec![
+            ("source", Value::String(source.to_string())),
+            ("topology", Value::String("corral11-16".to_string())),
+            ("basis", Value::String("sqrt-iswap".to_string())),
+        ])
+    };
+
+    // The client blocks on each reply, so run the exchange on a thread and
+    // bound the wait: a daemon that stops answering fails the test.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let good = qaoa12_source();
+    std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(&addr).expect("client connects");
+        let failure = client
+            .call("transpile", params(bad))
+            .expect_err("a NaN angle is an error");
+        let ping = client.call("ping", object(vec![]));
+        let routed = client.call("transpile", params(&good));
+        let _ = client.call("shutdown", object(vec![]));
+        let _ = done.send((failure, ping, routed));
+    });
+    let (failure, ping, routed) = outcome
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the daemon answers every request");
+    assert_eq!(failure.code, "transpile_failed", "{failure}");
+    assert!(failure.message.contains("4:1"), "{failure}");
+    assert!(failure.message.contains("not a finite number"), "{failure}");
+    assert_eq!(
+        ping.expect("ping after the error").get("ok"),
+        Some(&Value::Bool(true))
+    );
+    assert!(!str_field(&routed.expect("transpile after the error"), "routed_digest").is_empty());
+    server.join().expect("drain completes");
+}
+
+#[test]
 fn warm_store_is_replayed_by_a_restarted_daemon() {
     let dir = temp_dir("restart");
     let store_path = dir.join("store.jsonl");
