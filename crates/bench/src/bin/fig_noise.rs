@@ -63,7 +63,10 @@ fn main() {
                     Device::from_graph(builders::calibrated(graph, 1e-3, spread, CALIBRATION_SEED));
                 let run = |error_weight: f64| {
                     let pipeline = Pipeline::builder().error_weight(error_weight).build();
-                    device.transpile(&circuit, &pipeline).report
+                    device
+                        .try_transpile(&circuit, &pipeline)
+                        .expect("every catalog graph here is connected and holds 12 qubits")
+                        .report
                 };
                 let blind = run(0.0);
                 let aware = run(1.0);

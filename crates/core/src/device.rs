@@ -19,11 +19,11 @@
 //!     .with_error_model(ErrorModelSpec::preset("calibrated").unwrap())
 //!     .unwrap();
 //! let circuit = Workload::Qft.generate(8, 7);
-//! let result = device.transpile(&circuit, &Pipeline::default());
+//! let result = device.try_transpile(&circuit, &Pipeline::default()).unwrap();
 //! assert_eq!(result.report.basis, Some(BasisGate::SqrtISwap));
 //! ```
 //!
-//! [`Device::transpile`] resolves the pipeline's default
+//! [`Device::try_transpile`] resolves the pipeline's default
 //! [`BasisChoice::Device`](snailqc_transpiler::BasisChoice::Device)
 //! translation stage against the device's native basis — on a co-designed
 //! machine the modulator chooses the gate, not the transpiler call site.
@@ -233,16 +233,9 @@ impl Device {
     /// `BasisChoice::Device` translation stage resolves to this device's
     /// native basis (no translation when the device has none).
     ///
-    /// # Panics
-    /// Panics where [`Device::try_transpile`] would return an error.
-    pub fn transpile(&self, circuit: &Circuit, pipeline: &Pipeline) -> TranspileResult {
-        self.try_transpile(circuit, pipeline)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Device::transpile`], reporting a [`TranspileError`] instead of
-    /// panicking when the circuit cannot be placed on this device — e.g. it
-    /// needs more qubits than the device's largest connected component has.
+    /// Returns a [`TranspileError`] when the circuit cannot be placed on this
+    /// device — e.g. it needs more qubits than the device's largest connected
+    /// component has.
     pub fn try_transpile(
         &self,
         circuit: &Circuit,
@@ -336,12 +329,14 @@ mod tests {
     fn transpile_uses_the_native_basis_by_default() {
         let circuit = snailqc_workloads::qft(8, true);
         let device = Device::from_machine(Machine::ibm_baseline(SizeClass::Small));
-        let result = device.transpile(&circuit, &Pipeline::default());
+        let result = device
+            .try_transpile(&circuit, &Pipeline::default())
+            .unwrap();
         assert_eq!(result.report.basis, Some(BasisGate::Cnot));
         assert!(result.translated.is_some());
         // A basis-less device routes without translating.
         let bare = Device::from_catalog("hypercube-16").unwrap();
-        let routed_only = bare.transpile(&circuit, &Pipeline::default());
+        let routed_only = bare.try_transpile(&circuit, &Pipeline::default()).unwrap();
         assert!(routed_only.translated.is_none());
     }
 
@@ -367,9 +362,9 @@ mod tests {
             .with_error_model(ErrorModelSpec::preset("calibrated").unwrap())
             .unwrap();
         let pipeline = Pipeline::builder().error_weight(1.0).build();
-        let cold = device.transpile(&circuit, &pipeline);
+        let cold = device.try_transpile(&circuit, &pipeline).unwrap();
         for _ in 0..2 {
-            let warm = device.transpile(&circuit, &pipeline);
+            let warm = device.try_transpile(&circuit, &pipeline).unwrap();
             assert_eq!(cold.report, warm.report);
             assert_eq!(
                 cold.routed.circuit.instructions(),
@@ -380,7 +375,7 @@ mod tests {
         // Clones share the cache and still match; equality ignores cache
         // state entirely.
         let clone = device.clone();
-        let via_clone = clone.transpile(&circuit, &pipeline);
+        let via_clone = clone.try_transpile(&circuit, &pipeline).unwrap();
         assert_eq!(cold.report, via_clone.report);
         assert_eq!(device, clone);
         assert_eq!(

@@ -86,10 +86,16 @@ fn run_point(
             ..RouterConfig::default()
         })
         .build();
-    device.transpile(&circuit, &pipeline).report
+    device
+        .try_transpile(&circuit, &pipeline)
+        .expect("headline sizes fit both machines, which are connected")
+        .report
 }
 
 /// Computes the headline ratios between two machines on a workload sweep.
+///
+/// # Panics
+/// Panics if a configured size exceeds either machine's qubit count.
 pub fn headline_ratios(
     baseline: Machine,
     proposed: Machine,

@@ -9,7 +9,7 @@
 //!   Built from the topology catalog ([`Device::from_catalog`]), from a
 //!   [`machine::Machine`] pairing ([`Device::from_machine`]), or from a bare
 //!   graph, then refined with [`Device::with_error_model`] /
-//!   [`Device::with_basis`]. [`Device::transpile`] runs a staged
+//!   [`Device::with_basis`]. [`Device::try_transpile`] runs a staged
 //!   [`Pipeline`](snailqc_transpiler::Pipeline) whose translation stage
 //!   defaults to the device's native gate.
 //! * [`machine::Machine`] — a (topology, basis gate) pairing. Pre-built
@@ -60,7 +60,7 @@
 //! [`Device::from_machine`]: device::Device::from_machine
 //! [`Device::with_error_model`]: device::Device::with_error_model
 //! [`Device::with_basis`]: device::Device::with_basis
-//! [`Device::transpile`]: device::Device::transpile
+//! [`Device::try_transpile`]: device::Device::try_transpile
 
 #![warn(missing_docs)]
 

@@ -410,7 +410,10 @@ mod tests {
         if let Some(basis) = basis {
             device = device.with_basis(basis);
         }
-        device.transpile(&circuit, &Pipeline::default()).report
+        device
+            .try_transpile(&circuit, &Pipeline::default())
+            .unwrap()
+            .report
     }
 
     #[test]

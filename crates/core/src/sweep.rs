@@ -116,7 +116,8 @@ struct SweepCell<'a> {
 impl SweepCell<'_> {
     fn transpile(&self, config: &SweepConfig) -> TranspileReport {
         self.device
-            .transpile(self.circuit, &config.pipeline(self.size))
+            .try_transpile(self.circuit, &config.pipeline(self.size))
+            .expect("build_cells pairs each circuit only with devices it fits")
             .report
     }
 
@@ -176,6 +177,10 @@ fn build_cells<'a>(
 /// every device that fits it, in parallel with deterministic per-point
 /// seeds. Devices with a native basis are basis-translated; bare devices are
 /// routed gate-agnostically.
+///
+/// # Panics
+/// Panics if a circuit fits a device's qubit count but none of its connected
+/// components.
 pub fn run_sweep(devices: &[Device], config: &SweepConfig) -> Vec<SweepPoint> {
     run_sweep_with_store(devices, config, None)
 }

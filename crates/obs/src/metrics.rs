@@ -274,18 +274,6 @@ impl MetricsSnapshot {
             .find(|(n, _)| n == name)
             .map(|(_, s)| s)
     }
-
-    /// Per-counter increase since `earlier` (counters absent earlier count
-    /// from zero; non-positive deltas are dropped).
-    pub fn counter_deltas_since(&self, earlier: &MetricsSnapshot) -> Vec<(String, u64)> {
-        self.counters
-            .iter()
-            .filter_map(|(name, now)| {
-                let before = earlier.counter(name).unwrap_or(0);
-                (*now > before).then(|| (name.clone(), now - before))
-            })
-            .collect()
-    }
 }
 
 /// Copy out every registered metric. Works while disabled (values simply

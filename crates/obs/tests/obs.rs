@@ -129,22 +129,6 @@ fn counters_and_histograms_accumulate_and_reset() {
 }
 
 #[test]
-fn counter_deltas_since_reports_only_increases() {
-    let _guard = exclusive();
-    obs::enable();
-    obs::counter_add("delta.a", 2);
-    let before = obs::snapshot();
-    obs::counter_add("delta.a", 3);
-    obs::counter_add("delta.b", 1);
-    let after = obs::snapshot();
-    obs::disable();
-    let deltas = after.counter_deltas_since(&before);
-    assert!(deltas.contains(&("delta.a".to_string(), 3)));
-    assert!(deltas.contains(&("delta.b".to_string(), 1)));
-    assert!(!deltas.iter().any(|(name, _)| name == "delta.a_missing"));
-}
-
-#[test]
 fn chrome_trace_of_a_real_run_parses_and_nests() {
     let _guard = exclusive();
     obs::enable();

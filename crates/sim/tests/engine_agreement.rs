@@ -80,7 +80,7 @@ proptest! {
             1 => builders::square_lattice(3, 4),
             _ => builders::hypercube(3),
         };
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let verdict = verify_equivalent(&circuit, &routed);
         prop_assert!(verdict.is_equivalent(), "{verdict} (seed={seed}, dev={dev})");
@@ -92,7 +92,7 @@ proptest! {
 fn stabilizer_engine_refutes_a_tampered_route() {
     let circuit = random_clifford_circuit(8, 40, 17);
     let graph = builders::square_lattice(3, 3);
-    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let mut routed = route_with_cache(
         &circuit,
         &graph,
@@ -119,7 +119,7 @@ fn dense_engine_verifies_and_refutes_non_clifford_routes() {
     let circuit = mixed_circuit(6, 30, 23);
     assert!(!circuit.is_clifford(), "want a non-Clifford sample");
     let graph = builders::line(8);
-    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let mut routed = route_with_cache(
         &circuit,
         &graph,
@@ -145,7 +145,7 @@ fn pauli_spot_checks_catch_large_near_clifford_tampering() {
     circuit.push(Gate::T, &[0]);
     assert!(!circuit.is_clifford());
     let graph = builders::square_lattice(7, 7);
-    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let routed = route_with_cache(
         &circuit,
         &graph,

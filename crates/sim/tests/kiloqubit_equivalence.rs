@@ -8,11 +8,11 @@
 
 use snailqc_sim::{verify_equivalent, Verdict};
 use snailqc_topology::builders;
-use snailqc_transpiler::{dense_layout, route_with_cache, RouterConfig, RoutingCache};
+use snailqc_transpiler::{route_with_cache, LayoutStrategy, RouterConfig, RoutingCache};
 
 fn verify_ghz_cell(graph: &snailqc_topology::CouplingGraph, qubits: usize) -> Verdict {
     let circuit = snailqc_workloads::ghz(qubits);
-    let layout = dense_layout(&circuit, graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, graph).unwrap();
     let routed = route_with_cache(
         &circuit,
         graph,
@@ -44,7 +44,7 @@ fn kiloqubit_tampering_is_refuted() {
     // machinery must be able to say "no" at scale, not just "yes".
     let graph = builders::square_lattice(25, 25);
     let circuit = snailqc_workloads::ghz(625);
-    let layout = dense_layout(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let mut routed = route_with_cache(
         &circuit,
         &graph,

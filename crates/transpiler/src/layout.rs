@@ -7,39 +7,40 @@
 //!
 //! # Scaling
 //!
-//! On devices up to [`EXHAUSTIVE_SEED_LIMIT`] qubits, [`dense_layout`] tries
-//! every qubit as the growth seed — exactly the legacy all-seeds sweep, so
-//! its output is bitwise-identical to the pre-kiloqubit implementation and
-//! the PR-5 frozen digests hold. Above the limit an exhaustive sweep would
-//! be O(n²·E); instead up to [`MAX_SEED_CANDIDATES`] seeds are spread across
-//! the connected components large enough to hold the program (largest
-//! components first, each contributing its highest-degree qubits from evenly
-//! spaced spans), and growth breaks edge-count ties toward qubits discovered
-//! closer to the seed. The depth tie-break matters: the legacy lowest-index
-//! rule relies on trying every seed to stumble on a compact region, and with
-//! few seeds it degenerates into low-index "strips" on lattices (measured
-//! ~5× the SWAPs on a 625-qubit grid). Region growth itself is incremental
-//! in both regimes: a max-heap keyed by edges-into-the-region picks each
-//! addition in O(log E) and the internal-edge count accumulates as the
-//! region grows, replacing the legacy per-seed recount of every graph edge.
+//! On devices up to [`EXHAUSTIVE_SEED_LIMIT`] qubits,
+//! [`LayoutStrategy::Dense`] tries every qubit as the growth seed — exactly
+//! the legacy all-seeds sweep, so its output is bitwise-identical to the
+//! pre-kiloqubit implementation and the frozen digests hold. Above the limit
+//! an exhaustive sweep would be O(n²·E); instead up to
+//! [`MAX_SEED_CANDIDATES`] seeds are spread across the connected components
+//! large enough to hold the program (largest components first, each
+//! contributing its highest-degree qubits from evenly spaced spans), and
+//! growth breaks edge-count ties toward qubits discovered closer to the seed.
+//! The depth tie-break matters: the legacy lowest-index rule relies on trying
+//! every seed to stumble on a compact region, and with few seeds it
+//! degenerates into low-index "strips" on lattices (measured ~5× the SWAPs on
+//! a 625-qubit grid). Region growth itself is incremental in both regimes: a
+//! max-heap keyed by edges-into-the-region picks each addition in O(log E)
+//! and the internal-edge count accumulates as the region grows, replacing the
+//! legacy per-seed recount of every graph edge.
 //!
 //! # Disconnected devices
 //!
 //! Growth never crosses a component boundary, so a layout is only possible
 //! when some component holds the whole program. When none does,
-//! [`try_dense_layout`] returns a [`LayoutError`] naming the shortfall —
-//! the legacy code silently fell back to the `(0..k)` identity prefix,
-//! which could straddle components and strand the router on unreachable
-//! qubit pairs.
+//! [`LayoutStrategy::try_compute`] returns a [`LayoutError`] naming the
+//! shortfall — the legacy code silently fell back to the `(0..k)` identity
+//! prefix, which could straddle components and strand the router on
+//! unreachable qubit pairs.
 
 use snailqc_circuit::Circuit;
 use snailqc_topology::CouplingGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Largest device (in qubits) on which [`dense_layout`] tries every qubit
-/// as a region seed. This keeps every catalog topology (≤ 84 qubits) on the
-/// legacy exhaustive path — bitwise-identical output — while kiloqubit
+/// Largest device (in qubits) on which [`LayoutStrategy::Dense`] tries every
+/// qubit as a region seed. This keeps every catalog topology (≤ 84 qubits) on
+/// the legacy exhaustive path — bitwise-identical output — while kiloqubit
 /// devices switch to component-seeded growth.
 pub const EXHAUSTIVE_SEED_LIMIT: usize = 84;
 
@@ -167,15 +168,6 @@ pub enum LayoutStrategy {
 }
 
 impl LayoutStrategy {
-    /// Computes the initial layout for `circuit` on `graph`.
-    ///
-    /// # Panics
-    /// Panics where [`LayoutStrategy::try_compute`] would return an error.
-    pub fn compute(&self, circuit: &Circuit, graph: &CouplingGraph) -> Layout {
-        self.try_compute(circuit, graph)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Computes the initial layout for `circuit` on `graph`, reporting a
     /// [`LayoutError`] when the program does not fit in a single connected
     /// component (instead of handing the router an unroutable placement).
@@ -202,14 +194,6 @@ impl LayoutStrategy {
     }
 }
 
-/// Greedy densest-subgraph placement. See [`try_dense_layout`].
-///
-/// # Panics
-/// Panics where [`try_dense_layout`] would return an error.
-pub fn dense_layout(circuit: &Circuit, graph: &CouplingGraph) -> Layout {
-    try_dense_layout(circuit, graph).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Greedy densest-subgraph placement.
 ///
 /// For each seed qubit (every qubit up to [`EXHAUSTIVE_SEED_LIMIT`] devices,
@@ -222,7 +206,10 @@ pub fn dense_layout(circuit: &Circuit, graph: &CouplingGraph) -> Layout {
 /// # Errors
 /// Returns a [`LayoutError`] when no connected component of the device can
 /// hold the whole program (including the `k > n` case).
-pub fn try_dense_layout(circuit: &Circuit, graph: &CouplingGraph) -> Result<Layout, LayoutError> {
+pub(crate) fn try_dense_layout(
+    circuit: &Circuit,
+    graph: &CouplingGraph,
+) -> Result<Layout, LayoutError> {
     let k = circuit.num_qubits();
     let n = graph.num_qubits();
     if k == 0 {
@@ -483,7 +470,7 @@ mod tests {
     fn dense_layout_is_a_valid_injection() {
         let graph = builders::square_lattice(4, 4);
         let circuit = interacting_circuit(6);
-        let layout = dense_layout(&circuit, &graph);
+        let layout = try_dense_layout(&circuit, &graph).unwrap();
         let mut seen = std::collections::HashSet::new();
         for q in 0..6 {
             assert!(seen.insert(layout.physical(q)));
@@ -496,7 +483,7 @@ mod tests {
         // On a star graph, the densest 3-qubit region must include the hub.
         let graph = builders::star(8);
         let circuit = interacting_circuit(3);
-        let layout = dense_layout(&circuit, &graph);
+        let layout = try_dense_layout(&circuit, &graph).unwrap();
         let physical: Vec<usize> = (0..3).map(|q| layout.physical(q)).collect();
         assert!(physical.contains(&0), "hub not selected: {physical:?}");
     }
@@ -507,7 +494,7 @@ mod tests {
         // module (a 5-clique), so every program pair is already adjacent.
         let graph = snailqc_topology::catalog::tree_20();
         let circuit = interacting_circuit(5);
-        let layout = dense_layout(&circuit, &graph);
+        let layout = try_dense_layout(&circuit, &graph).unwrap();
         for a in 0..5 {
             for b in (a + 1)..5 {
                 assert!(
@@ -522,7 +509,7 @@ mod tests {
     fn dense_layout_handles_full_device() {
         let graph = builders::square_lattice(3, 3);
         let circuit = interacting_circuit(9);
-        let layout = dense_layout(&circuit, &graph);
+        let layout = try_dense_layout(&circuit, &graph).unwrap();
         let mut phys: Vec<usize> = (0..9).map(|q| layout.physical(q)).collect();
         phys.sort_unstable();
         assert_eq!(phys, (0..9).collect::<Vec<_>>());
@@ -562,13 +549,6 @@ mod tests {
         let err = try_dense_layout(&circuit, &graph).unwrap_err();
         assert_eq!(err.requested, 5);
         assert_eq!(err.largest_component, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "largest connected component")]
-    fn dense_layout_panicking_wrapper_reports_the_error() {
-        let graph = CouplingGraph::from_edges("islands", 4, &[(0, 1), (2, 3)]);
-        dense_layout(&interacting_circuit(3), &graph);
     }
 
     #[test]
@@ -613,9 +593,11 @@ mod tests {
     fn strategy_dispatch() {
         let graph = builders::square_lattice(3, 3);
         let circuit = interacting_circuit(4);
-        let trivial = LayoutStrategy::Trivial.compute(&circuit, &graph);
+        let trivial = LayoutStrategy::Trivial
+            .try_compute(&circuit, &graph)
+            .unwrap();
         assert_eq!(trivial.as_slice(), &[0, 1, 2, 3]);
-        let dense = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let dense = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         assert_eq!(dense.num_logical(), 4);
     }
 }

@@ -26,10 +26,10 @@ pub mod pipeline;
 pub mod routing;
 pub mod translate;
 
-pub use layout::{dense_layout, try_dense_layout, Layout, LayoutError, LayoutStrategy};
+pub use layout::{Layout, LayoutError, LayoutStrategy};
 pub use pipeline::{
-    BasisChoice, PassTrace, Pipeline, PipelineBuilder, StageCounters, StageTrace, TranspileError,
-    TranspileReport, TranspileResult,
+    BasisChoice, PassTrace, Pipeline, PipelineBuilder, StageTrace, TranspileError, TranspileReport,
+    TranspileResult,
 };
 pub use routing::{route_with_cache, EdgeErrorSource, RoutedCircuit, RouterConfig, RoutingCache};
 pub use translate::{count_basis_gates, critical_path_basis_gates, translate_to_basis};

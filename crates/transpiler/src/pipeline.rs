@@ -36,10 +36,8 @@
 //!
 //! When `snailqc-obs` recording is on (see [`snailqc_obs::enable`]), every
 //! stage additionally runs inside a tracing span (`pipeline.layout`,
-//! `pipeline.routing`, …) nested under a `pipeline.run` root, and the
-//! [`PassTrace`] captures each stage's counter deltas (router work counters,
-//! cache hits) in [`PassTrace::stage_counters`]. Instrumentation only
-//! records — routed output is bitwise-identical with recording on or off.
+//! `pipeline.routing`, …) nested under a `pipeline.run` root. Instrumentation
+//! only records — routed output is bitwise-identical with recording on or off.
 
 use crate::layout::{LayoutError, LayoutStrategy};
 use crate::routing::{route_with_cache, RoutedCircuit, RouterConfig, RoutingCache};
@@ -183,14 +181,10 @@ impl Pipeline {
     ) -> Result<TranspileResult, TranspileError> {
         let basis = self.translation.resolve(native_basis);
         let _run_span = obs::span("pipeline.run");
-        // One flag read for the whole run: per-stage counter snapshots cost
-        // a registry copy each, so they are taken only while recording.
-        let recording = obs::is_enabled();
         let mut trace = PassTrace::default();
 
         // Stage 1 — layout: pick the initial logical→physical placement.
         let started = Instant::now();
-        let before = recording.then(obs::snapshot);
         let stage_span = obs::span("pipeline.layout");
         let layout = self.layout.try_compute(circuit, graph)?;
         drop(stage_span);
@@ -200,11 +194,9 @@ impl Pipeline {
             (circuit.len(), circuit.two_qubit_count()),
             (circuit.len(), circuit.two_qubit_count()),
         );
-        trace.capture_stage_counters("layout", before);
 
         // Stage 2 — routing: insert SWAPs until every 2Q gate is adjacent.
         let started = Instant::now();
-        let before = recording.then(obs::snapshot);
         let stage_span = obs::span("pipeline.routing");
         let routed = route_with_cache(circuit, graph, &layout, &self.router, cache);
         drop(stage_span);
@@ -214,12 +206,10 @@ impl Pipeline {
             (circuit.len(), circuit.two_qubit_count()),
             (routed.circuit.len(), routed.circuit.two_qubit_count()),
         );
-        trace.capture_stage_counters("routing", before);
 
         // Stage 3 — translation: rewrite into the native basis, if any.
         let translated = basis.map(|basis| {
             let started = Instant::now();
-            let before = recording.then(obs::snapshot);
             let stage_span = obs::span("pipeline.translation");
             let (translated, _) = translate_to_basis(&routed.circuit, basis);
             drop(stage_span);
@@ -229,7 +219,6 @@ impl Pipeline {
                 (routed.circuit.len(), routed.circuit.two_qubit_count()),
                 (translated.len(), translated.two_qubit_count()),
             );
-            trace.capture_stage_counters("translation", before);
             translated
         });
 
@@ -334,18 +323,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Translate into the device's native basis when it has one (default).
-    pub fn device_basis(mut self) -> Self {
-        self.translation = BasisChoice::Device;
-        self
-    }
-
-    /// Sets the translation stage explicitly.
-    pub fn translation(mut self, choice: BasisChoice) -> Self {
-        self.translation = choice;
-        self
-    }
-
     /// Finalizes the pipeline.
     pub fn build(self) -> Pipeline {
         Pipeline {
@@ -373,46 +350,15 @@ pub struct StageTrace {
     pub two_qubit_out: usize,
 }
 
-/// Counter deltas attributed to one pipeline stage, captured from the
-/// `snailqc-obs` registry while recording is enabled.
-///
-/// Counters are process-global, so when several pipelines run concurrently
-/// (batch mode, parallel sweeps) a stage's deltas include work other threads
-/// did in the same interval — read them as "what the process did during this
-/// stage", exact only for single-threaded runs.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
-pub struct StageCounters {
-    /// Stage name, matching [`StageTrace::stage`].
-    pub stage: &'static str,
-    /// `(counter name, increase during the stage)`, name-sorted; counters
-    /// that did not move are omitted.
-    pub counters: Vec<(String, u64)>,
-}
-
 /// Per-stage observability record of one pipeline run: which stages ran, how
 /// long each took, and how each changed the circuit's gate counts.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
 pub struct PassTrace {
     /// The stages that ran, in execution order.
     pub stages: Vec<StageTrace>,
-    /// Per-stage metric deltas; empty unless `snailqc-obs` recording was on
-    /// during the run (see [`StageCounters`]).
-    pub stage_counters: Vec<StageCounters>,
 }
 
 impl PassTrace {
-    fn capture_stage_counters(
-        &mut self,
-        stage: &'static str,
-        before: Option<obs::MetricsSnapshot>,
-    ) {
-        let Some(before) = before else { return };
-        let counters = obs::snapshot().counter_deltas_since(&before);
-        if !counters.is_empty() {
-            self.stage_counters.push(StageCounters { stage, counters });
-        }
-    }
-
     fn push(
         &mut self,
         stage: &'static str,
@@ -433,12 +379,6 @@ impl PassTrace {
     /// The trace of one stage by name, if it ran.
     pub fn stage(&self, name: &str) -> Option<&StageTrace> {
         self.stages.iter().find(|s| s.stage == name)
-    }
-
-    /// The captured counter deltas of one stage by name, if recording was
-    /// on and any counter moved during the stage.
-    pub fn stage_counter_deltas(&self, name: &str) -> Option<&StageCounters> {
-        self.stage_counters.iter().find(|s| s.stage == name)
     }
 
     /// Total wall time across all stages, in microseconds.

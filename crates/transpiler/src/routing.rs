@@ -29,11 +29,10 @@
 //!   routed circuit); candidate SWAPs are deduplicated with an edge-indexed
 //!   bitmap instead of a linear `Vec::contains`; and candidates are scored
 //!   through one scratch swap/unswap of the live layout instead of a
-//!   `Layout` clone per candidate. Adjacency tests on the blocked front use
-//!   a flat `n × n` boolean matrix up to `DENSE_ADJACENCY_MAX_BYTES` of
-//!   flags (the CSR binary search beyond it), and the trial loop reuses all
-//!   of its per-decision scratch buffers, so steady-state routing allocates
-//!   only the output circuit.
+//!   `Layout` clone per candidate. Adjacency tests on the blocked front are
+//!   [`CouplingGraph::has_edge`] binary searches over the graph's CSR rows,
+//!   and the trial loop reuses all of its per-decision scratch buffers, so
+//!   steady-state routing allocates only the output circuit.
 //! * **Parallel across trials**: the best-of-`trials` loop fans out with
 //!   rayon — each trial derives its own RNG seed from the trial index — and
 //!   the winner is selected by a deterministic trial-index-ordered
@@ -371,44 +370,6 @@ impl RoutingCache {
     }
 }
 
-/// Cap on the flat adjacency matrix: one byte per qubit pair, so 2 MiB
-/// covers devices up to ~1448 qubits. The matrix is the trial inner loop's
-/// hottest read; unlike the 8-byte `f64`/`usize` distance matrices this
-/// rework evicts, the bool matrix stays a small fraction of the kiloqubit
-/// memory ceiling (1 MiB at 1024 qubits).
-const DENSE_ADJACENCY_MAX_BYTES: usize = 2 << 20;
-
-/// Adjacency test for the trial inner loop: a flat boolean matrix wherever
-/// it stays under [`DENSE_ADJACENCY_MAX_BYTES`], the CSR binary search on
-/// anything larger. Both answer exactly [`CouplingGraph::has_edge`].
-enum Adjacency {
-    Dense { n: usize, flags: Vec<bool> },
-    Sparse,
-}
-
-impl Adjacency {
-    fn build(graph: &CouplingGraph) -> Self {
-        let n = graph.num_qubits();
-        if n.saturating_mul(n) > DENSE_ADJACENCY_MAX_BYTES {
-            return Self::Sparse;
-        }
-        let mut flags = vec![false; n * n];
-        for (a, b) in graph.edges() {
-            flags[a * n + b] = true;
-            flags[b * n + a] = true;
-        }
-        Self::Dense { n, flags }
-    }
-
-    #[inline]
-    fn test(&self, graph: &CouplingGraph, a: usize, b: usize) -> bool {
-        match self {
-            Self::Dense { n, flags } => flags[a * n + b],
-            Self::Sparse => graph.has_edge(a, b),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Layout-independent per-circuit state
 // ---------------------------------------------------------------------------
@@ -535,7 +496,6 @@ pub fn route_with_cache(
         }
     }
 
-    let adjacent = Adjacency::build(graph);
     let template = TrialTemplate::build(circuit);
     let shared = TrialShared {
         circuit,
@@ -543,7 +503,6 @@ pub fn route_with_cache(
         initial_layout,
         hops: &hops,
         weighted: weighted.as_deref(),
-        adjacent: &adjacent,
         noise: noise.as_ref(),
         config,
         template: &template,
@@ -655,7 +614,6 @@ struct TrialShared<'a> {
     hops: &'a HopMatrix,
     /// Weighted scoring rows — present exactly when `noise` is.
     weighted: Option<&'a WeightedRows>,
-    adjacent: &'a Adjacency,
     noise: Option<&'a NoiseContext>,
     config: &'a RouterConfig,
     template: &'a TrialTemplate,
@@ -670,7 +628,6 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
         initial_layout,
         hops,
         weighted,
-        adjacent,
         noise,
         config,
         template,
@@ -744,7 +701,7 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
                     _ => {
                         let a = layout.physical(inst.qubits[0]);
                         let b = layout.physical(inst.qubits[1]);
-                        adjacent.test(graph, a, b)
+                        graph.has_edge(a, b)
                     }
                 };
                 if executable {
@@ -958,7 +915,7 @@ mod tests {
         strategy: LayoutStrategy,
         seed: u64,
     ) -> RoutedCircuit {
-        let layout = strategy.compute(circuit, graph);
+        let layout = strategy.try_compute(circuit, graph).unwrap();
         route_with_cache(
             circuit,
             graph,
@@ -1095,7 +1052,7 @@ mod tests {
     fn more_trials_never_hurt() {
         let graph = builders::square_lattice(4, 4);
         let c = quantum_volume(16, 8, 9);
-        let layout = LayoutStrategy::Dense.compute(&c, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&c, &graph).unwrap();
         let one = route_with_cache(
             &c,
             &graph,
@@ -1149,7 +1106,7 @@ mod tests {
     fn cached_routing_is_bitwise_identical_to_uncached() {
         let graph = builders::calibrated(&builders::square_lattice(4, 4), 1e-3, 1.2, 17);
         let c = quantum_volume(12, 6, 8);
-        let layout = LayoutStrategy::Dense.compute(&c, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&c, &graph).unwrap();
         for config in [
             RouterConfig::default(),
             RouterConfig::noise_aware(1.0),
@@ -1180,7 +1137,7 @@ mod tests {
         // ordered reduction must make every repetition bitwise-identical.
         let graph = builders::square_lattice(4, 4);
         let c = quantum_volume(14, 7, 21);
-        let layout = LayoutStrategy::Dense.compute(&c, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&c, &graph).unwrap();
         for config in [
             RouterConfig {
                 trials: 6,

@@ -36,7 +36,7 @@ pub fn route_cell(name: &str, noise_aware: bool) -> RoutedCircuit {
         (graph, RouterConfig::default(), Workload::QuantumVolume)
     };
     let circuit = workload.generate(12, 7);
-    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     route_with_cache(&circuit, &graph, &layout, &config, &RoutingCache::new())
 }
 
@@ -48,7 +48,7 @@ pub fn route_cell(name: &str, noise_aware: bool) -> RoutedCircuit {
 pub fn basis_cell(name: &str, workload: Workload) -> BasisCounts {
     let graph = catalog::by_name(name).unwrap();
     let circuit = workload.generate(12, 7);
-    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let routed = route_with_cache(
         &circuit,
         &graph,
@@ -92,6 +92,17 @@ pub const FROZEN: [(&str, u64, u64); 16] = [
     ("hypercube-84", 0x90f181d77dbba17b, 0x2adc1268ae2e6a6d),
     ("tree-84", 0xeda4d456de0b192e, 0xfc59d67680a0b985),
     ("tree-rr-84", 0xe855985248f1c989, 0xad5871155722f50c),
+];
+
+/// `(graph name, GHZ width, digest)` of the kiloqubit cells: GHZ-600 on
+/// `builders::square_lattice(25, 25)` and GHZ-1000 on
+/// `builders::hypercube(10)`, each placed by `LayoutStrategy::Dense` and
+/// routed with `RouterConfig::default()` and a fresh cache. Frozen from the
+/// router that tested adjacency through a dense `n × n` flag matrix, so a
+/// change that shifts kiloqubit output consistently still fails.
+pub const KILOQUBIT: [(&str, usize, u64); 2] = [
+    ("square-lattice-25x25", 600, 0x16f5a38fa75e5693),
+    ("hypercube-10d", 1000, 0xce387c88d4c9422d),
 ];
 
 /// `(catalog name, workload, swap_count, swap_depth)` captured from the

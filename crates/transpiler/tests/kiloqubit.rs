@@ -1,5 +1,5 @@
-//! Kiloqubit-scale regression suite: digest stability on 625- and
-//! 1024-qubit devices (two runs, and across trial parallelism), plus the
+//! Kiloqubit-scale regression suite: frozen digests on 625- and 1024-qubit
+//! devices, their stability across runs and trial parallelism, plus the
 //! disconnected-device layout/routing semantics the compact-distance rework
 //! fixed.
 //!
@@ -10,16 +10,15 @@
 
 mod frozen;
 
-use frozen::digest;
+use frozen::{digest, KILOQUBIT};
 use snailqc_topology::{builders, CouplingGraph};
 use snailqc_transpiler::{
-    dense_layout, route_with_cache, try_dense_layout, LayoutStrategy, Pipeline, RoutedCircuit,
-    RouterConfig, RoutingCache,
+    route_with_cache, LayoutStrategy, Pipeline, RoutedCircuit, RouterConfig, RoutingCache,
 };
 
 fn route_kiloqubit(graph: &CouplingGraph, qubits: usize) -> RoutedCircuit {
     let circuit = snailqc_workloads::ghz(qubits);
-    let layout = dense_layout(&circuit, graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, graph).unwrap();
     route_with_cache(
         &circuit,
         graph,
@@ -40,7 +39,7 @@ fn kiloqubit_routes_are_stabilizer_verified() {
     ];
     for (graph, qubits) in &cells {
         let circuit = snailqc_workloads::ghz(*qubits);
-        let layout = dense_layout(&circuit, graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, graph).unwrap();
         let routed = route_with_cache(
             &circuit,
             graph,
@@ -53,17 +52,24 @@ fn kiloqubit_routes_are_stabilizer_verified() {
     }
 }
 
-/// Two independent runs on the same kiloqubit cell must agree bit for bit,
-/// and the digest must not depend on how many worker threads the trial
-/// fan-out uses (the `RAYON_NUM_THREADS` knob).
+/// Each kiloqubit cell routes to its frozen digest, so a router change that
+/// shifts output at this scale fails even when it does so consistently. Two
+/// independent runs must agree bit for bit, and the digest must not depend
+/// on how many worker threads the trial fan-out uses (the
+/// `RAYON_NUM_THREADS` knob).
 #[test]
 fn kiloqubit_digests_are_stable_across_runs_and_parallelism() {
     let cells = [
         (builders::square_lattice(25, 25), 600usize),
         (builders::hypercube(10), 1000),
     ];
-    for (graph, qubits) in &cells {
+    for ((graph, qubits), (name, frozen_qubits, frozen)) in cells.iter().zip(KILOQUBIT) {
+        assert_eq!((graph.name(), *qubits), (name, frozen_qubits));
         let first = digest(&route_kiloqubit(graph, *qubits));
+        assert_eq!(
+            first, frozen,
+            "{name}: digest {first:#018x} is not the frozen one"
+        );
         let second = digest(&route_kiloqubit(graph, *qubits));
         assert_eq!(first, second, "{}: rerun changed the digest", graph.name());
 
@@ -97,7 +103,9 @@ fn disconnected_device_routes_within_the_largest_component() {
     }
 
     let circuit = snailqc_workloads::ghz(10);
-    let layout = try_dense_layout(&circuit, &graph).expect("largest component fits 10 qubits");
+    let layout = LayoutStrategy::Dense
+        .try_compute(&circuit, &graph)
+        .expect("largest component fits 10 qubits");
     // Every occupied physical qubit lands in the 16-qubit grid component.
     for logical in 0..circuit.num_qubits() {
         assert!(layout.physical(logical) < 16, "layout strayed off the grid");
@@ -114,7 +122,9 @@ fn disconnected_device_routes_within_the_largest_component() {
     // Asking for more qubits than the largest component holds is an error
     // carrying the component geometry, not a panic or a bogus layout.
     let too_big = snailqc_workloads::ghz(20);
-    let err = try_dense_layout(&too_big, &graph).expect_err("20 > 16");
+    let err = LayoutStrategy::Dense
+        .try_compute(&too_big, &graph)
+        .expect_err("20 > 16");
     assert_eq!(err.requested, 20);
     assert_eq!(err.largest_component, 16);
     assert_eq!(err.components, 2);

@@ -17,9 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 /// state; the compact lazy `u16` rows keep the whole route comfortably
 /// under this bound, so a regression back to eagerly materialized all-pairs
 /// `f64` matrices fails. 8 MiB sits below even a single legacy 1024×1024
-/// `usize` matrix (8.4 MB) while leaving ~40% headroom over the ~6 MB peak
-/// measured at 1000 qubits (the dense bool adjacency matrix — 1 MB at 1024
-/// qubits — is deliberately part of that budget).
+/// `usize` matrix (8.4 MB) while leaving headroom over the ~4.9 MB peak
+/// measured at 1000 qubits.
 const KILOQUBIT_ROUTE_PEAK_CEILING_BYTES: usize = 8 << 20;
 
 /// Live/peak byte-counting wrapper around the system allocator. Tracking is
@@ -88,7 +87,7 @@ fn kiloqubit_routes_stay_under_the_peak_heap_ceiling() {
     for (file, qubits) in [("grid_625.json", 625), ("hypercube_1024.json", 1000)] {
         let graph = shipped_device(file);
         let circuit = snailqc_workloads::ghz(qubits);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         // The routing cache is built inside the window: a cold route pays
         // for its own distance state, exactly as a first transpile does.
         let (peak, routed) = peak_alloc_during(|| {

@@ -33,7 +33,7 @@ fn disabled_span_and_counter_ops_stay_within_budget_on_the_84q_cell() {
     // site in the router inner loop and must record nothing.
     let graph = catalog::by_name("heavy-hex-84").unwrap();
     let circuit = Workload::QuantumVolume.generate(24, 11);
-    let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let routed = route_with_cache(
         &circuit,
         &graph,

@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn routing_preserves_gate_multiset(circuit in arb_circuit(8, 30), dev in 0usize..5, seed in 0u64..500) {
         let graph = device(dev);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         // Every non-SWAP gate of the output corresponds 1:1 to an input gate.
         // The router may interleave gates on independent qubits (a legal
@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn routed_two_qubit_gates_respect_the_device(circuit in arb_circuit(8, 30), dev in 0usize..5, seed in 0u64..500) {
         let graph = device(dev);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         for inst in routed.circuit.instructions() {
             if inst.is_two_qubit() {
@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn final_layout_is_always_a_valid_injection(circuit in arb_circuit(8, 25), dev in 0usize..5, seed in 0u64..500) {
         let graph = device(dev);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let mut seen = std::collections::HashSet::new();
         for l in 0..circuit.num_qubits() {
@@ -142,7 +142,7 @@ proptest! {
     #[test]
     fn dense_layout_is_injective_on_any_device(circuit in arb_circuit(8, 20), dev in 0usize..5) {
         let graph = device(dev);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let mut seen = std::collections::HashSet::new();
         for q in 0..circuit.num_qubits() {
             prop_assert!(seen.insert(layout.physical(q)));
@@ -152,7 +152,7 @@ proptest! {
     #[test]
     fn complete_device_is_always_swap_free(circuit in arb_circuit(8, 30), seed in 0u64..200) {
         let graph = builders::complete(8);
-        let layout = LayoutStrategy::Trivial.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Trivial.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         prop_assert_eq!(routed.swap_count, 0);
     }
@@ -166,7 +166,7 @@ proptest! {
         error_weight in 0.0f64..3.0,
     ) {
         let graph = builders::calibrated(&device(dev), 1e-3, spread, seed ^ 0xA5A5);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let config = RouterConfig {
             trials: 1,
             seed,
@@ -207,7 +207,7 @@ proptest! {
         let base = if dev == 0 { builders::hypercube(3) } else { builders::ring(8) };
         prop_assert_eq!(base.num_qubits(), n);
         let graph = builders::calibrated(&base, 1e-3, 1.5, seed);
-        let layout = LayoutStrategy::Trivial.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Trivial.try_compute(&circuit, &graph).unwrap();
         let config = RouterConfig {
             trials: 1,
             seed,
@@ -244,7 +244,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let graph = device(dev);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let verdict = snailqc_sim::verify_equivalent(&circuit, &routed);
         if graph.num_qubits() <= snailqc_sim::DENSE_VERIFY_MAX_QUBITS || circuit.is_clifford() {
@@ -265,7 +265,7 @@ proptest! {
         let circuit = snailqc_workloads::random_clifford_circuit(8, gates, seed);
         prop_assert!(circuit.is_clifford());
         let graph = device(dev);
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(&circuit, &graph, &layout, &RouterConfig::deterministic(seed), &RoutingCache::new());
         let verdict = snailqc_sim::verify_equivalent(&circuit, &routed);
         prop_assert!(verdict.is_equivalent(), "dev={dev} seed={seed}: {verdict}");

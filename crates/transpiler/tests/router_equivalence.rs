@@ -95,7 +95,7 @@ fn clifford_qv_is_exactly_verified_on_the_large_devices() {
     let circuit = snailqc_workloads::clifford_qv(12, 7, 7);
     for name in ["heavy-hex-84", "hypercube-84", "tree-rr-84"] {
         let graph = catalog::by_name(name).unwrap();
-        let layout = LayoutStrategy::Dense.compute(&circuit, &graph);
+        let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
         let routed = route_with_cache(
             &circuit,
             &graph,

@@ -8,7 +8,7 @@
 
 use rayon::prelude::*;
 use snailqc_topology::{builders, catalog};
-use snailqc_transpiler::{dense_layout, route_with_cache, RouterConfig, RoutingCache};
+use snailqc_transpiler::{route_with_cache, LayoutStrategy, RouterConfig, RoutingCache};
 
 fn cache_counters() -> (u64, u64) {
     let snapshot = snailqc_obs::snapshot();
@@ -30,7 +30,7 @@ fn parallel_first_use_counts_exactly_one_miss_per_matrix() {
     let graph = catalog::by_name("heavy-hex-84").expect("catalog");
     let circuit = snailqc_workloads::ghz(10);
     let config = RouterConfig::default();
-    let layout = dense_layout(&circuit, &graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
     let cache = RoutingCache::new();
     let (hits_before, misses_before) = cache_counters();
     let routed: Vec<usize> = (0..CALLERS)
@@ -57,7 +57,7 @@ fn parallel_first_use_counts_exactly_one_miss_per_matrix() {
     // per call).
     let noisy = builders::calibrated(&graph, 1e-3, 1.5, 7);
     let config = RouterConfig::default().with_error_weight(1.0);
-    let layout = dense_layout(&circuit, &noisy);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &noisy).unwrap();
     let cache = RoutingCache::new();
     let (hits_before, misses_before) = cache_counters();
     let _: Vec<usize> = (0..CALLERS)

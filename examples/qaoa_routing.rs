@@ -36,7 +36,9 @@ fn main() {
     let pipeline = Pipeline::default();
     let mut results: Vec<(String, usize, usize, usize)> = Vec::new();
     for device in &devices {
-        let result = device.transpile(&circuit, &pipeline);
+        let result = device
+            .try_transpile(&circuit, &pipeline)
+            .expect("every topology here is connected and holds 14 qubits");
         results.push((
             device.label().to_string(),
             result.report.swap_count,

@@ -29,8 +29,12 @@ fn main() {
     // 3. Run the paper's Fig.-10 staged pipeline on both; the translation
     //    stage picks each device's native gate automatically.
     let pipeline = Pipeline::default();
-    let snail = corral.transpile(&circuit, &pipeline);
-    let ibm = heavy_hex.transpile(&circuit, &pipeline);
+    let snail = corral
+        .try_transpile(&circuit, &pipeline)
+        .expect("QV-16 fits the 16-qubit Corral");
+    let ibm = heavy_hex
+        .try_transpile(&circuit, &pipeline)
+        .expect("QV-16 fits the 20-qubit heavy-hex");
 
     println!(
         "\n{:<28}{:>16}{:>16}",

@@ -441,13 +441,19 @@ fn transpile_one_file(
     // uniform device (or with zero weight) the noise-aware run is provably
     // identical to the noise-blind one, so reuse its report instead of
     // routing twice.
+    let blind_report = if device.error_model().is_none()
+        || error_weight == 0.0
+        || device.graph().edge_errors_uniform()
+    {
+        result.report
+    } else {
+        let blind = pipeline.to_builder().error_weight(0.0).build();
+        device
+            .try_transpile(&circuit, &blind)
+            .map_err(|e| format!("`{file}`: {e}"))?
+            .report
+    };
     let fidelity = device.error_model().map(|spec| {
-        let blind_report = if error_weight == 0.0 || device.graph().edge_errors_uniform() {
-            result.report
-        } else {
-            let blind = pipeline.to_builder().error_weight(0.0).build();
-            device.transpile(&circuit, &blind).report
-        };
         let estimate = |report: &TranspileReport| estimate_fidelity_edges(report, &spec.model);
         let uniform = match device.basis() {
             Some(_) => estimate_fidelity(&result.report, &spec.model),

@@ -43,12 +43,13 @@
 //!     .unwrap()
 //!     .with_basis(BasisGate::SqrtISwap);
 //! let pipeline = Pipeline::builder().seed(11).build();
-//! let snail = corral.transpile(&circuit, &pipeline).report;
+//! let snail = corral.try_transpile(&circuit, &pipeline).unwrap().report;
 //!
 //! // …versus the IBM-style baseline, built from the machine line-up.
 //! let ibm_machine = Machine::ibm_baseline(SizeClass::Small);
 //! let ibm = Device::from_machine(ibm_machine)
-//!     .transpile(&circuit, &pipeline)
+//!     .try_transpile(&circuit, &pipeline)
+//!     .unwrap()
 //!     .report;
 //!
 //! assert!(snail.swap_count <= ibm.swap_count);
@@ -81,6 +82,11 @@ pub use snailqc_topology as topology;
 pub use snailqc_transpiler as transpiler;
 pub use snailqc_workloads as workloads;
 
+/// Compiles and runs the Rust snippets of `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use snailqc_circuit::{Circuit, Gate};
@@ -103,7 +109,6 @@ pub mod prelude {
     pub use snailqc_topology::{CouplingGraph, TopologyKind};
     pub use snailqc_transpiler::{
         BasisChoice, EdgeErrorSource, LayoutStrategy, PassTrace, Pipeline, RouterConfig,
-        StageCounters,
     };
     pub use snailqc_workloads::Workload;
 }

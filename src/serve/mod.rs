@@ -481,7 +481,6 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
 
     let (report, routed_digest, basis_digest, qasm, cached) = if let Some(hit) = memory_cached {
         state.memory_hits.fetch_add(1, Ordering::SeqCst);
-        obs::counter_add("serve.cache.memory_hits", 1);
         (
             hit.report,
             Some(hit.routed_digest),
@@ -495,14 +494,12 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
         // here; resubmitting after this response stays a memory miss but
         // keeps replaying the store.
         state.store_replayed.fetch_add(1, Ordering::SeqCst);
-        obs::counter_add("serve.cache.store_replayed", 1);
         (report, None, None, None, "store")
     } else {
         let circuit = match parse_source(&spec.source, &spec.device) {
             Ok(circuit) => circuit,
             Err(message) => {
                 state.failed.fetch_add(1, Ordering::SeqCst);
-                obs::counter_add("serve.requests.failed", 1);
                 return error_response(&job.id, "transpile_failed", &message);
             }
         };
@@ -510,7 +507,6 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
             Ok(result) => result,
             Err(e) => {
                 state.failed.fetch_add(1, Ordering::SeqCst);
-                obs::counter_add("serve.requests.failed", 1);
                 return error_response(&job.id, "transpile_failed", &e.to_string());
             }
         };
@@ -557,7 +553,6 @@ fn handle_transpile(state: &ServerState, job: &Job) -> String {
     let micros = started.elapsed().as_micros() as u64;
     obs::histogram_record("serve.request_micros", micros);
     state.completed.fetch_add(1, Ordering::SeqCst);
-    obs::counter_add("serve.requests.completed", 1);
     let opt_string = |v: Option<String>| v.map(Value::String).unwrap_or(Value::Null);
     ok_response(
         &job.id,
@@ -590,7 +585,6 @@ fn handle_line(state: &Arc<ServerState>, line: &str, reply: &Sender<String>) {
         }
     };
     state.received.fetch_add(1, Ordering::SeqCst);
-    obs::counter_add("serve.requests.received", 1);
     let Request { id, method, params } = request;
     match method.as_str() {
         "ping" => {
@@ -629,7 +623,6 @@ fn handle_line(state: &Arc<ServerState>, line: &str, reply: &Sender<String>) {
                 if let Err((job, code)) = state.try_enqueue(job) {
                     if code == "busy" {
                         state.busy_rejected.fetch_add(1, Ordering::SeqCst);
-                        obs::counter_add("serve.requests.busy_rejected", 1);
                     }
                     let _ = reply.send(error_response(
                         &job.id,

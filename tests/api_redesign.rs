@@ -43,7 +43,9 @@ fn device_pipeline_matches_the_bare_graph_pipeline_on_every_catalog_topology() {
             if let Some(basis) = basis {
                 device = device.with_basis(basis);
             }
-            let staged = device.transpile(&circuit, &Pipeline::builder().seed(19).build());
+            let staged = device
+                .try_transpile(&circuit, &Pipeline::builder().seed(19).build())
+                .unwrap();
 
             assert_eq!(
                 bare.report, staged.report,
@@ -106,7 +108,9 @@ fn pass_trace_orders_stages_and_reconciles_with_the_report() {
     let device = Device::from_catalog("tree-20")
         .unwrap()
         .with_basis(BasisGate::SqrtISwap);
-    let result = device.transpile(&circuit, &Pipeline::default());
+    let result = device
+        .try_transpile(&circuit, &Pipeline::default())
+        .unwrap();
     let names: Vec<&str> = result.trace.stages.iter().map(|s| s.stage).collect();
     assert_eq!(names, ["layout", "routing", "translation", "analysis"]);
     assert_eq!(result.trace.swaps_inserted(), result.report.swap_count);

@@ -108,7 +108,7 @@ fn ion_trap_routing_is_a_no_op() {
     let device = Device::from_spec_file(devices_dir().join("ion_trap_32.json")).unwrap();
     let circuit = snailqc::workloads::Workload::QuantumVolume.generate(12, 7);
     let pipeline = snailqc::transpiler::Pipeline::builder().seed(11).build();
-    let result = device.transpile(&circuit, &pipeline);
+    let result = device.try_transpile(&circuit, &pipeline).unwrap();
     assert_eq!(
         result.report.swap_count, 0,
         "all-to-all connectivity needs no SWAPs"

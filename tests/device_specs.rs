@@ -36,7 +36,7 @@ fn route_on(graph: &CouplingGraph, noise_aware: bool) -> RoutedCircuit {
         (RouterConfig::default(), Workload::QuantumVolume)
     };
     let circuit = workload.generate(12, 7);
-    let layout = LayoutStrategy::Dense.compute(&circuit, graph);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, graph).unwrap();
     route_with_cache(&circuit, graph, &layout, &config, &RoutingCache::new())
 }
 

@@ -112,7 +112,7 @@ fn stabilizer_tableau_agrees_with_the_dense_state() {
 }
 
 fn route_dense(circuit: &Circuit, graph: &CouplingGraph, config: &RouterConfig) -> RoutedCircuit {
-    let layout = LayoutStrategy::Dense.compute(circuit, graph);
+    let layout = LayoutStrategy::Dense.try_compute(circuit, graph).unwrap();
     route_with_cache(circuit, graph, &layout, config, &RoutingCache::new())
 }
 

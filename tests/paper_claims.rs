@@ -32,13 +32,16 @@ fn observation2_connectivity_reduces_swaps_at_scale() {
     let circuit = Workload::QaoaVanilla.generate(40, 8);
     let pipeline = Pipeline::default();
     let heavy = Device::from(catalog::heavy_hex_84())
-        .transpile(&circuit, &pipeline)
+        .try_transpile(&circuit, &pipeline)
+        .unwrap()
         .report;
     let square = Device::from(catalog::square_lattice_84())
-        .transpile(&circuit, &pipeline)
+        .try_transpile(&circuit, &pipeline)
+        .unwrap()
         .report;
     let hyper = Device::from(catalog::hypercube_84())
-        .transpile(&circuit, &pipeline)
+        .try_transpile(&circuit, &pipeline)
+        .unwrap()
         .report;
     assert!(square.swap_count < heavy.swap_count);
     assert!(hyper.swap_count < square.swap_count);
@@ -82,10 +85,12 @@ fn tree_beats_heavy_hex_on_ghz_but_not_necessarily_on_qft() {
     let ghz = Workload::Ghz.generate(60, 2);
     let pipeline = Pipeline::default();
     let tree = Device::from(catalog::tree_84())
-        .transpile(&ghz, &pipeline)
+        .try_transpile(&ghz, &pipeline)
+        .unwrap()
         .report;
     let heavy = Device::from(catalog::heavy_hex_84())
-        .transpile(&ghz, &pipeline)
+        .try_transpile(&ghz, &pipeline)
+        .unwrap()
         .report;
     assert!(tree.swap_count < heavy.swap_count);
 }

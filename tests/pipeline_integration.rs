@@ -16,7 +16,7 @@ fn every_workload_transpiles_onto_every_small_machine() {
     for workload in Workload::all() {
         let circuit = workload.generate(10, 11);
         for device in &devices {
-            let result = device.transpile(&circuit, &pipeline);
+            let result = device.try_transpile(&circuit, &pipeline).unwrap();
             let r = result.report;
             assert_eq!(
                 r.routed_two_qubit_gates,
@@ -54,7 +54,9 @@ fn routed_ghz_still_prepares_a_ghz_state() {
     let n = 16;
     let circuit = Workload::Ghz.generate(n, 1);
     let device = Device::from_catalog("hypercube-16").unwrap();
-    let result = device.transpile(&circuit, &Pipeline::default());
+    let result = device
+        .try_transpile(&circuit, &Pipeline::default())
+        .unwrap();
     let sv = simulate(&result.routed.circuit);
     // Map physical back to logical and check the two GHZ amplitudes.
     let perm: Vec<usize> = (0..n)
@@ -72,13 +74,14 @@ fn richer_snail_topologies_dominate_heavy_hex_on_qft() {
     let heavy = Device::from_catalog("heavy-hex-20")
         .unwrap()
         .with_basis(BasisGate::Cnot)
-        .transpile(&circuit, &pipeline)
+        .try_transpile(&circuit, &pipeline)
+        .unwrap()
         .report;
     for name in ["tree-20", "corral12-16", "hypercube-16"] {
         let device = Device::from_catalog(name)
             .unwrap()
             .with_basis(BasisGate::SqrtISwap);
-        let snail = device.transpile(&circuit, &pipeline).report;
+        let snail = device.try_transpile(&circuit, &pipeline).unwrap().report;
         assert!(
             snail.swap_count < heavy.swap_count,
             "{}: {} vs heavy-hex {}",
@@ -106,13 +109,13 @@ fn corral_needs_almost_no_swaps_for_small_circuits() {
     let heavy = Device::from_catalog("heavy-hex-20").unwrap();
     let pipeline = Pipeline::default();
     let four = Workload::QuantumVolume.generate(4, 9);
-    let report = corral.transpile(&four, &pipeline).report;
+    let report = corral.try_transpile(&four, &pipeline).unwrap().report;
     assert_eq!(report.swap_count, 0, "4-qubit QV should map SWAP-free");
 
     for size in [6, 8] {
         let circuit = Workload::QuantumVolume.generate(size, 9);
-        let on_corral = corral.transpile(&circuit, &pipeline).report;
-        let on_heavy = heavy.transpile(&circuit, &pipeline).report;
+        let on_corral = corral.try_transpile(&circuit, &pipeline).unwrap().report;
+        let on_heavy = heavy.try_transpile(&circuit, &pipeline).unwrap().report;
         assert!(
             2 * on_corral.swap_count <= on_heavy.swap_count.max(1),
             "size {size}: corral {} vs heavy-hex {}",
@@ -143,7 +146,7 @@ fn noise_aware_routing_beats_noise_blind_on_a_degraded_corral() {
         let circuit = workload.generate(12, seed);
         let run = |error_weight: f64| {
             let pipeline = Pipeline::builder().error_weight(error_weight).build();
-            device.transpile(&circuit, &pipeline).report
+            device.try_transpile(&circuit, &pipeline).unwrap().report
         };
         let blind = estimate_fidelity_edges(&run(0.0), &model);
         let aware = estimate_fidelity_edges(&run(1.0), &model);
@@ -167,7 +170,8 @@ fn basis_choice_does_not_change_routing() {
     for basis in BasisGate::all() {
         let pipeline = Pipeline::builder().translate_to(basis).build();
         let report = Device::from(graph.clone())
-            .transpile(&circuit, &pipeline)
+            .try_transpile(&circuit, &pipeline)
+            .unwrap()
             .report;
         counts.push(report.swap_count);
     }

@@ -92,7 +92,7 @@ proptest! {
         let device = Device::from_catalog("corral11-16")
             .unwrap()
             .with_basis(BasisGate::SqrtISwap);
-        let result = device.transpile(&c, &Pipeline::builder().seed(5).build());
+        let result = device.try_transpile(&c, &Pipeline::builder().seed(5).build()).unwrap();
         let translated = result.translated.as_ref().unwrap();
         let back = qasm::parse_circuit(&qasm::emit(translated)).unwrap();
         prop_assert_eq!(&back, translated);
@@ -171,7 +171,9 @@ fn reimported_circuits_route_and_verify_across_dialects() {
             let direct = workload.generate(size, 11);
             let text = workload.emit_qasm_versioned(size, 11, version);
             let reimported = qasm::parse_any(&text).unwrap().circuit;
-            let layout = LayoutStrategy::Dense.compute(&reimported, &graph);
+            let layout = LayoutStrategy::Dense
+                .try_compute(&reimported, &graph)
+                .unwrap();
             let routed = route_with_cache(
                 &reimported,
                 &graph,
@@ -202,7 +204,9 @@ fn large_clifford_interchange_is_stabilizer_verified() {
         let text = emit_qasm_versioned(&direct, version);
         let reimported = qasm::parse_any(&text).unwrap().circuit;
         assert_eq!(reimported, direct, "{version}: interchange drifted");
-        let layout = LayoutStrategy::Dense.compute(&reimported, &graph);
+        let layout = LayoutStrategy::Dense
+            .try_compute(&reimported, &graph)
+            .unwrap();
         let routed = route_with_cache(
             &reimported,
             &graph,
