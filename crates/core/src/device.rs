@@ -52,14 +52,13 @@ pub struct Device {
     graph: CouplingGraph,
     basis: Option<BasisGate>,
     error_model: Option<ErrorModelSpec>,
-    machine: Option<Machine>,
     /// Lazily filled distance matrices keyed to `graph`; rebuilt whenever
     /// the graph's noise changes ([`Device::with_error_model`]).
     routing_cache: Arc<RoutingCache>,
 }
 
 /// Cache-blind equality: two devices are equal when their observable state
-/// (label, graph, basis, error model, machine) agrees, regardless of which
+/// (label, graph, basis, error model) agrees, regardless of which
 /// distance matrices each has materialized so far.
 impl PartialEq for Device {
     fn eq(&self, other: &Self) -> bool {
@@ -67,7 +66,6 @@ impl PartialEq for Device {
             && self.graph == other.graph
             && self.basis == other.basis
             && self.error_model == other.error_model
-            && self.machine == other.machine
     }
 }
 
@@ -80,23 +78,17 @@ impl Device {
             graph,
             basis: None,
             error_model: None,
-            machine: None,
             routing_cache: Arc::new(RoutingCache::new()),
         }
     }
 
-    /// Builds the device described by a [`Machine`]: the machine's coupling
-    /// graph paired with its native basis gate, labelled like the paper's
-    /// figure legends (e.g. `Heavy-Hex-CX`).
+    /// Builds the device a [`Machine`] names: its catalog graph with its
+    /// native basis gate, labelled like the paper's figure legends (e.g.
+    /// `Heavy-Hex-CX`).
     pub fn from_machine(machine: Machine) -> Self {
-        Self {
-            label: machine.label(),
-            graph: machine.graph(),
-            basis: Some(machine.basis),
-            error_model: None,
-            machine: Some(machine),
-            routing_cache: Arc::new(RoutingCache::new()),
-        }
+        Self::from_graph(machine.graph())
+            .with_basis(machine.basis)
+            .with_label(machine.label())
     }
 
     /// Builds a device from the topology catalog by name (forgiving
@@ -213,12 +205,6 @@ impl Device {
         self.error_model.as_ref()
     }
 
-    /// The [`Machine`] this device was built from, when it came from
-    /// [`Device::from_machine`].
-    pub fn machine(&self) -> Option<Machine> {
-        self.machine
-    }
-
     /// Number of physical qubits.
     pub fn num_qubits(&self) -> usize {
         self.graph.num_qubits()
@@ -279,22 +265,14 @@ impl From<CouplingGraph> for Device {
     }
 }
 
-impl From<Machine> for Device {
-    fn from(machine: Machine) -> Self {
-        Self::from_machine(machine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SizeClass;
 
     #[test]
     fn from_machine_round_trips() {
         for machine in Machine::figure13_lineup() {
             let device = Device::from_machine(machine);
-            assert_eq!(device.machine(), Some(machine));
             assert_eq!(device.basis(), Some(machine.basis));
             assert_eq!(device.label(), machine.label());
             assert_eq!(device.graph(), &machine.graph());
@@ -328,7 +306,7 @@ mod tests {
     #[test]
     fn transpile_uses_the_native_basis_by_default() {
         let circuit = snailqc_workloads::qft(8, true);
-        let device = Device::from_machine(Machine::ibm_baseline(SizeClass::Small));
+        let device = Device::from_machine(Machine::figure13_lineup()[0]);
         let result = device
             .try_transpile(&circuit, &Pipeline::default())
             .unwrap();

@@ -80,40 +80,24 @@ pub struct FidelityEstimate {
     pub edge_aware: bool,
 }
 
-/// Estimates the end-to-end fidelity of a transpiled circuit.
-///
-/// # Panics
-/// Panics if the report was produced without basis translation (the pulse
-/// counts would be meaningless).
+/// Estimates the end-to-end fidelity of a transpiled circuit at the
+/// report's granularity: basis-gate pulses when it was basis-translated,
+/// otherwise routed two-qubit gates, each a unit-length pulse.
 pub fn estimate_fidelity(report: &TranspileReport, model: &ErrorModel) -> FidelityEstimate {
-    let basis = report
-        .basis
-        .expect("fidelity estimation needs a basis-translated report");
-    let gate_count = report.basis_gate_count;
-    let pulse_duration = report.basis_gate_depth as f64 * basis.pulse_fraction();
+    let (gate_count, pulse_duration) = match report.basis {
+        Some(basis) => (
+            report.basis_gate_count,
+            report.basis_gate_depth as f64 * basis.pulse_fraction(),
+        ),
+        None => (
+            report.routed_two_qubit_gates,
+            report.routed_two_qubit_depth as f64,
+        ),
+    };
     let control_fidelity = (1.0 - model.per_gate_infidelity).powi(gate_count as i32);
     let decoherence_fidelity = (1.0 - model.per_pulse_time_infidelity).powf(pulse_duration);
     FidelityEstimate {
-        basis: Some(basis),
-        gate_count,
-        pulse_duration,
-        control_fidelity,
-        decoherence_fidelity,
-        total_fidelity: control_fidelity * decoherence_fidelity,
-        edge_aware: false,
-    }
-}
-
-/// Estimates fidelity at routing granularity (each routed two-qubit gate is
-/// one unit-length pulse), so circuits transpiled without basis translation
-/// still get an estimate.
-pub fn estimate_fidelity_routed(report: &TranspileReport, model: &ErrorModel) -> FidelityEstimate {
-    let gate_count = report.routed_two_qubit_gates;
-    let pulse_duration = report.routed_two_qubit_depth as f64;
-    let control_fidelity = (1.0 - model.per_gate_infidelity).powi(gate_count as i32);
-    let decoherence_fidelity = (1.0 - model.per_pulse_time_infidelity).powf(pulse_duration);
-    FidelityEstimate {
-        basis: None,
+        basis: report.basis,
         gate_count,
         pulse_duration,
         control_fidelity,
@@ -157,21 +141,6 @@ pub fn estimate_fidelity_edges(report: &TranspileReport, model: &ErrorModel) -> 
         total_fidelity: control_fidelity * decoherence_fidelity,
         edge_aware: true,
     }
-}
-
-/// Compares two machines on the same workload: returns
-/// `(proposed_estimate, baseline_estimate, advantage)` where `advantage` is
-/// the ratio of total infidelities (baseline / proposed; > 1 favors the
-/// proposed machine).
-pub fn fidelity_advantage(
-    proposed: &TranspileReport,
-    baseline: &TranspileReport,
-    model: &ErrorModel,
-) -> (FidelityEstimate, FidelityEstimate, f64) {
-    let p = estimate_fidelity(proposed, model);
-    let b = estimate_fidelity(baseline, model);
-    let advantage = (1.0 - b.total_fidelity) / (1.0 - p.total_fidelity).max(f64::MIN_POSITIVE);
-    (p, b, advantage)
 }
 
 #[cfg(test)]
@@ -225,14 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn codesigned_machine_has_fidelity_advantage_over_baseline() {
-        let snail = report_for(BasisGate::SqrtISwap, &catalog::corral12_16());
-        let ibm = report_for(BasisGate::Cnot, &catalog::heavy_hex_20());
-        let (_, _, advantage) = fidelity_advantage(&snail, &ibm, &ErrorModel::default());
-        assert!(advantage > 1.0, "advantage = {advantage}");
-    }
-
-    #[test]
     fn pure_decoherence_model_ignores_gate_count() {
         let report = report_for(BasisGate::SqrtISwap, &catalog::tree_20());
         let est = estimate_fidelity(&report, &ErrorModel::decoherence_limited(1e-2));
@@ -241,26 +202,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a basis-translated report")]
-    fn rejects_reports_without_basis() {
-        let circuit = Workload::Ghz.generate(6, 1);
-        let report = Pipeline::default()
-            .run(&circuit, &catalog::tree_20(), None, &RoutingCache::new())
-            .unwrap()
-            .report;
-        estimate_fidelity(&report, &ErrorModel::default());
-    }
-
-    #[test]
-    fn routed_estimate_works_without_basis() {
+    fn routing_only_reports_are_estimated_at_routed_granularity() {
         let circuit = Workload::Qft.generate(8, 2);
         let report = Pipeline::default()
             .run(&circuit, &catalog::tree_20(), None, &RoutingCache::new())
             .unwrap()
             .report;
-        let est = estimate_fidelity_routed(&report, &ErrorModel::default());
+        let model = ErrorModel::default();
+        let est = estimate_fidelity(&report, &model);
         assert!(est.basis.is_none());
         assert_eq!(est.gate_count, report.routed_two_qubit_gates);
+        assert_eq!(est.pulse_duration, report.routed_two_qubit_depth as f64);
+        let control = (1.0 - model.per_gate_infidelity).powi(report.routed_two_qubit_gates as i32);
+        let decoherence =
+            (1.0 - model.per_pulse_time_infidelity).powf(report.routed_two_qubit_depth as f64);
+        assert_eq!(est.total_fidelity, control * decoherence);
         assert!((0.0..1.0).contains(&est.total_fidelity));
     }
 

@@ -11,11 +11,11 @@
 //!   critical-path SWAPs of Square-Lattice / Lattice+AltDiag / Hypercube.
 
 use crate::device::Device;
-use crate::machine::{Machine, SizeClass};
+use crate::machine::Machine;
+use crate::sweep::{run_sweep, SweepConfig};
 use serde::Serialize;
 use snailqc_decompose::BasisGate;
-use snailqc_topology::TopologyKind;
-use snailqc_transpiler::{LayoutStrategy, Pipeline, RouterConfig, TranspileReport};
+use snailqc_transpiler::TranspileReport;
 use snailqc_workloads::Workload;
 
 /// Ratios between a baseline machine and a proposed machine, averaged over a
@@ -70,26 +70,38 @@ impl HeadlineConfig {
     }
 }
 
-fn run_point(
-    machine: &Machine,
+/// Transpiles `workload` at every configured size onto every machine through
+/// [`run_sweep`] (dense layout; circuit seed `seed ^ size`, router seed
+/// `seed ^ size << 16`), returning one report per (size, machine), size-major.
+///
+/// # Panics
+/// Panics if a configured size exceeds a machine's qubit count, rather than
+/// letting the sweep skip that cell and misalign the pairs.
+fn run_machines(
+    machines: &[Machine],
     workload: Workload,
-    size: usize,
     config: &HeadlineConfig,
-) -> TranspileReport {
-    let device = Device::from_machine(*machine);
-    let circuit = workload.generate(size, config.seed ^ size as u64);
-    let pipeline = Pipeline::builder()
-        .layout(LayoutStrategy::Dense)
-        .router(RouterConfig {
-            trials: config.routing_trials,
-            seed: config.seed ^ (size as u64) << 16,
-            ..RouterConfig::default()
-        })
-        .build();
-    device
-        .try_transpile(&circuit, &pipeline)
-        .expect("headline sizes fit both machines, which are connected")
-        .report
+) -> Vec<TranspileReport> {
+    let devices: Vec<Device> = machines.iter().copied().map(Device::from_machine).collect();
+    let sweep = SweepConfig {
+        workloads: vec![workload],
+        sizes: config.sizes.clone(),
+        routing_trials: config.routing_trials,
+        error_weight: 0.0,
+        seed: config.seed,
+    };
+    let points = run_sweep(&devices, &sweep);
+    assert_eq!(
+        points.len(),
+        config.sizes.len() * devices.len(),
+        "headline sizes {:?} must fit every machine",
+        config.sizes
+    );
+    points.into_iter().map(|p| p.report).collect()
+}
+
+fn machine(name: &str, basis: BasisGate) -> Machine {
+    Machine::new(name, basis).expect("headline machines are catalog instances")
 }
 
 /// Computes the headline ratios between two machines on a workload sweep.
@@ -106,9 +118,8 @@ pub fn headline_ratios(
     let mut crit_swap = Vec::new();
     let mut total_2q = Vec::new();
     let mut crit_2q = Vec::new();
-    for &size in &config.sizes {
-        let base = run_point(&baseline, workload, size, config);
-        let prop = run_point(&proposed, workload, size, config);
+    for pair in run_machines(&[baseline, proposed], workload, config).chunks(2) {
+        let (base, prop) = (&pair[0], &pair[1]);
         let ratio = |a: usize, b: usize| {
             if b == 0 {
                 f64::NAN
@@ -142,14 +153,13 @@ pub fn headline_ratios(
 
 /// The paper's headline: hypercube + √iSWAP versus heavy-hex + CNOT on
 /// Quantum Volume circuits.
+///
+/// # Panics
+/// Panics if a configured size exceeds 84 qubits.
 pub fn quantum_volume_headline(config: &HeadlineConfig) -> HeadlineRatios {
     headline_ratios(
-        Machine::ibm_baseline(SizeClass::Large),
-        Machine::new(
-            TopologyKind::Hypercube,
-            BasisGate::SqrtISwap,
-            SizeClass::Large,
-        ),
+        machine("heavy-hex-84", BasisGate::Cnot),
+        machine("hypercube-84", BasisGate::SqrtISwap),
         Workload::QuantumVolume,
         config,
     )
@@ -159,34 +169,24 @@ pub fn quantum_volume_headline(config: &HeadlineConfig) -> HeadlineRatios {
 /// reductions on 80-qubit Quantum Volume. Returns
 /// `(heavy_hex_to_tree, tree_to_hypercube)` as fractional reductions in
 /// `(total swaps, critical-path swaps)`.
+///
+/// # Panics
+/// Panics if `config.sizes` is empty or its largest size exceeds 84 qubits.
 pub fn tree_progression(config: &HeadlineConfig) -> ((f64, f64), (f64, f64)) {
     let size = *config.sizes.iter().max().expect("non-empty sizes");
     let single = HeadlineConfig {
         sizes: vec![size],
         ..config.clone()
     };
-    let heavy = run_point(
-        &Machine::ibm_baseline(SizeClass::Large),
-        Workload::QuantumVolume,
-        size,
-        &single,
-    );
-    let tree = run_point(
-        &Machine::new(TopologyKind::Tree, BasisGate::SqrtISwap, SizeClass::Large),
-        Workload::QuantumVolume,
-        size,
-        &single,
-    );
-    let hyper = run_point(
-        &Machine::new(
-            TopologyKind::Hypercube,
-            BasisGate::SqrtISwap,
-            SizeClass::Large,
-        ),
-        Workload::QuantumVolume,
-        size,
-        &single,
-    );
+    let machines = [
+        machine("heavy-hex-84", BasisGate::Cnot),
+        machine("tree-84", BasisGate::SqrtISwap),
+        machine("hypercube-84", BasisGate::SqrtISwap),
+    ];
+    let [heavy, tree, hyper]: [TranspileReport; 3] =
+        run_machines(&machines, Workload::QuantumVolume, &single)
+            .try_into()
+            .expect("one report per machine");
     let reduction = |from: usize, to: usize| 1.0 - to as f64 / from as f64;
     (
         (
@@ -236,6 +236,15 @@ mod tests {
         let r = quantum_volume_headline(&HeadlineConfig::smoke());
         assert_eq!(r.baseline, "Heavy-Hex-CX");
         assert_eq!(r.proposed, "Hypercube-sqrt-iSWAP");
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit every machine")]
+    fn sizes_that_do_not_fit_panic_instead_of_misaligning_pairs() {
+        quantum_volume_headline(&HeadlineConfig {
+            sizes: vec![90],
+            ..HeadlineConfig::smoke()
+        });
     }
 
     #[test]

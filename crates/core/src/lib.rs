@@ -12,8 +12,8 @@
 //!   [`Device::with_basis`]. [`Device::try_transpile`] runs a staged
 //!   [`Pipeline`](snailqc_transpiler::Pipeline) whose translation stage
 //!   defaults to the device's native gate.
-//! * [`machine::Machine`] — a (topology, basis gate) pairing. Pre-built
-//!   line-ups reproduce the machines compared in Figs. 13 and 14
+//! * [`machine::Machine`] — a catalog topology name paired with a basis
+//!   gate. Its two line-ups are the machines compared in Figs. 13 and 14
 //!   (Heavy-Hex/CNOT, Square-Lattice/SYC, and the SNAIL machines with
 //!   √iSWAP on Tree, Tree-RR, Corral and Hypercube).
 //!
@@ -37,13 +37,14 @@
 //!
 //! ```
 //! use snailqc_core::device::Device;
-//! use snailqc_core::machine::{Machine, SizeClass};
+//! use snailqc_core::machine::Machine;
 //! use snailqc_core::sweep::{run_sweep, SweepConfig};
+//! use snailqc_decompose::BasisGate;
 //! use snailqc_workloads::Workload;
 //!
 //! let devices = [
-//!     Device::from_machine(Machine::ibm_baseline(SizeClass::Small)),
-//!     Device::from_machine(Machine::snail_machines(SizeClass::Small)[0]),
+//!     Device::from_machine(Machine::new("heavy-hex-20", BasisGate::Cnot).unwrap()),
+//!     Device::from_machine(Machine::new("tree-20", BasisGate::SqrtISwap).unwrap()),
 //! ];
 //! let config = SweepConfig {
 //!     workloads: vec![Workload::Ghz],
@@ -74,12 +75,9 @@ pub mod store;
 pub mod sweep;
 
 pub use device::Device;
-pub use fidelity::{
-    estimate_fidelity, estimate_fidelity_edges, estimate_fidelity_routed, ErrorModel,
-    FidelityEstimate,
-};
+pub use fidelity::{estimate_fidelity, estimate_fidelity_edges, ErrorModel, FidelityEstimate};
 pub use headline::{headline_ratios, quantum_volume_headline, HeadlineConfig, HeadlineRatios};
-pub use machine::{Machine, SizeClass};
+pub use machine::Machine;
 pub use noise::{EdgeNoise, ErrorModelSpec};
 pub use registry::{DeviceRegistry, DeviceSource, LocatedDevice, RegistryEntry, DEVICE_PATH_ENV};
 pub use store::SweepStore;

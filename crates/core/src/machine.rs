@@ -4,106 +4,85 @@
 //! both are set by the modulator: the CR modulator gives CNOT on sparse
 //! heavy-hex lattices, the FSIM coupler gives SYC on square lattices, and the
 //! SNAIL gives `√iSWAP` on trees and corrals. A [`Machine`] bundles one such
-//! pairing plus the device size class.
+//! pairing: a topology named in the catalog plus its native basis gate.
 
 use serde::Serialize;
 use snailqc_decompose::BasisGate;
-use snailqc_topology::{CouplingGraph, TopologyKind};
+use snailqc_topology::{catalog, CouplingGraph};
 
-/// Device size class used in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub enum SizeClass {
-    /// The 16–20 qubit prototypes of Table 1.
-    Small,
-    /// The 84-qubit extrapolations of Table 2.
-    Large,
-}
-
-/// A co-designed machine: a topology paired with its native basis gate.
+/// A co-designed machine: a catalog topology paired with its native basis
+/// gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Machine {
-    /// Coupling topology family.
-    pub topology: TopologyKind,
+    /// Canonical catalog name (one of [`catalog::names`]), e.g. `tree-84`.
+    name: &'static str,
     /// Native two-qubit basis gate.
     pub basis: BasisGate,
-    /// Device size class.
-    pub size: SizeClass,
 }
 
 impl Machine {
-    /// Creates a machine description.
-    pub fn new(topology: TopologyKind, basis: BasisGate, size: SizeClass) -> Self {
-        Self {
-            topology,
-            basis,
-            size,
-        }
+    /// Pairs the catalog topology `name` (matched as forgivingly as
+    /// [`catalog::by_name`]) with `basis`. Errors on unknown names.
+    pub fn new(name: &str, basis: BasisGate) -> Result<Self, String> {
+        let name = catalog::canonical_name(name).ok_or_else(|| {
+            format!(
+                "unknown topology `{name}`; available: {}",
+                catalog::names().join(", ")
+            )
+        })?;
+        Ok(Self { name, basis })
     }
 
     /// Builds the machine's coupling graph.
     pub fn graph(&self) -> CouplingGraph {
-        match self.size {
-            SizeClass::Small => self.topology.build_small(),
-            SizeClass::Large => self.topology.build_large(),
-        }
+        catalog::by_name(self.name).expect("machine names are canonical catalog names")
     }
 
-    /// Figure-legend style label, e.g. `Tree-sqrt-iSWAP` or `Heavy-Hex-CX`.
+    /// Figure-legend style label, e.g. `Tree-sqrt-iSWAP` or `Heavy-Hex-CX`:
+    /// the graph name without its `-<qubits>` suffix, then the basis label.
     pub fn label(&self) -> String {
-        format!("{}-{}", self.topology.label(), self.basis.label())
+        let graph = self.graph();
+        let family = graph
+            .name()
+            .rsplit_once('-')
+            .map_or(graph.name(), |(family, _)| family);
+        format!("{family}-{}", self.basis.label())
     }
 
-    /// The IBM-style baseline: CR modulator ⇒ CNOT on heavy-hex.
-    pub fn ibm_baseline(size: SizeClass) -> Self {
-        Self::new(TopologyKind::HeavyHex, BasisGate::Cnot, size)
-    }
-
-    /// The Google-style baseline: FSIM coupler ⇒ SYC on a square lattice.
-    pub fn google_baseline(size: SizeClass) -> Self {
-        Self::new(TopologyKind::SquareLattice, BasisGate::Syc, size)
-    }
-
-    /// The paper's proposed SNAIL machines (√iSWAP on Tree, Tree-RR and, at
-    /// small scale, the Corrals; the hypercube stands in at 84 qubits).
-    pub fn snail_machines(size: SizeClass) -> Vec<Self> {
-        let mut machines = vec![
-            Self::new(TopologyKind::Tree, BasisGate::SqrtISwap, size),
-            Self::new(TopologyKind::TreeRoundRobin, BasisGate::SqrtISwap, size),
-            Self::new(TopologyKind::Hypercube, BasisGate::SqrtISwap, size),
-        ];
-        if size == SizeClass::Small {
-            machines.push(Self::new(
-                TopologyKind::Corral11,
-                BasisGate::SqrtISwap,
-                size,
-            ));
-            machines.push(Self::new(
-                TopologyKind::Corral12,
-                BasisGate::SqrtISwap,
-                size,
-            ));
-        }
-        machines
-    }
-
-    /// The machine line-up of Fig. 13 (16–20 qubit, co-designed comparison).
+    /// The machine line-up of Fig. 13 (16–20 qubit, co-designed comparison):
+    /// the IBM and Google baselines, then the SNAIL machines on √iSWAP.
     pub fn figure13_lineup() -> Vec<Self> {
-        let mut v = vec![
-            Self::ibm_baseline(SizeClass::Small),
-            Self::google_baseline(SizeClass::Small),
-        ];
-        v.extend(Self::snail_machines(SizeClass::Small));
-        v
+        use BasisGate::{Cnot, SqrtISwap, Syc};
+        Self::lineup(&[
+            ("heavy-hex-20", Cnot),
+            ("square-lattice-16", Syc),
+            ("tree-20", SqrtISwap),
+            ("tree-rr-20", SqrtISwap),
+            ("hypercube-16", SqrtISwap),
+            ("corral11-16", SqrtISwap),
+            ("corral12-16", SqrtISwap),
+        ])
     }
 
-    /// The machine line-up of Fig. 14 (84-qubit scaled comparison).
+    /// The machine line-up of Fig. 14 (84-qubit scaled comparison). The
+    /// paper does not scale the Corrals past 16 qubits; the hypercube stands
+    /// in for them (§5).
     pub fn figure14_lineup() -> Vec<Self> {
-        let mut v = vec![
-            Self::ibm_baseline(SizeClass::Large),
-            Self::google_baseline(SizeClass::Large),
-        ];
-        v.extend(Self::snail_machines(SizeClass::Large));
-        v
+        use BasisGate::{Cnot, SqrtISwap, Syc};
+        Self::lineup(&[
+            ("heavy-hex-84", Cnot),
+            ("square-lattice-84", Syc),
+            ("tree-84", SqrtISwap),
+            ("tree-rr-84", SqrtISwap),
+            ("hypercube-84", SqrtISwap),
+        ])
+    }
+
+    fn lineup(entries: &[(&'static str, BasisGate)]) -> Vec<Self> {
+        entries
+            .iter()
+            .map(|&(name, basis)| Self { name, basis })
+            .collect()
     }
 }
 
@@ -112,33 +91,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baselines_match_paper_pairings() {
-        let ibm = Machine::ibm_baseline(SizeClass::Small);
-        assert_eq!(ibm.basis, BasisGate::Cnot);
-        assert_eq!(ibm.topology, TopologyKind::HeavyHex);
-        assert_eq!(ibm.label(), "Heavy-Hex-CX");
-
-        let google = Machine::google_baseline(SizeClass::Large);
-        assert_eq!(google.basis, BasisGate::Syc);
-        assert_eq!(google.label(), "Square-Lattice-SYC");
-    }
-
-    #[test]
-    fn snail_machines_use_sqrt_iswap() {
-        for m in Machine::snail_machines(SizeClass::Small) {
-            assert_eq!(m.basis, BasisGate::SqrtISwap);
-            assert!(
-                m.topology.is_snail_topology() || m.topology == TopologyKind::Hypercube,
-                "{}",
-                m.label()
-            );
+    fn lineups_open_with_the_paper_baselines_then_sqrt_iswap() {
+        for lineup in [Machine::figure13_lineup(), Machine::figure14_lineup()] {
+            assert_eq!(lineup[0].basis, BasisGate::Cnot);
+            assert_eq!(lineup[0].label(), "Heavy-Hex-CX");
+            assert_eq!(lineup[1].basis, BasisGate::Syc);
+            assert_eq!(lineup[1].label(), "Square-Lattice-SYC");
+            assert!(lineup[2..].iter().all(|m| m.basis == BasisGate::SqrtISwap));
         }
     }
 
     #[test]
-    fn lineups_have_expected_sizes() {
-        assert_eq!(Machine::figure13_lineup().len(), 7);
-        assert_eq!(Machine::figure14_lineup().len(), 5);
+    fn lineup_names_are_canonical_catalog_names() {
+        for m in Machine::figure13_lineup()
+            .into_iter()
+            .chain(Machine::figure14_lineup())
+        {
+            assert_eq!(catalog::canonical_name(m.name), Some(m.name));
+            assert_eq!(Machine::new(m.name, m.basis), Ok(m));
+        }
+    }
+
+    #[test]
+    fn new_resolves_forgivingly_and_rejects_unknown_names() {
+        let corral = Machine::new("Corral1,1-16", BasisGate::SqrtISwap).unwrap();
+        assert_eq!(corral, Machine::figure13_lineup()[5]);
+        assert_eq!(corral.label(), "Corral1,1-sqrt-iSWAP");
+        // The catalog has no 84-qubit Corral; asking for one is an error,
+        // not a hypercube under a Corral label.
+        let err = Machine::new("corral11-84", BasisGate::SqrtISwap).unwrap_err();
+        assert!(err.contains("hypercube-84"), "{err}");
     }
 
     #[test]

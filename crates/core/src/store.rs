@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 /// file: [`SweepStore::flush`] only *appends* the entries inserted through
 /// this handle (under an advisory file lock), so concurrent writers never
 /// clobber each other's cells. Duplicate keys are resolved last-line-wins at
-/// load time; run [`SweepStore::compact`] to rewrite the file without them.
+/// load time.
 #[derive(Debug)]
 pub struct SweepStore {
     path: PathBuf,
@@ -51,10 +51,9 @@ pub struct SweepStore {
 }
 
 /// RAII advisory lock serializing store-file access between cooperating
-/// processes. The lock lives on a `<store>.lock` sidecar file (never the
-/// store itself, so [`SweepStore::compact`]'s rename can't race a concurrent
-/// appender that already opened the old inode) and is released on drop — or
-/// by the OS if the holder dies, so a killed run never wedges the store.
+/// processes. The lock lives on a `<store>.lock` sidecar file and is
+/// released on drop — or by the OS if the holder dies, so a killed run never
+/// wedges the store.
 #[derive(Debug)]
 struct StoreLock {
     #[allow(dead_code)] // held for its flock; dropped to release
@@ -233,8 +232,7 @@ impl SweepStore {
     /// store file without losing each other's entries. (The old
     /// implementation rewrote the whole file from this handle's in-memory
     /// map, silently dropping every cell another process had appended since
-    /// this handle opened.) The full rewrite survives only as the explicit
-    /// [`SweepStore::compact`].
+    /// this handle opened.)
     pub fn flush(&mut self) -> std::io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -255,42 +253,6 @@ impl SweepStore {
         file.write_all(&out)?;
         drop(file);
         drop(lock);
-        self.pending.clear();
-        Ok(())
-    }
-
-    /// Rewrites the backing file as one key-sorted, duplicate-free line per
-    /// cell, via a temp file + rename so a kill mid-compact leaves the
-    /// previous store intact. Entries other handles appended since this one
-    /// opened are re-read under the lock and merged (this handle's cells win
-    /// on key collisions), so compacting never drops concurrent work. The
-    /// merged view replaces this handle's in-memory entries.
-    pub fn compact(&mut self) -> std::io::Result<()> {
-        if let Some(parent) = self.path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let lock = StoreLock::exclusive(&self.path)?;
-        let mut merged = BTreeMap::new();
-        if let Ok(text) = fs::read_to_string(&self.path) {
-            for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-                if let Some((key, report)) = parse_line(line) {
-                    merged.insert(key, report);
-                } else {
-                    self.skipped_corrupt += 1;
-                    obs::counter_add("sweep_store.skipped_corrupt", 1);
-                }
-            }
-        }
-        merged.extend(self.entries.iter().map(|(k, v)| (k.clone(), *v)));
-        let mut out = Vec::new();
-        for (key, report) in &merged {
-            writeln!(out, "{}", Self::render_line(key, report)?)?;
-        }
-        let tmp = self.path.with_extension("jsonl.tmp");
-        fs::write(&tmp, out)?;
-        fs::rename(&tmp, &self.path)?;
-        drop(lock);
-        self.entries = merged;
         self.pending.clear();
         Ok(())
     }
@@ -530,33 +492,6 @@ mod tests {
         let after_second = fs::read_to_string(&path).unwrap();
         assert!(after_second.starts_with(&after_first));
         assert_eq!(after_second.lines().count(), 2);
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn compact_dedupes_and_merges_concurrent_appends() {
-        let path = store_path("compact");
-        let _ = fs::remove_file(&path);
-        let report = sample_report(None);
-        let mut store = SweepStore::open(&path);
-        // Same key flushed twice (two appended lines), plus a second key.
-        store.insert("dup".into(), report);
-        store.flush().unwrap();
-        store.insert("dup".into(), report);
-        store.insert("other".into(), report);
-        store.flush().unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap().lines().count(), 3);
-        // A second handle appends a cell this handle has never seen; compact
-        // must keep it.
-        let mut outside = SweepStore::open(&path);
-        outside.insert("outside".into(), report);
-        outside.flush().unwrap();
-        store.compact().unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 3, "compact leaves one line per key");
-        let reopened = SweepStore::open(&path);
-        assert_eq!(reopened.len(), 3);
-        assert_eq!(store.len(), 3, "compact folds merged view back in");
         let _ = fs::remove_file(&path);
     }
 

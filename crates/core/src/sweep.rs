@@ -258,7 +258,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Machine, SizeClass};
+    use crate::machine::Machine;
     use snailqc_topology::{catalog, CouplingGraph};
 
     fn graph_devices(graphs: Vec<CouplingGraph>) -> Vec<Device> {
@@ -284,8 +284,8 @@ mod tests {
     #[test]
     fn machine_devices_translate_to_their_native_basis() {
         let devices = vec![
-            Device::from_machine(Machine::ibm_baseline(SizeClass::Small)),
-            Device::from_machine(Machine::snail_machines(SizeClass::Small)[0]),
+            Device::from_machine(Machine::figure13_lineup()[0]),
+            Device::from_machine(Machine::figure13_lineup()[2]),
         ];
         let config = SweepConfig::smoke();
         let points = run_sweep(&devices, &config);
@@ -362,7 +362,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let devices = vec![
             Device::from_graph(catalog::hypercube_16()),
-            Device::from_machine(Machine::ibm_baseline(SizeClass::Small)),
+            Device::from_machine(Machine::figure13_lineup()[0]),
         ];
         let config = SweepConfig::smoke();
 

@@ -529,8 +529,8 @@ mod tests {
 
     #[test]
     fn tree84_structure() {
-        // Table 2: 84 qubits, diameter 5, avg distance 3.91 (measured 3.85
-        // for this construction; see EXPERIMENTS.md).
+        // Table 2: 84 qubits, diameter 5, avg distance 3.91 (this
+        // construction measures 3.85).
         let g = tree4(2);
         assert_eq!(g.num_qubits(), 84);
         assert_eq!(g.diameter(), 5);

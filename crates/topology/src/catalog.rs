@@ -1,119 +1,9 @@
-//! The paper's named topology instances (Tables 1 and 2) and a small registry
-//! used by the experiment harness and the benchmark binaries.
+//! The paper's named topology instances (Tables 1 and 2) and the name table
+//! through which the CLI, the daemon, the experiment harness and the
+//! benchmark binaries build them.
 
 use crate::builders;
 use crate::graph::{CouplingGraph, TopologyMetrics};
-
-/// Identifies one of the paper's topology families at a nominal size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
-pub enum TopologyKind {
-    /// IBM-style heavy-hex lattice (Fig. 2b).
-    HeavyHex,
-    /// Plain hexagonal (honeycomb) lattice (Fig. 2d).
-    HexLattice,
-    /// Square lattice (Fig. 2a).
-    SquareLattice,
-    /// Square lattice with alternating diagonals (Fig. 2c).
-    LatticeAltDiagonals,
-    /// Hypercube / truncated hypercube (Fig. 3).
-    Hypercube,
-    /// SNAIL modular 4-ary tree (Fig. 7a / Fig. 8).
-    Tree,
-    /// SNAIL round-robin 4-ary tree (Fig. 7b).
-    TreeRoundRobin,
-    /// SNAIL Corral with strides (1, 1) (Fig. 9b).
-    Corral11,
-    /// SNAIL Corral with strides (1, 2) (Fig. 9d).
-    Corral12,
-}
-
-impl TopologyKind {
-    /// Display label matching the paper's figure legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TopologyKind::HeavyHex => "Heavy-Hex",
-            TopologyKind::HexLattice => "Hex-Lattice",
-            TopologyKind::SquareLattice => "Square-Lattice",
-            TopologyKind::LatticeAltDiagonals => "Lattice+AltDiagonals",
-            TopologyKind::Hypercube => "Hypercube",
-            TopologyKind::Tree => "Tree",
-            TopologyKind::TreeRoundRobin => "Tree-RR",
-            TopologyKind::Corral11 => "Corral1,1",
-            TopologyKind::Corral12 => "Corral1,2",
-        }
-    }
-
-    /// True for the topologies realizable with SNAIL modulators (§4.3).
-    pub fn is_snail_topology(&self) -> bool {
-        matches!(
-            self,
-            TopologyKind::Tree
-                | TopologyKind::TreeRoundRobin
-                | TopologyKind::Corral11
-                | TopologyKind::Corral12
-        )
-    }
-
-    /// Builds the small (16–20 qubit, Table 1) instance of this topology.
-    pub fn build_small(&self) -> CouplingGraph {
-        match self {
-            TopologyKind::HeavyHex => heavy_hex_20(),
-            TopologyKind::HexLattice => hex_lattice_20(),
-            TopologyKind::SquareLattice => square_lattice_16(),
-            TopologyKind::LatticeAltDiagonals => lattice_alt_diagonals_16(),
-            TopologyKind::Hypercube => hypercube_16(),
-            TopologyKind::Tree => tree_20(),
-            TopologyKind::TreeRoundRobin => tree_rr_20(),
-            TopologyKind::Corral11 => corral11_16(),
-            TopologyKind::Corral12 => corral12_16(),
-        }
-    }
-
-    /// Builds the large (84 qubit, Table 2) instance of this topology.
-    ///
-    /// The Corral designs are not scaled past 16 qubits in the paper (the
-    /// hypercube stands in for them, §5); requesting a large Corral returns
-    /// the hypercube analogue used there.
-    pub fn build_large(&self) -> CouplingGraph {
-        match self {
-            TopologyKind::HeavyHex => heavy_hex_84(),
-            TopologyKind::HexLattice => hex_lattice_84(),
-            TopologyKind::SquareLattice => square_lattice_84(),
-            TopologyKind::LatticeAltDiagonals => lattice_alt_diagonals_84(),
-            TopologyKind::Hypercube | TopologyKind::Corral11 | TopologyKind::Corral12 => {
-                hypercube_84()
-            }
-            TopologyKind::Tree => tree_84(),
-            TopologyKind::TreeRoundRobin => tree_rr_84(),
-        }
-    }
-
-    /// Builds the instance of this topology with at least `min_qubits`
-    /// physical qubits, choosing the small or large size class.
-    pub fn build_at_least(&self, min_qubits: usize) -> CouplingGraph {
-        let small = self.build_small();
-        if small.num_qubits() >= min_qubits {
-            small
-        } else {
-            self.build_large()
-        }
-    }
-
-    /// Every topology family in the paper.
-    pub fn all() -> [TopologyKind; 9] {
-        [
-            TopologyKind::HeavyHex,
-            TopologyKind::HexLattice,
-            TopologyKind::SquareLattice,
-            TopologyKind::LatticeAltDiagonals,
-            TopologyKind::Hypercube,
-            TopologyKind::Tree,
-            TopologyKind::TreeRoundRobin,
-            TopologyKind::Corral11,
-            TopologyKind::Corral12,
-        ]
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Table 1 instances (16–20 qubits)
@@ -174,8 +64,7 @@ pub fn corral12_16() -> CouplingGraph {
 /// the exact fragment it used; we use two heavy hexagons (12-cycles) fused on
 /// a four-qubit path, the 20-qubit fragment whose metrics are closest to the
 /// paper's Table 1 row (diameter 8 and average connectivity 2.1 match
-/// exactly; average distance is 4.05 vs the reported 3.77 — see
-/// EXPERIMENTS.md).
+/// exactly; average distance is 4.05 vs the reported 3.77).
 pub fn heavy_hex_20() -> CouplingGraph {
     let mut edges: Vec<(usize, usize)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
     // Second 12-cycle sharing the path 0–1–2–3 with the first.
@@ -249,13 +138,14 @@ pub fn hex_lattice_84() -> CouplingGraph {
 }
 
 // ---------------------------------------------------------------------------
-// Name-based registry (CLI / external tooling entry point)
+// Name table: the one map from a paper topology to its graph
 // ---------------------------------------------------------------------------
 
 /// A nullary constructor for one catalog instance.
 type TopologyBuilder = fn() -> CouplingGraph;
 
-/// Every named catalog instance as `(canonical-name, builder)`.
+/// Every named catalog instance as `(canonical-name, builder)`. Each name,
+/// like each built graph's name, ends in `-<qubits>`.
 const REGISTRY: [(&str, TopologyBuilder); 16] = [
     ("heavy-hex-20", heavy_hex_20),
     ("hex-lattice-20", hex_lattice_20),
@@ -350,8 +240,8 @@ mod tests {
 
     #[test]
     fn all_small_instances_build_and_connect() {
-        for kind in TopologyKind::all() {
-            let g = kind.build_small();
+        for name in names().into_iter().filter(|name| !name.ends_with("-84")) {
+            let g = by_name(name).unwrap();
             assert!(g.is_connected(), "{}", g.name());
             assert!(g.num_qubits() >= 16 && g.num_qubits() <= 20, "{}", g.name());
         }
@@ -359,8 +249,13 @@ mod tests {
 
     #[test]
     fn all_large_instances_build_and_connect() {
-        for kind in TopologyKind::all() {
-            let g = kind.build_large();
+        let large: Vec<&str> = names()
+            .into_iter()
+            .filter(|name| name.ends_with("-84"))
+            .collect();
+        assert_eq!(large.len(), 7);
+        for name in large {
+            let g = by_name(name).unwrap();
             assert!(g.is_connected(), "{}", g.name());
             assert_eq!(g.num_qubits(), 84, "{}", g.name());
         }
@@ -462,13 +357,5 @@ mod tests {
         for name in names() {
             assert_eq!(canonical_name(name), Some(name));
         }
-    }
-
-    #[test]
-    fn labels_are_paper_legends() {
-        assert_eq!(TopologyKind::TreeRoundRobin.label(), "Tree-RR");
-        assert_eq!(TopologyKind::Corral12.label(), "Corral1,2");
-        assert!(TopologyKind::Corral11.is_snail_topology());
-        assert!(!TopologyKind::HeavyHex.is_snail_topology());
     }
 }

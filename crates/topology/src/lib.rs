@@ -18,8 +18,9 @@
 //!   hypercubes, SNAIL trees and corrals — plus a seeded calibrated-device
 //!   noise sampler ([`builders::calibrate_edge_errors`]).
 //! * [`catalog`] — the paper's named instances (`Tree-20`, `Corral1,2-16`,
-//!   `Heavy-Hex-84`, …) and [`catalog::TopologyKind`], the registry used by
-//!   the experiment harness.
+//!   `Heavy-Hex-84`, …) behind one name table: [`catalog::by_name`] builds
+//!   an instance from its canonical name (`tree-20`, `corral12-16`, …), the
+//!   one way the CLI, the daemon and the experiment harness reach them.
 //! * [`distance`] — compact all-pairs distance state for routing: `u16` hop
 //!   rows and `f64` weighted rows, each materialized on demand per source.
 
@@ -30,6 +31,5 @@ pub mod catalog;
 pub mod distance;
 pub mod graph;
 
-pub use catalog::TopologyKind;
 pub use distance::{HopMatrix, WeightedRows, UNREACHABLE};
 pub use graph::{CouplingGraph, TopologyMetrics, DEFAULT_EDGE_ERROR};

@@ -19,9 +19,7 @@
 
 use rayon::prelude::*;
 use snailqc::core::device::Device;
-use snailqc::core::fidelity::{
-    estimate_fidelity, estimate_fidelity_edges, estimate_fidelity_routed, FidelityEstimate,
-};
+use snailqc::core::fidelity::{estimate_fidelity, estimate_fidelity_edges, FidelityEstimate};
 use snailqc::core::noise::ErrorModelSpec;
 use snailqc::core::registry::{DeviceRegistry, DeviceSource, LocatedDevice};
 use snailqc::core::store::source_cell_key;
@@ -455,10 +453,7 @@ fn transpile_one_file(
     };
     let fidelity = device.error_model().map(|spec| {
         let estimate = |report: &TranspileReport| estimate_fidelity_edges(report, &spec.model);
-        let uniform = match device.basis() {
-            Some(_) => estimate_fidelity(&result.report, &spec.model),
-            None => estimate_fidelity_routed(&result.report, &spec.model),
-        };
+        let uniform = estimate_fidelity(&result.report, &spec.model);
         let noise_blind = estimate(&blind_report);
         let noise_aware = estimate(&result.report);
         let infidelity_improvement = (1.0 - noise_blind.total_fidelity)

@@ -45,8 +45,9 @@
 //! let pipeline = Pipeline::builder().seed(11).build();
 //! let snail = corral.try_transpile(&circuit, &pipeline).unwrap().report;
 //!
-//! // …versus the IBM-style baseline, built from the machine line-up.
-//! let ibm_machine = Machine::ibm_baseline(SizeClass::Small);
+//! // …versus the IBM-style baseline: heavy-hex with CNOT, Fig. 13's first
+//! // machine, named by its catalog topology.
+//! let ibm_machine = Machine::new("heavy-hex-20", BasisGate::Cnot).unwrap();
 //! let ibm = Device::from_machine(ibm_machine)
 //!     .try_transpile(&circuit, &pipeline)
 //!     .unwrap()
@@ -94,7 +95,7 @@ pub mod prelude {
     pub use snailqc_core::fidelity::{
         estimate_fidelity, estimate_fidelity_edges, ErrorModel, FidelityEstimate,
     };
-    pub use snailqc_core::machine::{Machine, SizeClass};
+    pub use snailqc_core::machine::Machine;
     pub use snailqc_core::noise::ErrorModelSpec;
     pub use snailqc_core::store::SweepStore;
     pub use snailqc_core::sweep::{run_sweep, run_sweep_with_store, SweepConfig, SweepPoint};
@@ -106,7 +107,7 @@ pub mod prelude {
         parse_any as parse_qasm_any, QasmProgram, QasmVersion,
     };
     pub use snailqc_sim::{verify_equivalent, Verdict};
-    pub use snailqc_topology::{CouplingGraph, TopologyKind};
+    pub use snailqc_topology::CouplingGraph;
     pub use snailqc_transpiler::{
         BasisChoice, EdgeErrorSource, LayoutStrategy, PassTrace, Pipeline, RouterConfig,
     };

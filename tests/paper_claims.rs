@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's qualitative claims (directionality
 //! of every headline result) at reduced problem sizes so they run in CI.
 
-use snailqc::core::headline::{quantum_volume_headline, HeadlineConfig};
+use snailqc::core::headline::{quantum_volume_headline, tree_progression, HeadlineConfig};
 use snailqc::decompose::study::{run_study, StudyConfig};
 use snailqc::decompose::{nth_root_basis_fidelity, total_fidelity};
 use snailqc::prelude::*;
@@ -136,4 +136,87 @@ fn table_metrics_order_snail_topologies_above_baselines() {
     let t2: std::collections::HashMap<String, snailqc::topology::TopologyMetrics> =
         catalog::table2().into_iter().collect();
     assert!(t2["Hypercube-84"].avg_distance < t2["Heavy-Hex-84"].avg_distance);
+}
+
+#[test]
+fn machine_lineups_and_headline_smoke_values_are_frozen() {
+    // Frozen before the lineups were rewritten as literal catalog names.
+    // Labels feed `SweepPoint::topology`, the bench JSON and sweep-store
+    // keys, so they must not move; the headline values are compared bit
+    // for bit.
+    let rows = |lineup: Vec<Machine>| -> Vec<String> {
+        lineup
+            .iter()
+            .map(|m| format!("{} {:?} {}", m.graph().name(), m.basis, m.label()))
+            .collect()
+    };
+    assert_eq!(
+        rows(Machine::figure13_lineup()),
+        [
+            "Heavy-Hex-20 Cnot Heavy-Hex-CX",
+            "Square-Lattice-16 Syc Square-Lattice-SYC",
+            "Tree-20 SqrtISwap Tree-sqrt-iSWAP",
+            "Tree-RR-20 SqrtISwap Tree-RR-sqrt-iSWAP",
+            "Hypercube-16 SqrtISwap Hypercube-sqrt-iSWAP",
+            "Corral1,1-16 SqrtISwap Corral1,1-sqrt-iSWAP",
+            "Corral1,2-16 SqrtISwap Corral1,2-sqrt-iSWAP",
+        ]
+    );
+    assert_eq!(
+        rows(Machine::figure14_lineup()),
+        [
+            "Heavy-Hex-84 Cnot Heavy-Hex-CX",
+            "Square-Lattice-84 Syc Square-Lattice-SYC",
+            "Tree-84 SqrtISwap Tree-sqrt-iSWAP",
+            "Tree-RR-84 SqrtISwap Tree-RR-sqrt-iSWAP",
+            "Hypercube-84 SqrtISwap Hypercube-sqrt-iSWAP",
+        ]
+    );
+
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let ratios = quantum_volume_headline(&HeadlineConfig::smoke());
+    assert_eq!(ratios.baseline, "Heavy-Hex-CX");
+    assert_eq!(ratios.proposed, "Hypercube-sqrt-iSWAP");
+    assert_eq!(ratios.sizes, [12, 16]);
+    assert_eq!(
+        bits(&[
+            ratios.total_swap_ratio,
+            ratios.critical_swap_ratio,
+            ratios.total_2q_ratio,
+            ratios.critical_2q_ratio,
+        ]),
+        [
+            0x402297ff1f148980, // 9.296868296868297
+            0x4022ad2d2d2d2d2d, // 9.338235294117647
+            0x40125d6d4dc63810, // 4.591237273429229
+            0x40160ac9dc4546de, // 5.510535661438295
+        ]
+    );
+    let ((hh_tree_total, hh_tree_crit), (tree_hyper_total, tree_hyper_crit)) =
+        tree_progression(&HeadlineConfig::smoke());
+    assert_eq!(
+        bits(&[
+            hh_tree_total,
+            hh_tree_crit,
+            tree_hyper_total,
+            tree_hyper_crit
+        ]),
+        [
+            0x3fecfee1d10c4c04, // 0.9061135371179039
+            0x3feac056b015ac06, // 0.835978835978836
+            0x3fd11dc47711dc48, // 0.2674418604651163
+            0x3fe18c6318c6318c, // 0.5483870967741935
+        ]
+    );
+}
+
+#[test]
+fn every_catalog_name_ends_in_its_qubit_count() {
+    // `Machine::label` strips this suffix from the graph name.
+    for name in catalog::names() {
+        let graph = catalog::by_name(name).unwrap();
+        let suffix = format!("-{}", graph.num_qubits());
+        assert!(name.ends_with(&suffix), "{name}");
+        assert!(graph.name().ends_with(&suffix), "{}", graph.name());
+    }
 }
