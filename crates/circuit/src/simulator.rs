@@ -248,9 +248,7 @@ impl StateVector {
     pub fn apply_circuit_mode(&mut self, circuit: &Circuit, mode: ExecMode) {
         assert_eq!(circuit.num_qubits(), self.num_qubits);
         let _span = obs::span("sim.apply");
-        if obs::is_enabled() {
-            obs::counter_add("sim.gates_applied", circuit.len() as u64);
-        }
+        obs::counter_add("sim.gates_applied", circuit.len() as u64);
         let parallel = match mode {
             ExecMode::Serial => false,
             ExecMode::Parallel => true,

@@ -96,7 +96,6 @@ impl SweepConfig {
                 trials: self.routing_trials,
                 seed: self.seed ^ (size as u64) << 16,
                 error_weight: self.error_weight,
-                ..RouterConfig::default()
             })
             .build()
     }

@@ -57,31 +57,14 @@ pub fn chrome_trace(spans: &[SpanEvent]) -> String {
     serde_json::to_string(&trace).expect("trace serialization is infallible")
 }
 
-/// Convert a metrics snapshot to a JSON value with top-level `counters`,
-/// `gauges`, and `histograms` objects keyed by metric name.
+/// Convert a metrics snapshot to a JSON value with top-level `counters` and
+/// `histograms` objects keyed by metric name.
 pub fn metrics_to_value(snapshot: &MetricsSnapshot) -> Value {
     let counters = Value::Object(
         snapshot
             .counters
             .iter()
             .map(|(name, value)| (name.clone(), Value::UInt(*value)))
-            .collect(),
-    );
-    let gauges = Value::Object(
-        snapshot
-            .gauges
-            .iter()
-            // Gauge values are caller-controlled f64s; JSON cannot express a
-            // non-finite one (and the serializer now rejects them), so the
-            // documented export policy is: non-finite gauges export as null.
-            .map(|(name, value)| {
-                let value = if value.is_finite() {
-                    Value::Float(*value)
-                } else {
-                    Value::Null
-                };
-                (name.clone(), value)
-            })
             .collect(),
     );
     let histograms = Value::Object(
@@ -105,11 +88,7 @@ pub fn metrics_to_value(snapshot: &MetricsSnapshot) -> Value {
             })
             .collect(),
     );
-    object(vec![
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-    ])
+    object(vec![("counters", counters), ("histograms", histograms)])
 }
 
 /// Pretty-printed JSON form of [`metrics_to_value`].
@@ -126,7 +105,6 @@ pub fn summary_table(snapshot: &MetricsSnapshot) -> String {
         .counters
         .iter()
         .map(|(n, _)| n.len())
-        .chain(snapshot.gauges.iter().map(|(n, _)| n.len()))
         .chain(snapshot.histograms.iter().map(|(n, _)| n.len()))
         .max()
         .unwrap_or(4)
@@ -134,12 +112,6 @@ pub fn summary_table(snapshot: &MetricsSnapshot) -> String {
     if !snapshot.counters.is_empty() {
         out.push_str("counters\n");
         for (name, value) in &snapshot.counters {
-            out.push_str(&format!("  {name:<name_width$}  {value}\n"));
-        }
-    }
-    if !snapshot.gauges.is_empty() {
-        out.push_str("gauges\n");
-        for (name, value) in &snapshot.gauges {
             out.push_str(&format!("  {name:<name_width$}  {value}\n"));
         }
     }
@@ -195,10 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_value_has_the_three_top_level_sections() {
+    fn metrics_value_has_the_two_top_level_sections() {
         let snapshot = MetricsSnapshot {
             counters: vec![("router.trials_run".to_string(), 12)],
-            gauges: vec![("cache.hit_rate".to_string(), 0.5)],
             histograms: vec![(
                 "batch.file_micros".to_string(),
                 HistogramSummary {
@@ -218,7 +189,7 @@ mod tests {
             value.get("counters").unwrap().get("router.trials_run"),
             Some(&Value::UInt(12))
         );
-        assert!(value.get("gauges").unwrap().get("cache.hit_rate").is_some());
+        assert!(value.get("gauges").is_none());
         let hist = value.get("histograms").unwrap().get("batch.file_micros");
         assert_eq!(hist.unwrap().get("p99"), Some(&Value::UInt(20)));
         // Round-trips through the JSON renderer and parser.
@@ -230,7 +201,6 @@ mod tests {
     fn summary_table_lists_every_metric_name() {
         let snapshot = MetricsSnapshot {
             counters: vec![("a.count".to_string(), 1)],
-            gauges: vec![("b.gauge".to_string(), 2.0)],
             histograms: vec![(
                 "c.hist".to_string(),
                 HistogramSummary {
@@ -246,7 +216,7 @@ mod tests {
             )],
         };
         let table = summary_table(&snapshot);
-        for name in ["a.count", "b.gauge", "c.hist"] {
+        for name in ["a.count", "c.hist"] {
             assert!(table.contains(name), "missing {name} in:\n{table}");
         }
         assert_eq!(

@@ -1,171 +1,106 @@
-//! Named counters, gauges, and fixed-bucket histograms.
+//! Named counters and fixed-bucket histograms.
 //!
-//! Metrics are interned by `&'static str` name in a global registry and
-//! backed by plain atomics, so recording never blocks: the registry mutex
-//! is taken only to look a name up (or on [`snapshot`]/[`reset_metrics`]),
-//! and cached handles ([`Counter`], [`Histogram`]) skip it entirely.
+//! Metrics always record: the switch in [`crate::enable`] governs spans
+//! only. Every call site records at most once per route, simulation, batch
+//! file or request, never inside a per-gate loop, so a switch would save
+//! nothing.
+//! Metrics are interned by `&'static str` name in one global registry and
+//! updated under its mutex, which each record holds for a map lookup and a
+//! few integer adds.
 //!
 //! Histograms use 65 fixed log₂ buckets: bucket *i* holds values whose bit
 //! length is *i* (bucket 0 holds only 0). Quantile queries walk the bucket
 //! array and report the bucket's upper bound, so p50/p90/p99 are at most
-//! one power of two above the true quantile — plenty for latency triage,
-//! and recording stays a handful of relaxed atomic ops.
+//! one power of two above the true quantile — plenty for latency triage.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-use crate::is_enabled;
+use std::sync::{Mutex, MutexGuard};
 
 /// One bucket per possible bit length of a `u64`, plus bucket 0 for zero.
 const BUCKETS: usize = 65;
 
-#[derive(Default)]
 struct Registry {
-    counters: BTreeMap<&'static str, Arc<AtomicU64>>,
-    gauges: BTreeMap<&'static str, Arc<AtomicU64>>,
-    histograms: BTreeMap<&'static str, Arc<HistogramCell>>,
+    counters: BTreeMap<&'static str, u64>,
+    histograms: BTreeMap<&'static str, HistogramCell>,
 }
 
 fn registry() -> MutexGuard<'static, Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+    static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+        counters: BTreeMap::new(),
+        histograms: BTreeMap::new(),
+    });
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Handle to a named monotonic counter. Cheap to clone; safe to cache in
-/// hot loops — [`Counter::add`] touches only one atomic.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add `n`; a no-op while observability is disabled.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if is_enabled() && n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add 1; a no-op while observability is disabled.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value (readable even while disabled).
-    pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Look up (interning on first use) the counter registered under `name`.
-pub fn counter(name: &'static str) -> Counter {
-    Counter(registry().counters.entry(name).or_default().clone())
-}
-
-/// One-shot `counter(name).add(n)` for call sites too cold to cache a
-/// handle. Checks the enabled flag before touching the registry.
-#[inline]
+/// Add `n` to the counter registered under `name`, interning it on first
+/// use.
 pub fn counter_add(name: &'static str, n: u64) {
-    if is_enabled() && n != 0 {
-        counter(name).0.fetch_add(n, Ordering::Relaxed);
+    if n != 0 {
+        let mut registry = registry();
+        let value = registry.counters.entry(name).or_default();
+        *value = value.wrapping_add(n);
     }
 }
 
-/// Set the gauge registered under `name` to `value` (last write wins).
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    if is_enabled() {
-        registry()
-            .gauges
-            .entry(name)
-            .or_default()
-            .store(value.to_bits(), Ordering::Relaxed);
-    }
+/// Record one sample in the histogram registered under `name`, interning
+/// it on first use.
+pub fn histogram_record(name: &'static str, value: u64) {
+    registry().histograms.entry(name).or_default().record(value);
 }
 
-/// Lock-free storage behind a [`Histogram`] handle.
+/// The samples of one named histogram.
 struct HistogramCell {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Default for HistogramCell {
     fn default() -> Self {
         HistogramCell {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
         }
     }
 }
 
 impl HistogramCell {
-    fn record(&self, value: u64) {
-        let index = bucket_index(value);
-        self.buckets[index].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
+    fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     fn summarize(&self) -> HistogramSummary {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed);
-        let sum = self.sum.load(Ordering::Relaxed);
-        let min = self.min.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
+        let HistogramCell {
+            ref buckets,
+            count,
+            sum,
+            min,
+            max,
+        } = *self;
+        if count == 0 {
+            return HistogramSummary::default();
+        }
         // Clamp quantile estimates to the observed extremes so a histogram
         // whose samples all share one bucket reports exact values.
-        let clamp = |q: u64| q.clamp(min, max);
+        let quantile = |q: f64| quantile(buckets, count, q).clamp(min, max);
         HistogramSummary {
             count,
             sum,
-            mean: if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            },
-            min: if count == 0 { 0 } else { min },
+            mean: sum as f64 / count as f64,
+            min,
             max,
-            p50: if count == 0 {
-                0
-            } else {
-                clamp(quantile(&buckets, count, 0.50))
-            },
-            p90: if count == 0 {
-                0
-            } else {
-                clamp(quantile(&buckets, count, 0.90))
-            },
-            p99: if count == 0 {
-                0
-            } else {
-                clamp(quantile(&buckets, count, 0.99))
-            },
+            p50: quantile(0.50),
+            p90: quantile(0.90),
+            p99: quantile(0.99),
         }
     }
 }
@@ -199,35 +134,8 @@ fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// Handle to a named histogram. Cheap to clone; safe to cache in hot loops.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramCell>);
-
-impl Histogram {
-    /// Record one sample; a no-op while observability is disabled.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        if is_enabled() {
-            self.0.record(value);
-        }
-    }
-}
-
-/// Look up (interning on first use) the histogram registered under `name`.
-pub fn histogram(name: &'static str) -> Histogram {
-    Histogram(registry().histograms.entry(name).or_default().clone())
-}
-
-/// One-shot `histogram(name).record(value)` for cold call sites.
-#[inline]
-pub fn histogram_record(name: &'static str, value: u64) {
-    if is_enabled() {
-        histogram(name).0.record(value);
-    }
-}
-
-/// Point-in-time summary of one histogram.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Point-in-time summary of one histogram; all zeros when it is empty.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HistogramSummary {
     /// Number of recorded samples.
     pub count: u64,
@@ -252,8 +160,6 @@ pub struct HistogramSummary {
 pub struct MetricsSnapshot {
     /// `(name, value)` for every registered counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every registered gauge.
-    pub gauges: Vec<(String, f64)>,
     /// `(name, summary)` for every registered histogram.
     pub histograms: Vec<(String, HistogramSummary)>,
 }
@@ -276,20 +182,14 @@ impl MetricsSnapshot {
     }
 }
 
-/// Copy out every registered metric. Works while disabled (values simply
-/// stop moving), so exporters can run after [`crate::disable`].
+/// Copy out every registered metric.
 pub fn snapshot() -> MetricsSnapshot {
     let registry = registry();
     MetricsSnapshot {
         counters: registry
             .counters
             .iter()
-            .map(|(name, v)| (name.to_string(), v.load(Ordering::Relaxed)))
-            .collect(),
-        gauges: registry
-            .gauges
-            .iter()
-            .map(|(name, v)| (name.to_string(), f64::from_bits(v.load(Ordering::Relaxed))))
+            .map(|(name, &value)| (name.to_string(), value))
             .collect(),
         histograms: registry
             .histograms
@@ -299,19 +199,14 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
-/// Zero every registered metric in place. Cached handles stay valid (they
-/// share the same atomics), so long-lived loops keep recording afterwards.
+/// Zero every registered metric, keeping the names registered.
 pub fn reset_metrics() {
-    let registry = registry();
-    for value in registry.counters.values() {
-        value.store(0, Ordering::Relaxed);
-    }
-    for value in registry.gauges.values() {
-        value.store(0f64.to_bits(), Ordering::Relaxed);
-    }
-    for cell in registry.histograms.values() {
-        cell.reset();
-    }
+    let mut registry = registry();
+    registry.counters.values_mut().for_each(|value| *value = 0);
+    registry
+        .histograms
+        .values_mut()
+        .for_each(|cell| *cell = HistogramCell::default());
 }
 
 #[cfg(test)]

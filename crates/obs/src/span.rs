@@ -98,7 +98,7 @@ struct OpenSpan {
 }
 
 /// RAII guard returned by [`span`]/[`span_with`]; records the interval from
-/// creation to drop. When observability is disabled the guard is an empty
+/// creation to drop. When span recording is off the guard is an empty
 /// shell and both construction and drop are branch-only.
 #[must_use = "a span measures the interval until the guard is dropped"]
 pub struct SpanGuard(Option<OpenSpan>);

@@ -1,8 +1,8 @@
 //! Behavioural tests for the global span/metrics machinery.
 //!
-//! These tests toggle the process-global enabled flag and drain the global
+//! These tests toggle the process-global span switch and drain the global
 //! collectors, so they serialize on one mutex — `cargo test` runs tests in
-//! the same binary concurrently and the flag is shared state.
+//! the same binary concurrently and the switch is shared state.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -17,21 +17,19 @@ fn exclusive() -> MutexGuard<'static, ()> {
 }
 
 #[test]
-fn disabled_instrumentation_records_nothing() {
+fn disabled_records_no_spans_and_metrics_still_count() {
     let _guard = exclusive();
     {
         let _span = obs::span("never.recorded");
-        obs::counter_add("never.counted", 5);
-        obs::counter("never.counted_handle").add(7);
-        obs::histogram_record("never.sampled", 9);
-        obs::gauge_set("never.gauged", 1.0);
+        let _detailed = obs::span_with("never.recorded_either", "detail");
+        obs::counter_add("still.counted", 5);
+        obs::histogram_record("still.sampled", 9);
     }
     assert!(obs::take_spans().is_empty());
     let snapshot = obs::snapshot();
-    assert_eq!(snapshot.counter("never.counted"), None);
-    // The handle interned the name, but the add was dropped.
-    assert_eq!(snapshot.counter("never.counted_handle"), Some(0));
-    assert!(snapshot.histogram("never.sampled").is_none());
+    assert_eq!(snapshot.counter("still.counted"), Some(5));
+    let sampled = snapshot.histogram("still.sampled").unwrap();
+    assert_eq!((sampled.count, sampled.min, sampled.max), (1, 9, 9));
 }
 
 #[test]
@@ -90,21 +88,15 @@ fn worker_thread_spans_flush_when_the_thread_exits() {
 #[test]
 fn counters_and_histograms_accumulate_and_reset() {
     let _guard = exclusive();
-    obs::enable();
-    let counter = obs::counter("test.counter");
-    counter.add(10);
-    counter.incr();
+    obs::counter_add("test.counter", 10);
+    obs::counter_add("test.counter", 1);
     obs::counter_add("test.counter", 4);
-    let histogram = obs::histogram("test.hist");
     for value in [1u64, 2, 3, 100, 1000] {
-        histogram.record(value);
+        obs::histogram_record("test.hist", value);
     }
-    obs::gauge_set("test.gauge", 2.5);
-    obs::disable();
 
     let snapshot = obs::snapshot();
     assert_eq!(snapshot.counter("test.counter"), Some(15));
-    assert_eq!(counter.value(), 15);
     let summary = snapshot.histogram("test.hist").unwrap();
     assert_eq!(summary.count, 5);
     assert_eq!(summary.sum, 1106);
@@ -112,19 +104,13 @@ fn counters_and_histograms_accumulate_and_reset() {
     assert_eq!(summary.max, 1000);
     assert!(summary.p50 <= summary.p90 && summary.p90 <= summary.p99);
     assert!(summary.p99 >= 1000 && summary.p99 <= 1023);
-    assert!(snapshot
-        .gauges
-        .iter()
-        .any(|(name, value)| name == "test.gauge" && *value == 2.5));
 
     obs::reset();
     let cleared = obs::snapshot();
     assert_eq!(cleared.counter("test.counter"), Some(0));
     assert_eq!(cleared.histogram("test.hist").unwrap().count, 0);
-    // Cached handles survive a reset and keep recording.
-    obs::enable();
-    counter.incr();
-    obs::disable();
+    // Names stay registered across a reset and keep recording.
+    obs::counter_add("test.counter", 1);
     assert_eq!(obs::snapshot().counter("test.counter"), Some(1));
 }
 

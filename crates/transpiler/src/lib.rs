@@ -31,5 +31,5 @@ pub use pipeline::{
     BasisChoice, PassTrace, Pipeline, PipelineBuilder, StageTrace, TranspileError, TranspileReport,
     TranspileResult,
 };
-pub use routing::{route_with_cache, EdgeErrorSource, RoutedCircuit, RouterConfig, RoutingCache};
+pub use routing::{route_with_cache, RoutedCircuit, RouterConfig, RoutingCache};
 pub use translate::{count_basis_gates, critical_path_basis_gates, translate_to_basis};

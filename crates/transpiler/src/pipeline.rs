@@ -34,8 +34,8 @@
 //! [`PassTrace`] recording per-stage wall time and gate/SWAP deltas for
 //! observability.
 //!
-//! When `snailqc-obs` recording is on (see [`snailqc_obs::enable`]), every
-//! stage additionally runs inside a tracing span (`pipeline.layout`,
+//! When `snailqc-obs` span recording is on (see [`snailqc_obs::enable`]),
+//! every stage additionally runs inside a tracing span (`pipeline.layout`,
 //! `pipeline.routing`, …) nested under a `pipeline.run` root. Instrumentation
 //! only records — routed output is bitwise-identical with recording on or off.
 
@@ -225,7 +225,6 @@ impl Pipeline {
         // Stage 4 — analysis: collect the paper's metrics.
         let started = Instant::now();
         let stage_span = obs::span("pipeline.analysis");
-        let edge_rate = |a: usize, b: usize| self.router.edge_errors.rate(graph, a, b);
         let mut report = TranspileReport {
             logical_qubits: circuit.num_qubits(),
             physical_qubits: graph.num_qubits(),
@@ -238,13 +237,13 @@ impl Pipeline {
             basis_gate_count: 0,
             basis_gate_depth: 0,
             error_weight: self.router.error_weight,
-            routed_edge_log_fidelity: edge_log_fidelity(&routed.circuit, &edge_rate),
+            routed_edge_log_fidelity: edge_log_fidelity(&routed.circuit, graph),
             basis_edge_log_fidelity: 0.0,
         };
         if let Some(translated) = &translated {
             report.basis_gate_count = translated.two_qubit_count();
             report.basis_gate_depth = translated.two_qubit_depth();
-            report.basis_edge_log_fidelity = edge_log_fidelity(translated, &edge_rate);
+            report.basis_edge_log_fidelity = edge_log_fidelity(translated, graph);
         }
         let final_gates = translated
             .as_ref()
@@ -442,14 +441,17 @@ pub struct TranspileResult {
 }
 
 /// `Σ ln(1 − err_e)` over every two-qubit gate of `circuit`, the log of the
-/// circuit's control-channel success probability under per-edge error rates.
-fn edge_log_fidelity(circuit: &Circuit, edge_rate: &impl Fn(usize, usize) -> f64) -> f64 {
+/// circuit's control-channel success probability under `graph`'s per-edge
+/// error rates.
+fn edge_log_fidelity(circuit: &Circuit, graph: &CouplingGraph) -> f64 {
     circuit
         .instructions()
         .iter()
         .filter(|inst| inst.is_two_qubit())
         .map(|inst| {
-            let rate = edge_rate(inst.qubits[0], inst.qubits[1]).clamp(0.0, 0.999_999);
+            let rate = graph
+                .edge_error(inst.qubits[0], inst.qubits[1])
+                .clamp(0.0, 0.999_999);
             (1.0 - rate).ln()
         })
         .sum()

@@ -90,6 +90,12 @@ const SWAP_PULSES: f64 = 3.0;
 /// gate).
 const DEPTH_PENALTY: f64 = 10.0;
 
+/// Pending two-qubit gates in the lookahead window of the SWAP score.
+const LOOKAHEAD: usize = 20;
+
+/// Weight of the lookahead term relative to the front layer.
+const LOOKAHEAD_WEIGHT: f64 = 0.5;
+
 /// The result of routing a logical circuit onto a device.
 #[derive(Debug, Clone)]
 pub struct RoutedCircuit {
@@ -117,26 +123,6 @@ impl RoutedCircuit {
     }
 }
 
-/// Where the router reads per-edge error rates from.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub enum EdgeErrorSource {
-    /// Use the rates stored on the [`CouplingGraph`] (calibrated device).
-    Device,
-    /// Ignore the graph's calibration and treat every edge as having this
-    /// flat rate — forces noise-blind routing on a calibrated device.
-    Uniform(f64),
-}
-
-impl EdgeErrorSource {
-    /// Resolves the error rate of edge `(a, b)` under this source.
-    pub fn rate(&self, graph: &CouplingGraph, a: usize, b: usize) -> f64 {
-        match self {
-            EdgeErrorSource::Device => graph.edge_error(a, b),
-            EdgeErrorSource::Uniform(r) => *r,
-        }
-    }
-}
-
 /// Configuration of the stochastic lookahead router.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct RouterConfig {
@@ -145,16 +131,10 @@ pub struct RouterConfig {
     /// in parallel; the winner is reduced in trial-index order, so the
     /// result never depends on scheduling.
     pub trials: usize,
-    /// Size of the lookahead window used in the SWAP scoring heuristic.
-    pub lookahead: usize,
-    /// Weight of the lookahead term relative to the front layer.
-    pub lookahead_weight: f64,
     /// Weight of the per-edge infidelity term in SWAP scoring; `0` routes by
     /// hop distance alone (noise-blind), `1` values the average edge's log
     /// infidelity as much as one extra hop.
     pub error_weight: f64,
-    /// Where per-edge error rates come from.
-    pub edge_errors: EdgeErrorSource,
     /// RNG seed.
     pub seed: u64,
 }
@@ -163,10 +143,7 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             trials: 4,
-            lookahead: 20,
-            lookahead_weight: 0.5,
             error_weight: 0.0,
-            edge_errors: EdgeErrorSource::Device,
             seed: 11,
         }
     }
@@ -196,21 +173,7 @@ impl RouterConfig {
         self.error_weight = error_weight;
         self
     }
-
-    /// The distance-matrix cache key of this configuration: the fields that
-    /// change which weighted matrix the router scores against.
-    fn matrix_key(&self) -> MatrixKey {
-        let (tag, rate) = match self.edge_errors {
-            EdgeErrorSource::Device => (0u64, 0u64),
-            EdgeErrorSource::Uniform(r) => (1u64, r.to_bits()),
-        };
-        (self.error_weight.to_bits(), tag, rate)
-    }
 }
-
-/// Cache key of one scoring matrix: `(error_weight bits, edge-source tag,
-/// uniform-rate bits)` — see [`RouterConfig::matrix_key`].
-type MatrixKey = (u64, u64, u64);
 
 /// Precomputed noise data for one routing run: normalized per-edge penalties
 /// used both for the weighted distance matrix and the direct SWAP penalty.
@@ -239,9 +202,11 @@ impl NoiseContext {
         if config.error_weight <= 0.0 {
             return None;
         }
-        let rate = |a: usize, b: usize| config.edge_errors.rate(graph, a, b);
         let penalty_of = |r: f64| -(1.0 - r.clamp(0.0, 0.999_999)).ln();
-        let raw: Vec<f64> = graph.edges().map(|(a, b)| penalty_of(rate(a, b))).collect();
+        let raw: Vec<f64> = graph
+            .edge_errors()
+            .map(|(_, rate)| penalty_of(rate))
+            .collect();
         let first = raw.first().copied()?;
         if raw.iter().all(|&p| p == first) {
             return None; // homogeneous noise cannot change SWAP choices
@@ -297,9 +262,9 @@ impl NoiseContext {
 
 /// Shareable cache of the per-graph distance state routing needs: the
 /// compact `u16` hop rows ([`HopMatrix`]), plus one weighted scoring store
-/// ([`WeightedRows`]) per noise-aware (error weight, edge source)
-/// configuration. Noise-blind scoring reads hop counts directly (`u16 →
-/// f64` is value-exact), so it needs no separate scoring matrix at all.
+/// ([`WeightedRows`]) per noise-aware error weight, keyed by its bits.
+/// Noise-blind scoring reads hop counts directly (`u16 → f64` is
+/// value-exact), so it needs no separate scoring matrix at all.
 ///
 /// One cache belongs to one graph — `snailqc_core::device::Device` owns one
 /// per device and threads it through every transpile, so sweeps and batch
@@ -316,7 +281,7 @@ impl NoiseContext {
 #[derive(Debug, Default)]
 pub struct RoutingCache {
     hops: OnceLock<Arc<HopMatrix>>,
-    scoring: Mutex<BTreeMap<MatrixKey, Arc<WeightedRows>>>,
+    scoring: Mutex<BTreeMap<u64, Arc<WeightedRows>>>,
 }
 
 impl RoutingCache {
@@ -334,36 +299,29 @@ impl RoutingCache {
             .hops
             .get_or_init(|| {
                 miss = true;
-                if obs::is_enabled() {
-                    obs::counter_add("routing_cache.misses", 1);
-                }
+                obs::counter_add("routing_cache.misses", 1);
                 Arc::new(HopMatrix::new(graph))
             })
             .clone();
-        if !miss && obs::is_enabled() {
+        if !miss {
             obs::counter_add("routing_cache.hits", 1);
         }
         hops
     }
 
-    /// The weighted scoring store for a noise-aware `config`, created on
-    /// first use (its rows fill as routing reads them). The vacant/occupied
-    /// split under the map's mutex makes the hit/miss counts exact: the
-    /// thread that inserts counts the one miss.
-    fn scoring(&self, graph: &CouplingGraph, config: &RouterConfig) -> Arc<WeightedRows> {
-        let key = config.matrix_key();
+    /// The weighted scoring store for a noise-aware `error_weight`, created
+    /// on first use (its rows fill as routing reads them). The
+    /// vacant/occupied split under the map's mutex makes the hit/miss counts
+    /// exact: the thread that inserts counts the one miss.
+    fn scoring(&self, graph: &CouplingGraph, error_weight: f64) -> Arc<WeightedRows> {
         let mut cache = self.scoring.lock().expect("routing cache poisoned");
-        match cache.entry(key) {
+        match cache.entry(error_weight.to_bits()) {
             Entry::Occupied(entry) => {
-                if obs::is_enabled() {
-                    obs::counter_add("routing_cache.hits", 1);
-                }
+                obs::counter_add("routing_cache.hits", 1);
                 entry.get().clone()
             }
             Entry::Vacant(entry) => {
-                if obs::is_enabled() {
-                    obs::counter_add("routing_cache.misses", 1);
-                }
+                obs::counter_add("routing_cache.misses", 1);
                 entry.insert(Arc::new(WeightedRows::new(graph))).clone()
             }
         }
@@ -479,7 +437,9 @@ pub fn route_with_cache(
     // links; noise-blind scoring reads hop counts directly (`u16 → f64` is
     // value-exact, so the scores match the old hop-derived f64 matrix bit
     // for bit).
-    let weighted = noise.is_some().then(|| cache.scoring(graph, config));
+    let weighted = noise
+        .is_some()
+        .then(|| cache.scoring(graph, config.error_weight));
 
     // The occupied physical qubits must be mutually reachable — one hop row
     // from the first occupied qubit checks all of them, whatever the rest of
@@ -504,7 +464,6 @@ pub fn route_with_cache(
         hops: &hops,
         weighted: weighted.as_deref(),
         noise: noise.as_ref(),
-        config,
         template: &template,
     };
 
@@ -560,19 +519,17 @@ pub fn route_with_cache(
 
     // One registry flush per route call, far off the inner loop. The
     // counters feed `--metrics-json`.
-    if obs::is_enabled() {
-        obs::counter_add("router.calls", 1);
-        obs::counter_add("router.trials_run", seeds.len() as u64);
-        obs::counter_add("router.swap_decisions", work.swap_decisions);
-        obs::counter_add("router.swap_candidates_scored", work.candidates_scored);
-        obs::counter_add("router.scratch_score_calls", work.scratch_score_calls);
-        obs::counter_add(
-            "router.lookahead_gates_examined",
-            work.lookahead_gates_examined,
-        );
-        obs::counter_add("router.fallback_paths", work.fallback_paths);
-        obs::counter_add("router.swaps_inserted", best.swap_count as u64);
-    }
+    obs::counter_add("router.calls", 1);
+    obs::counter_add("router.trials_run", seeds.len() as u64);
+    obs::counter_add("router.swap_decisions", work.swap_decisions);
+    obs::counter_add("router.swap_candidates_scored", work.candidates_scored);
+    obs::counter_add("router.scratch_score_calls", work.scratch_score_calls);
+    obs::counter_add(
+        "router.lookahead_gates_examined",
+        work.lookahead_gates_examined,
+    );
+    obs::counter_add("router.fallback_paths", work.fallback_paths);
+    obs::counter_add("router.swaps_inserted", best.swap_count as u64);
     best
 }
 
@@ -615,7 +572,6 @@ struct TrialShared<'a> {
     /// Weighted scoring rows — present exactly when `noise` is.
     weighted: Option<&'a WeightedRows>,
     noise: Option<&'a NoiseContext>,
-    config: &'a RouterConfig,
     template: &'a TrialTemplate,
 }
 
@@ -629,7 +585,6 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
         hops,
         weighted,
         noise,
-        config,
         template,
     } = *shared;
     // Scoring distance between two physical qubits: the weighted Dijkstra
@@ -683,7 +638,7 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
     // where per-decision `Vec`s would dominate the routing time).
     let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
     let mut candidate_seen = vec![false; graph.num_edges()];
-    let mut lookahead: Vec<(usize, usize)> = Vec::with_capacity(config.lookahead);
+    let mut lookahead: Vec<(usize, usize)> = Vec::with_capacity(LOOKAHEAD);
     let mut front_pairs: Vec<(usize, usize)> = Vec::new();
     let mut next_front: Vec<usize> = Vec::with_capacity(front.len());
     let mut mapped_qubits: Vec<usize> = Vec::with_capacity(2);
@@ -751,7 +706,7 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
         // a walk of the pending-2Q chain, skipping the front.
         lookahead.clear();
         let mut cursor = head2q;
-        while cursor != total && lookahead.len() < config.lookahead {
+        while cursor != total && lookahead.len() < LOOKAHEAD {
             if !in_front[cursor] {
                 let inst = &instructions[cursor];
                 lookahead.push((inst.qubits[0], inst.qubits[1]));
@@ -839,7 +794,7 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
             layout.swap_physical(p, q);
             let (front_cost, look_cost) = (front_cost_of(&layout), look_cost_of(&layout));
             layout.swap_physical(p, q);
-            let mut score = front_cost + config.lookahead_weight * look_cost;
+            let mut score = front_cost + LOOKAHEAD_WEIGHT * look_cost;
             // Executing the SWAP itself burns pulses on edge (p, q); bias
             // away from noisy links even when the distances tie.
             if let Some(n) = noise {
@@ -1110,10 +1065,7 @@ mod tests {
         for config in [
             RouterConfig::default(),
             RouterConfig::noise_aware(1.0),
-            RouterConfig {
-                edge_errors: EdgeErrorSource::Uniform(0.01),
-                ..RouterConfig::noise_aware(0.5)
-            },
+            RouterConfig::noise_aware(0.5),
         ] {
             let fresh = route_with_cache(&c, &graph, &layout, &config, &RoutingCache::new());
             let cache = RoutingCache::new();

@@ -20,7 +20,6 @@ fn cache_counters() -> (u64, u64) {
 
 #[test]
 fn parallel_first_use_counts_exactly_one_miss_per_matrix() {
-    snailqc_obs::enable();
     const CALLERS: u64 = 16;
 
     // Noise-blind: the only distance state is the hop matrix, and every

@@ -70,7 +70,7 @@ COMMANDS:
         --trace-out <file>  Write a Chrome trace-event JSON of the run's
                             pipeline/router spans (open in Perfetto or
                             chrome://tracing)
-        --metrics-json <f>  Write the metrics snapshot (counters, gauges,
+        --metrics-json <f>  Write the metrics snapshot (counters and
                             histogram quantiles) as JSON
         --qasm3             Write -o output as OpenQASM 3.0
         -o, --out <file>    Write the transpiled circuit as QASM
@@ -142,9 +142,9 @@ COMMANDS:
 
 Use `-` as <file.qasm> to read from stdin.
 
-Setting SNAILQC_TRACE=1 enables the observability layer for any transpile
-run; without --trace-out/--metrics-json the metrics summary table is
-printed to stderr.";
+Metrics are always counted; spans are recorded only for --trace-out or
+SNAILQC_TRACE=1. Setting SNAILQC_TRACE=1 on any transpile run without
+--trace-out/--metrics-json prints the metrics summary table to stderr.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -387,17 +387,16 @@ fn cmd_transpile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Turns on the workspace observability layer when the run asked for it —
-/// via `--trace-out`, `--metrics-json`, or the `SNAILQC_TRACE` environment
-/// variable. Returns whether it was enabled, so the caller knows to drain.
+/// Turns on span recording when the run asked for a trace — via
+/// `--trace-out` or the `SNAILQC_TRACE` environment variable; metrics are
+/// always counted. Returns whether the run wants any observability output
+/// (`--metrics-json` too), so the caller knows to drain.
 fn obs_setup(opts: &Options) -> bool {
-    let wanted = opts.value("trace-out").is_some()
-        || opts.value("metrics-json").is_some()
-        || snailqc::obs::env_requests_tracing();
-    if wanted {
+    let tracing = opts.value("trace-out").is_some() || snailqc::obs::env_requests_tracing();
+    if tracing {
         snailqc::obs::enable();
     }
-    wanted
+    tracing || opts.value("metrics-json").is_some()
 }
 
 /// Drains the spans and metrics collected during the run: writes the Chrome
@@ -688,7 +687,7 @@ fn transpile_directory(
             } else {
                 None
             };
-            let timer = snailqc::obs::is_enabled().then(std::time::Instant::now);
+            let started = std::time::Instant::now();
             let (name, seed) = (name.clone(), *seed);
             let outcome = match prepared {
                 Prepared::Failed(error) => (
@@ -765,12 +764,10 @@ fn transpile_directory(
                     }
                 }
             };
-            if let Some(timer) = timer {
-                snailqc::obs::histogram_record(
-                    "batch.file_micros",
-                    timer.elapsed().as_micros() as u64,
-                );
-            }
+            snailqc::obs::histogram_record(
+                "batch.file_micros",
+                started.elapsed().as_micros() as u64,
+            );
             outcome
         })
         .collect();

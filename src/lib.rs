@@ -58,13 +58,13 @@
 //!
 //! Sweeps take a slice of devices ([`run_sweep`](core::sweep::run_sweep)),
 //! and every run carries a [`PassTrace`](transpiler::PassTrace) with
-//! per-stage timings and gate/SWAP deltas. For deeper introspection,
-//! [`obs::enable`] turns on the workspace-wide observability layer: nested
-//! tracing spans around every pipeline stage and routing trial, plus router
-//! work counters and cache hit/miss metrics, exportable as Chrome
-//! trace-event JSON ([`obs::chrome_trace`]) or a flat metrics snapshot
-//! ([`obs::snapshot`]) — see the CLI's `--trace-out` / `--metrics-json`
-//! flags and the README's Observability section.
+//! per-stage timings and gate/SWAP deltas. For deeper introspection, the
+//! workspace-wide observability layer always counts router work and cache
+//! hits/misses as metrics ([`obs::snapshot`]), and [`obs::enable`] turns on
+//! nested tracing spans around every pipeline stage and routing trial,
+//! exportable as Chrome trace-event JSON ([`obs::chrome_trace`]) — see the
+//! CLI's `--trace-out` / `--metrics-json` flags and the README's
+//! Observability section.
 
 #![warn(missing_docs)]
 
@@ -108,8 +108,6 @@ pub mod prelude {
     };
     pub use snailqc_sim::{verify_equivalent, Verdict};
     pub use snailqc_topology::CouplingGraph;
-    pub use snailqc_transpiler::{
-        BasisChoice, EdgeErrorSource, LayoutStrategy, PassTrace, Pipeline, RouterConfig,
-    };
+    pub use snailqc_transpiler::{BasisChoice, LayoutStrategy, PassTrace, Pipeline, RouterConfig};
     pub use snailqc_workloads::Workload;
 }

@@ -24,10 +24,13 @@
 //!   routed-instruction digest bitwise-identical to one-shot
 //!   `snailqc transpile` — the caches never change results, they only skip
 //!   recomputing them.
-//! * **Metrics.** Every frame's JSON decode and every transpile job are
-//!   timed into the `snailqc-obs` registry; the `stats` RPC surfaces their
-//!   p50/p90/p99 (`decode_micros`, `latency_micros`), queue depth, cache
-//!   hit rates (memory, `RoutingCache`, `SweepStore`) and request counters.
+//! * **Metrics, not spans.** Every frame's JSON decode and every transpile
+//!   job are timed into the `snailqc-obs` metrics registry, which always
+//!   counts; the `stats` RPC surfaces their p50/p90/p99 (`decode_micros`,
+//!   `latency_micros`), queue depth, cache hit rates (memory,
+//!   `RoutingCache`, `SweepStore`) and request counters. The daemon never
+//!   turns span recording on: nothing in it would drain the spans, so they
+//!   would pile up with every request.
 //! * **Shared store.** With a store file configured, reports persist across
 //!   daemon restarts and are shared with the batch CLI — both sides key
 //!   cells with [`source_cell_key`], and the store's append-only flush (PR
@@ -804,10 +807,11 @@ pub struct Server {
 
 impl Server {
     /// Binds, starts the worker pool and the accept loop, and returns
-    /// without blocking. The daemon enables the workspace observability
-    /// layer — `stats` is metrics-backed.
+    /// without blocking. `stats` reads the `snailqc-obs` metrics, which
+    /// always count; the daemon never turns span recording on, so a request
+    /// leaves no trace events behind and memory does not grow with the
+    /// number of requests served.
     pub fn spawn(config: ServeConfig) -> Result<Self, String> {
-        obs::enable();
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(2, |n| n.get())
         } else {
@@ -1043,7 +1047,6 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_busy_and_drain_with_shutting_down() {
-        obs::enable();
         let (state, rx) = test_state(1);
         // The first job arrives as a frame, so `stats` sees its decode time.
         let (reply, replies) = std::sync::mpsc::channel();

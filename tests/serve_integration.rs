@@ -178,6 +178,54 @@ fn serve_matches_one_shot_cli_and_surfaces_cache_hits_in_stats() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The daemon's memory must not grow with the number of requests served:
+/// it never turns span recording on (nothing in it would drain the spans),
+/// while the metrics behind `stats` always count. No test in this binary
+/// turns spans on, so any span in the collector was recorded by a daemon.
+#[test]
+fn the_daemon_records_no_spans_and_stats_still_counts_every_request() {
+    const REQUESTS: u64 = 200;
+    let (server, addr) = spawn_tcp(None);
+    let ghz3 = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n\
+                h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+    for seed in 0..REQUESTS {
+        // A distinct seed per request: every one misses the caches and runs
+        // the whole pipeline, router trials included.
+        let response = client
+            .call(
+                "transpile",
+                object(vec![
+                    ("source", Value::String(ghz3.to_string())),
+                    ("topology", Value::String("tree-20".to_string())),
+                    ("seed", Value::UInt(seed)),
+                ]),
+            )
+            .expect("transpile");
+        assert_eq!(str_field(&response, "cached"), "none");
+    }
+    let stats = client.call("stats", object(vec![])).expect("stats RPC");
+    let spans = snailqc::obs::take_spans();
+    assert!(
+        spans.is_empty(),
+        "the daemon recorded {} spans it never drains, e.g. `{}`",
+        spans.len(),
+        spans[0].name
+    );
+    for histogram in ["latency_micros", "decode_micros"] {
+        let count = stats
+            .get(histogram)
+            .and_then(|h| h.get("count"))
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
+        assert!(count >= REQUESTS, "{histogram}.count = {count}: {stats:?}");
+    }
+    client
+        .call("shutdown", object(vec![]))
+        .expect("shutdown RPC");
+    server.join().expect("drain completes");
+}
+
 #[test]
 fn a_non_finite_parameter_gets_an_error_reply_and_the_single_worker_lives_on() {
     let server = Server::spawn(ServeConfig {
