@@ -273,17 +273,6 @@ impl Gate {
             | Gate::Unitary2(_) => false,
         }
     }
-
-    /// True when the gate is symmetric under exchanging its two qubits
-    /// (meaningless but `true` for single-qubit gates).
-    pub fn is_symmetric(&self) -> bool {
-        match self {
-            Gate::CX | Gate::ZXInteraction(_) => false,
-            Gate::Unitary2(m) => m.approx_eq(&m.reverse_qubits(), 1e-12),
-            Gate::Canonical(..) => true,
-            _ => true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -354,14 +343,6 @@ mod tests {
                 g.name()
             );
         }
-    }
-
-    #[test]
-    fn symmetry_flags() {
-        assert!(!Gate::CX.is_symmetric());
-        assert!(Gate::CZ.is_symmetric());
-        assert!(Gate::Swap.is_symmetric());
-        assert!(Gate::SqrtISwap.is_symmetric());
     }
 
     #[test]

@@ -232,28 +232,6 @@ pub fn run_sweep_with_store(
         .collect()
 }
 
-/// Aggregates sweep points: average of `metric` over all points matching a
-/// topology label, grouped by workload. Returns `(workload, topology, mean)`
-/// sorted by workload then topology.
-pub fn aggregate_by_topology<F>(points: &[SweepPoint], metric: F) -> Vec<(Workload, String, f64)>
-where
-    F: Fn(&TranspileReport) -> f64,
-{
-    use std::collections::BTreeMap;
-    let mut groups: BTreeMap<(Workload, String), (f64, usize)> = BTreeMap::new();
-    for p in points {
-        let entry = groups
-            .entry((p.workload, p.topology.clone()))
-            .or_insert((0.0, 0));
-        entry.0 += metric(&p.report);
-        entry.1 += 1;
-    }
-    groups
-        .into_iter()
-        .map(|((workload, topology), (sum, n))| (workload, topology, sum / n as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,17 +362,5 @@ mod tests {
             "warm store must not change results"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn aggregate_means_are_in_range() {
-        let devices = graph_devices(vec![catalog::hypercube_16(), catalog::heavy_hex_20()]);
-        let config = SweepConfig::smoke();
-        let points = run_sweep(&devices, &config);
-        let agg = aggregate_by_topology(&points, |r| r.swap_count as f64);
-        assert!(!agg.is_empty());
-        for (_, _, mean) in &agg {
-            assert!(*mean >= 0.0);
-        }
     }
 }

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use snailqc_circuit::{Circuit, Gate};
+use snailqc_circuit::Gate;
 use snailqc_math::gates::u3;
 use snailqc_math::{Matrix2, Matrix4};
 
@@ -42,7 +42,6 @@ impl TemplateFit {
 #[derive(Debug, Clone)]
 pub struct NuOpDecomposer {
     basis: Matrix4,
-    basis_gate: Gate,
     max_iterations: usize,
     restarts: usize,
     tolerance: f64,
@@ -55,7 +54,6 @@ impl NuOpDecomposer {
         let basis = basis_gate.matrix4().expect("basis gate must be two-qubit");
         Self {
             basis,
-            basis_gate,
             max_iterations: 250,
             restarts: 3,
             tolerance: 1e-10,
@@ -74,13 +72,8 @@ impl NuOpDecomposer {
         self
     }
 
-    /// The basis gate unitary.
-    pub fn basis_matrix(&self) -> Matrix4 {
-        self.basis
-    }
-
     /// Evaluates the template unitary for a parameter vector.
-    pub fn template_unitary(&self, params: &[f64], k: usize) -> Matrix4 {
+    fn template_unitary(&self, params: &[f64], k: usize) -> Matrix4 {
         assert_eq!(params.len(), 6 * (k + 1));
         let mut u = local_layer(&params[0..6]);
         for i in 0..k {
@@ -89,23 +82,6 @@ impl NuOpDecomposer {
             u = local_layer(&params[offset..offset + 6]) * u;
         }
         u
-    }
-
-    /// Builds the template as an explicit two-qubit circuit.
-    pub fn template_circuit(&self, params: &[f64], k: usize) -> Circuit {
-        assert_eq!(params.len(), 6 * (k + 1));
-        let mut c = Circuit::new(2);
-        let push_layer = |c: &mut Circuit, p: &[f64]| {
-            c.push(Gate::U3(p[0], p[1], p[2]), &[0]);
-            c.push(Gate::U3(p[3], p[4], p[5]), &[1]);
-        };
-        push_layer(&mut c, &params[0..6]);
-        for i in 0..k {
-            c.push(self.basis_gate.clone(), &[0, 1]);
-            let offset = 6 * (i + 1);
-            push_layer(&mut c, &params[offset..offset + 6]);
-        }
-        c
     }
 
     /// Fits a `k`-application template to `target`, returning the best fit
@@ -132,27 +108,6 @@ impl NuOpDecomposer {
             }
         }
         best
-    }
-
-    /// Increases `k` from `k_min` until the fit reaches `min_fidelity` or
-    /// `k_max` is hit, returning the first satisfying (or final) fit.
-    pub fn fit_adaptive(
-        &self,
-        target: &Matrix4,
-        k_min: usize,
-        k_max: usize,
-        min_fidelity: f64,
-        seed: u64,
-    ) -> TemplateFit {
-        let mut last = None;
-        for k in k_min..=k_max {
-            let fit = self.fit(target, k, seed.wrapping_add(k as u64));
-            if fit.fidelity >= min_fidelity {
-                return fit;
-            }
-            last = Some(fit);
-        }
-        last.expect("k_max must be >= k_min")
     }
 
     /// Adam ascent on the Hilbert–Schmidt fidelity with central-difference
@@ -240,28 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn template_unitary_matches_template_circuit() {
+    fn template_with_identity_layers_is_the_basis_power() {
         let d = NuOpDecomposer::new(Gate::SqrtISwap);
-        let params: Vec<f64> = (0..18).map(|i| 0.1 * i as f64).collect();
-        let u = d.template_unitary(&params, 2);
-        let c = d.template_circuit(&params, 2);
-        // Multiply the circuit's gates manually on two qubits.
-        let mut acc = Matrix4::identity();
-        for inst in c.instructions() {
-            let g = match inst.gate.num_qubits() {
-                1 => {
-                    let m = inst.gate.matrix2().unwrap();
-                    if inst.qubits[0] == 0 {
-                        snailqc_math::gates::on_qubit0(&m)
-                    } else {
-                        snailqc_math::gates::on_qubit1(&m)
-                    }
-                }
-                _ => inst.gate.matrix4().unwrap(),
-            };
-            acc = g * acc;
-        }
-        assert!(acc.approx_eq(&u, 1e-9));
+        let u = d.template_unitary(&[0.0; 18], 2);
+        assert!(u.approx_eq(&gates::iswap(), 1e-12));
     }
 
     #[test]
@@ -297,14 +234,6 @@ mod tests {
             .with_restarts(4);
         let fit = d.fit(&target, 3, 7);
         assert!(fit.fidelity > 1.0 - 1e-3, "fidelity {}", fit.fidelity);
-    }
-
-    #[test]
-    fn adaptive_fit_stops_at_sufficient_k() {
-        let d = NuOpDecomposer::new(Gate::SqrtISwap).with_max_iterations(250);
-        let fit = d.fit_adaptive(&gates::cz(), 1, 3, 0.999, 13);
-        assert_eq!(fit.k, 2);
-        assert!(fit.fidelity > 0.999);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! fidelity under the decoherence model as a function of the iSWAP pulse
 //! fidelity (bottom).
 
-use crate::fidelity::{evaluate_fits, nth_root_basis_fidelity, total_fidelity};
+use crate::fidelity::evaluate_fits;
 use crate::nuop::{NuOpDecomposer, TemplateFit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,20 +42,6 @@ impl Default for StudyConfig {
             iswap_fidelities: vec![0.90, 0.925, 0.95, 0.975, 0.99, 1.0],
             seed: 2023,
             optimizer_iterations: 220,
-        }
-    }
-}
-
-impl StudyConfig {
-    /// A reduced configuration suitable for tests and CI smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            samples: 3,
-            roots: vec![2, 3, 4],
-            template_sizes: (2..=5).collect(),
-            iswap_fidelities: vec![0.95, 0.99],
-            seed: 7,
-            optimizer_iterations: 120,
         }
     }
 }
@@ -188,21 +174,26 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
     }
 }
 
-/// Analytic shortcut used by tests and the quick example: the best total
-/// fidelity attainable assuming exact decompositions with the worst-case
-/// template sizes `k*(n)` (3 for √iSWAP, 4–5 for deeper roots following the
-/// paper's duration argument).
-pub fn ideal_total_fidelity(n: u32, k: usize, fb_iswap: f64) -> f64 {
-    total_fidelity(1.0, nth_root_basis_fidelity(fb_iswap, n), k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fidelity::{nth_root_basis_fidelity, total_fidelity};
+
+    /// A reduced configuration that keeps the study fast.
+    fn quick() -> StudyConfig {
+        StudyConfig {
+            samples: 3,
+            roots: vec![2, 3, 4],
+            template_sizes: (2..=5).collect(),
+            iswap_fidelities: vec![0.95, 0.99],
+            seed: 7,
+            optimizer_iterations: 120,
+        }
+    }
 
     #[test]
     fn quick_study_runs_and_is_monotone_in_k() {
-        let result = run_study(&StudyConfig::quick());
+        let result = run_study(&quick());
         // For the √iSWAP basis, infidelity at k=3 must be far below k=2
         // (three applications synthesize any two-qubit gate exactly).
         let i2 = result.infidelity(2, 2).unwrap();
@@ -213,7 +204,7 @@ mod tests {
 
     #[test]
     fn deeper_roots_need_more_gates() {
-        let result = run_study(&StudyConfig::quick());
+        let result = run_study(&quick());
         // At k=3 the 4th-root basis cannot yet be near-exact while √iSWAP is.
         let sqrt_k3 = result.infidelity(2, 3).unwrap();
         let fourth_k3 = result.infidelity(4, 3).unwrap();
@@ -222,7 +213,7 @@ mod tests {
 
     #[test]
     fn total_fidelity_improves_with_perfect_gates() {
-        let result = run_study(&StudyConfig::quick());
+        let result = run_study(&quick());
         for &n in &result.config.roots {
             let poor = result.total(n, 0.95).unwrap();
             let good = result.total(n, 0.99).unwrap();
@@ -234,14 +225,14 @@ mod tests {
     fn ideal_model_favors_finer_roots_at_fixed_duration() {
         // The paper's argument: k=4 of ³√iSWAP (duration 1.33) beats k=3 of
         // √iSWAP (duration 1.5) because each pulse is shorter.
-        let sqrt = ideal_total_fidelity(2, 3, 0.99);
-        let third = ideal_total_fidelity(3, 4, 0.99);
+        let ideal = |n, k| total_fidelity(1.0, nth_root_basis_fidelity(0.99, n), k);
+        let (sqrt, third) = (ideal(2, 3), ideal(3, 4));
         assert!(third > sqrt, "third-root {third} vs sqrt {sqrt}");
     }
 
     #[test]
     fn result_lookup_handles_missing_cells() {
-        let result = run_study(&StudyConfig::quick());
+        let result = run_study(&quick());
         assert!(result.infidelity(2, 99).is_none());
         assert!(result.total(99, 0.99).is_none());
     }

@@ -9,11 +9,7 @@
 //! builder-built twins.
 
 use serde::Value;
-use snailqc_topology::{builders, CouplingGraph};
-
-/// The largest device any spec may describe. Keeps a typo'd
-/// `"qubits": 4000000000` from allocating the machine away.
-pub const MAX_QUBITS: usize = 65_536;
+use snailqc_topology::{builders, CouplingGraph, MAX_QUBITS};
 
 /// All-to-all graphs get a tighter cap: edge count grows quadratically, and
 /// real trapped-ion modules are far below this.

@@ -25,7 +25,9 @@
 //! ([`SpecError`]), so a typo in a hand-edited file points at the offending
 //! byte rather than failing opaquely. Generator-built specs go through the
 //! exact same builder code the built-in catalog uses, which keeps routed
-//! digests bitwise-identical between a spec and its builder twin.
+//! digests bitwise-identical between a spec and its builder twin. No spec
+//! may describe more than `snailqc_topology::MAX_QUBITS` = 65,535 qubits,
+//! the largest graph whose hop distances fit the router's `u16` rows.
 //!
 //! This crate is pure data + graph construction; turning a spec into a
 //! routable `Device` (error-model stamping, registry lookup,
@@ -38,5 +40,5 @@ mod generator;
 mod spec;
 
 pub use error::SpecError;
-pub use generator::{GeneratorSpec, MAX_COMPLETE_QUBITS, MAX_QUBITS, MAX_TREE_LEVELS};
+pub use generator::{GeneratorSpec, MAX_COMPLETE_QUBITS, MAX_TREE_LEVELS};
 pub use spec::{basis_name, DeviceSpec, ErrorModelRef, TopologySource, SPEC_VERSION};

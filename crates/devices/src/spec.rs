@@ -3,11 +3,11 @@
 //! direction (exporting a built graph back to a spec).
 
 use crate::error::SpecError;
-use crate::generator::{GeneratorSpec, MAX_QUBITS};
+use crate::generator::GeneratorSpec;
 use serde::Value;
 use serde_json::spanned::{self, Spanned, SpannedKey, SpannedValue};
 use snailqc_decompose::BasisGate;
-use snailqc_topology::{CouplingGraph, DEFAULT_EDGE_ERROR};
+use snailqc_topology::{CouplingGraph, DEFAULT_EDGE_ERROR, MAX_QUBITS};
 use snailqc_util::normalize_name;
 use std::collections::HashSet;
 

@@ -16,11 +16,6 @@ use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, FRAC_PI_6, PI};
 // Single-qubit gates
 // ---------------------------------------------------------------------------
 
-/// 2×2 identity.
-pub fn id2() -> Matrix2 {
-    Matrix2::identity()
-}
-
 /// Pauli X.
 pub fn x() -> Matrix2 {
     Matrix2::new([[ZERO, ONE], [ONE, ZERO]])
@@ -270,7 +265,7 @@ pub fn magic_basis() -> Matrix4 {
 ///
 /// `canonical(c)` is diagonal in the magic basis with phases `exp(i λⱼ)` where
 /// `λ = (c₁-c₂+c₃, -c₁+c₂+c₃, -c₁-c₂-c₃, c₁+c₂-c₃)`.
-pub fn canonical_phases(c1: f64, c2: f64, c3: f64) -> [f64; 4] {
+fn canonical_phases(c1: f64, c2: f64, c3: f64) -> [f64; 4] {
     [c1 - c2 + c3, -c1 + c2 + c3, -c1 - c2 - c3, c1 + c2 - c3]
 }
 
@@ -299,11 +294,6 @@ pub fn on_qubit0(a: &Matrix2) -> Matrix4 {
 /// Embeds a single-qubit gate on qubit 1 of a two-qubit register.
 pub fn on_qubit1(a: &Matrix2) -> Matrix4 {
     Matrix2::identity().kron(a)
-}
-
-/// Applies local dressings: `(a0 ⊗ a1) · U · (b0 ⊗ b1)`.
-pub fn dress(u: &Matrix4, a0: &Matrix2, a1: &Matrix2, b0: &Matrix2, b1: &Matrix2) -> Matrix4 {
-    a0.kron(a1) * *u * b0.kron(b1)
 }
 
 /// Weyl-chamber coordinates of well-known gates, used for classification.

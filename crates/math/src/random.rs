@@ -64,13 +64,6 @@ pub fn haar_unitary4<R: Rng + ?Sized>(rng: &mut R) -> Matrix4 {
     m
 }
 
-/// Samples a Haar-random special unitary from `SU(4)` (determinant 1).
-pub fn haar_special_unitary4<R: Rng + ?Sized>(rng: &mut R) -> Matrix4 {
-    let u = haar_unitary4(rng);
-    let phase = u.det().nth_root(4);
-    u.scale(phase.inv())
-}
-
 /// Modified Gram–Schmidt on the column vectors, with the QR phase fix that
 /// makes the distribution exactly Haar (each diagonal of `R` made real
 /// positive). Re-draws a column in the measure-zero event of linear
@@ -137,16 +130,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..20 {
             assert!(haar_unitary4(&mut rng).is_unitary(1e-9));
-        }
-    }
-
-    #[test]
-    fn special_unitary_has_unit_determinant() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..10 {
-            let u = haar_special_unitary4(&mut rng);
-            assert!(u.is_unitary(1e-9));
-            assert!(u.det().approx_eq(crate::complex::ONE, 1e-8));
         }
     }
 

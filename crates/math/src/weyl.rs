@@ -15,7 +15,7 @@
 
 use crate::complex::C64;
 use crate::eigen::simultaneous_diagonalize;
-use crate::gates::{canonical_phases, magic_basis};
+use crate::gates::magic_basis;
 use crate::matrix::Matrix4;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
@@ -57,20 +57,6 @@ impl WeylCoordinates {
     /// True when the unitary is in the CNOT/CZ local-equivalence class.
     pub fn is_cnot_class(&self, tol: f64) -> bool {
         (self.c1 - FRAC_PI_4).abs() <= tol && self.c2.abs() <= tol && self.c3.abs() <= tol
-    }
-
-    /// True when the unitary is in the iSWAP/DCX local-equivalence class.
-    pub fn is_iswap_class(&self, tol: f64) -> bool {
-        (self.c1 - FRAC_PI_4).abs() <= tol
-            && (self.c2 - FRAC_PI_4).abs() <= tol
-            && self.c3.abs() <= tol
-    }
-
-    /// True when the unitary is in the SWAP local-equivalence class.
-    pub fn is_swap_class(&self, tol: f64) -> bool {
-        (self.c1 - FRAC_PI_4).abs() <= tol
-            && (self.c2 - FRAC_PI_4).abs() <= tol
-            && (self.c3.abs() - FRAC_PI_4).abs() <= tol
     }
 
     /// True when the unitary is in the √iSWAP local-equivalence class.
@@ -232,12 +218,6 @@ pub fn makhlin_invariants(u: &Matrix4) -> (f64, f64, f64) {
 /// decomposer.
 pub fn canonical_gate(coords: &WeylCoordinates) -> Matrix4 {
     crate::gates::canonical(coords.c1, coords.c2, coords.c3)
-}
-
-/// The eigenphase multiset `exp(i λⱼ)` of a canonical class; exposed mainly
-/// for diagnostics and testing.
-pub fn canonical_eigenphases(coords: &WeylCoordinates) -> [f64; 4] {
-    canonical_phases(coords.c1, coords.c2, coords.c3)
 }
 
 #[cfg(test)]
@@ -453,8 +433,6 @@ mod tests {
     fn classification_helpers() {
         assert!(weyl_coordinates(&gates::cx()).is_cnot_class(1e-6));
         assert!(weyl_coordinates(&gates::cz()).is_cnot_class(1e-6));
-        assert!(weyl_coordinates(&gates::iswap()).is_iswap_class(1e-6));
-        assert!(weyl_coordinates(&gates::swap()).is_swap_class(1e-6));
         assert!(weyl_coordinates(&gates::sqrt_iswap()).is_sqrt_iswap_class(1e-6));
         assert!(weyl_coordinates(&Matrix4::identity()).is_local(1e-9));
         assert!(!weyl_coordinates(&gates::cx()).is_local(1e-6));

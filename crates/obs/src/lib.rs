@@ -95,8 +95,9 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// True when the `SNAILQC_TRACE` environment variable requests tracing
-/// (any value other than empty or `0`).
+/// True when the `SNAILQC_TRACE` environment variable is set to any value
+/// other than empty or `0`. The CLI then prints its metrics table to
+/// stderr; it records no spans for it.
 pub fn env_requests_tracing() -> bool {
     match std::env::var("SNAILQC_TRACE") {
         Ok(v) => !v.is_empty() && v != "0",

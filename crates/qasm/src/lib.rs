@@ -100,9 +100,3 @@ pub fn parse_any(source: &str) -> Result<QasmProgram, QasmError> {
         QasmVersion::V3 => parse3(source),
     }
 }
-
-/// Parses a QASM program in whichever dialect its header declares, returning
-/// only the lowered circuit.
-pub fn parse_any_circuit(source: &str) -> Result<snailqc_circuit::Circuit, QasmError> {
-    parse_any(source).map(|p| p.circuit)
-}

@@ -47,20 +47,6 @@ pub struct QasmProgram {
     pub barriers: usize,
 }
 
-impl QasmProgram {
-    /// The flat index of `reg[idx]`, if declared.
-    pub fn qubit_index(&self, reg: &str, idx: usize) -> Option<usize> {
-        let mut offset = 0;
-        for (name, size) in &self.qregs {
-            if name == reg {
-                return (idx < *size).then_some(offset + idx);
-            }
-            offset += size;
-        }
-        None
-    }
-}
-
 /// Parses an OpenQASM 2.0 program.
 pub fn parse(source: &str) -> Result<QasmProgram, QasmError> {
     Parser::new(lex(source)?).run()
@@ -1208,9 +1194,7 @@ mod tests {
         assert_eq!(p.circuit.num_qubits(), 4);
         assert_eq!(p.circuit.instructions()[0].qubits, vec![1]);
         assert_eq!(p.circuit.instructions()[1].qubits, vec![2]);
-        assert_eq!(p.qubit_index("b", 0), Some(2));
-        assert_eq!(p.qubit_index("b", 2), None);
-        assert_eq!(p.qubit_index("missing", 0), None);
+        assert_eq!(p.qregs, [("a".to_string(), 2), ("b".to_string(), 2)]);
     }
 
     #[test]

@@ -419,32 +419,35 @@ mod tests {
     #[test]
     fn square_lattice_structure() {
         let g = square_lattice(4, 4);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 16);
         assert_eq!(g.num_edges(), 24);
-        assert_eq!(g.diameter(), 6);
-        assert!((g.average_connectivity() - 3.0).abs() < 1e-12);
-        assert!((g.average_distance() - 2.5).abs() < 1e-12);
+        assert_eq!(m.diameter, 6);
+        assert!((m.avg_connectivity - 3.0).abs() < 1e-12);
+        assert!((m.avg_distance - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn square_lattice_84_matches_table2() {
         // Table 2: 84 qubits, diameter 17, avg distance 6.26, avg conn 3.55.
         let g = square_lattice(7, 12);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 84);
         assert_eq!(g.num_edges(), 149);
-        assert_eq!(g.diameter(), 17);
-        assert!((g.average_distance() - 6.26).abs() < 0.01);
-        assert!((g.average_connectivity() - 3.55).abs() < 0.01);
+        assert_eq!(m.diameter, 17);
+        assert!((m.avg_distance - 6.26).abs() < 0.01);
+        assert!((m.avg_connectivity - 3.55).abs() < 0.01);
     }
 
     #[test]
     fn alt_diagonal_lattice_84_matches_table2() {
         // Table 2: diameter 11, avg distance 4.62, avg conn 5.12.
         let g = lattice_alt_diagonals(7, 12);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 84);
-        assert_eq!(g.diameter(), 11);
-        assert!((g.average_connectivity() - 5.12).abs() < 0.02);
-        assert!((g.average_distance() - 4.62).abs() < 0.05);
+        assert_eq!(m.diameter, 11);
+        assert!((m.avg_connectivity - 5.12).abs() < 0.02);
+        assert!((m.avg_distance - 4.62).abs() < 0.05);
     }
 
     #[test]
@@ -486,22 +489,24 @@ mod tests {
     #[test]
     fn hypercube_structure() {
         let g = hypercube(4);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 16);
         assert_eq!(g.num_edges(), 32);
-        assert_eq!(g.diameter(), 4);
-        assert!((g.average_connectivity() - 4.0).abs() < 1e-12);
-        assert!((g.average_distance() - 2.0).abs() < 1e-12);
+        assert_eq!(m.diameter, 4);
+        assert!((m.avg_connectivity - 4.0).abs() < 1e-12);
+        assert!((m.avg_distance - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn hypercube_sized_84_matches_table2() {
         // Table 2: 84 qubits, avg conn 6.0, diameter 7, avg distance 3.32.
         let g = hypercube_sized(84);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 84);
         assert_eq!(g.num_edges(), 252);
-        assert!((g.average_connectivity() - 6.0).abs() < 1e-12);
-        assert_eq!(g.diameter(), 7);
-        assert!((g.average_distance() - 3.32).abs() < 0.05);
+        assert!((m.avg_connectivity - 6.0).abs() < 1e-12);
+        assert_eq!(m.diameter, 7);
+        assert!((m.avg_distance - 3.32).abs() < 0.05);
         assert!(g.is_connected());
     }
 
@@ -509,22 +514,24 @@ mod tests {
     fn tree20_matches_table1() {
         // Table 1: 20 qubits, diameter 3, avg distance 2.15, avg conn 4.6.
         let g = tree4(1);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 20);
         assert_eq!(g.num_edges(), 46);
-        assert_eq!(g.diameter(), 3);
-        assert!((g.average_distance() - 2.15).abs() < 1e-9);
-        assert!((g.average_connectivity() - 4.6).abs() < 1e-9);
+        assert_eq!(m.diameter, 3);
+        assert!((m.avg_distance - 2.15).abs() < 1e-9);
+        assert!((m.avg_connectivity - 4.6).abs() < 1e-9);
     }
 
     #[test]
     fn tree_rr20_matches_table1() {
         // Table 1: 20 qubits, diameter 3, avg distance 2.03, avg conn 4.6.
         let g = tree4_rr(1);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 20);
         assert_eq!(g.num_edges(), 46);
-        assert_eq!(g.diameter(), 3);
-        assert!((g.average_distance() - 2.03).abs() < 1e-9);
-        assert!((g.average_connectivity() - 4.6).abs() < 1e-9);
+        assert_eq!(m.diameter, 3);
+        assert!((m.avg_distance - 2.03).abs() < 1e-9);
+        assert!((m.avg_connectivity - 4.6).abs() < 1e-9);
     }
 
     #[test]
@@ -532,9 +539,10 @@ mod tests {
         // Table 2: 84 qubits, diameter 5, avg distance 3.91 (this
         // construction measures 3.85).
         let g = tree4(2);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 84);
-        assert_eq!(g.diameter(), 5);
-        assert!((g.average_distance() - 3.91).abs() < 0.1);
+        assert_eq!(m.diameter, 5);
+        assert!((m.avg_distance - 3.91).abs() < 0.1);
         assert!(g.is_connected());
     }
 
@@ -543,31 +551,34 @@ mod tests {
         // Table 2: 84 qubits, diameter 5, avg distance 3.65; the RR variant
         // must have a strictly smaller average distance than the plain tree.
         let g = tree4_rr(2);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 84);
-        assert_eq!(g.diameter(), 5);
+        assert_eq!(m.diameter, 5);
         assert!(g.is_connected());
-        assert!(g.average_distance() < tree4(2).average_distance());
+        assert!(m.avg_distance < tree4(2).metrics().avg_distance);
     }
 
     #[test]
     fn corral_11_matches_table1() {
         // Table 1: 16 qubits, diameter 4, avg distance 2.06, avg conn 5.0.
         let g = corral(8, 1, 1);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 16);
         assert_eq!(g.num_edges(), 40);
-        assert_eq!(g.diameter(), 4);
-        assert!((g.average_connectivity() - 5.0).abs() < 1e-9);
-        assert!((g.average_distance() - 2.06).abs() < 0.01);
+        assert_eq!(m.diameter, 4);
+        assert!((m.avg_connectivity - 5.0).abs() < 1e-9);
+        assert!((m.avg_distance - 2.06).abs() < 0.01);
     }
 
     #[test]
     fn corral_stride_two_structure() {
         // The literal stride-(1,2) corral: 6-regular but diameter 3.
         let g = corral(8, 1, 2);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 16);
         assert_eq!(g.num_edges(), 48);
-        assert_eq!(g.diameter(), 3);
-        assert!((g.average_connectivity() - 6.0).abs() < 1e-9);
+        assert_eq!(m.diameter, 3);
+        assert!((m.avg_connectivity - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -576,11 +587,12 @@ mod tests {
         // avg conn 6.0) is reproduced exactly by the stride-(1,3) corral; see
         // the catalog documentation for the discussion.
         let g = corral(8, 1, 3);
+        let m = g.metrics();
         assert_eq!(g.num_qubits(), 16);
         assert_eq!(g.num_edges(), 48);
-        assert_eq!(g.diameter(), 2);
-        assert!((g.average_connectivity() - 6.0).abs() < 1e-9);
-        assert!((g.average_distance() - 1.5).abs() < 1e-9);
+        assert_eq!(m.diameter, 2);
+        assert!((m.avg_connectivity - 6.0).abs() < 1e-9);
+        assert!((m.avg_distance - 1.5).abs() < 1e-9);
     }
 
     #[test]

@@ -1,127 +1,98 @@
-//! Compact, lazily materialized shortest-path state for routing.
+//! Lazily materialized shortest-path rows for routing.
 //!
-//! The router's distance lookups used to live in `Vec<Vec<usize>>` /
-//! `Vec<Vec<f64>>` all-pairs matrices: simple, but O(n²·8) bytes per matrix
-//! and always fully materialized. At the catalog's kiloqubit end
-//! (`grid_625`, `hypercube_1024`) that is tens of megabytes of `usize`/`f64`
-//! per device for distances that fit comfortably in a `u16`, most of whose
-//! rows a small program never reads.
+//! [`LazyRows`] holds one [`OnceLock`] slot per source qubit. A row is
+//! computed on first use (parallel routing trials race safely and compute
+//! it once) and retained, so a 24-qubit program routed on the 1024-qubit
+//! hypercube only pays for the rows its placed qubits touch. No distance
+//! matrix is ever built in full. Only the row-computing `row` method
+//! differs per element type:
 //!
-//! This module provides the replacements:
-//!
-//! * [`HopMatrix`] — BFS hop counts as `u16` rows ([`UNREACHABLE`]
-//!   sentinel), 4× smaller than the old `usize` rows.
-//! * [`WeightedRows`] — weighted (Dijkstra) distances as `f64` rows.
-//!
-//! Both hold **on-demand per-source rows** on every device: each row is
-//! computed on first use (synchronized with a [`OnceLock`], so parallel
-//! routing trials race safely and compute it once) and retained. A
-//! 24-qubit program routed on the 1024-qubit hypercube only ever pays for
-//! the rows its placed qubits touch, and a row holds exactly what the
-//! legacy all-pairs matrix held for that source.
+//! * [`HopMatrix`] = `LazyRows<u16>`: BFS hop counts from
+//!   [`CouplingGraph::bfs_hops_into`], the one BFS distance kernel, with the
+//!   [`UNREACHABLE`] sentinel, on graphs of at most [`MAX_QUBITS`] qubits.
+//! * [`WeightedRows`] = `LazyRows<f64>`: weighted (Dijkstra) distances from
+//!   [`CouplingGraph::weighted_distances`], the scoring rows of noise-aware
+//!   routing.
 
 use crate::graph::CouplingGraph;
 use std::sync::OnceLock;
 
-/// Hop distance marking an unreachable pair in a [`HopMatrix`].
+/// Hop distance marking an unreachable pair.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// One [`OnceLock`] slot per source row, all empty.
-fn empty_rows<T>(n: usize) -> Box<[OnceLock<Box<[T]>>]> {
-    (0..n).map(|_| OnceLock::new()).collect()
-}
+/// The largest graph the `u16` hop encoding holds: 65,535 qubits. The
+/// longest possible hop count, `n − 1` = 65,534 on a line, then stays below
+/// [`UNREACHABLE`]. Device specs are capped at this size.
+pub const MAX_QUBITS: usize = u16::MAX as usize;
 
-/// Number of filled slots.
-fn filled<T>(rows: &[OnceLock<T>]) -> usize {
-    rows.iter().filter(|r| r.get().is_some()).count()
-}
-
-/// All-pairs BFS hop distances in compact `u16` storage.
+/// All-pairs shortest-path distances, one lazily computed row per source.
 ///
-/// Holds one [`OnceLock`] slot per source row and fills rows on first
-/// access. The coupling graph is passed at access time (rows are computed
-/// from it on demand); callers must pass the graph the matrix was built for
-/// — `snailqc_transpiler::RoutingCache` maintains that pairing per device.
+/// The coupling graph is passed at access time (rows are computed from it
+/// on demand); callers must pass the graph the store was built for, and for
+/// [`WeightedRows`] the same deterministic cost function on every access.
+/// `snailqc_transpiler::RoutingCache` maintains that pairing per device.
 #[derive(Debug)]
-pub struct HopMatrix {
-    rows: Box<[OnceLock<Box<[u16]>>]>,
+pub struct LazyRows<T> {
+    rows: Box<[OnceLock<Box<[T]>>]>,
 }
 
-impl HopMatrix {
-    /// An empty hop matrix for `graph`; rows materialize on first access.
+/// BFS hop distances in compact `u16` rows.
+pub type HopMatrix = LazyRows<u16>;
+
+/// Weighted (Dijkstra) shortest-path distances in `f64` rows.
+pub type WeightedRows = LazyRows<f64>;
+
+impl<T> LazyRows<T> {
+    /// An empty store for `graph`; rows materialize on first access.
     pub fn new(graph: &CouplingGraph) -> Self {
         Self {
-            rows: empty_rows(graph.num_qubits()),
+            rows: (0..graph.num_qubits()).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Number of qubits the matrix covers.
-    pub fn num_qubits(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The hop-distance row of `source`, computing it on first use. `graph`
-    /// must be the graph the matrix was built for.
     #[inline]
-    pub fn row(&self, graph: &CouplingGraph, source: usize) -> &[u16] {
+    fn row_with(
+        &self,
+        graph: &CouplingGraph,
+        source: usize,
+        compute: impl FnOnce() -> Box<[T]>,
+    ) -> &[T] {
         debug_assert_eq!(
             graph.num_qubits(),
             self.rows.len(),
-            "hop matrix/graph mismatch"
+            "distance rows/graph mismatch"
         );
-        self.rows[source].get_or_init(|| {
-            let mut row = vec![UNREACHABLE; self.rows.len()].into_boxed_slice();
-            graph.bfs_hops_into(source, &mut row);
-            row
-        })
-    }
-
-    /// Hop distance from `a` to `b` ([`UNREACHABLE`] when disconnected).
-    #[inline]
-    pub fn get(&self, graph: &CouplingGraph, a: usize, b: usize) -> u16 {
-        self.row(graph, a)[b]
+        self.rows[source].get_or_init(compute)
     }
 
     /// Number of rows currently materialized.
     pub fn materialized_rows(&self) -> usize {
-        filled(&self.rows)
+        self.rows.iter().filter(|r| r.get().is_some()).count()
     }
 
     /// Bytes of distance payload currently resident (excluding per-row
     /// bookkeeping).
     pub fn resident_bytes(&self) -> usize {
-        self.materialized_rows() * self.rows.len() * std::mem::size_of::<u16>()
+        self.materialized_rows() * self.rows.len() * std::mem::size_of::<T>()
     }
 }
 
-/// Weighted (Dijkstra) shortest-path distances as `f64` rows — the scoring
-/// matrix of noise-aware routing.
-///
-/// Same storage as [`HopMatrix`]: on-demand per-source rows. The per-edge
-/// cost function is supplied at access time; callers must pass the same
-/// (deterministic) cost function for every access, which is what makes each
-/// lazily computed row identical to the legacy all-pairs matrix's row.
-#[derive(Debug)]
-pub struct WeightedRows {
-    rows: Box<[OnceLock<Box<[f64]>>]>,
+impl LazyRows<u16> {
+    /// The hop-distance row of `source` ([`UNREACHABLE`] where
+    /// disconnected), computing it on first use.
+    #[inline]
+    pub fn row(&self, graph: &CouplingGraph, source: usize) -> &[u16] {
+        self.row_with(graph, source, || {
+            let mut row = vec![UNREACHABLE; self.rows.len()].into_boxed_slice();
+            graph.bfs_hops_into(source, &mut row);
+            row
+        })
+    }
 }
 
-impl WeightedRows {
-    /// An empty weighted-distance store for `graph`; rows materialize on
-    /// first [`WeightedRows::row`] call.
-    pub fn new(graph: &CouplingGraph) -> Self {
-        Self {
-            rows: empty_rows(graph.num_qubits()),
-        }
-    }
-
-    /// Number of qubits the store covers.
-    pub fn num_qubits(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The weighted-distance row of `source`, computing it via Dijkstra
-    /// under `cost` on first use.
+impl LazyRows<f64> {
+    /// The weighted-distance row of `source` (`f64::INFINITY` where
+    /// disconnected), computing it via Dijkstra under `cost` on first use.
     #[inline]
     pub fn row(
         &self,
@@ -129,34 +100,9 @@ impl WeightedRows {
         cost: &impl Fn(usize, usize) -> f64,
         source: usize,
     ) -> &[f64] {
-        debug_assert_eq!(
-            graph.num_qubits(),
-            self.rows.len(),
-            "weighted rows/graph mismatch"
-        );
-        self.rows[source].get_or_init(|| graph.weighted_distances(source, cost).into_boxed_slice())
-    }
-
-    /// Weighted distance from `a` to `b` (`f64::INFINITY` when disconnected).
-    #[inline]
-    pub fn get(
-        &self,
-        graph: &CouplingGraph,
-        cost: &impl Fn(usize, usize) -> f64,
-        a: usize,
-        b: usize,
-    ) -> f64 {
-        self.row(graph, cost, a)[b]
-    }
-
-    /// Number of rows currently materialized.
-    pub fn materialized_rows(&self) -> usize {
-        filled(&self.rows)
-    }
-
-    /// Bytes of distance payload currently resident.
-    pub fn resident_bytes(&self) -> usize {
-        self.materialized_rows() * self.rows.len() * std::mem::size_of::<f64>()
+        self.row_with(graph, source, || {
+            graph.weighted_distances(source, cost).into_boxed_slice()
+        })
     }
 }
 
@@ -166,13 +112,14 @@ mod tests {
     use crate::builders;
 
     #[test]
-    fn hop_rows_match_legacy_bfs() {
-        let g = builders::square_lattice(4, 5);
+    fn hop_rows_are_manhattan_distances_on_a_square_lattice() {
+        let (rows, cols) = (4, 5);
+        let g = builders::square_lattice(rows, cols);
         let m = HopMatrix::new(&g);
-        for s in 0..g.num_qubits() {
-            let legacy = g.bfs_distances(s);
-            for (t, &expect) in legacy.iter().enumerate() {
-                assert_eq!(m.get(&g, s, t) as usize, expect);
+        for s in 0..rows * cols {
+            for t in 0..rows * cols {
+                let manhattan = (s / cols).abs_diff(t / cols) + (s % cols).abs_diff(t % cols);
+                assert_eq!(m.row(&g, s)[t] as usize, manhattan);
             }
         }
         assert_eq!(m.materialized_rows(), g.num_qubits());
@@ -195,20 +142,19 @@ mod tests {
     fn unreachable_pairs_carry_the_sentinel() {
         let g = CouplingGraph::from_edges("islands", 4, &[(0, 1), (2, 3)]);
         let m = HopMatrix::new(&g);
-        assert_eq!(m.get(&g, 0, 1), 1);
-        assert_eq!(m.get(&g, 0, 2), UNREACHABLE);
-        assert_eq!(m.get(&g, 3, 1), UNREACHABLE);
+        assert_eq!(m.row(&g, 0), [0, 1, UNREACHABLE, UNREACHABLE]);
+        assert_eq!(m.row(&g, 3)[1], UNREACHABLE);
     }
 
     #[test]
     fn weighted_rows_match_weighted_distances() {
         let g = builders::hypercube(3);
         let cost = |a: usize, b: usize| 1.0 + 0.1 * ((a + b) % 3) as f64;
-        let eager = g.weighted_distance_matrix(cost);
         let rows = WeightedRows::new(&g);
         assert_eq!(rows.materialized_rows(), 0);
-        for (s, expect) in eager.iter().enumerate() {
-            assert_eq!(rows.row(&g, &cost, s), expect.as_slice());
+        for s in 0..g.num_qubits() {
+            assert_eq!(rows.row(&g, &cost, s), g.weighted_distances(s, cost));
         }
+        assert_eq!(rows.resident_bytes(), 8 * 8 * 8);
     }
 }

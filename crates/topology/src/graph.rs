@@ -17,6 +17,7 @@
 //! penalties, candidate bitmaps) live in plain `Vec`s indexed by
 //! [`CouplingGraph::edge_index`].
 
+use crate::distance::{MAX_QUBITS, UNREACHABLE};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -79,16 +80,52 @@ impl CouplingGraph {
         }
     }
 
-    /// Builds a graph from an explicit edge list.
+    /// Builds a graph from an explicit edge list; self-loops and duplicates
+    /// are ignored, as by [`CouplingGraph::add_edge`]. The CSR is filled in
+    /// one pass over the sorted edges (O(E log E)), so a 65,535-qubit line
+    /// builds as fast as it routes.
     pub fn from_edges(
         name: impl Into<String>,
         num_qubits: usize,
         edges: &[(usize, usize)],
     ) -> Self {
         let mut g = Self::new(name, num_qubits);
-        for &(a, b) in edges {
-            g.add_edge(a, b);
+        let mut list: Vec<(usize, usize)> = edges
+            .iter()
+            .map(|&(a, b)| {
+                assert!(
+                    a < num_qubits && b < num_qubits,
+                    "edge ({a},{b}) out of range"
+                );
+                (a.min(b), a.max(b))
+            })
+            .filter(|(a, b)| a != b)
+            .collect();
+        list.sort_unstable();
+        list.dedup();
+        for &(a, b) in &list {
+            g.offsets[a + 1] += 1;
+            g.offsets[b + 1] += 1;
         }
+        for q in 0..num_qubits {
+            g.offsets[q + 1] += g.offsets[q];
+        }
+        // Walking the edges in lexicographic order appends each row's
+        // smaller neighbors (as the max endpoint) before its larger ones (as
+        // the min endpoint), both ascending, so every row comes out sorted.
+        let mut next = g.offsets.clone();
+        g.csr_neighbors = vec![0; 2 * list.len()];
+        g.csr_edge_ids = vec![0; 2 * list.len()];
+        for (id, &(a, b)) in list.iter().enumerate() {
+            for (u, v) in [(a, b), (b, a)] {
+                g.csr_neighbors[next[u]] = v;
+                g.csr_edge_ids[next[u]] = id;
+                next[u] += 1;
+            }
+        }
+        g.edge_rates = vec![g.default_edge_error; list.len()];
+        g.edge_overridden = vec![false; list.len()];
+        g.edge_list = list;
         g
     }
 
@@ -300,65 +337,31 @@ impl CouplingGraph {
             .zip(self.edge_rates.iter().copied())
     }
 
-    /// Breadth-first distances from `source`; unreachable nodes get
-    /// `usize::MAX`.
-    pub fn bfs_distances(&self, source: usize) -> Vec<usize> {
-        let n = self.num_qubits();
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = VecDeque::new();
-        dist[source] = 0;
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// All-pairs shortest-path distance matrix (BFS from every node).
-    pub fn distance_matrix(&self) -> Vec<Vec<usize>> {
-        (0..self.num_qubits())
-            .map(|s| self.bfs_distances(s))
-            .collect()
-    }
-
     /// Breadth-first hop counts from `source` written into `row` (`u16`
-    /// storage, `u16::MAX` = unreachable). `row` must have length
-    /// `num_qubits()` and is fully overwritten — the allocation-free kernel
-    /// behind [`crate::distance::HopMatrix`].
+    /// storage, [`UNREACHABLE`] = unreachable). `row` must have length
+    /// `num_qubits()` and is fully overwritten. This is the one BFS distance
+    /// kernel: the router's lazy rows, [`CouplingGraph::metrics`] and
+    /// [`CouplingGraph::is_connected`] all run it.
     ///
     /// # Panics
-    /// Panics if `row.len() != num_qubits()` or if the graph has `u16::MAX`
-    /// or more qubits (hop counts would not fit the sentinel encoding).
+    /// Panics if `row.len() != num_qubits()` or if the graph has more than
+    /// [`MAX_QUBITS`] qubits (hop counts would not fit below the sentinel).
     pub fn bfs_hops_into(&self, source: usize, row: &mut [u16]) {
         let n = self.num_qubits();
         assert_eq!(row.len(), n, "hop row length mismatch");
-        assert!(n < u16::MAX as usize, "graph too large for u16 hop counts");
-        row.fill(u16::MAX);
+        assert!(n <= MAX_QUBITS, "graph too large for u16 hop counts");
+        row.fill(UNREACHABLE);
         let mut queue = VecDeque::new();
         row[source] = 0;
         queue.push_back(source);
         while let Some(u) = queue.pop_front() {
             for v in self.neighbors(u) {
-                if row[v] == u16::MAX {
+                if row[v] == UNREACHABLE {
                     row[v] = row[u] + 1;
                     queue.push_back(v);
                 }
             }
         }
-    }
-
-    /// Breadth-first hop counts from `source` as a fresh `u16` row
-    /// (`u16::MAX` = unreachable); the compact counterpart of
-    /// [`CouplingGraph::bfs_distances`].
-    pub fn bfs_hops(&self, source: usize) -> Vec<u16> {
-        let mut row = vec![u16::MAX; self.num_qubits()];
-        self.bfs_hops_into(source, &mut row);
-        row
     }
 
     /// The connected components of the graph, each listed in ascending qubit
@@ -430,13 +433,6 @@ impl CouplingGraph {
         dist
     }
 
-    /// All-pairs shortest-path matrix under a per-edge cost function.
-    pub fn weighted_distance_matrix(&self, cost: impl Fn(usize, usize) -> f64) -> Vec<Vec<f64>> {
-        (0..self.num_qubits())
-            .map(|s| self.weighted_distances(s, &cost))
-            .collect()
-    }
-
     /// A shortest path from `a` to `b` (inclusive of both endpoints), or
     /// `None` when disconnected.
     pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
@@ -475,50 +471,44 @@ impl CouplingGraph {
     }
 
     /// True when every qubit can reach every other qubit.
+    ///
+    /// # Panics
+    /// Panics if the graph has more than [`MAX_QUBITS`] qubits.
     pub fn is_connected(&self) -> bool {
-        if self.num_qubits() == 0 {
-            return true;
-        }
-        self.bfs_distances(0).iter().all(|&d| d != usize::MAX)
-    }
-
-    /// Graph diameter. Panics if the graph is disconnected or empty.
-    pub fn diameter(&self) -> usize {
-        let dm = self.distance_matrix();
-        dm.iter()
-            .flat_map(|row| row.iter())
-            .copied()
-            .max()
-            .expect("diameter of empty graph")
-    }
-
-    /// Average pairwise distance over all ordered pairs including self-pairs
-    /// (i.e. `Σ d(i,j) / n²`), matching the paper's Table 1/2 convention.
-    pub fn average_distance(&self) -> f64 {
         let n = self.num_qubits();
         if n == 0 {
-            return 0.0;
+            return true;
         }
-        let dm = self.distance_matrix();
-        let total: usize = dm.iter().flat_map(|row| row.iter()).sum();
-        total as f64 / (n * n) as f64
+        let mut row = vec![UNREACHABLE; n];
+        self.bfs_hops_into(0, &mut row);
+        !row.contains(&UNREACHABLE)
     }
 
-    /// Average vertex degree.
-    pub fn average_connectivity(&self) -> f64 {
-        if self.num_qubits() == 0 {
-            return 0.0;
-        }
-        2.0 * self.num_edges() as f64 / self.num_qubits() as f64
-    }
-
-    /// The paper-style structural summary.
+    /// The paper-style structural summary. One BFS per source into a single
+    /// reused `u16` row yields the diameter and the exact integer sum of all
+    /// pairwise distances; no distance matrix is stored.
+    ///
+    /// # Panics
+    /// Panics if the graph is empty, disconnected, or has more than
+    /// [`MAX_QUBITS`] qubits.
     pub fn metrics(&self) -> TopologyMetrics {
+        let n = self.num_qubits();
+        assert!(n > 0, "metrics of an empty graph");
+        let mut row = vec![UNREACHABLE; n];
+        let (mut diameter, mut total) = (0, 0);
+        for source in 0..n {
+            self.bfs_hops_into(source, &mut row);
+            for &hops in &row {
+                assert!(hops != UNREACHABLE, "metrics of a disconnected graph");
+                diameter = diameter.max(hops as usize);
+                total += hops as usize;
+            }
+        }
         TopologyMetrics {
-            qubits: self.num_qubits(),
-            diameter: self.diameter(),
-            avg_distance: self.average_distance(),
-            avg_connectivity: self.average_connectivity(),
+            qubits: n,
+            diameter,
+            avg_distance: total as f64 / (n * n) as f64,
+            avg_connectivity: 2.0 * self.num_edges() as f64 / n as f64,
         }
     }
 
@@ -665,30 +655,54 @@ mod tests {
     #[test]
     fn path_metrics() {
         let g = path(5);
-        assert_eq!(g.diameter(), 4);
+        let m = g.metrics();
+        assert_eq!(m.diameter, 4);
         assert!(g.is_connected());
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(2), 2);
-        // Sum of all ordered distances on P5 = 2 * 40 = 80? compute: pairwise
-        // sum (unordered) = Σ_{d} d*(5-d) = 1*4+2*3+3*2+4*1 = 20 → ordered 40.
-        assert!((g.average_distance() - 40.0 / 25.0).abs() < 1e-12);
+        // Unordered pairwise sum on P5 = Σ_d d·(5−d) = 1·4+2·3+3·2+4·1 = 20,
+        // so the ordered sum is 40.
+        assert_eq!(m.avg_distance, 40.0 / 25.0);
     }
 
     #[test]
     fn cycle_metrics() {
-        let g = cycle(6);
-        assert_eq!(g.diameter(), 3);
-        assert!((g.average_connectivity() - 2.0).abs() < 1e-12);
+        let m = cycle(6).metrics();
+        assert_eq!(m.qubits, 6);
+        assert_eq!(m.diameter, 3);
+        assert_eq!(m.avg_connectivity, 2.0);
         // Distances from any node: 0,1,1,2,2,3 → sum 9; total 54; /36 = 1.5.
-        assert!((g.average_distance() - 1.5).abs() < 1e-12);
+        assert_eq!(m.avg_distance, 1.5);
     }
 
     #[test]
     fn complete_graph_metrics() {
-        let g = complete(5);
-        assert_eq!(g.diameter(), 1);
-        assert!((g.average_connectivity() - 4.0).abs() < 1e-12);
-        assert!((g.average_distance() - 20.0 / 25.0).abs() < 1e-12);
+        let m = complete(5).metrics();
+        assert_eq!(m.diameter, 1);
+        assert_eq!(m.avg_connectivity, 4.0);
+        assert_eq!(m.avg_distance, 20.0 / 25.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics of a disconnected graph")]
+    fn metrics_of_a_disconnected_graph_panic() {
+        CouplingGraph::from_edges("two islands", 4, &[(0, 1), (2, 3)]).metrics();
+    }
+
+    #[test]
+    fn the_hop_kernel_accepts_a_graph_at_the_qubit_cap() {
+        let g = CouplingGraph::new("cap", MAX_QUBITS);
+        let mut row = vec![0; MAX_QUBITS];
+        g.bfs_hops_into(0, &mut row);
+        assert_eq!(row[0], 0);
+        assert!(row[1..].iter().all(|&h| h == UNREACHABLE));
+        assert!(!g.is_connected());
+    }
+
+    #[test]
+    #[should_panic(expected = "graph too large for u16 hop counts")]
+    fn the_hop_kernel_refuses_a_graph_above_the_qubit_cap() {
+        CouplingGraph::new("over", MAX_QUBITS + 1).is_connected();
     }
 
     #[test]
@@ -856,11 +870,12 @@ mod tests {
     #[test]
     fn weighted_distances_match_bfs_under_unit_costs() {
         let g = cycle(8);
+        let mut hops = vec![0; 8];
         for s in 0..8 {
-            let bfs = g.bfs_distances(s);
+            g.bfs_hops_into(s, &mut hops);
             let dij = g.weighted_distances(s, |_, _| 1.0);
-            for (h, w) in bfs.iter().zip(&dij) {
-                assert!((*h as f64 - w).abs() < 1e-12);
+            for (&h, &w) in hops.iter().zip(&dij) {
+                assert_eq!(h as f64, w);
             }
         }
     }
@@ -877,10 +892,8 @@ mod tests {
                 1.0
             }
         };
-        let d = g.weighted_distances(0, cost);
-        assert!((d[1] - 3.0).abs() < 1e-12);
-        let dm = g.weighted_distance_matrix(cost);
-        assert!((dm[1][0] - 3.0).abs() < 1e-12);
+        assert_eq!(g.weighted_distances(0, cost)[1], 3.0);
+        assert_eq!(g.weighted_distances(1, cost)[0], 3.0);
     }
 
     #[test]
@@ -904,19 +917,16 @@ mod tests {
     }
 
     #[test]
-    fn bfs_hops_match_bfs_distances() {
+    fn bfs_hops_mark_other_components_unreachable() {
         let g = CouplingGraph::from_edges("mixed", 6, &[(0, 1), (1, 2), (2, 0), (4, 5)]);
-        for s in 0..6 {
-            let legacy = g.bfs_distances(s);
-            let hops = g.bfs_hops(s);
-            for (h, d) in hops.iter().zip(&legacy) {
-                if *d == usize::MAX {
-                    assert_eq!(*h, u16::MAX);
-                } else {
-                    assert_eq!(*h as usize, *d);
-                }
-            }
-        }
+        let mut row = vec![0; 6];
+        g.bfs_hops_into(1, &mut row);
+        assert_eq!(row, [1, 0, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE]);
+        g.bfs_hops_into(5, &mut row);
+        assert_eq!(
+            row,
+            [UNREACHABLE, UNREACHABLE, UNREACHABLE, UNREACHABLE, 1, 0]
+        );
     }
 
     #[test]
@@ -931,15 +941,5 @@ mod tests {
         );
         let g2 = cycle(5);
         assert_eq!(g2.connected_components(), vec![vec![0, 1, 2, 3, 4]]);
-    }
-
-    #[test]
-    fn metrics_struct_matches_individual_queries() {
-        let g = cycle(6);
-        let m = g.metrics();
-        assert_eq!(m.qubits, 6);
-        assert_eq!(m.diameter, 3);
-        assert!((m.avg_distance - 1.5).abs() < 1e-12);
-        assert!((m.avg_connectivity - 2.0).abs() < 1e-12);
     }
 }

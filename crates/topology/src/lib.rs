@@ -8,11 +8,12 @@
 //! (heavy-hex) and Google (square lattice), and that this connectivity
 //! directly reduces SWAP overhead. This crate provides:
 //!
-//! * [`graph::CouplingGraph`] — an undirected coupling graph with BFS
-//!   shortest paths, error-weighted Dijkstra distances, per-edge gate error
-//!   rates (uniform by default), diameter / average-distance /
-//!   average-connectivity metrics (the columns of Tables 1 and 2), and
-//!   truncation helpers.
+//! * [`graph::CouplingGraph`] — an undirected coupling graph with one BFS
+//!   hop-distance kernel ([`CouplingGraph::bfs_hops_into`], `u16` rows),
+//!   error-weighted Dijkstra distances, per-edge gate error rates (uniform
+//!   by default), the Tables 1 and 2 metrics (qubits, diameter, average
+//!   distance, average connectivity) computed in one pass of that kernel,
+//!   and truncation helpers.
 //! * [`builders`] — parametric generators for every topology family: square
 //!   lattice, lattice with alternating diagonals, hex and heavy-hex lattices,
 //!   hypercubes, SNAIL trees and corrals — plus a seeded calibrated-device
@@ -21,8 +22,10 @@
 //!   `Heavy-Hex-84`, …) behind one name table: [`catalog::by_name`] builds
 //!   an instance from its canonical name (`tree-20`, `corral12-16`, …), the
 //!   one way the CLI, the daemon and the experiment harness reach them.
-//! * [`distance`] — compact all-pairs distance state for routing: `u16` hop
-//!   rows and `f64` weighted rows, each materialized on demand per source.
+//! * [`distance`] — one lazy row store, [`LazyRows`], for routing: `u16` hop
+//!   rows ([`HopMatrix`]) and `f64` weighted rows ([`WeightedRows`]), each
+//!   materialized on demand per source, plus the qubit cap [`MAX_QUBITS`]
+//!   the `u16` hop encoding imposes.
 
 #![warn(missing_docs)]
 
@@ -31,5 +34,5 @@ pub mod catalog;
 pub mod distance;
 pub mod graph;
 
-pub use distance::{HopMatrix, WeightedRows, UNREACHABLE};
+pub use distance::{HopMatrix, LazyRows, WeightedRows, MAX_QUBITS, UNREACHABLE};
 pub use graph::{CouplingGraph, TopologyMetrics, DEFAULT_EDGE_ERROR};

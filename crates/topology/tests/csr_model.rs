@@ -1,7 +1,8 @@
 //! Property tests pinning the CSR `CouplingGraph` against a naive
 //! set-and-map adjacency model: whatever order edges are inserted in, the
 //! CSR graph must agree with the model on `neighbors` order, `edges` order,
-//! `has_edge`, `edge_error`, and `edge_index` round-trips.
+//! `has_edge`, `edge_error`, and `edge_index` round-trips; and the bulk
+//! `from_edges` constructor must build the same graph as `add_edge`.
 
 use proptest::prelude::*;
 use snailqc_topology::{CouplingGraph, DEFAULT_EDGE_ERROR};
@@ -58,6 +59,8 @@ proptest! {
             csr.add_edge(a, b);
             naive.add_edge(a, b);
         }
+        // The bulk constructor builds the same graph as edge-by-edge insertion.
+        prop_assert_eq!(&CouplingGraph::from_edges("model", n, &inserts), &csr);
         let edges = naive.edges();
         // Apply overrides to both (index into the current edge list).
         for &(pick, rate) in &overrides {

@@ -1,6 +1,7 @@
-//! Property tests pinning the compact `u16` hop matrix (and the weighted
-//! rows) to the legacy `Vec<Vec<usize>>` / `Vec<Vec<f64>>` all-pairs
-//! matrices on arbitrary graphs — connected or not, calibrated or not.
+//! Property tests pinning the lazy `u16` hop rows to a Floyd–Warshall
+//! reference written here, and the lazy weighted rows to
+//! `weighted_distances` per source, on arbitrary graphs — connected or not,
+//! calibrated or not.
 
 use proptest::prelude::*;
 use snailqc_topology::distance::{HopMatrix, WeightedRows, UNREACHABLE};
@@ -27,22 +28,45 @@ fn arbitrary_graph(n: usize, seed: u64, density_pct: u64) -> CouplingGraph {
     g
 }
 
+/// All-pairs hop counts by Floyd–Warshall (`usize::MAX` = unreachable):
+/// an algorithm independent of the BFS kernel under test.
+fn floyd_warshall(g: &CouplingGraph) -> Vec<Vec<usize>> {
+    let n = g.num_qubits();
+    let mut d = vec![vec![usize::MAX; n]; n];
+    for (a, row) in d.iter_mut().enumerate() {
+        row[a] = 0;
+        for b in g.neighbors(a) {
+            row[b] = 1;
+        }
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                if d[i][k] != usize::MAX && d[k][j] != usize::MAX {
+                    d[i][j] = d[i][j].min(d[i][k] + d[k][j]);
+                }
+            }
+        }
+    }
+    d
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn hop_matrix_matches_legacy_distance_matrix(
+    fn hop_matrix_matches_floyd_warshall(
         n in 2usize..24, seed in 0u64..1000, density in 5u64..40,
     ) {
         let mut g = arbitrary_graph(n, seed, density);
         if g.num_edges() > 0 {
             builders::calibrate_edge_errors(&mut g, 1e-3, 1.5, seed);
         }
-        let legacy = g.distance_matrix();
+        let reference = floyd_warshall(&g);
         let hops = HopMatrix::new(&g);
-        for (a, legacy_row) in legacy.iter().enumerate() {
-            for (b, &expect) in legacy_row.iter().enumerate() {
-                let got = hops.get(&g, a, b);
+        for (a, reference_row) in reference.iter().enumerate() {
+            for (b, &expect) in reference_row.iter().enumerate() {
+                let got = hops.row(&g, a)[b];
                 if expect == usize::MAX {
                     prop_assert_eq!(got, UNREACHABLE);
                 } else {
@@ -53,7 +77,7 @@ proptest! {
     }
 
     #[test]
-    fn weighted_rows_match_legacy_weighted_matrix(
+    fn weighted_rows_match_weighted_distances(
         n in 2usize..16, seed in 0u64..1000, density in 10u64..50,
     ) {
         let mut g = arbitrary_graph(n, seed, density);
@@ -63,10 +87,10 @@ proptest! {
         let cost = |a: usize, b: usize| {
             if g.has_edge(a, b) { 1.0 + 100.0 * g.edge_error(a, b) } else { 1.0 }
         };
-        let legacy = g.weighted_distance_matrix(cost);
         let rows = WeightedRows::new(&g);
-        for (a, expect) in legacy.iter().enumerate() {
+        for a in 0..n {
             // Bitwise equality, including infinities on disconnected pairs.
+            let expect = g.weighted_distances(a, cost);
             prop_assert_eq!(rows.row(&g, &cost, a), expect.as_slice());
         }
     }
@@ -94,7 +118,7 @@ proptest! {
         }
         for a in 0..n {
             for b in 0..n {
-                let reachable = hops.get(&g, a, b) != UNREACHABLE;
+                let reachable = hops.row(&g, a)[b] != UNREACHABLE;
                 prop_assert_eq!(reachable, comp_of[a] == comp_of[b]);
             }
         }

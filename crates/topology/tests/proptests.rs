@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use snailqc_topology::builders;
-use snailqc_topology::CouplingGraph;
+use snailqc_topology::{CouplingGraph, HopMatrix};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -12,7 +12,7 @@ proptest! {
         let g = builders::square_lattice(rows, cols);
         prop_assert_eq!(g.num_qubits(), rows * cols);
         prop_assert_eq!(g.num_edges(), rows * (cols - 1) + cols * (rows - 1));
-        prop_assert_eq!(g.diameter(), rows + cols - 2);
+        prop_assert_eq!(g.metrics().diameter, rows + cols - 2);
         prop_assert!(g.is_connected());
     }
 
@@ -20,7 +20,7 @@ proptest! {
     fn hypercube_is_regular_with_log_diameter(dim in 1u32..8) {
         let g = builders::hypercube(dim);
         prop_assert_eq!(g.num_qubits(), 1 << dim);
-        prop_assert_eq!(g.diameter(), dim as usize);
+        prop_assert_eq!(g.metrics().diameter, dim as usize);
         for q in 0..g.num_qubits() {
             prop_assert_eq!(g.degree(q), dim as usize);
         }
@@ -57,9 +57,10 @@ proptest! {
         let g = builders::tree4(levels);
         let rr = builders::tree4_rr(levels);
         prop_assert_eq!(g.num_qubits(), rr.num_qubits());
-        prop_assert_eq!(g.diameter(), 2 * levels + 1);
-        prop_assert!(rr.diameter() <= g.diameter());
-        prop_assert!(rr.average_distance() <= g.average_distance() + 1e-9);
+        let (m, mrr) = (g.metrics(), rr.metrics());
+        prop_assert_eq!(m.diameter, 2 * levels + 1);
+        prop_assert!(mrr.diameter <= m.diameter);
+        prop_assert!(mrr.avg_distance <= m.avg_distance + 1e-9);
     }
 
     #[test]
@@ -87,15 +88,16 @@ proptest! {
     }
 
     #[test]
-    fn bfs_distances_satisfy_triangle_inequality(rows in 2usize..5, cols in 2usize..5) {
+    fn bfs_hops_satisfy_triangle_inequality(rows in 2usize..5, cols in 2usize..5) {
         let g = builders::lattice_alt_diagonals(rows, cols);
-        let dm = g.distance_matrix();
+        let hops = HopMatrix::new(&g);
+        let d = |a: usize, b: usize| hops.row(&g, a)[b] as usize;
         let n = g.num_qubits();
         for a in 0..n {
             for b in 0..n {
-                prop_assert_eq!(dm[a][b], dm[b][a]);
+                prop_assert_eq!(d(a, b), d(b, a));
                 for c in 0..n {
-                    prop_assert!(dm[a][c] <= dm[a][b] + dm[b][c]);
+                    prop_assert!(d(a, c) <= d(a, b) + d(b, c));
                 }
             }
         }
@@ -107,9 +109,10 @@ proptest! {
         let n = g.num_qubits();
         let a = seed % n;
         let b = (seed * 7 + 3) % n;
-        let dm = g.bfs_distances(a);
+        let mut hops = vec![0; n];
+        g.bfs_hops_into(a, &mut hops);
         let path = g.shortest_path(a, b).unwrap();
-        prop_assert_eq!(path.len() - 1, dm[b]);
+        prop_assert_eq!(path.len() - 1, hops[b] as usize);
         for w in path.windows(2) {
             prop_assert!(g.has_edge(w[0], w[1]));
         }

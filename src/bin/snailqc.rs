@@ -142,8 +142,8 @@ COMMANDS:
 
 Use `-` as <file.qasm> to read from stdin.
 
-Metrics are always counted; spans are recorded only for --trace-out or
-SNAILQC_TRACE=1. Setting SNAILQC_TRACE=1 on any transpile run without
+Metrics are always counted; spans are recorded only for --trace-out.
+Setting SNAILQC_TRACE=1 on any transpile run without
 --trace-out/--metrics-json prints the metrics summary table to stderr.";
 
 fn main() -> ExitCode {
@@ -387,26 +387,25 @@ fn cmd_transpile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Turns on span recording when the run asked for a trace — via
-/// `--trace-out` or the `SNAILQC_TRACE` environment variable; metrics are
-/// always counted. Returns whether the run wants any observability output
-/// (`--metrics-json` too), so the caller knows to drain.
+/// Turns on span recording when the run writes a trace (`--trace-out`);
+/// metrics are always counted. Returns whether the run wants any
+/// observability output (`--metrics-json`, or the `SNAILQC_TRACE` summary
+/// table), so the caller knows to drain.
 fn obs_setup(opts: &Options) -> bool {
-    let tracing = opts.value("trace-out").is_some() || snailqc::obs::env_requests_tracing();
+    let tracing = opts.value("trace-out").is_some();
     if tracing {
         snailqc::obs::enable();
     }
-    tracing || opts.value("metrics-json").is_some()
+    tracing || opts.value("metrics-json").is_some() || snailqc::obs::env_requests_tracing()
 }
 
-/// Drains the spans and metrics collected during the run: writes the Chrome
-/// trace-event JSON and/or the metrics snapshot where requested, and falls
-/// back to a human-readable summary table on stderr for env-only runs so
-/// `SNAILQC_TRACE=1` alone still shows something.
+/// Writes the Chrome trace-event JSON and/or the metrics snapshot where
+/// requested, and falls back to a human-readable metrics table on stderr
+/// for env-only runs, so `SNAILQC_TRACE=1` alone still shows something.
 fn obs_finish(opts: &Options) -> Result<(), String> {
-    let spans = snailqc::obs::take_spans();
     let metrics = snailqc::obs::snapshot();
     if let Some(path) = opts.value("trace-out") {
+        let spans = snailqc::obs::take_spans();
         std::fs::write(path, snailqc::obs::chrome_trace(&spans))
             .map_err(|e| format!("writing trace `{path}`: {e}"))?;
     }

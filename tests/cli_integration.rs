@@ -706,6 +706,29 @@ fn trace_out_and_metrics_json_capture_the_pipeline_run() {
 }
 
 #[test]
+fn snailqc_trace_without_output_files_prints_the_counter_table() {
+    let output = Command::new(env!("CARGO_BIN_EXE_snailqc"))
+        .args([
+            "transpile",
+            "examples/qaoa12.qasm",
+            "--topology",
+            "corral11-16",
+        ])
+        .env("SNAILQC_TRACE", "1")
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("snailqc binary runs");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("counters\n"), "{stderr}");
+    assert!(stderr.contains("router.trials_run"), "{stderr}");
+}
+
+#[test]
 fn batch_mode_records_per_file_latency_histograms() {
     let dir = std::env::temp_dir().join(format!("snailqc-obs-batch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -980,6 +1003,70 @@ fn device_gen_spec_feeds_back_with_identical_routed_digest() {
         "--json",
     ]);
     assert_eq!(builtin, from_expanded);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_spec_above_the_qubit_cap_is_refused_at_its_line_and_column() {
+    let dir = std::env::temp_dir().join(format!("snailqc-over-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("line_65536.json");
+    std::fs::write(
+        &spec,
+        "{\n  \"snailqc_device\": 1,\n  \"name\": \"line_65536\",\n  \
+         \"topology\": {\"generator\": \"line\", \"params\": {\"qubits\": 65536}}\n}\n",
+    )
+    .unwrap();
+    let output = snailqc(&[
+        "transpile",
+        "examples/qaoa12.qasm",
+        "--device",
+        spec.to_str().unwrap(),
+    ]);
+    assert_eq!(output.status.code(), Some(1), "an error, not a panic");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("line 4, column 58: `qubits` 65536 exceeds the supported maximum 65535"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_line_at_the_qubit_cap_routes_ghz3() {
+    let dir = std::env::temp_dir().join(format!("snailqc-at-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spec, ghz) = (dir.join("line_65535.json"), dir.join("ghz3.qasm"));
+    let (spec, ghz) = (spec.to_str().unwrap(), ghz.to_str().unwrap());
+    for args in [
+        ["device-gen", "line", "--qubits", "65535", "-o", spec],
+        ["emit", "ghz", "--qubits", "3", "-o", ghz],
+    ] {
+        let output = snailqc(&args);
+        assert!(
+            output.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    let output = snailqc(&["transpile", ghz, "--device", spec, "--json"]);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let json: serde_json::Value =
+        serde_json::from_str(&String::from_utf8(output.stdout).unwrap()).expect("valid JSON");
+    let report = json.get("report").expect("report block");
+    let field = |name: &str| report.get(name).and_then(|v| v.as_u64());
+    assert_eq!(field("physical_qubits"), Some(65_535));
+    assert_eq!(
+        field("swap_count"),
+        Some(0),
+        "GHZ-3 needs no SWAP on a line"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

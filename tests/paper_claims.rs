@@ -138,6 +138,189 @@ fn table_metrics_order_snail_topologies_above_baselines() {
     assert!(t2["Hypercube-84"].avg_distance < t2["Heavy-Hex-84"].avg_distance);
 }
 
+/// `(name, qubits, diameter, avg_distance bits, avg_connectivity bits)` of
+/// every Table 1/2 row and every shipped `devices/*.json` spec, frozen from
+/// the all-pairs `usize` distance matrices the metrics were first computed
+/// with.
+const FROZEN_METRICS: [(&str, usize, usize, u64, u64); 24] = [
+    (
+        "Heavy-Hex-20",
+        20,
+        9,
+        0x4010333333333333,
+        0x4000cccccccccccd,
+    ),
+    (
+        "Hex-Lattice-20",
+        20,
+        8,
+        0x400a28f5c28f5c29,
+        0x4003333333333333,
+    ),
+    (
+        "Square-Lattice-16",
+        16,
+        6,
+        0x4004000000000000,
+        0x4008000000000000,
+    ),
+    ("Tree-20", 20, 3, 0x4001333333333333, 0x4012666666666666),
+    ("Tree-RR-20", 20, 3, 0x40003d70a3d70a3d, 0x4012666666666666),
+    (
+        "Corral1,1-16",
+        16,
+        4,
+        0x4000800000000000,
+        0x4014000000000000,
+    ),
+    (
+        "Corral1,2-16",
+        16,
+        2,
+        0x3ff8000000000000,
+        0x4018000000000000,
+    ),
+    (
+        "Hypercube-16",
+        16,
+        4,
+        0x4000000000000000,
+        0x4010000000000000,
+    ),
+    (
+        "Heavy-Hex-84",
+        84,
+        22,
+        0x4021b8be67542c1e,
+        0x4001e79e79e79e7a,
+    ),
+    (
+        "Hex-Lattice-84",
+        84,
+        19,
+        0x401daf4f874198ac,
+        0x4005861861861862,
+    ),
+    (
+        "Square-Lattice-84",
+        84,
+        17,
+        0x4019082082082082,
+        0x400c618618618618,
+    ),
+    (
+        "Lattice+AltDiagonals-84",
+        84,
+        11,
+        0x40127df7df7df7df,
+        0x401479e79e79e79e,
+    ),
+    ("Tree-84", 84, 5, 0x400ecc55e9f0e833, 0x40139e79e79e79e8),
+    ("Tree-RR-84", 84, 5, 0x400d384ef2a605ce, 0x40139e79e79e79e8),
+    (
+        "Hypercube-84",
+        84,
+        7,
+        0x400a93725bb804a5,
+        0x4018000000000000,
+    ),
+    (
+        "grid_100.json",
+        100,
+        18,
+        0x401a666666666666,
+        0x400ccccccccccccd,
+    ),
+    (
+        "grid_256.json",
+        256,
+        30,
+        0x4025400000000000,
+        0x400e000000000000,
+    ),
+    (
+        "grid_625.json",
+        625,
+        48,
+        0x4030a3d70a3d70a4,
+        0x400eb851eb851eb8,
+    ),
+    (
+        "hypercube_1024.json",
+        1024,
+        10,
+        0x4014000000000000,
+        0x4024000000000000,
+    ),
+    (
+        "ibm_heavy_hex_127.json",
+        127,
+        34,
+        0x40293674fa146954,
+        0x4002040810204081,
+    ),
+    (
+        "ibm_heavy_hex_133.json",
+        133,
+        34,
+        0x402917f39c9abcce,
+        0x40020b8c82e320b9,
+    ),
+    (
+        "ibm_heavy_hex_433.json",
+        433,
+        62,
+        0x40360625a7c671f2,
+        0x40029fa16776d606,
+    ),
+    (
+        "ion_trap_32.json",
+        32,
+        1,
+        0x3fef000000000000,
+        0x403f000000000000,
+    ),
+    (
+        "sycamore_53.json",
+        53,
+        17,
+        0x4018c41fb7176bff,
+        0x40090e7d95bc609b,
+    ),
+];
+
+#[test]
+fn table_rows_and_shipped_device_metrics_are_frozen_bit_for_bit() {
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("devices");
+    let mut rows: Vec<(String, snailqc::topology::TopologyMetrics)> = catalog::table1()
+        .into_iter()
+        .chain(catalog::table2())
+        .collect();
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("devices/ ships with the repo")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".json"))
+        .collect();
+    files.sort();
+    for file in files {
+        let device = Device::from_spec_file(dir.join(&file)).unwrap();
+        rows.push((file, device.graph().metrics()));
+    }
+    let got: Vec<(&str, usize, usize, u64, u64)> = rows
+        .iter()
+        .map(|(name, m)| {
+            (
+                name.as_str(),
+                m.qubits,
+                m.diameter,
+                m.avg_distance.to_bits(),
+                m.avg_connectivity.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(got, FROZEN_METRICS);
+}
+
 #[test]
 fn machine_lineups_and_headline_smoke_values_are_frozen() {
     // Frozen before the lineups were rewritten as literal catalog names.

@@ -277,6 +277,57 @@ fn a_non_finite_parameter_gets_an_error_reply_and_the_single_worker_lives_on() {
 }
 
 #[test]
+fn an_over_cap_inline_spec_gets_an_error_reply_and_the_single_worker_lives_on() {
+    let server = Server::spawn(ServeConfig {
+        bind: Bind::Tcp("127.0.0.1:0".into()),
+        workers: 1,
+        queue_capacity: 4,
+        store: None,
+    })
+    .expect("server spawns");
+    let BoundAddr::Tcp(addr) = server.addr() else {
+        unreachable!("tcp bind")
+    };
+    let addr = addr.to_string();
+    fn ghz3_on_line(qubits: usize) -> Value {
+        let spec = format!(
+            r#"{{"snailqc_device": 1, "name": "line_{qubits}", "topology": {{"generator": "line", "params": {{"qubits": {qubits}}}}}}}"#
+        );
+        let ghz3 = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
+        object(vec![
+            ("source", Value::String(ghz3.to_string())),
+            ("device", serde_json::from_str(&spec).unwrap()),
+        ])
+    }
+
+    // One worker: a request that panicked it would leave every later
+    // transpile answered with `shutting_down`.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let good = qaoa12_source();
+    std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(&addr).expect("client connects");
+        let over = client
+            .call("transpile", ghz3_on_line(65_536))
+            .expect_err("65,536 qubits exceed the cap");
+        let at_cap = client.call("transpile", ghz3_on_line(65_535));
+        let routed = client.call("transpile", transpile_params(&good));
+        let _ = client.call("shutdown", object(vec![]));
+        let _ = done.send((over, at_cap, routed));
+    });
+    let (over, at_cap, routed) = outcome
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the daemon answers every request");
+    assert!(
+        over.message.contains("exceeds the supported maximum 65535"),
+        "{over}"
+    );
+    let at_cap = at_cap.expect("a line at the cap routes");
+    assert!(!str_field(&at_cap, "routed_digest").is_empty());
+    assert!(!str_field(&routed.expect("transpile after the error"), "routed_digest").is_empty());
+    server.join().expect("drain completes");
+}
+
+#[test]
 fn warm_store_is_replayed_by_a_restarted_daemon() {
     let dir = temp_dir("restart");
     let store_path = dir.join("store.jsonl");
