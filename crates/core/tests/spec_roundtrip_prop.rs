@@ -22,19 +22,12 @@ proptest! {
         uniform in 0usize..3,
         overrides in proptest::collection::vec((0usize..64, 1u32..400_000), 0..6),
     ) {
-        let mut graph = CouplingGraph::new("prop", n);
         // A deterministic spanning structure keeps every sample connected;
         // the `extra` edges add arbitrary shortcuts (dups/self-loops are
-        // ignored by `add_edge`).
-        for q in 1..n {
-            graph.add_edge(q, (q - 1) / 2);
-        }
-        for (a, b) in extra {
-            let (a, b) = (a % n, b % n);
-            if a != b {
-                graph.add_edge(a, b);
-            }
-        }
+        // ignored by `from_edges`).
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|q| (q, (q - 1) / 2)).collect();
+        edges.extend(extra.iter().map(|&(a, b)| (a % n, b % n)));
+        let mut graph = CouplingGraph::from_edges("prop", n, &edges);
         if uniform == 1 {
             graph.set_uniform_edge_error(3.3e-3);
         }

@@ -15,32 +15,32 @@ pub fn line(n: usize) -> CouplingGraph {
 
 /// A ring of `n` qubits.
 pub fn ring(n: usize) -> CouplingGraph {
-    let mut g = line(n);
+    let mut edges: Vec<(usize, usize)> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
     if n > 2 {
-        g.add_edge(n - 1, 0);
+        edges.push((n - 1, 0));
     }
-    g.set_name(format!("ring-{n}"));
-    g
+    CouplingGraph::from_edges(format!("ring-{n}"), n, &edges)
 }
 
 /// The complete graph (all-to-all coupling) on `n` qubits.
 pub fn complete(n: usize) -> CouplingGraph {
-    let mut g = CouplingGraph::new(format!("complete-{n}"), n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            g.add_edge(a, b);
-        }
-    }
-    g
+    let mut edges = Vec::new();
+    push_clique(&mut edges, &(0..n).collect::<Vec<_>>());
+    CouplingGraph::from_edges(format!("complete-{n}"), n, &edges)
 }
 
 /// A star: qubit 0 coupled to every other qubit.
 pub fn star(n: usize) -> CouplingGraph {
-    let mut g = CouplingGraph::new(format!("star-{n}"), n);
-    for q in 1..n {
-        g.add_edge(0, q);
+    let edges: Vec<(usize, usize)> = (1..n).map(|q| (0, q)).collect();
+    CouplingGraph::from_edges(format!("star-{n}"), n, &edges)
+}
+
+/// Appends every pair of `members` to `edges`: the all-to-all coupling one
+/// SNAIL drives among the qubits attached to it.
+fn push_clique(edges: &mut Vec<(usize, usize)>, members: &[usize]) {
+    for (i, &a) in members.iter().enumerate() {
+        edges.extend(members[i + 1..].iter().map(|&b| (a, b)));
     }
-    g
 }
 
 // ---------------------------------------------------------------------------
@@ -50,26 +50,34 @@ pub fn star(n: usize) -> CouplingGraph {
 /// Square lattice of `rows × cols` qubits (Fig. 2a). Qubit `(r, c)` has index
 /// `r * cols + c`.
 pub fn square_lattice(rows: usize, cols: usize) -> CouplingGraph {
-    let mut g = CouplingGraph::new(format!("square-lattice-{rows}x{cols}"), rows * cols);
+    CouplingGraph::from_edges(
+        format!("square-lattice-{rows}x{cols}"),
+        rows * cols,
+        &square_lattice_edges(rows, cols),
+    )
+}
+
+/// The nearest-neighbor couplings of a `rows × cols` square lattice.
+fn square_lattice_edges(rows: usize, cols: usize) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
     for r in 0..rows {
         for c in 0..cols {
             let idx = r * cols + c;
             if c + 1 < cols {
-                g.add_edge(idx, idx + 1);
+                edges.push((idx, idx + 1));
             }
             if r + 1 < rows {
-                g.add_edge(idx, idx + cols);
+                edges.push((idx, idx + cols));
             }
         }
     }
-    g
+    edges
 }
 
 /// Square lattice with both diagonals added on alternating (checkerboard)
 /// tiles (Fig. 2c), IBM's early "Penguin"-style connectivity.
 pub fn lattice_alt_diagonals(rows: usize, cols: usize) -> CouplingGraph {
-    let mut g = square_lattice(rows, cols);
-    g.set_name(format!("lattice-altdiag-{rows}x{cols}"));
+    let mut edges = square_lattice_edges(rows, cols);
     for r in 0..rows.saturating_sub(1) {
         for c in 0..cols.saturating_sub(1) {
             if (r + c) % 2 == 0 {
@@ -77,12 +85,16 @@ pub fn lattice_alt_diagonals(rows: usize, cols: usize) -> CouplingGraph {
                 let tr = tl + 1;
                 let bl = tl + cols;
                 let br = bl + 1;
-                g.add_edge(tl, br);
-                g.add_edge(tr, bl);
+                edges.push((tl, br));
+                edges.push((tr, bl));
             }
         }
     }
-    g
+    CouplingGraph::from_edges(
+        format!("lattice-altdiag-{rows}x{cols}"),
+        rows * cols,
+        &edges,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -125,14 +137,16 @@ pub fn hex_lattice(rows: usize, cols: usize) -> CouplingGraph {
 pub fn heavy_hex(rows: usize, cols: usize) -> CouplingGraph {
     let hex = hex_lattice(rows, cols);
     let base = hex.num_qubits();
-    let edges: Vec<(usize, usize)> = hex.edges().collect();
-    let mut g = CouplingGraph::new(format!("heavy-hex-{rows}x{cols}"), base + edges.len());
-    for (i, &(a, b)) in edges.iter().enumerate() {
-        let mid = base + i;
-        g.add_edge(a, mid);
-        g.add_edge(mid, b);
-    }
-    g
+    let edges: Vec<(usize, usize)> = hex
+        .edges()
+        .enumerate()
+        .flat_map(|(i, (a, b))| [(a, base + i), (base + i, b)])
+        .collect();
+    CouplingGraph::from_edges(
+        format!("heavy-hex-{rows}x{cols}"),
+        base + hex.num_edges(),
+        &edges,
+    )
 }
 
 /// Removes degree-1 vertices repeatedly (keeping at least a cycle), used to
@@ -156,15 +170,13 @@ fn trim_pendants(g: &CouplingGraph) -> CouplingGraph {
             break;
         }
     }
-    let mut out = CouplingGraph::new(g.name().to_string(), n);
-    for (a, b) in g.edges() {
-        if !removed[a] && !removed[b] {
-            out.add_edge(a, b);
-        }
-    }
-    // Mark isolated removed vertices by leaving them disconnected; the caller
-    // compacts labels afterwards.
-    out
+    // Removed vertices stay as isolated qubits; the caller compacts labels
+    // afterwards.
+    let kept: Vec<(usize, usize)> = g
+        .edges()
+        .filter(|&(a, b)| !removed[a] && !removed[b])
+        .collect();
+    CouplingGraph::from_edges(g.name(), n, &kept)
 }
 
 /// Drops isolated vertices and relabels the rest contiguously.
@@ -177,11 +189,8 @@ fn relabel_compact(g: &CouplingGraph, name: impl Into<String>) -> CouplingGraph 
             next += 1;
         }
     }
-    let mut out = CouplingGraph::new(name, next);
-    for (a, b) in g.edges() {
-        out.add_edge(mapping[&a], mapping[&b]);
-    }
-    out
+    let edges: Vec<(usize, usize)> = g.edges().map(|(a, b)| (mapping[&a], mapping[&b])).collect();
+    CouplingGraph::from_edges(name, next, &edges)
 }
 
 // ---------------------------------------------------------------------------
@@ -191,30 +200,31 @@ fn relabel_compact(g: &CouplingGraph, name: impl Into<String>) -> CouplingGraph 
 /// The `dim`-dimensional hypercube on `2^dim` qubits.
 pub fn hypercube(dim: u32) -> CouplingGraph {
     let n = 1usize << dim;
-    let mut g = CouplingGraph::new(format!("hypercube-{dim}d"), n);
-    for v in 0..n {
-        for b in 0..dim {
-            let u = v ^ (1usize << b);
-            if u > v {
-                g.add_edge(v, u);
-            }
-        }
-    }
-    g
+    CouplingGraph::from_edges(format!("hypercube-{dim}d"), n, &hypercube_edges(n))
 }
 
 /// A hypercube-like graph on exactly `n` qubits: the subgraph of the next
 /// power-of-two hypercube induced on vertices `0..n` (the paper's §5
 /// prescription for the 84-qubit comparison point).
 pub fn hypercube_sized(n: usize) -> CouplingGraph {
-    let mut dim = 0u32;
-    while (1usize << dim) < n {
-        dim += 1;
+    CouplingGraph::from_edges(format!("hypercube-{n}"), n, &hypercube_edges(n))
+}
+
+/// The hypercube couplings among qubits `0..n`: `v < u = v ^ 2^b < n` for
+/// every bit `b`, i.e. the prefix of the next power-of-two hypercube.
+fn hypercube_edges(n: usize) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    for v in 0..n {
+        let mut bit = 1;
+        while bit < n {
+            let u = v ^ bit;
+            if v < u && u < n {
+                edges.push((v, u));
+            }
+            bit <<= 1;
+        }
     }
-    let full = hypercube(dim);
-    let mut g = full.induced_prefix(n, format!("hypercube-{n}"));
-    g.set_name(format!("hypercube-{n}"));
-    g
+    edges
 }
 
 // ---------------------------------------------------------------------------
@@ -235,14 +245,9 @@ pub fn tree4(levels: usize) -> CouplingGraph {
         level_size *= 4;
         num_qubits += level_size;
     }
-    let mut g = CouplingGraph::new(format!("tree4-{}q", num_qubits), num_qubits);
-
     // Root router clique.
-    for a in 0..4 {
-        for b in (a + 1)..4 {
-            g.add_edge(a, b);
-        }
-    }
+    let mut edges = Vec::new();
+    push_clique(&mut edges, &[0, 1, 2, 3]);
 
     // Each parent qubit sprouts a module of four children; the module SNAIL
     // couples {parent, child0..child3} all-to-all.
@@ -256,16 +261,12 @@ pub fn tree4(levels: usize) -> CouplingGraph {
             let members: Vec<usize> = std::iter::once(parent)
                 .chain(children.iter().copied())
                 .collect();
-            for i in 0..members.len() {
-                for j in (i + 1)..members.len() {
-                    g.add_edge(members[i], members[j]);
-                }
-            }
+            push_clique(&mut edges, &members);
             new_frontier.extend(children);
         }
         frontier = new_frontier;
     }
-    g
+    CouplingGraph::from_edges(format!("tree4-{}q", num_qubits), num_qubits, &edges)
 }
 
 /// The Round-Robin 4-ary Tree (Fig. 7b).
@@ -283,14 +284,9 @@ pub fn tree4_rr(levels: usize) -> CouplingGraph {
         level_size *= 4;
         num_qubits += level_size;
     }
-    let mut g = CouplingGraph::new(format!("tree4rr-{}q", num_qubits), num_qubits);
-
     // Root router clique.
-    for a in 0..4 {
-        for b in (a + 1)..4 {
-            g.add_edge(a, b);
-        }
-    }
+    let mut edges = Vec::new();
+    push_clique(&mut edges, &[0, 1, 2, 3]);
 
     // `groups` holds, per parent module, the list of its four qubits in
     // round-robin slot order. The root module is qubits 0..4.
@@ -306,21 +302,15 @@ pub fn tree4_rr(levels: usize) -> CouplingGraph {
                 let children: Vec<usize> = (0..4).map(|i| next_id + i).collect();
                 next_id += 4;
                 // Internal module clique.
-                for i in 0..4 {
-                    for j in (i + 1)..4 {
-                        g.add_edge(children[i], children[j]);
-                    }
-                }
+                push_clique(&mut edges, &children);
                 // Round-robin uplinks: child j ↔ parent-slot j.
-                for j in 0..4 {
-                    g.add_edge(children[j], group[j]);
-                }
+                edges.extend(children.iter().copied().zip(group.iter().copied()));
                 new_groups.push(children);
             }
         }
         parent_groups = new_groups;
     }
-    g
+    CouplingGraph::from_edges(format!("tree4rr-{}q", num_qubits), num_qubits, &edges)
 }
 
 /// A SNAIL Corral (Fig. 9).
@@ -335,10 +325,6 @@ pub fn corral(posts: usize, stride_a: usize, stride_b: usize) -> CouplingGraph {
     assert!(posts >= 3, "corral needs at least three posts");
     assert!(stride_a >= 1 && stride_b >= 1);
     let num_qubits = 2 * posts;
-    let mut g = CouplingGraph::new(
-        format!("corral{stride_a},{stride_b}-{num_qubits}q"),
-        num_qubits,
-    );
     // Qubit 2i   = fence A of post i, spanning posts i and i+stride_a.
     // Qubit 2i+1 = fence B of post i, spanning posts i and i+stride_b.
     let spans = |q: usize| -> (usize, usize) {
@@ -351,6 +337,7 @@ pub fn corral(posts: usize, stride_a: usize, stride_b: usize) -> CouplingGraph {
         (post, (post + stride) % posts)
     };
     // For every post, all attached qubits are pairwise coupled.
+    let mut edges = Vec::new();
     for p in 0..posts {
         let attached: Vec<usize> = (0..num_qubits)
             .filter(|&q| {
@@ -358,13 +345,13 @@ pub fn corral(posts: usize, stride_a: usize, stride_b: usize) -> CouplingGraph {
                 a == p || b == p
             })
             .collect();
-        for i in 0..attached.len() {
-            for j in (i + 1)..attached.len() {
-                g.add_edge(attached[i], attached[j]);
-            }
-        }
+        push_clique(&mut edges, &attached);
     }
-    g
+    CouplingGraph::from_edges(
+        format!("corral{stride_a},{stride_b}-{num_qubits}q"),
+        num_qubits,
+        &edges,
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@
 //! (degree) — all of which are provided here, along with the shortest-path
 //! machinery (hop-count BFS and error-weighted Dijkstra) the router needs.
 //!
+//! [`CouplingGraph::from_edges`] is the one constructor: every builder,
+//! transform and device spec collects its edge list and makes one call,
+//! which sorts the list and fills the CSR in one O(E log E) pass.
+//!
 //! Internally the graph is stored in CSR (compressed sparse row) form: one
 //! flat `offsets` array and one flat sorted neighbor slice, so the router's
 //! hot loops (`neighbors`, `has_edge`, BFS/Dijkstra relaxation) are
@@ -66,30 +70,20 @@ pub struct TopologyMetrics {
 }
 
 impl CouplingGraph {
-    /// Creates an edgeless graph on `num_qubits` qubits.
-    pub fn new(name: impl Into<String>, num_qubits: usize) -> Self {
-        Self {
-            name: name.into(),
-            offsets: vec![0; num_qubits + 1],
-            csr_neighbors: Vec::new(),
-            csr_edge_ids: Vec::new(),
-            edge_list: Vec::new(),
-            default_edge_error: DEFAULT_EDGE_ERROR,
-            edge_rates: Vec::new(),
-            edge_overridden: Vec::new(),
-        }
-    }
-
-    /// Builds a graph from an explicit edge list; self-loops and duplicates
-    /// are ignored, as by [`CouplingGraph::add_edge`]. The CSR is filled in
-    /// one pass over the sorted edges (O(E log E)), so a 65,535-qubit line
-    /// builds as fast as it routes.
+    /// Builds a graph from an explicit edge list, the one way to make a
+    /// graph. Pairs may come in any order and either orientation;
+    /// self-loops and duplicates are ignored, and an empty list gives an
+    /// edgeless graph. Every edge starts at [`DEFAULT_EDGE_ERROR`]. The
+    /// sorted, deduplicated list fixes the edge indices, and the CSR is
+    /// filled in one pass over it, so a build is O(E log E).
+    ///
+    /// # Panics
+    /// Panics if an endpoint is not below `num_qubits`.
     pub fn from_edges(
         name: impl Into<String>,
         num_qubits: usize,
         edges: &[(usize, usize)],
     ) -> Self {
-        let mut g = Self::new(name, num_qubits);
         let mut list: Vec<(usize, usize)> = edges
             .iter()
             .map(|&(a, b)| {
@@ -103,30 +97,37 @@ impl CouplingGraph {
             .collect();
         list.sort_unstable();
         list.dedup();
+        let mut offsets = vec![0; num_qubits + 1];
         for &(a, b) in &list {
-            g.offsets[a + 1] += 1;
-            g.offsets[b + 1] += 1;
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
         }
         for q in 0..num_qubits {
-            g.offsets[q + 1] += g.offsets[q];
+            offsets[q + 1] += offsets[q];
         }
         // Walking the edges in lexicographic order appends each row's
         // smaller neighbors (as the max endpoint) before its larger ones (as
         // the min endpoint), both ascending, so every row comes out sorted.
-        let mut next = g.offsets.clone();
-        g.csr_neighbors = vec![0; 2 * list.len()];
-        g.csr_edge_ids = vec![0; 2 * list.len()];
+        let mut next = offsets.clone();
+        let mut csr_neighbors = vec![0; 2 * list.len()];
+        let mut csr_edge_ids = vec![0; 2 * list.len()];
         for (id, &(a, b)) in list.iter().enumerate() {
             for (u, v) in [(a, b), (b, a)] {
-                g.csr_neighbors[next[u]] = v;
-                g.csr_edge_ids[next[u]] = id;
+                csr_neighbors[next[u]] = v;
+                csr_edge_ids[next[u]] = id;
                 next[u] += 1;
             }
         }
-        g.edge_rates = vec![g.default_edge_error; list.len()];
-        g.edge_overridden = vec![false; list.len()];
-        g.edge_list = list;
-        g
+        Self {
+            name: name.into(),
+            offsets,
+            csr_neighbors,
+            csr_edge_ids,
+            default_edge_error: DEFAULT_EDGE_ERROR,
+            edge_rates: vec![DEFAULT_EDGE_ERROR; list.len()],
+            edge_overridden: vec![false; list.len()],
+            edge_list: list,
+        }
     }
 
     /// Human-readable topology name.
@@ -148,40 +149,6 @@ impl CouplingGraph {
     #[inline]
     fn neighbor_slice(&self, q: usize) -> &[usize] {
         &self.csr_neighbors[self.offsets[q]..self.offsets[q + 1]]
-    }
-
-    /// Adds an undirected edge; self-loops and duplicates are ignored.
-    pub fn add_edge(&mut self, a: usize, b: usize) {
-        assert!(
-            a < self.num_qubits() && b < self.num_qubits(),
-            "edge ({a},{b}) out of range"
-        );
-        if a == b || self.has_edge(a, b) {
-            return;
-        }
-        let edge = (a.min(b), a.max(b));
-        // Lexicographic rank of the new edge = its stable index; every
-        // existing id at or above it shifts up by one.
-        let id = self.edge_list.binary_search(&edge).unwrap_err();
-        for slot in &mut self.csr_edge_ids {
-            if *slot >= id {
-                *slot += 1;
-            }
-        }
-        self.edge_list.insert(id, edge);
-        self.edge_rates.insert(id, self.default_edge_error);
-        self.edge_overridden.insert(id, false);
-        // Insert each endpoint into the other's sorted CSR row. The second
-        // insertion recomputes its position from the already-shifted offsets.
-        for (u, v) in [(a, b), (b, a)] {
-            let row = self.neighbor_slice(u);
-            let pos = self.offsets[u] + row.binary_search(&v).unwrap_err();
-            self.csr_neighbors.insert(pos, v);
-            self.csr_edge_ids.insert(pos, id);
-            for offset in &mut self.offsets[u + 1..] {
-                *offset += 1;
-            }
-        }
     }
 
     /// True when `(a, b)` is an edge.
@@ -517,19 +484,7 @@ impl CouplingGraph {
     /// size.
     pub fn induced_prefix(&self, n: usize, name: impl Into<String>) -> CouplingGraph {
         assert!(n <= self.num_qubits());
-        let mut g = CouplingGraph::new(name, n);
-        g.default_edge_error = self.default_edge_error;
-        for (a, b) in self.edges() {
-            if a < n && b < n {
-                g.add_edge(a, b);
-            }
-        }
-        for (idx, &(a, b)) in self.edge_list.iter().enumerate() {
-            if self.edge_overridden[idx] && a < n && b < n {
-                g.set_edge_error(a, b, self.edge_rates[idx]);
-            }
-        }
-        g
+        self.relabelled_subgraph(name, n, |q| (q < n).then_some(q))
     }
 
     /// Removes up to `count` degree-≤2 boundary nodes (highest index first)
@@ -576,16 +531,27 @@ impl CouplingGraph {
                 next += 1;
             }
         }
-        let mut g = CouplingGraph::new(name, target_qubits);
-        g.default_edge_error = self.default_edge_error;
-        for (a, b) in self.edges() {
-            if !removed[a] && !removed[b] {
-                g.add_edge(mapping[a], mapping[b]);
-            }
-        }
-        for (idx, &(a, b)) in self.edge_list.iter().enumerate() {
-            if self.edge_overridden[idx] && !removed[a] && !removed[b] {
-                g.set_edge_error(mapping[a], mapping[b], self.edge_rates[idx]);
+        self.relabelled_subgraph(name, target_qubits, |q| (!removed[q]).then(|| mapping[q]))
+    }
+
+    /// The subgraph on `num_qubits` qubits that keeps every edge whose two
+    /// endpoints `relabel` maps to new labels, built in one
+    /// [`CouplingGraph::from_edges`] call. The default error rate carries
+    /// over, and so does the override of every kept edge.
+    fn relabelled_subgraph(
+        &self,
+        name: impl Into<String>,
+        num_qubits: usize,
+        relabel: impl Fn(usize) -> Option<usize>,
+    ) -> CouplingGraph {
+        let kept = |(a, b): (usize, usize)| Some((relabel(a)?, relabel(b)?));
+        let edges: Vec<(usize, usize)> = self.edges().filter_map(kept).collect();
+        let mut g = CouplingGraph::from_edges(name, num_qubits, &edges);
+        g.set_uniform_edge_error(self.default_edge_error);
+        let overridden = (0..self.num_edges()).filter(|&idx| self.edge_overridden[idx]);
+        for idx in overridden {
+            if let Some((a, b)) = kept(self.edge_list[idx]) {
+                g.set_edge_error(a, b, self.edge_rates[idx]);
             }
         }
         g
@@ -631,21 +597,15 @@ mod tests {
     }
 
     fn complete(n: usize) -> CouplingGraph {
-        let mut g = CouplingGraph::new("complete", n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.add_edge(a, b);
-            }
-        }
-        g
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+            .collect();
+        CouplingGraph::from_edges("complete", n, &edges)
     }
 
     #[test]
     fn edges_are_undirected_and_deduplicated() {
-        let mut g = CouplingGraph::new("g", 3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
-        g.add_edge(1, 1);
+        let g = CouplingGraph::from_edges("g", 3, &[(0, 1), (1, 0), (1, 1)]);
         assert_eq!(g.num_edges(), 1);
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 0));
@@ -691,7 +651,7 @@ mod tests {
 
     #[test]
     fn the_hop_kernel_accepts_a_graph_at_the_qubit_cap() {
-        let g = CouplingGraph::new("cap", MAX_QUBITS);
+        let g = CouplingGraph::from_edges("cap", MAX_QUBITS, &[]);
         let mut row = vec![0; MAX_QUBITS];
         g.bfs_hops_into(0, &mut row);
         assert_eq!(row[0], 0);
@@ -702,7 +662,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "graph too large for u16 hop counts")]
     fn the_hop_kernel_refuses_a_graph_above_the_qubit_cap() {
-        CouplingGraph::new("over", MAX_QUBITS + 1).is_connected();
+        CouplingGraph::from_edges("over", MAX_QUBITS + 1, &[]).is_connected();
     }
 
     #[test]
@@ -847,17 +807,25 @@ mod tests {
     }
 
     #[test]
-    fn overrides_keep_their_edges_when_later_insertions_shift_indices() {
-        // Setting an override and then adding a lexicographically smaller
-        // edge shifts the override's edge index; the rate must follow.
-        let mut g = CouplingGraph::new("shift", 4);
-        g.add_edge(2, 3);
-        g.set_edge_error(2, 3, 0.07);
-        g.add_edge(0, 1); // takes index 0, shifting (2,3) to index 1
-        assert_eq!(g.edge_error(2, 3), 0.07);
-        assert_eq!(g.edge_error(0, 1), DEFAULT_EDGE_ERROR);
-        assert_eq!(g.edge_index(0, 1), Some(0));
-        assert_eq!(g.edge_index(2, 3), Some(1));
+    fn subgraphs_keep_a_non_default_default_rate_and_kept_overrides() {
+        // Edges of a subgraph are built in one pass at the source's default
+        // rate, and the source's overrides are replayed on the kept edges.
+        let mut g = cycle(8);
+        g.set_uniform_edge_error(0.002);
+        g.set_edge_error(1, 2, 0.03);
+        g.set_edge_error(6, 7, 0.05);
+        let sub = g.induced_prefix(5, "p5");
+        assert_eq!(sub.default_edge_error(), 0.002);
+        assert_eq!(sub.edge_error(1, 2), 0.03);
+        assert_eq!(sub.edge_error(3, 4), 0.002);
+        assert!(!sub.edge_errors_uniform());
+        // Truncation drops qubit 7, and with it the overridden edge (6, 7).
+        let t = g.truncate_boundary(7, "t7");
+        assert_eq!(t.num_edges(), 6);
+        assert_eq!(t.default_edge_error(), 0.002);
+        assert_eq!(t.edge_error(1, 2), 0.03);
+        assert_eq!(t.edge_error(5, 6), 0.002);
+        assert!((0..t.num_edges()).all(|i| t.edge_error_at(i) != 0.05));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests pinning the CSR `CouplingGraph` against a naive
-//! set-and-map adjacency model: whatever order edges are inserted in, the
-//! CSR graph must agree with the model on `neighbors` order, `edges` order,
-//! `has_edge`, `edge_error`, and `edge_index` round-trips; and the bulk
-//! `from_edges` constructor must build the same graph as `add_edge`.
+//! Property tests pinning `CouplingGraph::from_edges` against a naive
+//! set-and-map adjacency model: whatever order, orientation and repetition
+//! the edge list has, the CSR graph must agree with the model on
+//! `neighbors` order, `edges` order, `has_edge`, `edge_error`, and
+//! `edge_index` round-trips.
 
 use proptest::prelude::*;
 use snailqc_topology::{CouplingGraph, DEFAULT_EDGE_ERROR};
@@ -24,7 +24,7 @@ impl NaiveGraph {
         }
     }
 
-    fn add_edge(&mut self, a: usize, b: usize) {
+    fn insert(&mut self, a: usize, b: usize) {
         if a != b {
             self.adjacency[a].insert(b);
             self.adjacency[b].insert(a);
@@ -50,18 +50,21 @@ proptest! {
         overrides in proptest::collection::vec((0usize..64, 1e-4f64..0.5), 1..6),
     ) {
         // Endpoints are drawn over a fixed range and folded into `0..n`, so
-        // the insert list covers duplicates and arbitrary orders.
-        let inserts: Vec<(usize, usize)> =
+        // the list has arbitrary orders; the first pair is repeated as is,
+        // reversed and as a self-loop so every list holds all three.
+        let mut inserts: Vec<(usize, usize)> =
             raw_inserts.iter().map(|&(a, b)| (a % n, b % n)).collect();
-        let mut csr = CouplingGraph::new("model", n);
+        let (a0, b0) = inserts[0];
+        inserts.extend([(a0, b0), (b0, a0), (a0, a0)]);
+        let mut csr = CouplingGraph::from_edges("model", n, &inserts);
         let mut naive = NaiveGraph::new(n);
         for &(a, b) in &inserts {
-            csr.add_edge(a, b);
-            naive.add_edge(a, b);
+            naive.insert(a, b);
         }
-        // The bulk constructor builds the same graph as edge-by-edge insertion.
-        prop_assert_eq!(&CouplingGraph::from_edges("model", n, &inserts), &csr);
         let edges = naive.edges();
+        // Before any override every edge carries the default rate.
+        prop_assert!(csr.edge_errors().all(|(_, rate)| rate == DEFAULT_EDGE_ERROR));
+        prop_assert!(csr.edge_errors_uniform());
         // Apply overrides to both (index into the current edge list).
         for &(pick, rate) in &overrides {
             if edges.is_empty() {
@@ -108,10 +111,12 @@ proptest! {
             }
         }
 
-        // neighbors_with_edge_ids is neighbors zipped with edge_index.
+        // neighbors_with_edge_ids is neighbors zipped with edge_index, and
+        // each id names the edge's lexicographic rank in the model.
         for q in 0..n {
             for (v, id) in csr.neighbors_with_edge_ids(q) {
                 prop_assert_eq!(csr.edge_index(q, v), Some(id));
+                prop_assert_eq!(edges[id], (q.min(v), q.max(v)));
             }
         }
 

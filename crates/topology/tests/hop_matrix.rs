@@ -10,7 +10,6 @@ use snailqc_topology::{builders, CouplingGraph};
 /// Deterministic pseudo-random graph on `n` qubits: edge density and
 /// connectivity vary with the seed, so disconnected graphs show up often.
 fn arbitrary_graph(n: usize, seed: u64, density_pct: u64) -> CouplingGraph {
-    let mut g = CouplingGraph::new(format!("prop-{n}-{seed}"), n);
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -18,14 +17,15 @@ fn arbitrary_graph(n: usize, seed: u64, density_pct: u64) -> CouplingGraph {
         state ^= state << 17;
         state
     };
+    let mut edges = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             if next() % 100 < density_pct {
-                g.add_edge(a, b);
+                edges.push((a, b));
             }
         }
     }
-    g
+    CouplingGraph::from_edges(format!("prop-{n}-{seed}"), n, &edges)
 }
 
 /// All-pairs hop counts by Floyd–Warshall (`usize::MAX` = unreachable):

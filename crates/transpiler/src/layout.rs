@@ -519,11 +519,9 @@ mod tests {
     fn dense_layout_on_disconnected_device_uses_one_component() {
         // Two islands: a 3×3 grid (qubits 0..9) and a 2-path (9, 10). A
         // 6-qubit program must land entirely inside the grid.
-        let mut graph = CouplingGraph::new("islands", 11);
-        for (a, b) in builders::square_lattice(3, 3).edges() {
-            graph.add_edge(a, b);
-        }
-        graph.add_edge(9, 10);
+        let mut edges: Vec<(usize, usize)> = builders::square_lattice(3, 3).edges().collect();
+        edges.push((9, 10));
+        let graph = CouplingGraph::from_edges("islands", 11, &edges);
         let circuit = interacting_circuit(6);
         let layout = try_dense_layout(&circuit, &graph).expect("6 qubits fit the 9-qubit grid");
         for q in 0..6 {
@@ -566,11 +564,9 @@ mod tests {
         assert_eq!(exhaustive.num_logical(), 5);
         // 85-qubit variant: the 84q tree plus one dangling qubit attached to
         // qubit 0 — now over the limit, so the component path runs.
-        let mut big = CouplingGraph::new("tree-85", 85);
-        for (a, b) in graph.edges() {
-            big.add_edge(a, b);
-        }
-        big.add_edge(0, 84);
+        let mut edges: Vec<(usize, usize)> = graph.edges().collect();
+        edges.push((0, 84));
+        let big = CouplingGraph::from_edges("tree-85", 85, &edges);
         let seeded = try_dense_layout(&circuit, &big).unwrap();
         let mut phys: Vec<usize> = (0..5).map(|q| seeded.physical(q)).collect();
         phys.sort_unstable();

@@ -94,13 +94,9 @@ fn kiloqubit_digests_are_stable_across_runs_and_parallelism() {
 fn disconnected_device_routes_within_the_largest_component() {
     // A 4×4 grid (16 qubits) plus a 6-qubit line, fused into one 22-qubit
     // graph with no edges between the parts.
-    let mut graph = CouplingGraph::new("grid-plus-line", 22);
-    for (a, b) in builders::square_lattice(4, 4).edges() {
-        graph.add_edge(a, b);
-    }
-    for q in 16..21 {
-        graph.add_edge(q, q + 1);
-    }
+    let mut edges: Vec<(usize, usize)> = builders::square_lattice(4, 4).edges().collect();
+    edges.extend((16..21).map(|q| (q, q + 1)));
+    let graph = CouplingGraph::from_edges("grid-plus-line", 22, &edges);
 
     let circuit = snailqc_workloads::ghz(10);
     let layout = LayoutStrategy::Dense

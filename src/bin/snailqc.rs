@@ -464,15 +464,22 @@ fn transpile_one_file(
         }
     });
 
+    // A QASM 2 `-o` file is the text `circuit_digest` would emit for the
+    // written circuit, so its digest is taken over that text below.
+    let mut written_qasm2 = None;
     if let Some(out) = opts.value("out") {
         let circuit = result.translated.as_ref().unwrap_or(&result.routed.circuit);
-        emit_output(
-            &snailqc::qasm::emit_versioned(circuit, output_version(opts)),
-            Some(out),
-        )?;
+        let version = output_version(opts);
+        let text = snailqc::qasm::emit_versioned(circuit, version);
+        emit_output(&text, Some(out))?;
+        if version == snailqc::qasm::QasmVersion::V2 {
+            written_qasm2 = Some(text);
+        }
     }
 
     if opts.has("json") {
+        let written_digest =
+            written_qasm2.map(|text| format!("{:016x}", snailqc_util::fnv1a_64(text.as_bytes())));
         let output = TranspileOutput {
             file: file.to_string(),
             topology: device.graph().name().to_string(),
@@ -483,11 +490,17 @@ fn transpile_one_file(
             error_model: device.error_model().cloned(),
             error_weight,
             report: result.report,
-            routed_digest: snailqc::serve::circuit_digest(&result.routed.circuit),
-            basis_digest: result
-                .translated
-                .as_ref()
-                .map(snailqc::serve::circuit_digest),
+            // The written circuit is the translated one when there is a
+            // basis, the routed one otherwise.
+            routed_digest: match (&result.translated, &written_digest) {
+                (None, Some(digest)) => digest.clone(),
+                _ => snailqc::serve::circuit_digest(&result.routed.circuit),
+            },
+            basis_digest: result.translated.as_ref().map(|translated| {
+                written_digest
+                    .clone()
+                    .unwrap_or_else(|| snailqc::serve::circuit_digest(translated))
+            }),
             fidelity,
         };
         println!(

@@ -3,7 +3,8 @@
 //! improvement scenario through a JSON error-model file, and the
 //! observability exports (`--trace-out` / `--metrics-json`).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn snailqc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_snailqc"))
@@ -11,6 +12,29 @@ fn snailqc(args: &[&str]) -> std::process::Output {
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("snailqc binary runs")
+}
+
+/// Runs `snailqc` like [`snailqc`], but kills the child and fails the test
+/// when it is still running after `bound`. Output is read after the child
+/// exits, so it must fit the pipe buffers (a report, not routed QASM).
+fn snailqc_within(args: &[&str], bound: Duration) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_snailqc"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("snailqc binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if start.elapsed() > bound {
+            child.kill().expect("kill the child");
+            child.wait().expect("reap the child");
+            panic!("`snailqc {}` still running after {bound:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
 }
 
 /// Structural JSON equality with a 1e-12 relative tolerance on numbers:
@@ -1068,6 +1092,65 @@ fn a_line_at_the_qubit_cap_routes_ghz3() {
         "GHZ-3 needs no SWAP on a line"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Generates the spec `device-gen <generator_args>` writes, validates it and
+/// routes GHZ-3 on it with zero SWAPs, each step within a wall-clock bound
+/// far above the one-pass graph build (well under a second in a debug
+/// build) and far below an edge-by-edge one (minutes at this size).
+fn generated_spec_at_the_cap_validates_and_routes_ghz3(tag: &str, generator_args: &[&str]) {
+    const BOUND: Duration = Duration::from_secs(30);
+    let dir = std::env::temp_dir().join(format!("snailqc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spec, ghz) = (dir.join("spec.json"), dir.join("ghz3.qasm"));
+    let (spec, ghz) = (spec.to_str().unwrap(), ghz.to_str().unwrap());
+    let generate: Vec<&str> = ["device-gen"]
+        .into_iter()
+        .chain(generator_args.iter().copied())
+        .chain(["-o", spec])
+        .collect();
+    for args in [
+        generate,
+        vec!["emit", "ghz", "--qubits", "3", "-o", ghz],
+        vec!["devices", "validate", spec],
+    ] {
+        let output = snailqc_within(&args, BOUND);
+        assert!(
+            output.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    let output = snailqc_within(&["transpile", ghz, "--device", spec, "--json"], BOUND);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let json: serde_json::Value =
+        serde_json::from_str(&String::from_utf8(output.stdout).unwrap()).expect("valid JSON");
+    let report = json.get("report").expect("report block");
+    let field = |name: &str| report.get(name).and_then(|v| v.as_u64());
+    assert_eq!(field("physical_qubits"), Some(65_535));
+    assert_eq!(field("swap_count"), Some(0), "GHZ-3 embeds as a path");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hypercube_at_the_qubit_cap_validates_and_routes_ghz3_in_bounded_time() {
+    generated_spec_at_the_cap_validates_and_routes_ghz3(
+        "hypercube-at-cap",
+        &["hypercube", "--qubits", "65535"],
+    );
+}
+
+#[test]
+fn a_255_by_257_grid_validates_and_routes_ghz3_in_bounded_time() {
+    generated_spec_at_the_cap_validates_and_routes_ghz3(
+        "grid-at-cap",
+        &["grid", "--rows", "255", "--cols", "257"],
+    );
 }
 
 #[test]

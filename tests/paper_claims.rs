@@ -403,3 +403,134 @@ fn every_catalog_name_ends_in_its_qubit_count() {
         assert!(graph.name().ends_with(&suffix), "{}", graph.name());
     }
 }
+
+/// FNV-1a over a graph's edges in edge-id order, each written as its two
+/// endpoints and the `to_bits()` of its rate (little-endian `u64`s), so it
+/// pins the edge ids and every per-edge rate bit for bit.
+fn edge_list_digest(graph: &CouplingGraph) -> u64 {
+    let mut bytes = Vec::with_capacity(24 * graph.num_edges());
+    for (id, (a, b)) in graph.edges().enumerate() {
+        for word in [a as u64, b as u64, graph.edge_error_at(id).to_bits()] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    snailqc_util::fnv1a_64(&bytes)
+}
+
+/// Every graph the edge-list oracle freezes: each catalog topology (which
+/// holds every Table 1/2 row), each shipped `devices/*.json` spec, the
+/// generator builders no catalog entry or spec reaches, and a calibrated
+/// grid with a non-default default rate and per-edge overrides, alone and
+/// through `induced_prefix` and `truncate_boundary`.
+fn oracle_graphs() -> Vec<(String, CouplingGraph)> {
+    use snailqc::topology::builders;
+    let mut graphs: Vec<(String, CouplingGraph)> = catalog::names()
+        .into_iter()
+        .map(|name| (name.to_string(), catalog::by_name(name).unwrap()))
+        .collect();
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("devices");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("devices/ ships with the repo")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".json"))
+        .collect();
+    files.sort();
+    for file in files {
+        let device = Device::from_spec_file(dir.join(&file)).unwrap();
+        graphs.push((file, device.graph().clone()));
+    }
+    for graph in [
+        builders::line(9),
+        builders::ring(12),
+        builders::star(9),
+        builders::complete(7),
+        builders::hypercube(6),
+        builders::hypercube_sized(100),
+        builders::tree4(3),
+        builders::tree4_rr(3),
+        builders::corral(12, 2, 5),
+    ] {
+        graphs.push((graph.name().to_string(), graph));
+    }
+    let mut calibrated = builders::square_lattice(5, 6);
+    calibrated.set_uniform_edge_error(2.5e-3);
+    let edges: Vec<(usize, usize)> = calibrated.edges().collect();
+    for (i, &(a, b)) in edges.iter().enumerate().step_by(3) {
+        calibrated.set_edge_error(a, b, 1e-4 * (i + 1) as f64);
+    }
+    graphs.push((
+        "calibrated-prefix-17".to_string(),
+        calibrated.induced_prefix(17, "prefix"),
+    ));
+    graphs.push((
+        "calibrated-truncated-23".to_string(),
+        calibrated.truncate_boundary(23, "truncated"),
+    ));
+    graphs.push(("calibrated-5x6".to_string(), calibrated));
+    graphs
+}
+
+/// `(name, qubits, edges, edge_list_digest)` of every graph in
+/// `oracle_graphs`, frozen from the edge-by-edge builders the graphs were
+/// first made with.
+const FROZEN_EDGE_LISTS: [(&str, usize, usize, u64); 37] = [
+    ("heavy-hex-20", 20, 21, 0xe150ac36333922f8),
+    ("hex-lattice-20", 20, 24, 0x80334a434551b485),
+    ("square-lattice-16", 16, 24, 0xf7efe89f5720f499),
+    ("lattice-alt-diagonals-16", 16, 34, 0x469cfd17aeb48cdd),
+    ("hypercube-16", 16, 32, 0xe6cae8f60b40606d),
+    ("tree-20", 20, 46, 0xa0099748114566c5),
+    ("tree-rr-20", 20, 46, 0xcd296bd4cca907c5),
+    ("corral11-16", 16, 40, 0x008fbee95060a325),
+    ("corral12-16", 16, 48, 0x6f878f35719f13a5),
+    ("heavy-hex-84", 84, 94, 0x371fc8a6e85d6a67),
+    ("hex-lattice-84", 84, 113, 0x00046bfab813ea87),
+    ("square-lattice-84", 84, 149, 0x290080920ddb33b0),
+    ("lattice-alt-diagonals-84", 84, 215, 0xd991401effd9805c),
+    ("hypercube-84", 84, 252, 0x3a32312be710e909),
+    ("tree-84", 84, 206, 0xc4d1c734241e26c5),
+    ("tree-rr-84", 84, 206, 0x2e5b0d15bbcb3565),
+    ("grid_100.json", 100, 180, 0xd429db70b0865e71),
+    ("grid_256.json", 256, 480, 0xb08f9155d27e9ae9),
+    ("grid_625.json", 625, 1200, 0x702397c9632027b1),
+    ("hypercube_1024.json", 1024, 5120, 0x58adaaad4d946a65),
+    ("ibm_heavy_hex_127.json", 127, 143, 0x5f69e0f5d62dad7a),
+    ("ibm_heavy_hex_133.json", 133, 150, 0xadeb37031ac69e00),
+    ("ibm_heavy_hex_433.json", 433, 504, 0x7626bc1293e33c66),
+    ("ion_trap_32.json", 32, 496, 0x0496aea13aaaaca5),
+    ("sycamore_53.json", 53, 83, 0xf8a8291de8693855),
+    ("line-9", 9, 8, 0xeb00f4190eb4c87d),
+    ("ring-12", 12, 12, 0xe7ec43595d25374d),
+    ("star-9", 9, 8, 0x47ffec1f74e1d9d5),
+    ("complete-7", 7, 21, 0xc7bccc1b12c4597f),
+    ("hypercube-6d", 64, 192, 0xa6d32a8730e8ed25),
+    ("hypercube-100", 100, 316, 0x5e6c55d3411d59b1),
+    ("tree4-340q", 340, 846, 0xa38fd20273960025),
+    ("tree4rr-340q", 340, 846, 0x6865dd7e103b72a5),
+    ("corral2,5-24q", 24, 72, 0x08827c8721b049ed),
+    ("calibrated-prefix-17", 17, 25, 0x1d3e8cf0268ac08c),
+    ("calibrated-truncated-23", 23, 36, 0x7863bda381df52d5),
+    ("calibrated-5x6", 30, 49, 0xe7f4370c61eabee2),
+];
+
+#[test]
+fn every_built_edge_list_is_frozen_bit_for_bit() {
+    let graphs = oracle_graphs();
+    // The catalog holds every Table 1/2 row.
+    let built: Vec<&str> = graphs.iter().map(|(_, g)| g.name()).collect();
+    for (row, _) in catalog::table1().into_iter().chain(catalog::table2()) {
+        assert!(built.contains(&row.as_str()), "{row} is not in the catalog");
+    }
+    let got: Vec<(&str, usize, usize, u64)> = graphs
+        .iter()
+        .map(|(name, g)| {
+            (
+                name.as_str(),
+                g.num_qubits(),
+                g.num_edges(),
+                edge_list_digest(g),
+            )
+        })
+        .collect();
+    assert_eq!(got, FROZEN_EDGE_LISTS);
+}

@@ -328,6 +328,53 @@ fn an_over_cap_inline_spec_gets_an_error_reply_and_the_single_worker_lives_on() 
 }
 
 #[test]
+fn an_inline_hypercube_at_the_qubit_cap_routes_and_the_single_worker_routes_on() {
+    let server = Server::spawn(ServeConfig {
+        bind: Bind::Tcp("127.0.0.1:0".into()),
+        workers: 1,
+        queue_capacity: 4,
+        store: None,
+    })
+    .expect("server spawns");
+    let BoundAddr::Tcp(addr) = server.addr() else {
+        unreachable!("tcp bind")
+    };
+    let addr = addr.to_string();
+    let spec = r#"{"snailqc_device": 1, "name": "hypercube_65535", "topology": {"generator": "hypercube", "params": {"qubits": 65535}}}"#;
+    let ghz3 = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
+    let at_cap = object(vec![
+        ("source", Value::String(ghz3.to_string())),
+        ("device", serde_json::from_str(spec).unwrap()),
+    ]);
+
+    // One worker: a graph build that held it would leave qaoa12 unanswered
+    // past the bound, so both requests finishing shows it is free again.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let good = qaoa12_source();
+    std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(&addr).expect("client connects");
+        let at_cap = client.call("transpile", at_cap);
+        let routed = client.call("transpile", transpile_params(&good));
+        let _ = client.call("shutdown", object(vec![]));
+        let _ = done.send((at_cap, routed));
+    });
+    let (at_cap, routed) = outcome
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the daemon answers both requests within the bound");
+    let at_cap = at_cap.expect("a hypercube at the cap routes");
+    assert!(!str_field(&at_cap, "routed_digest").is_empty());
+    assert_eq!(
+        at_cap
+            .get("report")
+            .and_then(|r| r.get("physical_qubits"))
+            .and_then(Value::as_u64),
+        Some(65_535)
+    );
+    assert!(!str_field(&routed.expect("qaoa12 routes after it"), "routed_digest").is_empty());
+    server.join().expect("drain completes");
+}
+
+#[test]
 fn warm_store_is_replayed_by_a_restarted_daemon() {
     let dir = temp_dir("restart");
     let store_path = dir.join("store.jsonl");
