@@ -24,6 +24,7 @@
 //! replayed on repeated runs; set `SNAILQC_NO_CACHE=1` to bypass the store.
 //! Timing lives in the repository's `perfbench/` harness, not here.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::Serialize;

@@ -13,10 +13,11 @@
 //!   study reports: total / critical-path SWAP and 2Q gate counts, depths,
 //!   ASAP layering, and interaction extraction.
 //! * [`simulator::StateVector`] — a dense statevector simulator (up to
-//!   [`simulator::MAX_DENSE_QUBITS`] qubits) with pair/quad-iteration and
-//!   AVX2 kernels, used to check that generators and routing preserve
-//!   circuit semantics.
+//!   [`simulator::MAX_DENSE_QUBITS`] qubits) with safe pair/quad-walking
+//!   kernels, used to check that generators and routing preserve circuit
+//!   semantics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod circuit;
@@ -25,4 +26,4 @@ pub mod simulator;
 
 pub use circuit::{Circuit, Instruction};
 pub use gate::Gate;
-pub use simulator::{simulate, ExecMode, StateVector, MAX_DENSE_QUBITS};
+pub use simulator::{simulate, StateVector, MAX_DENSE_QUBITS};

@@ -1,4 +1,4 @@
-//! A dense statevector simulator with pair/quad-iteration kernels.
+//! A dense statevector simulator with pair/quad-walking kernels.
 //!
 //! The co-design study itself only needs structural circuit metrics, but a
 //! simulator makes the rest of the stack testable: workload generators are
@@ -10,28 +10,26 @@
 //!
 //! # Engine design
 //!
-//! The hot path iterates **directly over amplitude pairs/quads** instead of
-//! scanning all `2^n` indices and skipping the 1/2 (or 3/4) that are not run
-//! bases. For a gate on bit masks `b_hi > b_lo` the four quad streams are two
-//! pairs of contiguous runs of length `b_lo`, so the inner loop is branch-free
-//! and cache-blocked by construction. On x86-64 with AVX2 the generic
-//! matrix kernels process two amplitudes per 256-bit lane using a
-//! mul/permute/addsub sequence that performs *exactly* the scalar operation
-//! order per lane (no FMA contraction), so vectorised results are
-//! **bitwise identical** to the scalar kernels — and both are bitwise
-//! identical to the pre-rewrite full-scan kernels preserved in
-//! [`mod@reference`].
+//! Every kernel is safe Rust and goes through one of two walkers, which
+//! visit only the amplitudes a gate touches instead of scanning all `2^n`
+//! indices and skipping the 1/2 (or 3/4) that are not run bases:
+//!
+//! * the **pair walker** splits the state into `2·bit` chunks and each chunk
+//!   into its `bit`-long low and high halves, so a single-qubit gate zips
+//!   two contiguous runs;
+//! * the **quad walker** gathers the four indices `(base, base|b1, base|b0,
+//!   base|b0|b1)` of every two-qubit quad, in the row order of the 4×4
+//!   matrix whichever operand mask is larger.
+//!
+//! Each kernel keeps the per-amplitude operation order of the full-scan
+//! kernels preserved in [`mod@reference`], so its output is **bitwise
+//! identical** to theirs.
 //!
 //! Diagonal and permutation gates (Z/S/Rz/CZ/CX/SWAP/…) dispatch to
 //! specialized kernels that skip the generic 4×4 matmul. To stay bitwise
 //! faithful they emulate the `0·a` and `1·a` terms of the full matmul
 //! ([`zero-sign emulation`](self#zero-sign-emulation)) instead of dropping
 //! them.
-//!
-//! Above [`PARALLEL_MIN_DIM`] amplitudes, [`ExecMode::Auto`] splits the
-//! independent runs across rayon `join` tasks. Each amplitude quad is
-//! computed independently with the same per-quad operation order, so the
-//! parallel output is bitwise identical to serial execution.
 //!
 //! # Zero-sign emulation
 //!
@@ -51,30 +49,9 @@ use snailqc_obs as obs;
 
 /// Hard cap on the dense statevector size (`2^28` amplitudes = 4 GiB).
 ///
-/// The pair-iteration kernels keep this comfortably usable on CI-class
-/// machines; anything larger must go through the `snailqc-sim` stabilizer
-/// engine (Clifford circuits only).
+/// Anything larger must go through the `snailqc-sim` stabilizer engine
+/// (Clifford circuits only).
 pub const MAX_DENSE_QUBITS: usize = 28;
-
-/// Amplitude-count threshold above which [`ExecMode::Auto`] parallelises
-/// (2^22 amplitudes = 64 MiB of state).
-pub const PARALLEL_MIN_DIM: usize = 1 << 22;
-
-/// Amplitudes per leaf task when the run space is split across threads.
-const PAR_LEAF_AMPS: usize = 1 << 16;
-
-/// Execution strategy for [`StateVector::apply_circuit_mode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Single-threaded.
-    Serial,
-    /// Force the rayon-join run splitting regardless of state size
-    /// (useful for testing the serial/parallel bitwise identity).
-    Parallel,
-    /// Parallel when the state has at least [`PARALLEL_MIN_DIM`] amplitudes
-    /// and more than one hardware thread is available.
-    Auto,
-}
 
 /// A dense complex statevector over `n` qubits.
 ///
@@ -141,43 +118,29 @@ impl StateVector {
 
     /// Applies a single-qubit unitary to `qubit`.
     pub fn apply_1q(&mut self, m: &Matrix2, qubit: usize) {
-        self.apply_1q_mode(m, qubit, false);
-    }
-
-    fn apply_1q_mode(&mut self, m: &Matrix2, qubit: usize, parallel: bool) {
         assert!(qubit < self.num_qubits);
         let bit = 1usize << self.bit_position(qubit);
         let m = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
-        kernels::generic_1q(&mut self.amplitudes, bit, &m, parallel);
+        kernels::generic_1q(&mut self.amplitudes, bit, &m);
     }
 
     /// Applies a two-qubit unitary to `(q0, q1)` where `q0` is the most
     /// significant operand of the 4×4 matrix.
     pub fn apply_2q(&mut self, m: &Matrix4, q0: usize, q1: usize) {
-        self.apply_2q_mode(m, q0, q1, false);
-    }
-
-    fn apply_2q_mode(&mut self, m: &Matrix4, q0: usize, q1: usize, parallel: bool) {
-        assert!(q0 < self.num_qubits && q1 < self.num_qubits && q0 != q1);
-        let b0 = 1usize << self.bit_position(q0);
-        let b1 = 1usize << self.bit_position(q1);
+        let (b0, b1) = self.two_qubit_masks(&[q0, q1]);
         let mut flat = [ZERO; 16];
         for r in 0..4 {
             for c in 0..4 {
                 flat[4 * r + c] = m[(r, c)];
             }
         }
-        kernels::generic_2q(&mut self.amplitudes, b0, b1, &flat, parallel);
+        kernels::generic_2q(&mut self.amplitudes, b0, b1, &flat);
     }
 
     /// Applies a single gate, dispatching diagonal/permutation gates to
     /// their specialized kernels and everything else to the generic
     /// matrix kernels.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) {
-        self.apply_gate_mode(gate, qubits, false);
-    }
-
-    fn apply_gate_mode(&mut self, gate: &Gate, qubits: &[usize], parallel: bool) {
         match gate {
             // Diagonal single-qubit gates: diag(d0, d1).
             Gate::I
@@ -217,11 +180,11 @@ impl StateVector {
             _ => match gate.num_qubits() {
                 1 => {
                     let m = gate.matrix2().expect("1q matrix");
-                    self.apply_1q_mode(&m, qubits[0], parallel);
+                    self.apply_1q(&m, qubits[0]);
                 }
                 2 => {
                     let m = gate.matrix4().expect("2q matrix");
-                    self.apply_2q_mode(&m, qubits[0], qubits[1], parallel);
+                    self.apply_2q(&m, qubits[0], qubits[1]);
                 }
                 _ => unreachable!("only 1- and 2-qubit gates exist"),
             },
@@ -237,28 +200,12 @@ impl StateVector {
         )
     }
 
-    /// Applies every instruction of `circuit` in order, then the circuit's
-    /// global phase, using [`ExecMode::Auto`].
+    /// Applies the circuit's global phase, then every instruction of
+    /// `circuit` in order.
     pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        self.apply_circuit_mode(circuit, ExecMode::Auto);
-    }
-
-    /// Applies every instruction of `circuit` in order with an explicit
-    /// execution mode. All modes produce bitwise-identical amplitudes.
-    pub fn apply_circuit_mode(&mut self, circuit: &Circuit, mode: ExecMode) {
         assert_eq!(circuit.num_qubits(), self.num_qubits);
         let _span = obs::span("sim.apply");
         obs::counter_add("sim.gates_applied", circuit.len() as u64);
-        let parallel = match mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => true,
-            ExecMode::Auto => {
-                self.amplitudes.len() >= PARALLEL_MIN_DIM
-                    && std::thread::available_parallelism()
-                        .map(|p| p.get() > 1)
-                        .unwrap_or(false)
-            }
-        };
         if circuit.global_phase() != 0.0 {
             let phase = C64::cis(circuit.global_phase());
             for amp in &mut self.amplitudes {
@@ -266,7 +213,7 @@ impl StateVector {
             }
         }
         for inst in circuit.instructions() {
-            self.apply_gate_mode(&inst.gate, &inst.qubits, parallel);
+            self.apply_gate(&inst.gate, &inst.qubits);
         }
     }
 
@@ -300,7 +247,7 @@ pub fn simulate(circuit: &Circuit) -> StateVector {
     sv
 }
 
-/// The pair/quad-iteration kernels behind [`StateVector`].
+/// The pair/quad-walking kernels behind [`StateVector`].
 mod kernels {
     use super::*;
 
@@ -334,336 +281,15 @@ mod kernels {
         }
     }
 
-    /// A raw amplitude pointer that may cross thread boundaries. Soundness:
-    /// the parallel drivers hand each task a disjoint set of runs.
-    #[derive(Clone, Copy)]
-    struct SendPtr(*mut C64);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-
-    /// Recursively splits `[run_lo, run_hi)` across rayon `join` tasks,
-    /// processing at most `leaf` runs per task.
-    fn par_runs<F>(ptr: SendPtr, run_lo: usize, run_hi: usize, leaf: usize, f: &F)
-    where
-        F: Fn(SendPtr, usize) + Sync,
-    {
-        if run_hi - run_lo <= leaf {
-            for run in run_lo..run_hi {
-                f(ptr, run);
-            }
-        } else {
-            let mid = run_lo + (run_hi - run_lo) / 2;
-            rayon::join(
-                || par_runs(ptr, run_lo, mid, leaf, f),
-                || par_runs(ptr, mid, run_hi, leaf, f),
-            );
-        }
-    }
-
-    // --- generic 1q ---------------------------------------------------------
-
-    /// One contiguous pair run: streams `[p0, p0+len)` and `[p1, p1+len)`.
-    ///
-    /// Safety: both streams must be in-bounds and disjoint.
-    unsafe fn pair_run_scalar(m: &[C64; 4], p0: *mut C64, p1: *mut C64, len: usize) {
-        for k in 0..len {
-            let a0 = *p0.add(k);
-            let a1 = *p1.add(k);
-            *p0.add(k) = m[0] * a0 + m[1] * a1;
-            *p1.add(k) = m[2] * a0 + m[3] * a1;
-        }
-    }
-
-    /// AVX2 pair run: two complex amplitudes per 256-bit vector. The
-    /// mul/permute/addsub sequence reproduces the exact scalar operation
-    /// order per lane (`m·a` then the `+`), so results are bit-identical.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn pair_run_avx2(m: &[C64; 4], p0: *mut C64, p1: *mut C64, len: usize) {
-        use std::arch::x86_64::*;
-        let mut reb = [_mm256_setzero_pd(); 4];
-        let mut imb = [_mm256_setzero_pd(); 4];
-        for (i, e) in m.iter().enumerate() {
-            reb[i] = _mm256_set1_pd(e.re);
-            imb[i] = _mm256_set1_pd(e.im);
-        }
-        let mut k = 0usize;
-        while k < len {
-            let v0 = _mm256_loadu_pd(p0.add(k) as *const f64);
-            let v1 = _mm256_loadu_pd(p1.add(k) as *const f64);
-            let w0 = _mm256_permute_pd(v0, 0b0101);
-            let w1 = _mm256_permute_pd(v1, 0b0101);
-            let o0 = _mm256_add_pd(
-                _mm256_addsub_pd(_mm256_mul_pd(reb[0], v0), _mm256_mul_pd(imb[0], w0)),
-                _mm256_addsub_pd(_mm256_mul_pd(reb[1], v1), _mm256_mul_pd(imb[1], w1)),
-            );
-            let o1 = _mm256_add_pd(
-                _mm256_addsub_pd(_mm256_mul_pd(reb[2], v0), _mm256_mul_pd(imb[2], w0)),
-                _mm256_addsub_pd(_mm256_mul_pd(reb[3], v1), _mm256_mul_pd(imb[3], w1)),
-            );
-            _mm256_storeu_pd(p0.add(k) as *mut f64, o0);
-            _mm256_storeu_pd(p1.add(k) as *mut f64, o1);
-            k += 2;
-        }
-    }
-
-    #[inline]
-    fn avx2_available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// Safety: `base + 2*bit <= amps.len()`, base aligned to `2*bit`.
-    unsafe fn pair_run(ptr: *mut C64, base: usize, bit: usize, m: &[C64; 4], vector: bool) {
-        let p0 = ptr.add(base);
-        let p1 = ptr.add(base + bit);
-        #[cfg(target_arch = "x86_64")]
-        if vector && bit >= 2 {
-            return pair_run_avx2(m, p0, p1, bit);
-        }
-        let _ = vector;
-        pair_run_scalar(m, p0, p1, bit);
-    }
-
-    pub(super) fn generic_1q(amps: &mut [C64], bit: usize, m: &[C64; 4], parallel: bool) {
-        let dim = amps.len();
-        let vector = avx2_available();
-        let ptr = amps.as_mut_ptr();
-        let nruns = dim / (2 * bit);
-        if parallel && nruns >= 2 {
-            let leaf = (PAR_LEAF_AMPS / (2 * bit)).max(1);
-            par_runs(
-                SendPtr(ptr),
-                0,
-                nruns,
-                leaf,
-                &|p: SendPtr, run: usize| unsafe {
-                    pair_run(p.0, run * 2 * bit, bit, m, vector);
-                },
-            );
-        } else {
-            for run in 0..nruns {
-                unsafe { pair_run(ptr, run * 2 * bit, bit, m, vector) };
-            }
-        }
-    }
-
-    // --- generic 2q ---------------------------------------------------------
-
-    /// One quad run at `base`: streams `base`, `base|b1`, `base|b0`,
-    /// `base|b0|b1`, each of length `bl = min(b0, b1)`. The stream order
-    /// mirrors the index array of the reference kernel, so row binding is
-    /// independent of which operand mask is larger.
-    ///
-    /// Safety: all four streams in-bounds; `base` aligned so the runs are
-    /// disjoint (guaranteed by the `2·bl` stepping of the drivers).
-    unsafe fn quad_run_scalar(
-        m: &[C64; 16],
-        p0: *mut C64,
-        p1: *mut C64,
-        p2: *mut C64,
-        p3: *mut C64,
-        len: usize,
-    ) {
-        for k in 0..len {
-            let a = [*p0.add(k), *p1.add(k), *p2.add(k), *p3.add(k)];
-            let mut out = [ZERO; 4];
-            for r in 0..4 {
-                let mut acc = ZERO;
-                for (c, amp) in a.iter().enumerate() {
-                    acc += m[4 * r + c] * *amp;
-                }
-                out[r] = acc;
-            }
-            *p0.add(k) = out[0];
-            *p1.add(k) = out[1];
-            *p2.add(k) = out[2];
-            *p3.add(k) = out[3];
-        }
-    }
-
-    /// AVX2 quad run: two complex amplitudes per vector across the four
-    /// streams. Per lane the operation order is exactly the scalar
-    /// `acc = ZERO; acc += m·a_c` chain (addsub ≡ the sub/add halves of the
-    /// complex product; no FMA), so results are bit-identical to
-    /// [`quad_run_scalar`] and the reference kernel.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn quad_run_avx2(
-        m: &[C64; 16],
-        p0: *mut C64,
-        p1: *mut C64,
-        p2: *mut C64,
-        p3: *mut C64,
-        len: usize,
-    ) {
-        use std::arch::x86_64::*;
-        let mut reb = [_mm256_setzero_pd(); 16];
-        let mut imb = [_mm256_setzero_pd(); 16];
-        for (i, e) in m.iter().enumerate() {
-            reb[i] = _mm256_set1_pd(e.re);
-            imb[i] = _mm256_set1_pd(e.im);
-        }
-        let mut k = 0usize;
-        while k < len {
-            let v0 = _mm256_loadu_pd(p0.add(k) as *const f64);
-            let v1 = _mm256_loadu_pd(p1.add(k) as *const f64);
-            let v2 = _mm256_loadu_pd(p2.add(k) as *const f64);
-            let v3 = _mm256_loadu_pd(p3.add(k) as *const f64);
-            let w0 = _mm256_permute_pd(v0, 0b0101);
-            let w1 = _mm256_permute_pd(v1, 0b0101);
-            let w2 = _mm256_permute_pd(v2, 0b0101);
-            let w3 = _mm256_permute_pd(v3, 0b0101);
-            macro_rules! row {
-                ($r:expr) => {{
-                    let mut acc = _mm256_setzero_pd();
-                    acc = _mm256_add_pd(
-                        acc,
-                        _mm256_addsub_pd(
-                            _mm256_mul_pd(reb[4 * $r], v0),
-                            _mm256_mul_pd(imb[4 * $r], w0),
-                        ),
-                    );
-                    acc = _mm256_add_pd(
-                        acc,
-                        _mm256_addsub_pd(
-                            _mm256_mul_pd(reb[4 * $r + 1], v1),
-                            _mm256_mul_pd(imb[4 * $r + 1], w1),
-                        ),
-                    );
-                    acc = _mm256_add_pd(
-                        acc,
-                        _mm256_addsub_pd(
-                            _mm256_mul_pd(reb[4 * $r + 2], v2),
-                            _mm256_mul_pd(imb[4 * $r + 2], w2),
-                        ),
-                    );
-                    acc = _mm256_add_pd(
-                        acc,
-                        _mm256_addsub_pd(
-                            _mm256_mul_pd(reb[4 * $r + 3], v3),
-                            _mm256_mul_pd(imb[4 * $r + 3], w3),
-                        ),
-                    );
-                    acc
-                }};
-            }
-            let o0 = row!(0);
-            let o1 = row!(1);
-            let o2 = row!(2);
-            let o3 = row!(3);
-            _mm256_storeu_pd(p0.add(k) as *mut f64, o0);
-            _mm256_storeu_pd(p1.add(k) as *mut f64, o1);
-            _mm256_storeu_pd(p2.add(k) as *mut f64, o2);
-            _mm256_storeu_pd(p3.add(k) as *mut f64, o3);
-            k += 2;
-        }
-    }
-
-    /// Safety: see [`quad_run_scalar`].
-    unsafe fn quad_run(
-        ptr: *mut C64,
-        base: usize,
-        b0: usize,
-        b1: usize,
-        bl: usize,
-        m: &[C64; 16],
-        vector: bool,
-    ) {
-        let p0 = ptr.add(base);
-        let p1 = ptr.add(base | b1);
-        let p2 = ptr.add(base | b0);
-        let p3 = ptr.add(base | b0 | b1);
-        #[cfg(target_arch = "x86_64")]
-        if vector && bl >= 2 {
-            return quad_run_avx2(m, p0, p1, p2, p3, bl);
-        }
-        let _ = vector;
-        quad_run_scalar(m, p0, p1, p2, p3, bl);
-    }
-
-    /// Base index of quad run `run` for masks `(bh, bl)`: runs advance by
-    /// `2·bl` inside a `bh`-superblock and by `2·bh` across superblocks.
+    /// Walks every pair `(i, i + bit)` with bit `bit` clear in `i` and
+    /// applies `f` to its two amplitudes.
     #[inline(always)]
-    fn quad_run_base(run: usize, bh: usize, bl: usize) -> usize {
-        let runs_per_block = bh / (2 * bl);
-        let hi = run / runs_per_block;
-        let mid = run % runs_per_block;
-        hi * 2 * bh + mid * 2 * bl
-    }
-
-    pub(super) fn generic_2q(
-        amps: &mut [C64],
-        b0: usize,
-        b1: usize,
-        m: &[C64; 16],
-        parallel: bool,
-    ) {
-        let dim = amps.len();
-        let (bh, bl) = (b0.max(b1), b0.min(b1));
-        let vector = avx2_available();
-        let ptr = amps.as_mut_ptr();
-        let nruns = dim / (4 * bl);
-        if parallel && nruns >= 2 {
-            let leaf = (PAR_LEAF_AMPS / (4 * bl)).max(1);
-            par_runs(
-                SendPtr(ptr),
-                0,
-                nruns,
-                leaf,
-                &|p: SendPtr, run: usize| unsafe {
-                    quad_run(p.0, quad_run_base(run, bh, bl), b0, b1, bl, m, vector);
-                },
-            );
-        } else {
-            for run in 0..nruns {
-                unsafe { quad_run(ptr, quad_run_base(run, bh, bl), b0, b1, bl, m, vector) };
+    fn for_each_pair(amps: &mut [C64], bit: usize, mut f: impl FnMut(&mut C64, &mut C64)) {
+        for run in amps.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = run.split_at_mut(bit);
+            for (a0, a1) in lo.iter_mut().zip(hi) {
+                f(a0, a1);
             }
-        }
-    }
-
-    // --- specialized kernels ------------------------------------------------
-    //
-    // Each specialized kernel reproduces the exact accumulation chain of the
-    // generic kernel with the gate's known-zero/one entries replaced by
-    // `zero_mul`/`one_mul`, so outputs stay bitwise identical while skipping
-    // the full complex matmul.
-
-    /// diag(d0, d1) on one qubit.
-    pub(super) fn diag_1q(amps: &mut [C64], bit: usize, d0: C64, d1: C64) {
-        let dim = amps.len();
-        let mut base = 0usize;
-        while base < dim {
-            for i0 in base..base + bit {
-                let i1 = i0 + bit;
-                let a0 = amps[i0];
-                let a1 = amps[i1];
-                amps[i0] = d0 * a0 + zero_mul(a1);
-                amps[i1] = zero_mul(a0) + d1 * a1;
-            }
-            base += 2 * bit;
-        }
-    }
-
-    /// Pauli X on one qubit (row order of `gates::x()`).
-    pub(super) fn perm_x(amps: &mut [C64], bit: usize) {
-        let dim = amps.len();
-        let mut base = 0usize;
-        while base < dim {
-            for i0 in base..base + bit {
-                let i1 = i0 + bit;
-                let a0 = amps[i0];
-                let a1 = amps[i1];
-                amps[i0] = zero_mul(a0) + one_mul(a1);
-                amps[i1] = one_mul(a0) + zero_mul(a1);
-            }
-            base += 2 * bit;
         }
     }
 
@@ -690,6 +316,58 @@ mod kernels {
             }
             base_h += 2 * bh;
         }
+    }
+
+    // --- generic kernels ----------------------------------------------------
+
+    /// A 2×2 matrix `m` (row-major) on one qubit.
+    pub(super) fn generic_1q(amps: &mut [C64], bit: usize, m: &[C64; 4]) {
+        for_each_pair(amps, bit, |p0, p1| {
+            let (a0, a1) = (*p0, *p1);
+            *p0 = m[0] * a0 + m[1] * a1;
+            *p1 = m[2] * a0 + m[3] * a1;
+        });
+    }
+
+    /// A 4×4 matrix `m` (row-major) on a qubit pair; `b0` is the mask of
+    /// the most significant operand.
+    pub(super) fn generic_2q(amps: &mut [C64], b0: usize, b1: usize, m: &[C64; 16]) {
+        for_each_quad(amps, b0, b1, |a| {
+            let mut out = [ZERO; 4];
+            for (r, o) in out.iter_mut().enumerate() {
+                let mut acc = ZERO;
+                for (c, amp) in a.iter().enumerate() {
+                    acc += m[4 * r + c] * *amp;
+                }
+                *o = acc;
+            }
+            *a = out;
+        });
+    }
+
+    // --- specialized kernels ------------------------------------------------
+    //
+    // Each specialized kernel reproduces the exact accumulation chain of the
+    // generic kernel with the gate's known-zero/one entries replaced by
+    // `zero_mul`/`one_mul`, so outputs stay bitwise identical while skipping
+    // the full complex matmul.
+
+    /// diag(d0, d1) on one qubit.
+    pub(super) fn diag_1q(amps: &mut [C64], bit: usize, d0: C64, d1: C64) {
+        for_each_pair(amps, bit, |p0, p1| {
+            let (a0, a1) = (*p0, *p1);
+            *p0 = d0 * a0 + zero_mul(a1);
+            *p1 = zero_mul(a0) + d1 * a1;
+        });
+    }
+
+    /// Pauli X on one qubit (row order of `gates::x()`).
+    pub(super) fn perm_x(amps: &mut [C64], bit: usize) {
+        for_each_pair(amps, bit, |p0, p1| {
+            let (a0, a1) = (*p0, *p1);
+            *p0 = zero_mul(a0) + one_mul(a1);
+            *p1 = one_mul(a0) + zero_mul(a1);
+        });
     }
 
     /// diag(d0, d1, d2, d3) on a qubit pair.
@@ -996,50 +674,110 @@ mod tests {
         assert!((sv_base.fidelity(&undone) - 1.0).abs() < 1e-9);
     }
 
-    /// A gate zoo that exercises every kernel path: specialized diagonal,
-    /// permutation, generic 1q, generic 2q (every qubit position so both
-    /// scalar and AVX2 run lengths occur).
+    /// A gate zoo that exercises every dispatch arm in both operand orders:
+    /// the diagonal and permutation kernels, generic 1q, and generic 2q at
+    /// every qubit position, so both walkers see runs from length 1 up to
+    /// `2^(n-2)` and longer. The pass runs once on the starting state,
+    /// whose exact signed zeros only the zero-sign emulation keeps
+    /// faithful, then again on a dense superposition.
     fn kernel_zoo(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
+        zoo_pass(&mut c);
         for q in 0..n {
             c.h(q);
         }
-        for q in 0..n {
-            c.push(Gate::RZ(0.3 + q as f64), &[q]);
-            c.push(Gate::T, &[q]);
-            c.push(Gate::X, &[q]);
-            c.push(Gate::RY(0.7 * (q + 1) as f64), &[q]);
-        }
-        for q in 0..n - 1 {
-            c.cx(q, q + 1);
-            c.push(Gate::CZ, &[q + 1, q]);
-            c.push(Gate::RZZ(0.5 + q as f64), &[q, q + 1]);
-            c.swap(q, q + 1);
-            c.push(Gate::SqrtISwap, &[q, q + 1]);
-        }
+        zoo_pass(&mut c);
         c.push(Gate::Syc, &[0, n - 1]);
+        c.push(Gate::Syc, &[n - 1, 0]);
         c.push(Gate::CPhase(0.9), &[n - 1, 0]);
         c
     }
 
-    #[test]
-    fn new_engine_matches_reference_bitwise() {
-        for n in [2, 3, 5, 6] {
-            let c = kernel_zoo(n);
-            let new = simulate(&c);
-            let old = reference::simulate(&c);
-            assert!(bitwise_eq(&new, &old), "mismatch at n = {n}");
+    fn zoo_pass(c: &mut Circuit) {
+        let n = c.num_qubits();
+        // Diagonal and permutation gates first, which keep the zeros of a
+        // sparse state for the next one to meet.
+        for q in 0..n {
+            c.push(Gate::X, &[q]);
+            c.push(Gate::I, &[q]);
+            c.push(Gate::Z, &[q]);
+            c.push(Gate::S, &[q]);
+            c.push(Gate::Sdg, &[q]);
+            c.push(Gate::T, &[q]);
+            c.push(Gate::Tdg, &[q]);
+            c.push(Gate::P(1.1 + q as f64), &[q]);
+            c.push(Gate::RZ(0.3 + q as f64), &[q]);
+        }
+        for q in 0..n - 1 {
+            let a = q as f64;
+            c.cx(q, q + 1);
+            c.cx(q + 1, q);
+            c.push(Gate::CZ, &[q + 1, q]);
+            c.push(Gate::CZ, &[q, q + 1]);
+            c.push(Gate::CPhase(0.4 + a), &[q, q + 1]);
+            c.push(Gate::CPhase(0.6 + a), &[q + 1, q]);
+            c.push(Gate::RZZ(0.5 + a), &[q, q + 1]);
+            c.push(Gate::RZZ(0.2 + a), &[q + 1, q]);
+            c.swap(q, q + 1);
+            c.swap(q + 1, q);
+        }
+        // Then the generic kernels, which mix amplitudes.
+        for q in 0..n {
+            c.push(Gate::RY(0.7 * (q + 1) as f64), &[q]);
+        }
+        for q in 0..n - 1 {
+            let a = q as f64;
+            c.push(Gate::SqrtISwap, &[q, q + 1]);
+            c.push(Gate::Fsim(0.3 + a, 0.8), &[q + 1, q]);
+            // A matrix with no zero entry, so every accumulation step counts.
+            let ry = Gate::RY(0.3 + a).matrix2().expect("1q matrix");
+            let rx = Gate::RX(0.9).matrix2().expect("1q matrix");
+            c.push(Gate::Unitary2(ry.kron(&rx)), &[q, q + 1]);
+            c.push(Gate::Unitary2(rx.kron(&ry)), &[q + 1, q]);
         }
     }
 
+    /// A state whose amplitudes mix `±0` and `±1` in both parts in a
+    /// scrambled pattern, so the zero-sign emulation meets every sign case.
+    /// It is not normalized; the kernels only need finite amplitudes.
+    fn signed_zero_state(n: usize) -> StateVector {
+        let parts = [0.0, -0.0, 1.0, -1.0];
+        let mut x = 0x9e37_79b9_u32;
+        let mut part = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            parts[(x % 4) as usize]
+        };
+        StateVector {
+            num_qubits: n,
+            amplitudes: (0..1 << n).map(|_| C64::new(part(), part())).collect(),
+        }
+    }
+
+    /// Compares the states after every gate, from `|0…0⟩` and from a state
+    /// full of signed zeros, so sparse states are checked before later
+    /// gates wash their zeros out.
     #[test]
-    fn parallel_matches_serial_bitwise() {
-        let c = kernel_zoo(6);
-        let mut serial = StateVector::zero_state(6);
-        serial.apply_circuit_mode(&c, ExecMode::Serial);
-        let mut parallel = StateVector::zero_state(6);
-        parallel.apply_circuit_mode(&c, ExecMode::Parallel);
-        assert!(bitwise_eq(&serial, &parallel));
+    fn new_engine_matches_reference_bitwise() {
+        for n in 2..=8 {
+            for start in [StateVector::zero_state(n), signed_zero_state(n)] {
+                let mut new = start.clone();
+                let mut old = start;
+                for (i, inst) in kernel_zoo(n).instructions().iter().enumerate() {
+                    new.apply_gate(&inst.gate, &inst.qubits);
+                    let mut step = Circuit::new(n);
+                    step.push_instruction(inst.clone());
+                    reference::apply_circuit(&mut old, &step);
+                    assert!(
+                        bitwise_eq(&new, &old),
+                        "mismatch at n = {n} after gate {i}: {} on {:?}",
+                        inst.gate.name(),
+                        inst.qubits
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The dense statevector kernels against the preserved full-scan reference
-//! kernels on the 20-qubit Quantum Volume cell (depth 20, seed 7): the
-//! rewrite must reproduce every amplitude bit for bit at a size where the
-//! pair/quad iteration, the AVX2 path and the parallel split all engage.
+//! kernels on the 20-qubit Quantum Volume cell (depth 20, seed 7): the pair
+//! and quad walkers must reproduce every amplitude bit for bit on a
+//! 2²⁰-amplitude state, far beyond the unit tests' 8-qubit gate zoo.
 //!
 //! Unoptimized, the reference kernels take over a minute on this cell, so
 //! debug builds skip it; CI runs it with

@@ -1,8 +1,8 @@
 //! Offline stand-in for `rayon`.
 //!
-//! Supplies the small parallel-iterator surface this workspace uses —
-//! `slice.par_iter().map(f).collect::<Vec<_>>()` plus [`join`] — implemented
-//! with `std::thread::scope` over contiguous chunks. `collect` preserves the
+//! Supplies the one parallel-iterator shape this workspace uses —
+//! `slice.par_iter().map(f).collect::<Vec<_>>()` — implemented with
+//! `std::thread::scope` over contiguous chunks. `collect` preserves the
 //! input order, so replacing a sequential `iter()` with `par_iter()` is
 //! result-identical whenever the mapped function is deterministic per item.
 
@@ -21,18 +21,6 @@ fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Runs `a` and `b`, potentially in parallel, returning both results.
-pub fn join<RA: Send, RB: Send>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon::join: worker panicked"))
-    })
 }
 
 /// Borrowed parallel iterator over a slice.
@@ -142,12 +130,5 @@ mod tests {
         let one = [7u32];
         let out: Vec<u32> = one.par_iter().map(|x| x + 1).collect();
         assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 }

@@ -360,10 +360,28 @@ mod tests {
     use super::*;
     use snailqc_transpiler::Pipeline;
 
-    fn store_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("snailqc-store-tests");
-        let _ = fs::create_dir_all(&dir);
-        dir.join(format!("{name}-{}.jsonl", std::process::id()))
+    /// A fresh temp directory holding one test's store file and its
+    /// `.lock` sidecar, removed with both on drop.
+    struct TempStore(PathBuf);
+
+    impl TempStore {
+        fn new(name: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("snailqc-store-{name}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        fn path(&self) -> PathBuf {
+            self.0.join("store.jsonl")
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
     }
 
     fn sample_report(basis: Option<BasisGate>) -> TranspileReport {
@@ -380,8 +398,8 @@ mod tests {
 
     #[test]
     fn reports_round_trip_through_the_file_bitwise() {
-        let path = store_path("roundtrip");
-        let _ = fs::remove_file(&path);
+        let tmp = TempStore::new("roundtrip");
+        let path = tmp.path();
         let mut store = SweepStore::open(&path);
         let with_basis = sample_report(Some(BasisGate::SqrtISwap));
         let routed_only = sample_report(None);
@@ -395,12 +413,12 @@ mod tests {
         assert_eq!(reopened.get("b"), Some(routed_only));
         assert_eq!(reopened.hits(), 2);
         assert_eq!(reopened.get("missing"), None);
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn corrupt_lines_are_skipped_not_fatal() {
-        let path = store_path("corrupt");
+        let tmp = TempStore::new("corrupt");
+        let path = tmp.path();
         let mut store = SweepStore::open(&path);
         store.insert("good".into(), sample_report(None));
         store.flush().unwrap();
@@ -413,13 +431,12 @@ mod tests {
         // Both bad lines ("not json at all" and the report-less object) are
         // counted, not silently dropped.
         assert_eq!(reopened.skipped_corrupt(), 2);
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn hits_and_misses_are_counted_separately() {
-        let path = store_path("hit-miss");
-        let _ = fs::remove_file(&path);
+        let tmp = TempStore::new("hit-miss");
+        let path = tmp.path();
         let mut store = SweepStore::open(&path);
         store.insert("present".into(), sample_report(None));
         assert!(store.get("present").is_some());
@@ -436,8 +453,8 @@ mod tests {
         // CLI + bench then; daemon + CLI now) both insert, both flush. The
         // old rewrite-everything flush made whichever flushed last erase the
         // other's cells.
-        let path = store_path("interleaved");
-        let _ = fs::remove_file(&path);
+        let tmp = TempStore::new("interleaved");
+        let path = tmp.path();
         let report = sample_report(None);
         let mut a = SweepStore::open(&path);
         let mut b = SweepStore::open(&path);
@@ -447,13 +464,12 @@ mod tests {
         b.flush().unwrap();
         let reopened = SweepStore::open(&path);
         assert_eq!(reopened.len(), 2, "one handle's flush erased the other's");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn concurrent_appenders_lose_no_entries() {
-        let path = store_path("concurrent");
-        let _ = fs::remove_file(&path);
+        let tmp = TempStore::new("concurrent");
+        let path = tmp.path();
         let report = sample_report(None);
         std::thread::scope(|scope| {
             for writer in 0..4 {
@@ -471,13 +487,12 @@ mod tests {
         let reopened = SweepStore::open(&path);
         assert_eq!(reopened.len(), 32);
         assert_eq!(reopened.skipped_corrupt(), 0);
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn repeated_flushes_append_only_pending_entries() {
-        let path = store_path("append-once");
-        let _ = fs::remove_file(&path);
+        let tmp = TempStore::new("append-once");
+        let path = tmp.path();
         let report = sample_report(None);
         let mut store = SweepStore::open(&path);
         store.insert("first".into(), report);
@@ -492,7 +507,6 @@ mod tests {
         let after_second = fs::read_to_string(&path).unwrap();
         assert!(after_second.starts_with(&after_first));
         assert_eq!(after_second.lines().count(), 2);
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -524,7 +538,8 @@ mod tests {
 
     #[test]
     fn missing_file_opens_empty() {
-        let store = SweepStore::open(store_path("never-created"));
+        let tmp = TempStore::new("never-created");
+        let store = SweepStore::open(tmp.path());
         assert!(store.is_empty());
         assert_eq!(store.hits(), 0);
     }

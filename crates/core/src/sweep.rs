@@ -334,9 +334,12 @@ mod tests {
 
     #[test]
     fn stored_sweeps_replay_identically() {
-        let path =
-            std::env::temp_dir().join(format!("snailqc-sweep-store-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        // A directory of its own, so removing it also takes the store's
+        // `.lock` sidecar.
+        let dir = std::env::temp_dir().join(format!("snailqc-sweep-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.jsonl");
         let devices = vec![
             Device::from_graph(catalog::hypercube_16()),
             Device::from_machine(Machine::figure13_lineup()[0]),
@@ -361,6 +364,6 @@ mod tests {
             points_equal(&fresh, &warm),
             "warm store must not change results"
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

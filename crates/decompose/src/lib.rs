@@ -12,6 +12,7 @@
 //! * [`fidelity`] — the linear-decoherence fidelity model of Eq. 12–13.
 //! * [`study`] — the full §6.3 / Fig. 15 pulse-duration sensitivity study.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod basis;

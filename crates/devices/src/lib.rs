@@ -33,6 +33,7 @@
 //! routable `Device` (error-model stamping, registry lookup,
 //! `SNAILQC_DEVICE_PATH`) lives in `snailqc-core`, which sits above it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

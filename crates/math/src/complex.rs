@@ -10,12 +10,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A double-precision complex number.
-///
-/// `#[repr(C)]` guarantees the `[re, im]` field order in memory, which the
-/// SIMD statevector kernels rely on when reinterpreting `&[C64]` as packed
-/// `f64` pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[repr(C)]
 pub struct C64 {
     /// Real part.
     pub re: f64,

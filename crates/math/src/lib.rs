@@ -23,6 +23,7 @@
 //!   circuits and the `ⁿ√iSWAP` fidelity study (§6.3).
 //! * [`eigen`] — the small symmetric eigensolvers used by the Weyl analysis.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod angles;

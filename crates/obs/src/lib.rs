@@ -60,6 +60,7 @@
 //! assert!(trace_json.contains("traceEvents"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;

@@ -56,6 +56,7 @@
 //! V3, thanks to `gphase` — `opaque` otherwise), so emitted programs are
 //! self-describing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod emit;

@@ -19,6 +19,7 @@
 //!   right engine (stabilizer proof / dense proof / Pauli spot checks) from
 //!   the circuit class and register size.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pauli;

@@ -27,6 +27,7 @@
 //!   materialized on demand per source, plus the qubit cap [`MAX_QUBITS`]
 //!   the `u16` hop encoding imposes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builders;

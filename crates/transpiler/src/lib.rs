@@ -19,6 +19,7 @@
 //! instrumentation records only (routed output is bitwise-identical with
 //! recording on or off) and costs one atomic flag read per site when off.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod layout;

@@ -2,6 +2,7 @@
 //!
 //! Tiny helpers shared across the workspace.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Normalizes a user-facing name for forgiving matching: lowercases and

@@ -7,6 +7,7 @@
 //! is a function of the problem size so the paper's size sweeps (4–16 and
 //! 8–80 qubits) can be regenerated automatically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adder;

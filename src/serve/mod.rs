@@ -386,6 +386,7 @@ impl ServerState {
                         "skipped_corrupt",
                         Value::UInt(store.skipped_corrupt() as u64),
                     ),
+                    ("write_errors", counter("serve.store.write_errors")),
                 ])
             }
         };
@@ -451,6 +452,8 @@ impl ServerState {
                 "devices_warm",
                 Value::UInt(self.devices.lock().expect("device pool lock").len() as u64),
             ),
+            ("device_pool_hits", counter("serve.device_pool.hits")),
+            ("device_pool_misses", counter("serve.device_pool.misses")),
         ])
     }
 }

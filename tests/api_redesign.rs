@@ -83,11 +83,13 @@ fn device_round_trips_with_machine_for_both_lineups() {
 
 #[test]
 fn sweep_store_replays_cells_bitwise_through_the_facade() {
-    let path = std::env::temp_dir().join(format!(
-        "snailqc-api-redesign-store-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    // A directory of its own, so removing it also takes the store's `.lock`
+    // sidecar.
+    let dir =
+        std::env::temp_dir().join(format!("snailqc-api-redesign-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("store.jsonl");
     let devices = vec![
         Device::from_catalog("corral11-16").unwrap(),
         Device::from_machine(Machine::figure13_lineup()[0]),
@@ -104,7 +106,7 @@ fn sweep_store_replays_cells_bitwise_through_the_facade() {
         assert_eq!(a.basis, b.basis);
         assert_eq!(a.report, b.report);
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -151,6 +151,21 @@ fn serve_matches_one_shot_cli_and_surfaces_cache_hits_in_stats() {
         "stats: {stats:?}"
     );
     assert!(count(stats.get("devices_warm")) >= 1);
+    // The first request built the device; the parallel and repeat requests
+    // found it warm in the pool.
+    assert!(
+        count(stats.get("device_pool_misses")) >= 1,
+        "stats: {stats:?}"
+    );
+    assert!(
+        count(stats.get("device_pool_hits")) >= 5,
+        "stats: {stats:?}"
+    );
+    assert_eq!(
+        count(store_stats.get("write_errors")),
+        0,
+        "stats: {stats:?}"
+    );
 
     // Malformed frames and unknown methods get structured errors, not a
     // dropped connection.
