@@ -105,6 +105,48 @@ pub const KILOQUBIT: [(&str, usize, u64); 2] = [
     ("hypercube-10d", 1000, 0xce387c88d4c9422d),
 ];
 
+/// `(cell, digest)` of the kiloqubit routing fence: the non-GHZ cells
+/// perfbench's `kiloqubit_cli` times, plus one noise-aware cell, each built
+/// by [`route_fence_cell`]. Frozen from the router that scored every SWAP
+/// candidate through a scratch swap/unswap of the live layout.
+pub const FENCE: [(&str, u64); 6] = [
+    ("qv-16 grid-25x25", 0xe0de1dcf15c36d36),
+    ("qaoa-48 grid-25x25", 0xe13480712af83bc6),
+    ("qft-48 grid-25x25", 0x97fdad105e03ad3e),
+    ("qaoa-32 hypercube-10d", 0x8c05f33f70ad56aa),
+    ("qft-32 hypercube-10d", 0x9daf1a60f079fc93),
+    ("noise-aware qaoa-48 grid-25x25", 0x6a14a4b9b019630e),
+];
+
+/// Routes one [`FENCE`] cell: `workload.generate(qubits, 7)` placed by
+/// `LayoutStrategy::Dense` on `builders::square_lattice(25, 25)` or
+/// `builders::hypercube(10)` and routed with `RouterConfig::default()` and a
+/// fresh cache. The noise-aware cell routes with
+/// `RouterConfig::noise_aware(1.0)` on a `calibrated(1e-3, 1.2, 17)` copy of
+/// the grid.
+pub fn route_fence_cell(cell: &str) -> RoutedCircuit {
+    let grid = || builders::square_lattice(25, 25);
+    let cube = || builders::hypercube(10);
+    let blind = RouterConfig::default();
+    let (graph, workload, qubits, config) = match cell {
+        "qv-16 grid-25x25" => (grid(), Workload::QuantumVolume, 16, blind),
+        "qaoa-48 grid-25x25" => (grid(), Workload::QaoaVanilla, 48, blind),
+        "qft-48 grid-25x25" => (grid(), Workload::Qft, 48, blind),
+        "qaoa-32 hypercube-10d" => (cube(), Workload::QaoaVanilla, 32, blind),
+        "qft-32 hypercube-10d" => (cube(), Workload::Qft, 32, blind),
+        "noise-aware qaoa-48 grid-25x25" => (
+            builders::calibrated(&grid(), 1e-3, 1.2, 17),
+            Workload::QaoaVanilla,
+            48,
+            RouterConfig::noise_aware(1.0),
+        ),
+        other => panic!("unknown fence cell `{other}`"),
+    };
+    let circuit = workload.generate(qubits, 7);
+    let layout = LayoutStrategy::Dense.try_compute(&circuit, &graph).unwrap();
+    route_with_cache(&circuit, &graph, &layout, &config, &RoutingCache::new())
+}
+
 /// `(catalog name, workload, swap_count, swap_depth)` captured from the
 /// pre-noise-aware router with the default configuration (dense layout,
 /// default router, no translation) on `workload.generate(12, 7)`.

@@ -10,7 +10,7 @@
 
 mod frozen;
 
-use frozen::{digest, KILOQUBIT};
+use frozen::{digest, route_fence_cell, FENCE, KILOQUBIT};
 use snailqc_topology::{builders, CouplingGraph};
 use snailqc_transpiler::{
     route_with_cache, LayoutStrategy, Pipeline, RoutedCircuit, RouterConfig, RoutingCache,
@@ -134,5 +134,23 @@ fn disconnected_device_routes_within_the_largest_component() {
     assert!(
         err.to_string().contains("largest connected component"),
         "unexpected error text: {err}"
+    );
+}
+
+/// The routing fence: every non-GHZ cell `kiloqubit_cli` times, and one
+/// noise-aware cell on the calibrated grid, routes to its frozen digest.
+#[test]
+fn kiloqubit_fence_cells_route_to_their_frozen_digests() {
+    let drifted: Vec<String> = FENCE
+        .iter()
+        .filter_map(|&(cell, frozen)| {
+            let routed = digest(&route_fence_cell(cell));
+            (routed != frozen).then(|| format!("{cell}: {routed:#018x} (frozen {frozen:#018x})"))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "fence digests drifted:\n{}",
+        drifted.join("\n")
     );
 }

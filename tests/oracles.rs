@@ -4,7 +4,8 @@
 //! the full oracle suites live in the member crates. This file runs a fast
 //! slice of each so a change that moves a routed gate fails tier-1 too:
 //!
-//! * the frozen router digests (`snailqc-transpiler`'s `router_equivalence`);
+//! * the frozen router digests (`snailqc-transpiler`'s `router_equivalence`)
+//!   and two cells of the kiloqubit fence (`kiloqubit`);
 //! * the frozen noise-blind SWAP baselines (`noise_regression`);
 //! * the frozen basis-gate counts and depths in all three bases;
 //! * sim engine agreement: dense kernels vs the reference kernels bit for
@@ -41,6 +42,20 @@ fn router_matches_the_frozen_digests_on_every_catalog_topology() {
             frozen::digest(&frozen::route_cell(name, true)),
             aware,
             "{name}: noise-aware routed output drifted from the frozen router"
+        );
+    }
+}
+
+#[test]
+fn router_matches_the_frozen_kiloqubit_fence() {
+    // The noise-aware cell and the QFT-48 grid cell; the crate suite
+    // (`kiloqubit`) checks every fence cell.
+    for cell in ["noise-aware qaoa-48 grid-25x25", "qft-48 grid-25x25"] {
+        let (_, frozen) = *frozen::FENCE.iter().find(|row| row.0 == cell).unwrap();
+        assert_eq!(
+            frozen::digest(&frozen::route_fence_cell(cell)),
+            frozen,
+            "{cell}: routed output drifted from the frozen fence"
         );
     }
 }
