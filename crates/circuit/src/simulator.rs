@@ -26,20 +26,25 @@
 //! identical** to theirs.
 //!
 //! Diagonal and permutation gates (Z/S/Rz/CZ/CX/SWAP/…) dispatch to
-//! specialized kernels that skip the generic 4×4 matmul. To stay bitwise
-//! faithful they emulate the `0·a` and `1·a` terms of the full matmul
-//! ([`zero-sign emulation`](self#zero-sign-emulation)) instead of dropping
-//! them.
+//! specialized kernels that skip the generic matmul. To stay bitwise
+//! faithful the 1Q kernels emulate the `0·a` and `1·a` terms of the full
+//! matmul ([`zero-sign emulation`](self#zero-sign-emulation)) instead of
+//! dropping them; the 2Q kernels need no emulation.
 //!
 //! # Zero-sign emulation
 //!
 //! IEEE-754 keeps signed zeros: `0.0 * x` has the sign of `x`, and
 //! `(+0.0) + (-0.0) = +0.0`. The old kernels multiplied through exact-zero
 //! matrix entries, so their outputs carry zero signs derived from *skipped*
-//! amplitudes. The specialized kernels reproduce those signs with cheap
-//! sign-bit arithmetic (`zero_mul`/`one_mul`) under the assumption that all
-//! amplitudes are finite — which holds for any unitary circuit acting on a
-//! normalized state.
+//! amplitudes. The 1Q kernels, whose chains start at the first product,
+//! reproduce those signs with cheap sign-bit arithmetic
+//! (`zero_mul`/`one_mul`) under the assumption that all amplitudes are
+//! finite — which holds for any unitary circuit acting on a normalized
+//! state. The 2Q chains start at `ZERO` (+0), and adding ±0 to +0 or to a
+//! nonzero value changes nothing, while `+0 + x` already maps a zero `x`
+//! of either sign to +0. So every `0·a` term and every `1·` wrapper in a
+//! 2Q chain is a no-op, and each output is `ZERO + d[k]·a[k]` (diagonal)
+//! or `ZERO + a[j]` (permutation).
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -347,10 +352,12 @@ mod kernels {
 
     // --- specialized kernels ------------------------------------------------
     //
-    // Each specialized kernel reproduces the exact accumulation chain of the
-    // generic kernel with the gate's known-zero/one entries replaced by
-    // `zero_mul`/`one_mul`, so outputs stay bitwise identical while skipping
-    // the full complex matmul.
+    // The 1Q kernels reproduce the generic kernel's accumulation chain with
+    // the gate's known-zero/one entries replaced by `zero_mul`/`one_mul`.
+    // The 2Q kernels start every chain at `ZERO`, where those terms change
+    // no bit, so they keep only the one nonzero term per output. Either
+    // way outputs stay bitwise identical while skipping the full complex
+    // matmul.
 
     /// diag(d0, d1) on one qubit.
     pub(super) fn diag_1q(amps: &mut [C64], bit: usize, d0: C64, d1: C64) {
@@ -370,45 +377,33 @@ mod kernels {
         });
     }
 
-    /// diag(d0, d1, d2, d3) on a qubit pair.
+    /// diag(d0, d1, d2, d3) on a qubit pair. The generic chain adds three
+    /// `0·a` terms to `ZERO + d[k]·a[k]`; none changes a bit (see the
+    /// module docs), so each output is that one product.
     pub(super) fn diag_2q(amps: &mut [C64], b0: usize, b1: usize, d: &[C64; 4]) {
         let d = *d;
         for_each_quad(amps, b0, b1, |a| {
-            let out0 = (((ZERO + d[0] * a[0]) + zero_mul(a[1])) + zero_mul(a[2])) + zero_mul(a[3]);
-            let out1 = (((ZERO + zero_mul(a[0])) + d[1] * a[1]) + zero_mul(a[2])) + zero_mul(a[3]);
-            let out2 = (((ZERO + zero_mul(a[0])) + zero_mul(a[1])) + d[2] * a[2]) + zero_mul(a[3]);
-            let out3 = (((ZERO + zero_mul(a[0])) + zero_mul(a[1])) + zero_mul(a[2])) + d[3] * a[3];
-            *a = [out0, out1, out2, out3];
+            *a = [
+                ZERO + d[0] * a[0],
+                ZERO + d[1] * a[1],
+                ZERO + d[2] * a[2],
+                ZERO + d[3] * a[3],
+            ];
         });
     }
 
-    /// CNOT (row order of `gates::cx()`: control is the `b0` operand).
+    /// CNOT (row order of `gates::cx()`: control is the `b0` operand). Each
+    /// output is `ZERO + a[j]` for the one source amplitude `j` of its row.
     pub(super) fn perm_cx(amps: &mut [C64], b0: usize, b1: usize) {
         for_each_quad(amps, b0, b1, |a| {
-            let out0 =
-                (((ZERO + one_mul(a[0])) + zero_mul(a[1])) + zero_mul(a[2])) + zero_mul(a[3]);
-            let out1 =
-                (((ZERO + zero_mul(a[0])) + one_mul(a[1])) + zero_mul(a[2])) + zero_mul(a[3]);
-            let out2 =
-                (((ZERO + zero_mul(a[0])) + zero_mul(a[1])) + zero_mul(a[2])) + one_mul(a[3]);
-            let out3 =
-                (((ZERO + zero_mul(a[0])) + zero_mul(a[1])) + one_mul(a[2])) + zero_mul(a[3]);
-            *a = [out0, out1, out2, out3];
+            *a = [ZERO + a[0], ZERO + a[1], ZERO + a[3], ZERO + a[2]];
         });
     }
 
-    /// SWAP (row order of `gates::swap()`).
+    /// SWAP (row order of `gates::swap()`), as `ZERO + a[j]` per row.
     pub(super) fn perm_swap(amps: &mut [C64], b0: usize, b1: usize) {
         for_each_quad(amps, b0, b1, |a| {
-            let out0 =
-                (((ZERO + one_mul(a[0])) + zero_mul(a[1])) + zero_mul(a[2])) + zero_mul(a[3]);
-            let out1 =
-                (((ZERO + zero_mul(a[0])) + zero_mul(a[1])) + one_mul(a[2])) + zero_mul(a[3]);
-            let out2 =
-                (((ZERO + zero_mul(a[0])) + one_mul(a[1])) + zero_mul(a[2])) + zero_mul(a[3]);
-            let out3 =
-                (((ZERO + zero_mul(a[0])) + zero_mul(a[1])) + zero_mul(a[2])) + one_mul(a[3]);
-            *a = [out0, out1, out2, out3];
+            *a = [ZERO + a[0], ZERO + a[2], ZERO + a[1], ZERO + a[3]];
         });
     }
 }

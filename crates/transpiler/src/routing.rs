@@ -27,22 +27,35 @@
 //!   (O(lookahead) per SWAP decision, where a full rescan of the
 //!   instruction stream — the previous implementation — was O(total²) per
 //!   routed circuit); candidate SWAPs are deduplicated with an edge-indexed
-//!   bitmap instead of a linear `Vec::contains`; and candidates are scored
-//!   through one scratch swap/unswap of the live layout instead of a
-//!   `Layout` clone per candidate. Adjacency tests on the blocked front are
-//!   [`CouplingGraph::has_edge`] binary searches over the graph's CSR rows,
-//!   and the trial loop reuses all of its per-decision scratch buffers, so
-//!   steady-state routing allocates only the output circuit.
+//!   bitmap instead of a linear `Vec::contains`. Each decision builds one
+//!   **term table** (`TermTable`): every front and lookahead pair becomes
+//!   a term holding its physical endpoints and distances, indexed by
+//!   physical qubit through per-qubit slot lists whose heads are reset
+//!   only where they were set. A candidate `(p, q)` moves only the terms
+//!   on `p` or `q`, so it is scored from those alone — noise-blind as
+//!   integer hop deltas on the tabled sums, noise-aware by re-adding the
+//!   weighted terms in their original order with only the moved ones read
+//!   afresh — and the result is bit for bit the from-scratch score. A
+//!   moved term's hop distance is read from the row of its stationary
+//!   endpoint (hops are symmetric), so only qubits that held a program
+//!   qubit ever materialize a hop row. The SWAP decay factors are reset
+//!   only on the qubits SWAPs raised since the last reset. Adjacency tests
+//!   on the blocked front are [`CouplingGraph::has_edge`] binary searches
+//!   over the graph's CSR rows, and the trial loop reuses all of its
+//!   per-decision scratch buffers, so steady-state routing allocates only
+//!   the output circuit.
 //! * **Parallel across trials**: the best-of-`trials` loop fans out with
 //!   rayon — each trial derives its own RNG seed from the trial index — and
 //!   the winner is selected by a deterministic trial-index-ordered
 //!   reduction, so the routed output is independent of thread scheduling
 //!   and bitwise-identical to the sequential loop.
 //!
-//! Per SWAP decision the work is O(front + lookahead + candidates·front),
-//! and per routed circuit O(swaps · front-window) — independent of the
-//! total instruction count, which only enters through the one-time DAG
-//! build. The `crates/transpiler/tests/router_equivalence.rs` digests and
+//! Per SWAP decision the work is O(front + lookahead) to build the table
+//! plus, per candidate, O(terms on its two qubits) noise-blind or
+//! O(front + lookahead) additions noise-aware; per routed circuit it is
+//! O(swaps · front-window) — independent of the total instruction count,
+//! which only enters through the one-time DAG build. The
+//! `crates/transpiler/tests/router_equivalence.rs` digests and
 //! the frozen baselines in `noise_regression.rs` pin the output of this
 //! implementation gate-for-gate to the pre-overhaul router.
 //!
@@ -401,6 +414,229 @@ impl TrialTemplate {
 }
 
 // ---------------------------------------------------------------------------
+// Per-decision term table
+// ---------------------------------------------------------------------------
+
+/// The distance state one route scores SWAPs against: the hop rows and, in
+/// noise-aware mode, the error-weighted rows with the noise context whose
+/// edge costs they are built from.
+#[derive(Clone, Copy)]
+struct Metric<'a> {
+    graph: &'a CouplingGraph,
+    hops: &'a HopMatrix,
+    /// Weighted scoring rows and their noise context — present exactly in
+    /// noise-aware mode.
+    weighted: Option<(&'a WeightedRows, &'a NoiseContext)>,
+}
+
+impl Metric<'_> {
+    /// Hop distance from `a` to `b`, read from the row of `a`.
+    fn hops(&self, a: usize, b: usize) -> u16 {
+        self.hops.row(self.graph, a)[b]
+    }
+
+    /// Weighted distance from `a` to `b` (noise-aware mode only), read from
+    /// the row of `a`. The row choice is part of the score: Dijkstra sums
+    /// need not be symmetric in the last bit.
+    fn weighted(&self, a: usize, b: usize) -> f64 {
+        let (rows, noise) = self.weighted.expect("weighted scoring is noise-aware");
+        let graph = self.graph;
+        let edge_cost =
+            |x: usize, y: usize| noise.edge_cost(graph.edge_index(x, y).expect("cost of an edge"));
+        rows.row(graph, &edge_cost, a)[b]
+    }
+}
+
+/// End of a per-qubit term list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One distance term of the SWAP score: a front or lookahead pair at its
+/// physical endpoints in the live layout.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    /// Physical qubit of the pair's first logical qubit.
+    a: usize,
+    /// Physical qubit of the pair's second logical qubit.
+    b: usize,
+    /// Hop distance `row(a)[b]`.
+    hops: u16,
+    /// Weighted distance `row(a)[b]` (noise-aware mode; 0 otherwise).
+    weighted: f64,
+}
+
+/// The front and lookahead terms of one SWAP decision, indexed by physical
+/// qubit, so a candidate SWAP `(p, q)` is scored from the terms sitting on
+/// `p` or `q` alone.
+///
+/// Each term owns two link slots, `2t` for endpoint `a` and `2t + 1` for
+/// `b`; `head[x]` starts the slot list of physical qubit `x` and `next`
+/// chains it. A rebuild resets only the heads the previous decision set, so
+/// the table costs O(terms) per decision whatever the device size.
+struct TermTable {
+    /// Front terms, then lookahead terms, each in their original order.
+    terms: Vec<Term>,
+    /// `terms[..front_len]` are the front terms.
+    front_len: usize,
+    /// Summed hop distance of the front terms.
+    front_hops: i64,
+    /// Summed hop distance of the lookahead terms.
+    look_hops: i64,
+    /// First slot of each physical qubit's list, or [`NO_SLOT`].
+    head: Vec<u32>,
+    /// Next slot in the same qubit's list, or [`NO_SLOT`].
+    next: Vec<u32>,
+}
+
+impl TermTable {
+    /// An empty table for a device of `num_physical` qubits.
+    fn new(num_physical: usize) -> Self {
+        Self {
+            terms: Vec::new(),
+            front_len: 0,
+            front_hops: 0,
+            look_hops: 0,
+            head: vec![NO_SLOT; num_physical],
+            next: Vec::new(),
+        }
+    }
+
+    /// Rebuilds the table for the logical `front` and `lookahead` pairs
+    /// placed by `layout`.
+    fn build(
+        &mut self,
+        metric: &Metric<'_>,
+        layout: &Layout,
+        front: &[(usize, usize)],
+        lookahead: &[(usize, usize)],
+    ) {
+        for term in &self.terms {
+            self.head[term.a] = NO_SLOT;
+            self.head[term.b] = NO_SLOT;
+        }
+        self.terms.clear();
+        self.next.clear();
+        self.front_len = front.len();
+        self.front_hops = 0;
+        self.look_hops = 0;
+        for (t, &(la, lb)) in front.iter().chain(lookahead).enumerate() {
+            let (a, b) = (layout.physical(la), layout.physical(lb));
+            let hops = metric.hops(a, b);
+            let weighted = if metric.weighted.is_some() {
+                metric.weighted(a, b)
+            } else {
+                0.0
+            };
+            if t < front.len() {
+                self.front_hops += i64::from(hops);
+            } else {
+                self.look_hops += i64::from(hops);
+            }
+            let slot = 2 * t as u32;
+            self.next.push(self.head[a]);
+            self.head[a] = slot;
+            self.next.push(self.head[b]);
+            self.head[b] = slot + 1;
+            self.terms.push(Term {
+                a,
+                b,
+                hops,
+                weighted,
+            });
+        }
+    }
+
+    /// Calls `visit(t, after)` once for every term `t` with an endpoint on
+    /// `p` or `q`, where `after` is the term's hop distance once `p` and `q`
+    /// swap occupants. Hop distance is symmetric, so a moved term reads the
+    /// row of its stationary endpoint, which holds a program qubit, instead
+    /// of the row of whatever qubit its other endpoint moves onto; a term on
+    /// both `p` and `q` keeps its distance.
+    fn for_each_moved(
+        &self,
+        metric: &Metric<'_>,
+        p: usize,
+        q: usize,
+        mut visit: impl FnMut(usize, u16),
+    ) {
+        let mut walk = |from: usize, to: usize, skip: usize| {
+            let mut slot = self.head[from];
+            while slot != NO_SLOT {
+                let t = slot as usize / 2;
+                let term = &self.terms[t];
+                let stays = if slot.is_multiple_of(2) {
+                    term.b
+                } else {
+                    term.a
+                };
+                if stays != skip {
+                    visit(t, metric.hops(stays, to));
+                } else if from == p {
+                    visit(t, term.hops);
+                }
+                slot = self.next[slot as usize];
+            }
+        };
+        walk(p, q, q);
+        walk(q, p, p);
+    }
+
+    /// Change of the front's summed hop distance if `p` and `q` swapped
+    /// occupants.
+    fn front_hop_delta(&self, metric: &Metric<'_>, p: usize, q: usize) -> i64 {
+        let mut delta = 0i64;
+        self.for_each_moved(metric, p, q, |t, after| {
+            if t < self.front_len {
+                delta += i64::from(after) - i64::from(self.terms[t].hops);
+            }
+        });
+        delta
+    }
+
+    /// `(front_cost, look_cost)` of the SWAP `(p, q)`: each side's summed
+    /// scoring distance once `p` and `q` swapped occupants.
+    ///
+    /// Noise-blind, each side is its tabled hop sum plus the integer change
+    /// of the moved terms. Hop sums are small integers, exact in `f64`, so
+    /// this is the ordered `f64` sum bit for bit (a side with no terms reads
+    /// +0.0 where an empty `f64` sum reads −0.0; the front is never empty).
+    /// Noise-aware, each side re-adds its weighted terms in their original
+    /// order with only the moved ones read afresh, so rounding is unchanged.
+    fn costs(&self, metric: &Metric<'_>, p: usize, q: usize) -> (f64, f64) {
+        if metric.weighted.is_none() {
+            let (mut front, mut look) = (self.front_hops, self.look_hops);
+            self.for_each_moved(metric, p, q, |t, after| {
+                let delta = i64::from(after) - i64::from(self.terms[t].hops);
+                if t < self.front_len {
+                    front += delta;
+                } else {
+                    look += delta;
+                }
+            });
+            return (front as f64, look as f64);
+        }
+        let moved = |x: usize| {
+            if x == p {
+                q
+            } else if x == q {
+                p
+            } else {
+                x
+            }
+        };
+        let after = |term: &Term| {
+            let (a, b) = (moved(term.a), moved(term.b));
+            if (a, b) == (term.a, term.b) {
+                term.weighted
+            } else {
+                metric.weighted(a, b)
+            }
+        };
+        let (front, look) = self.terms.split_at(self.front_len);
+        (front.iter().map(after).sum(), look.iter().map(after).sum())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
@@ -459,11 +695,12 @@ pub fn route_with_cache(
     let template = TrialTemplate::build(circuit);
     let shared = TrialShared {
         circuit,
-        graph,
         initial_layout,
-        hops: &hops,
-        weighted: weighted.as_deref(),
-        noise: noise.as_ref(),
+        metric: Metric {
+            graph,
+            hops: &hops,
+            weighted: weighted.as_deref().zip(noise.as_ref()),
+        },
         template: &template,
     };
 
@@ -523,7 +760,6 @@ pub fn route_with_cache(
     obs::counter_add("router.trials_run", seeds.len() as u64);
     obs::counter_add("router.swap_decisions", work.swap_decisions);
     obs::counter_add("router.swap_candidates_scored", work.candidates_scored);
-    obs::counter_add("router.scratch_score_calls", work.scratch_score_calls);
     obs::counter_add(
         "router.lookahead_gates_examined",
         work.lookahead_gates_examined,
@@ -544,9 +780,6 @@ struct TrialStats {
     swap_decisions: u64,
     /// Candidate SWAPs evaluated by the scoring loop.
     candidates_scored: u64,
-    /// Scratch swap/unswap score measurements of the live layout (scoring
-    /// loop plus the noise-aware hop-progress filter).
-    scratch_score_calls: u64,
     /// Pending two-qubit gates examined by lookahead-window walks.
     lookahead_gates_examined: u64,
     /// Times the shortest-path stall fallback overrode the heuristic.
@@ -557,7 +790,6 @@ impl TrialStats {
     fn accumulate(&mut self, other: &TrialStats) {
         self.swap_decisions += other.swap_decisions;
         self.candidates_scored += other.candidates_scored;
-        self.scratch_score_calls += other.scratch_score_calls;
         self.lookahead_gates_examined += other.lookahead_gates_examined;
         self.fallback_paths += other.fallback_paths;
     }
@@ -566,12 +798,8 @@ impl TrialStats {
 /// The read-only state one trial borrows.
 struct TrialShared<'a> {
     circuit: &'a Circuit,
-    graph: &'a CouplingGraph,
     initial_layout: &'a Layout,
-    hops: &'a HopMatrix,
-    /// Weighted scoring rows — present exactly when `noise` is.
-    weighted: Option<&'a WeightedRows>,
-    noise: Option<&'a NoiseContext>,
+    metric: Metric<'a>,
     template: &'a TrialTemplate,
 }
 
@@ -580,26 +808,12 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
     let mut stats = TrialStats::default();
     let TrialShared {
         circuit,
-        graph,
         initial_layout,
-        hops,
-        weighted,
-        noise,
+        metric,
         template,
     } = *shared;
-    // Scoring distance between two physical qubits: the weighted Dijkstra
-    // row in noise-aware mode, the hop count otherwise (value-exact in f64).
-    let edge_cost = |a: usize, b: usize| {
-        noise
-            .expect("weighted scoring implies a noise context")
-            .edge_cost(graph.edge_index(a, b).expect("cost of an edge"))
-    };
-    let dist = |a: usize, b: usize| -> f64 {
-        match weighted {
-            Some(rows) => rows.row(graph, &edge_cost, a)[b],
-            None => hops.row(graph, a)[b] as f64,
-        }
-    };
+    let graph = metric.graph;
+    let noise = metric.weighted.map(|(_, noise)| noise);
     let mut rng = StdRng::seed_from_u64(seed);
     let instructions = circuit.instructions();
     let total = instructions.len();
@@ -632,6 +846,9 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
     let mut executed_count = 0usize;
     let mut swap_count = 0usize;
     let mut decay = vec![1.0f64; n];
+    // Qubits whose decay a SWAP raised since the last reset; every other
+    // entry of `decay` is 1.0, so a reset only has to visit these.
+    let mut decayed: Vec<usize> = Vec::new();
     let mut swaps_since_progress = 0usize;
     // Per-decision scratch, reused across iterations — the trial inner loop
     // allocates nothing after this point (critical on kiloqubit devices,
@@ -640,6 +857,7 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
     let mut candidate_seen = vec![false; graph.num_edges()];
     let mut lookahead: Vec<(usize, usize)> = Vec::with_capacity(LOOKAHEAD);
     let mut front_pairs: Vec<(usize, usize)> = Vec::new();
+    let mut terms = TermTable::new(n);
     let mut next_front: Vec<usize> = Vec::with_capacity(front.len());
     let mut mapped_qubits: Vec<usize> = Vec::with_capacity(2);
 
@@ -681,7 +899,9 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
             }
             std::mem::swap(&mut front, &mut next_front);
             if progressed {
-                decay.iter_mut().for_each(|d| *d = 1.0);
+                for q in decayed.drain(..) {
+                    decay[q] = 1.0;
+                }
             }
         }
         if executed_count == total {
@@ -734,18 +954,7 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
             candidate_seen[id] = false;
         }
 
-        let front_cost_of = |layout: &Layout| -> f64 {
-            front_pairs
-                .iter()
-                .map(|&(la, lb)| dist(layout.physical(la), layout.physical(lb)))
-                .sum()
-        };
-        let look_cost_of = |layout: &Layout| -> f64 {
-            lookahead
-                .iter()
-                .map(|&(la, lb)| dist(layout.physical(la), layout.physical(lb)))
-                .sum()
-        };
+        terms.build(&metric, &layout, &front_pairs, &lookahead);
 
         // Noise-aware mode only: the continuous weighted-distance landscape
         // has plateaus where a SWAP lowers the weighted cost without moving
@@ -754,29 +963,14 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
         // SWAPs that strictly reduce the front's total hop distance (falling
         // back to the full set when none does), and let the noise-weighted
         // score choose *which* progressing SWAP — i.e. which route — to take.
+        // Progressing candidates are compacted in place (stable, so
+        // first-occurrence order survives); when none progresses the
+        // original candidate set is kept untouched.
         if noise.is_some() {
-            let front_hops = |layout: &Layout| -> usize {
-                front_pairs
-                    .iter()
-                    .map(|&(la, lb)| {
-                        hops.row(graph, layout.physical(la))[layout.physical(lb)] as usize
-                    })
-                    .sum()
-            };
-            let current = front_hops(&layout);
-            // `swap_physical` is an involution, so the live layout serves as
-            // its own scratch: swap, measure, swap back. Progressing
-            // candidates are compacted in place (stable, so first-occurrence
-            // order survives) instead of collected into a fresh `Vec`; when
-            // none progresses the original candidate set is kept untouched.
-            stats.scratch_score_calls += candidates.len() as u64;
             let mut kept = 0usize;
             for read in 0..candidates.len() {
                 let (p, q, _) = candidates[read];
-                layout.swap_physical(p, q);
-                let after = front_hops(&layout);
-                layout.swap_physical(p, q);
-                if after < current {
+                if terms.front_hop_delta(&metric, p, q) < 0 {
                     candidates[kept] = candidates[read];
                     kept += 1;
                 }
@@ -789,11 +983,8 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
         let mut best_swap = (candidates[0].0, candidates[0].1);
         let mut best_score = f64::INFINITY;
         stats.candidates_scored += candidates.len() as u64;
-        stats.scratch_score_calls += candidates.len() as u64;
         for &(p, q, id) in &candidates {
-            layout.swap_physical(p, q);
-            let (front_cost, look_cost) = (front_cost_of(&layout), look_cost_of(&layout));
-            layout.swap_physical(p, q);
+            let (front_cost, look_cost) = terms.costs(&metric, p, q);
             let mut score = front_cost + LOOKAHEAD_WEIGHT * look_cost;
             // Executing the SWAP itself burns pulses on edge (p, q); bias
             // away from noisy links even when the distances tie.
@@ -832,8 +1023,12 @@ fn route_once(shared: &TrialShared<'_>, seed: u64) -> (RoutedCircuit, TrialStats
         layout.swap_physical(p, q);
         swap_count += 1;
         stats.swap_decisions += 1;
-        decay[p] += 0.001;
-        decay[q] += 0.001;
+        for r in [p, q] {
+            if decay[r] == 1.0 {
+                decayed.push(r);
+            }
+            decay[r] += 0.001;
+        }
     }
 
     (
@@ -1080,6 +1275,165 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The `(front_cost, look_cost)` of the SWAP `(p, q)` recomputed from
+    /// scratch, as the router scored candidates before the term table:
+    /// swap a copy of the layout and re-read every pair's scoring distance
+    /// from the row of its first endpoint, summing in order.
+    fn costs_from_scratch(
+        metric: &Metric<'_>,
+        layout: &Layout,
+        front: &[(usize, usize)],
+        lookahead: &[(usize, usize)],
+        (p, q): (usize, usize),
+    ) -> (f64, f64) {
+        let mut swapped = layout.clone();
+        swapped.swap_physical(p, q);
+        let dist = |&(la, lb): &(usize, usize)| {
+            let (a, b) = (swapped.physical(la), swapped.physical(lb));
+            if metric.weighted.is_some() {
+                metric.weighted(a, b)
+            } else {
+                f64::from(metric.hops(a, b))
+            }
+        };
+        (
+            front.iter().map(dist).sum(),
+            lookahead.iter().map(dist).sum(),
+        )
+    }
+
+    /// Front hop distance summed over a layout, from scratch.
+    fn front_hops(metric: &Metric<'_>, layout: &Layout, front: &[(usize, usize)]) -> i64 {
+        front
+            .iter()
+            .map(|&(la, lb)| i64::from(metric.hops(layout.physical(la), layout.physical(lb))))
+            .sum()
+    }
+
+    /// One to `max` random pairs of distinct logical qubits out of
+    /// `num_logical`.
+    fn random_pairs(rng: &mut StdRng, num_logical: usize, max: usize) -> Vec<(usize, usize)> {
+        (0..rng.gen_range(1..=max))
+            .map(|_| {
+                let la = rng.gen_range(0..num_logical);
+                let lb = (la + rng.gen_range(1..num_logical)) % num_logical;
+                (la, lb)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn term_table_scores_every_candidate_like_a_from_scratch_recompute() {
+        let graphs = [
+            builders::square_lattice(5, 6),
+            builders::hypercube(6),
+            builders::heavy_hex(2, 2),
+        ];
+        let mut rng = StdRng::seed_from_u64(25);
+        for graph in &graphs {
+            let graph = builders::calibrated(graph, 1e-3, 1.2, 17);
+            let n = graph.num_qubits();
+            let noise = NoiseContext::build(&graph, &RouterConfig::noise_aware(1.0))
+                .expect("calibrated edges are heterogeneous");
+            let (hops, rows) = (HopMatrix::new(&graph), WeightedRows::new(&graph));
+            let edges: Vec<(usize, usize)> = graph.edges().collect();
+            for weighted in [None, Some((&rows, &noise))] {
+                let metric = Metric {
+                    graph: &graph,
+                    hops: &hops,
+                    weighted,
+                };
+                let mut table = TermTable::new(n);
+                let mut both_moved = 0;
+                for _ in 0..12 {
+                    // Three qubits stay empty, so some candidates move a
+                    // program qubit onto an unoccupied one.
+                    let mut physical: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        physical.swap(i, rng.gen_range(0..=i));
+                    }
+                    physical.truncate(n - 3);
+                    let layout = Layout::new(physical, n);
+                    let logical = n - 3;
+                    let mut front = random_pairs(&mut rng, logical, 6);
+                    let mut lookahead = random_pairs(&mut rng, logical, LOOKAHEAD);
+                    // A front pair on an edge, so that edge's candidate moves
+                    // both of its endpoints, and a lookahead pair sharing a
+                    // qubit with that front pair.
+                    let on_edge = edges
+                        .iter()
+                        .filter_map(|&(x, y)| Some((layout.logical(x)?, layout.logical(y)?)))
+                        .nth(rng.gen_range(0..8usize))
+                        .expect("occupied edge");
+                    front[0] = on_edge;
+                    lookahead[0] = (lookahead[0].0, on_edge.1);
+                    if lookahead[0].0 == on_edge.1 {
+                        lookahead[0].0 = on_edge.0;
+                    }
+                    table.build(&metric, &layout, &front, &lookahead);
+                    let base = front_hops(&metric, &layout, &front);
+                    for &(p, q) in &edges {
+                        let got = table.costs(&metric, p, q);
+                        let want = costs_from_scratch(&metric, &layout, &front, &lookahead, (p, q));
+                        assert_eq!(
+                            (got.0.to_bits(), got.1.to_bits()),
+                            (want.0.to_bits(), want.1.to_bits()),
+                            "{}: SWAP ({p}, {q}) scored {got:?}, from scratch {want:?} \
+                             (weighted: {})",
+                            graph.name(),
+                            weighted.is_some()
+                        );
+                        let mut swapped = layout.clone();
+                        swapped.swap_physical(p, q);
+                        assert_eq!(
+                            table.front_hop_delta(&metric, p, q),
+                            front_hops(&metric, &swapped, &front) - base,
+                            "{}: front hop delta of SWAP ({p}, {q})",
+                            graph.name()
+                        );
+                        both_moved += front
+                            .iter()
+                            .chain(&lookahead)
+                            .filter(|&&(la, lb)| {
+                                let pair = (layout.physical(la), layout.physical(lb));
+                                pair == (p, q) || pair == (q, p)
+                            })
+                            .count();
+                    }
+                }
+                assert!(
+                    both_moved >= 12,
+                    "every case has a term on a candidate edge"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn noise_blind_routing_reads_hop_rows_only_where_program_qubits_sat() {
+        // A moved term reads the row of its stationary endpoint, never the
+        // row of the qubit a candidate SWAP would move it onto, so the only
+        // rows routing materializes belong to qubits that held a program
+        // qubit: its initial placement or an endpoint of an inserted SWAP.
+        let graph = builders::hypercube(8);
+        let c = qft(16, true);
+        let layout = LayoutStrategy::Dense.try_compute(&c, &graph).unwrap();
+        let cache = RoutingCache::new();
+        let routed = route_with_cache(&c, &graph, &layout, &RouterConfig::default(), &cache);
+        let mut held = vec![false; graph.num_qubits()];
+        for &physical in layout.as_slice() {
+            held[physical] = true;
+        }
+        for inst in routed.circuit.instructions() {
+            if inst.gate.is_swap() {
+                inst.qubits.iter().for_each(|&x| held[x] = true);
+            }
+        }
+        let held = held.iter().filter(|&&h| h).count();
+        let rows = cache.hops.get().unwrap().materialized_rows();
+        assert!(rows <= held, "{rows} hop rows for {held} held qubits");
     }
 
     #[test]
