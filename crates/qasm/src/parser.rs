@@ -26,6 +26,7 @@ use crate::error::QasmError;
 use crate::lexer::{lex, Tok, Token};
 use snailqc_circuit::{Circuit, Gate};
 use snailqc_math::{Matrix4, C64};
+use snailqc_util::MAX_QUBITS;
 use std::collections::HashMap;
 use std::f64::consts::PI;
 
@@ -377,6 +378,12 @@ impl Parser {
             return Err(self.err(format!("register `{name}` is already declared")));
         }
         let offset = self.circuit.num_qubits();
+        if size > MAX_QUBITS - offset {
+            return Err(self.err(format!(
+                "{kind} `{name}[{size}]` takes the program past the supported maximum \
+                 of {MAX_QUBITS} qubits"
+            )));
+        }
         self.qregs.push((name, size, offset));
         let total = offset + size;
         let mapping: Vec<usize> = (0..offset).collect();

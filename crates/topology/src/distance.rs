@@ -4,26 +4,28 @@
 //! computed on first use (parallel routing trials race safely and compute
 //! it once) and retained, so a 24-qubit program routed on the 1024-qubit
 //! hypercube only pays for the rows its placed qubits touch. No distance
-//! matrix is ever built in full. Only the row-computing `row` method
-//! differs per element type:
+//! matrix is ever built in full. Only the row-computing methods differ
+//! per element type:
 //!
 //! * [`HopMatrix`] = `LazyRows<u16>`: BFS hop counts from
-//!   [`CouplingGraph::bfs_hops_into`], the one BFS distance kernel, with the
-//!   [`UNREACHABLE`] sentinel, on graphs of at most [`MAX_QUBITS`] qubits.
+//!   [`CouplingGraph::bfs_hop_lanes`], the one BFS distance kernel, with
+//!   the [`UNREACHABLE`] sentinel, on graphs of at most [`MAX_QUBITS`]
+//!   qubits. `row` runs the kernel with one lane. `fill` computes the
+//!   missing rows of a whole source set in sorted batches of
+//!   [`HOP_LANES`], one kernel pass per batch; the router fills the rows
+//!   of every placed qubit this way before its first SWAP decision, since
+//!   it reads them all.
 //! * [`WeightedRows`] = `LazyRows<f64>`: weighted (Dijkstra) distances from
 //!   [`CouplingGraph::weighted_distances`], the scoring rows of noise-aware
 //!   routing.
 
-use crate::graph::CouplingGraph;
+use crate::graph::{CouplingGraph, HOP_LANES};
 use std::sync::OnceLock;
 
 /// Hop distance marking an unreachable pair.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// The largest graph the `u16` hop encoding holds: 65,535 qubits. The
-/// longest possible hop count, `n − 1` = 65,534 on a line, then stays below
-/// [`UNREACHABLE`]. Device specs are capped at this size.
-pub const MAX_QUBITS: usize = u16::MAX as usize;
+pub use snailqc_util::MAX_QUBITS;
 
 /// All-pairs shortest-path distances, one lazily computed row per source.
 ///
@@ -79,14 +81,47 @@ impl<T> LazyRows<T> {
 
 impl LazyRows<u16> {
     /// The hop-distance row of `source` ([`UNREACHABLE`] where
-    /// disconnected), computing it on first use.
+    /// disconnected), computing it on first use as one lane of
+    /// [`CouplingGraph::bfs_hop_lanes`].
     #[inline]
     pub fn row(&self, graph: &CouplingGraph, source: usize) -> &[u16] {
         self.row_with(graph, source, || {
             let mut row = vec![UNREACHABLE; self.rows.len()].into_boxed_slice();
-            graph.bfs_hops_into(source, &mut row);
+            graph.bfs_hop_lanes(&[source], |q, _, hops| row[q] = hops);
             row
         })
+    }
+
+    /// Materializes the rows of `sources` that are not held yet, in batches
+    /// of [`HOP_LANES`] sources per pass of the hop kernel. The sources are
+    /// sorted first: the builders number neighbouring qubits close
+    /// together, so a batch's lanes share more of their frontiers. A row
+    /// another thread sets first is kept; the batch's copy is dropped.
+    pub fn fill(&self, graph: &CouplingGraph, sources: &[usize]) {
+        debug_assert_eq!(
+            graph.num_qubits(),
+            self.rows.len(),
+            "distance rows/graph mismatch"
+        );
+        let mut missing: Vec<usize> = sources
+            .iter()
+            .copied()
+            .filter(|&s| self.rows[s].get().is_none())
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        for batch in missing.chunks(HOP_LANES) {
+            let mut rows = vec![vec![UNREACHABLE; self.rows.len()].into_boxed_slice(); batch.len()];
+            graph.bfs_hop_lanes(batch, |q, mut lanes, hops| {
+                while lanes != 0 {
+                    rows[lanes.trailing_zeros() as usize][q] = hops;
+                    lanes &= lanes - 1;
+                }
+            });
+            for (&source, row) in batch.iter().zip(rows) {
+                let _ = self.rows[source].set(row);
+            }
+        }
     }
 }
 

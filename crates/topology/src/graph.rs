@@ -8,6 +8,11 @@
 //! (degree) — all of which are provided here, along with the shortest-path
 //! machinery (hop-count BFS and error-weighted Dijkstra) the router needs.
 //!
+//! [`CouplingGraph::bfs_hop_lanes`] is the one BFS distance kernel: a
+//! multi-source BFS that carries up to [`HOP_LANES`] sources as the bit
+//! lanes of one `u64` per qubit. Hop rows, one at a time or in batches, the
+//! Tables 1 and 2 metrics and the connectivity check all run it.
+//!
 //! [`CouplingGraph::from_edges`] is the one constructor: every builder,
 //! transform and device spec collects its edge list and makes one call,
 //! which sorts the list and fills the CSR in one O(E log E) pass.
@@ -21,7 +26,7 @@
 //! penalties, candidate bitmaps) live in plain `Vec`s indexed by
 //! [`CouplingGraph::edge_index`].
 
-use crate::distance::{MAX_QUBITS, UNREACHABLE};
+use crate::distance::MAX_QUBITS;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -30,6 +35,10 @@ use std::collections::{BinaryHeap, VecDeque};
 /// `ErrorModel` default in `snailqc-core`), so edge-aware and uniform
 /// fidelity estimates agree on an uncalibrated device.
 pub const DEFAULT_EDGE_ERROR: f64 = 1e-3;
+
+/// Sources one pass of [`CouplingGraph::bfs_hop_lanes`] takes: one bit lane
+/// of a `u64` each.
+pub const HOP_LANES: usize = u64::BITS as usize;
 
 /// An undirected graph over qubits `0..num_qubits`, stored as a CSR
 /// adjacency plus a lexicographically ordered edge list.
@@ -304,30 +313,66 @@ impl CouplingGraph {
             .zip(self.edge_rates.iter().copied())
     }
 
-    /// Breadth-first hop counts from `source` written into `row` (`u16`
-    /// storage, [`UNREACHABLE`] = unreachable). `row` must have length
-    /// `num_qubits()` and is fully overwritten. This is the one BFS distance
-    /// kernel: the router's lazy rows, [`CouplingGraph::metrics`] and
-    /// [`CouplingGraph::is_connected`] all run it.
+    /// Breadth-first hop counts from up to [`HOP_LANES`] sources at once,
+    /// one bit lane of a `u64` per source (a top-down multi-source BFS, as
+    /// in Then et al., "The More the Merrier", VLDB 2014). This is the one
+    /// BFS distance kernel: the router's lazy rows and their batch fill,
+    /// [`CouplingGraph::metrics`] and [`CouplingGraph::is_connected`] all
+    /// run it.
+    ///
+    /// `visit(qubit, lanes, hops)` reports lanes that first reach `qubit`
+    /// at `hops`: bit `i` of `lanes` set means `sources[i]` is `hops` hops
+    /// from `qubit`. Every reachable `(lane, qubit)` pair is reported
+    /// exactly once; unreachable pairs never are. Each level walks only the
+    /// qubits some lane reached on the level before, so nearby sources
+    /// share one sweep over their common frontier. Sources may repeat and
+    /// come in any order.
     ///
     /// # Panics
-    /// Panics if `row.len() != num_qubits()` or if the graph has more than
-    /// [`MAX_QUBITS`] qubits (hop counts would not fit below the sentinel).
-    pub fn bfs_hops_into(&self, source: usize, row: &mut [u16]) {
+    /// Panics if there are more than [`HOP_LANES`] sources, a source is out
+    /// of range, or the graph has more than [`MAX_QUBITS`] qubits (hop
+    /// counts would not fit below
+    /// [`UNREACHABLE`](crate::distance::UNREACHABLE)).
+    pub fn bfs_hop_lanes(&self, sources: &[usize], mut visit: impl FnMut(usize, u64, u16)) {
         let n = self.num_qubits();
-        assert_eq!(row.len(), n, "hop row length mismatch");
         assert!(n <= MAX_QUBITS, "graph too large for u16 hop counts");
-        row.fill(UNREACHABLE);
-        let mut queue = VecDeque::new();
-        row[source] = 0;
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                if row[v] == UNREACHABLE {
-                    row[v] = row[u] + 1;
-                    queue.push_back(v);
+        assert!(sources.len() <= HOP_LANES, "more sources than hop lanes");
+        // `seen`: lanes that reached a qubit; `next`: lanes that reach it on
+        // the level being expanded. `active` pairs each qubit of the current
+        // level with the lanes that reached it there.
+        let (mut seen, mut next) = (vec![0u64; n], vec![0u64; n]);
+        let mut reached = Vec::new();
+        for (lane, &source) in sources.iter().enumerate() {
+            if seen[source] == 0 {
+                reached.push(source);
+            }
+            seen[source] |= 1 << lane;
+        }
+        let mut active: Vec<(usize, u64)> = reached.drain(..).map(|s| (s, seen[s])).collect();
+        for &(source, lanes) in &active {
+            visit(source, lanes, 0);
+        }
+        let mut hops = 0;
+        while !active.is_empty() {
+            hops += 1;
+            for &(u, lanes) in &active {
+                for v in self.neighbors(u) {
+                    // Lanes that first reach `v` on this level; marking them
+                    // seen at once keeps a later qubit of the same level
+                    // from reporting them again.
+                    let new = lanes & !seen[v];
+                    if new != 0 {
+                        seen[v] |= new;
+                        if next[v] == 0 {
+                            reached.push(v);
+                        }
+                        next[v] |= new;
+                        visit(v, new, hops);
+                    }
                 }
             }
+            active.clear();
+            active.extend(reached.drain(..).map(|v| (v, std::mem::take(&mut next[v]))));
         }
     }
 
@@ -446,14 +491,14 @@ impl CouplingGraph {
         if n == 0 {
             return true;
         }
-        let mut row = vec![UNREACHABLE; n];
-        self.bfs_hops_into(0, &mut row);
-        !row.contains(&UNREACHABLE)
+        let mut reached = 0;
+        self.bfs_hop_lanes(&[0], |_, lanes, _| reached += lanes.count_ones() as usize);
+        reached == n
     }
 
-    /// The paper-style structural summary. One BFS per source into a single
-    /// reused `u16` row yields the diameter and the exact integer sum of all
-    /// pairwise distances; no distance matrix is stored.
+    /// The paper-style structural summary. The hop kernel runs over the
+    /// sources in batches of [`HOP_LANES`] and yields the diameter and the
+    /// exact integer sum of all pairwise distances; no row is stored.
     ///
     /// # Panics
     /// Panics if the graph is empty, disconnected, or has more than
@@ -461,16 +506,17 @@ impl CouplingGraph {
     pub fn metrics(&self) -> TopologyMetrics {
         let n = self.num_qubits();
         assert!(n > 0, "metrics of an empty graph");
-        let mut row = vec![UNREACHABLE; n];
-        let (mut diameter, mut total) = (0, 0);
-        for source in 0..n {
-            self.bfs_hops_into(source, &mut row);
-            for &hops in &row {
-                assert!(hops != UNREACHABLE, "metrics of a disconnected graph");
+        let (mut diameter, mut total, mut pairs) = (0, 0, 0);
+        let sources: Vec<usize> = (0..n).collect();
+        for batch in sources.chunks(HOP_LANES) {
+            self.bfs_hop_lanes(batch, |_, lanes, hops| {
+                let count = lanes.count_ones() as usize;
                 diameter = diameter.max(hops as usize);
-                total += hops as usize;
-            }
+                total += hops as usize * count;
+                pairs += count;
+            });
         }
+        assert!(pairs == n * n, "metrics of a disconnected graph");
         TopologyMetrics {
             qubits: n,
             diameter,
@@ -487,45 +533,98 @@ impl CouplingGraph {
         self.relabelled_subgraph(name, n, |q| (q < n).then_some(q))
     }
 
-    /// Removes up to `count` degree-≤2 boundary nodes (highest index first)
-    /// while keeping the graph connected, then relabels qubits contiguously.
-    /// Used to trim lattice fragments to an exact qubit budget.
+    /// Removes qubits down to `target_qubits` while keeping the graph
+    /// connected, then relabels qubits contiguously. Each step removes the
+    /// lowest-live-degree, then highest-index, qubit whose removal keeps
+    /// the rest connected. Used to trim lattice fragments to an exact qubit
+    /// budget.
+    ///
+    /// Candidates come from a heap keyed by `(live degree, Reverse(qubit))`
+    /// that gains a fresh entry whenever a neighbour's removal lowers a
+    /// degree. On a connected graph, removing `q` keeps it connected iff
+    /// `q`'s live neighbours stay mutually reachable without `q`, so a
+    /// candidate costs one BFS that stops once it has found them all, and a
+    /// leaf costs none.
+    ///
+    /// # Panics
+    /// Panics if `target_qubits` exceeds the current size, or no qubit can
+    /// be removed without disconnecting the graph.
     pub fn truncate_boundary(
         &self,
         target_qubits: usize,
         name: impl Into<String>,
     ) -> CouplingGraph {
-        assert!(target_qubits <= self.num_qubits());
-        let mut removed = vec![false; self.num_qubits()];
-        let mut remaining = self.num_qubits();
-        while remaining > target_qubits {
-            // Pick the highest-index, lowest-degree node whose removal keeps
-            // the graph connected.
-            let mut candidates: Vec<usize> =
-                (0..self.num_qubits()).filter(|&q| !removed[q]).collect();
-            candidates.sort_by_key(|&q| {
-                let live_degree = self.neighbors(q).filter(|&n| !removed[n]).count();
-                (live_degree, usize::MAX - q)
-            });
-            let mut removed_one = false;
-            for &q in &candidates {
-                removed[q] = true;
-                if self.connected_excluding(&removed) {
-                    removed_one = true;
-                    break;
-                }
-                removed[q] = false;
-            }
+        let n = self.num_qubits();
+        assert!(target_qubits <= n);
+        let mut removed = vec![false; n];
+        let mut degree: Vec<usize> = (0..n).map(|q| self.degree(q)).collect();
+        let mut heap: BinaryHeap<Reverse<(usize, Reverse<usize>)>> =
+            (0..n).map(|q| Reverse((degree[q], Reverse(q)))).collect();
+        // A disconnected graph stays disconnected under removal unless it is
+        // one component plus one isolated qubit, and then only that qubit
+        // may go (the tie of two lone qubits goes to the higher index).
+        let mut lone = (target_qubits < n && !self.is_connected()).then(|| {
+            let components = self.connected_components();
             assert!(
-                removed_one,
+                components.len() == 2 && components[1].len() == 1,
                 "could not truncate while preserving connectivity"
             );
-            remaining -= 1;
+            components[1][0]
+        });
+        // The local test: a BFS from one live neighbour of `q` that avoids
+        // `q` and stops once it has found the others. Each search marks what
+        // it visits with its own stamp, so nothing is cleared in between.
+        let (mut stamp, mut queue, mut search) = (vec![0u32; n], VecDeque::new(), 0);
+        let mut stays_linked = |removed: &[bool], q: usize| {
+            let mut live = self.neighbors(q).filter(|&v| !removed[v]);
+            let Some(start) = live.next() else {
+                return true;
+            };
+            let mut missing = live.count();
+            search += 1;
+            (stamp[q], stamp[start]) = (search, search);
+            queue.clear();
+            queue.push_back(start);
+            while missing > 0 {
+                let Some(u) = queue.pop_front() else {
+                    return false;
+                };
+                for v in self.neighbors(u) {
+                    if !removed[v] && stamp[v] != search {
+                        stamp[v] = search;
+                        missing -= usize::from(self.has_edge(v, q));
+                        queue.push_back(v);
+                    }
+                }
+            }
+            true
+        };
+        let mut skipped = Vec::new();
+        for _ in target_qubits..n {
+            let q = loop {
+                let Reverse((live_degree, Reverse(q))) = heap
+                    .pop()
+                    .expect("could not truncate while preserving connectivity");
+                if removed[q] || live_degree != degree[q] {
+                    continue; // stale entry: removed, or its degree dropped
+                }
+                if lone.map_or_else(|| stays_linked(&removed, q), |lone| q == lone) {
+                    break q;
+                }
+                skipped.push(Reverse((live_degree, Reverse(q))));
+            };
+            lone = None;
+            removed[q] = true;
+            for v in self.neighbors(q).filter(|&v| !removed[v]) {
+                degree[v] -= 1;
+                heap.push(Reverse((degree[v], Reverse(v))));
+            }
+            heap.extend(skipped.drain(..));
         }
         // Relabel.
-        let mut mapping = vec![usize::MAX; self.num_qubits()];
+        let mut mapping = vec![usize::MAX; n];
         let mut next = 0;
-        for q in 0..self.num_qubits() {
+        for q in 0..n {
             if !removed[q] {
                 mapping[q] = next;
                 next += 1;
@@ -556,34 +655,46 @@ impl CouplingGraph {
         }
         g
     }
-
-    fn connected_excluding(&self, removed: &[bool]) -> bool {
-        let n = self.num_qubits();
-        let live: Vec<usize> = (0..n).filter(|&q| !removed[q]).collect();
-        if live.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[live[0]] = true;
-        queue.push_back(live[0]);
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                if !removed[v] && !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == live.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builders;
+    use crate::distance::{HopMatrix, UNREACHABLE};
+
+    /// Single-source queue BFS, the reference the lane kernel is checked
+    /// against.
+    fn queue_bfs(g: &CouplingGraph, source: usize) -> Vec<u16> {
+        let mut row = vec![UNREACHABLE; g.num_qubits()];
+        let mut queue = VecDeque::from([source]);
+        row[source] = 0;
+        while let Some(u) = queue.pop_front() {
+            for v in g.neighbors(u) {
+                if row[v] == UNREACHABLE {
+                    row[v] = row[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        row
+    }
+
+    /// One row per source from a single pass of the lane kernel, checking
+    /// that no `(lane, qubit)` pair is reported twice.
+    fn lane_rows(g: &CouplingGraph, sources: &[usize]) -> Vec<Vec<u16>> {
+        let mut rows = vec![vec![UNREACHABLE; g.num_qubits()]; sources.len()];
+        g.bfs_hop_lanes(sources, |q, lanes, hops| {
+            assert_ne!(lanes, 0, "a visit reports at least one lane");
+            for (lane, row) in rows.iter_mut().enumerate() {
+                if lanes >> lane & 1 == 1 {
+                    assert_eq!(row[q], UNREACHABLE, "lane {lane} reached {q} twice");
+                    row[q] = hops;
+                }
+            }
+        });
+        rows
+    }
 
     fn path(n: usize) -> CouplingGraph {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
@@ -652,11 +763,69 @@ mod tests {
     #[test]
     fn the_hop_kernel_accepts_a_graph_at_the_qubit_cap() {
         let g = CouplingGraph::from_edges("cap", MAX_QUBITS, &[]);
-        let mut row = vec![0; MAX_QUBITS];
-        g.bfs_hops_into(0, &mut row);
+        let row = &lane_rows(&g, &[0])[0];
         assert_eq!(row[0], 0);
         assert!(row[1..].iter().all(|&h| h == UNREACHABLE));
         assert!(!g.is_connected());
+    }
+
+    #[test]
+    fn the_lane_kernel_matches_a_queue_bfs_on_every_builder_family() {
+        let graphs = [
+            builders::line(9),
+            builders::ring(10),
+            builders::complete(6),
+            builders::star(7),
+            builders::square_lattice(4, 5),
+            builders::lattice_alt_diagonals(4, 4),
+            builders::hex_lattice(2, 3),
+            builders::heavy_hex(2, 2),
+            builders::hypercube(5),
+            builders::hypercube_sized(21),
+            builders::tree4(2),
+            builders::tree4_rr(2),
+            builders::corral(8, 1, 2),
+            CouplingGraph::from_edges("islands", 9, &[(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]),
+        ];
+        for g in &graphs {
+            let n = g.num_qubits();
+            let all: Vec<usize> = (0..n).collect();
+            let reversed: Vec<usize> = (0..n).rev().collect();
+            let repeated: Vec<usize> = [0, 0]
+                .into_iter()
+                .chain((0..n).map(|i| (i * 7 + 3) % n))
+                .collect();
+            for sources in [all, reversed, repeated] {
+                let sources = &sources[..sources.len().min(HOP_LANES)];
+                let rows = lane_rows(g, sources);
+                for (&s, row) in sources.iter().zip(&rows) {
+                    assert!(*row == queue_bfs(g, s), "{}: row of {s}", g.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_kernel_fills_rows_for_1_63_64_and_65_sources() {
+        let g = builders::square_lattice(9, 10);
+        for count in [1, 63, 64, 65] {
+            let sources: Vec<usize> = (0..count).map(|i| (i * 37 + 11) % 90).rev().collect();
+            if count <= HOP_LANES {
+                let rows = lane_rows(&g, &sources);
+                for (&s, row) in sources.iter().zip(&rows) {
+                    assert!(*row == queue_bfs(&g, s), "{count} sources: row of {s}");
+                }
+            }
+            let hops = HopMatrix::new(&g);
+            hops.fill(&g, &sources);
+            assert_eq!(hops.materialized_rows(), count, "{count} distinct sources");
+            for &s in &sources {
+                assert!(
+                    hops.row(&g, s) == queue_bfs(&g, s),
+                    "{count} sources: row of {s}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -704,6 +873,113 @@ mod tests {
         let t = g.truncate_boundary(7, "path7");
         assert_eq!(t.num_qubits(), 7);
         assert!(t.is_connected());
+    }
+
+    /// The edge list truncation gave before its candidate heap and local
+    /// test: every step re-sorts the live qubits by `(live degree,
+    /// Reverse(qubit))` and removes the first one whose removal leaves the
+    /// rest connected under a full BFS.
+    fn truncate_reference(g: &CouplingGraph, target: usize) -> Vec<(usize, usize)> {
+        let n = g.num_qubits();
+        let mut removed = vec![false; n];
+        let connected = |removed: &[bool]| {
+            let live: Vec<usize> = (0..n).filter(|&q| !removed[q]).collect();
+            let Some(&start) = live.first() else {
+                return true;
+            };
+            let mut seen = vec![false; n];
+            seen[start] = true;
+            let (mut queue, mut count) = (VecDeque::from([start]), 1);
+            while let Some(u) = queue.pop_front() {
+                for v in g.neighbors(u).filter(|&v| !removed[v]) {
+                    if !std::mem::replace(&mut seen[v], true) {
+                        count += 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            count == live.len()
+        };
+        for _ in target..n {
+            let mut candidates: Vec<usize> = (0..n).filter(|&q| !removed[q]).collect();
+            candidates
+                .sort_by_key(|&q| (g.neighbors(q).filter(|&v| !removed[v]).count(), Reverse(q)));
+            let q = candidates
+                .into_iter()
+                .find(|&q| {
+                    removed[q] = true;
+                    let ok = connected(&removed);
+                    removed[q] = false;
+                    ok
+                })
+                .expect("reference truncation stuck");
+            removed[q] = true;
+        }
+        let label: Vec<usize> = (0..n)
+            .scan(0, |next, q| {
+                *next += usize::from(!removed[q]);
+                Some(*next - 1)
+            })
+            .collect();
+        let kept = |&(a, b): &(usize, usize)| !removed[a] && !removed[b];
+        g.edges()
+            .filter(kept)
+            .map(|(a, b)| (label[a], label[b]))
+            .collect()
+    }
+
+    #[test]
+    fn truncation_matches_the_full_bfs_reference() {
+        // Two triangles joined by the path 2-6-7-8-3: its qubits are the
+        // highest-index degree-2 candidates and cut vertices, so they are
+        // refused and tried again after later removals.
+        let barbell = CouplingGraph::from_edges(
+            "barbell",
+            9,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (3, 4),
+                (4, 5),
+                (5, 3),
+                (2, 6),
+                (6, 7),
+                (7, 8),
+                (8, 3),
+            ],
+        );
+        let graphs = [
+            builders::square_lattice(6, 7),
+            builders::lattice_alt_diagonals(5, 5),
+            builders::hex_lattice(2, 3),
+            builders::heavy_hex(3, 3),
+            builders::hypercube(5),
+            builders::tree4_rr(2),
+            builders::corral(10, 1, 3),
+            barbell,
+            CouplingGraph::from_edges("two lone qubits", 2, &[]),
+            CouplingGraph::from_edges("triangle+lone", 4, &[(0, 1), (1, 2), (2, 0)]),
+        ];
+        for g in &graphs {
+            for target in 1..=g.num_qubits() {
+                let got: Vec<(usize, usize)> = g.truncate_boundary(target, "t").edges().collect();
+                assert_eq!(
+                    got,
+                    truncate_reference(g, target),
+                    "{} to {target}",
+                    g.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "could not truncate while preserving connectivity")]
+    fn truncating_a_graph_that_stays_split_panics() {
+        let g =
+            CouplingGraph::from_edges("cycle+edge", 6, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]);
+        g.truncate_boundary(5, "t");
     }
 
     #[test]
@@ -838,9 +1114,8 @@ mod tests {
     #[test]
     fn weighted_distances_match_bfs_under_unit_costs() {
         let g = cycle(8);
-        let mut hops = vec![0; 8];
-        for s in 0..8 {
-            g.bfs_hops_into(s, &mut hops);
+        let sources: Vec<usize> = (0..8).collect();
+        for (s, hops) in lane_rows(&g, &sources).into_iter().enumerate() {
             let dij = g.weighted_distances(s, |_, _| 1.0);
             for (&h, &w) in hops.iter().zip(&dij) {
                 assert_eq!(h as f64, w);
@@ -887,12 +1162,10 @@ mod tests {
     #[test]
     fn bfs_hops_mark_other_components_unreachable() {
         let g = CouplingGraph::from_edges("mixed", 6, &[(0, 1), (1, 2), (2, 0), (4, 5)]);
-        let mut row = vec![0; 6];
-        g.bfs_hops_into(1, &mut row);
-        assert_eq!(row, [1, 0, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE]);
-        g.bfs_hops_into(5, &mut row);
+        let rows = lane_rows(&g, &[1, 5]);
+        assert_eq!(rows[0], [1, 0, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE]);
         assert_eq!(
-            row,
+            rows[1],
             [UNREACHABLE, UNREACHABLE, UNREACHABLE, UNREACHABLE, 1, 0]
         );
     }

@@ -9,11 +9,12 @@
 //! directly reduces SWAP overhead. This crate provides:
 //!
 //! * [`graph::CouplingGraph`] — an undirected coupling graph with one BFS
-//!   hop-distance kernel ([`CouplingGraph::bfs_hops_into`], `u16` rows),
-//!   error-weighted Dijkstra distances, per-edge gate error rates (uniform
-//!   by default), the Tables 1 and 2 metrics (qubits, diameter, average
-//!   distance, average connectivity) computed in one pass of that kernel,
-//!   and truncation helpers.
+//!   hop-distance kernel ([`CouplingGraph::bfs_hop_lanes`], up to 64
+//!   sources per pass, one bit lane each), error-weighted Dijkstra
+//!   distances, per-edge gate error rates (uniform by default), the
+//!   Tables 1 and 2 metrics (qubits, diameter, average distance, average
+//!   connectivity) computed in 64-source passes of that kernel, and
+//!   truncation helpers.
 //! * [`builders`] — parametric generators for every topology family: square
 //!   lattice, lattice with alternating diagonals, hex and heavy-hex lattices,
 //!   hypercubes, SNAIL trees and corrals — plus a seeded calibrated-device
@@ -24,8 +25,9 @@
 //!   one way the CLI, the daemon and the experiment harness reach them.
 //! * [`distance`] — one lazy row store, [`LazyRows`], for routing: `u16` hop
 //!   rows ([`HopMatrix`]) and `f64` weighted rows ([`WeightedRows`]), each
-//!   materialized on demand per source, plus the qubit cap [`MAX_QUBITS`]
-//!   the `u16` hop encoding imposes.
+//!   materialized on demand per source or filled in 64-source batches,
+//!   plus the qubit cap [`MAX_QUBITS`] the `u16` hop encoding imposes
+//!   (defined in `snailqc-util`, which the QASM parser shares).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

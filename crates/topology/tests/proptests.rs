@@ -109,10 +109,9 @@ proptest! {
         let n = g.num_qubits();
         let a = seed % n;
         let b = (seed * 7 + 3) % n;
-        let mut hops = vec![0; n];
-        g.bfs_hops_into(a, &mut hops);
+        let hops = HopMatrix::new(&g);
         let path = g.shortest_path(a, b).unwrap();
-        prop_assert_eq!(path.len() - 1, hops[b] as usize);
+        prop_assert_eq!(path.len() - 1, hops.row(&g, a)[b] as usize);
         for w in path.windows(2) {
             prop_assert!(g.has_edge(w[0], w[1]));
         }

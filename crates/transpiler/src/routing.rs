@@ -19,9 +19,10 @@
 //!   hop rows and (in noise-aware mode) error-weighted Dijkstra rows —
 //!   lives in a [`RoutingCache`] shared across *calls* on the same graph,
 //!   so a sweep stops recomputing BFS for every (workload, size, seed)
-//!   cell. Rows materialize on demand per source qubit on every device, so
-//!   memory scales with the qubits a program actually touches rather than
-//!   with n².
+//!   cell. Each call first fills the hop rows of every placed qubit that
+//!   the cache does not hold yet, 64 sources per pass of the one BFS
+//!   kernel; any other row materializes on demand, so memory scales with
+//!   the qubits a program actually touches rather than with n².
 //! * **Incremental within a trial** (`route_once`): the lookahead window
 //!   is read from an intrusive linked list over pending two-qubit gates
 //!   (O(lookahead) per SWAP decision, where a full rescan of the
@@ -677,6 +678,11 @@ pub fn route_with_cache(
         .is_some()
         .then(|| cache.scoring(graph, config.error_weight));
 
+    // Routing reads the row of nearly every placed qubit, so those rows
+    // are computed together, 64 per pass of the hop kernel; rows a warm
+    // cache holds are skipped, and rows of qubits SWAPs move onto stay lazy.
+    hops.fill(graph, &initial_layout.as_slice()[..circuit.num_qubits()]);
+
     // The occupied physical qubits must be mutually reachable — one hop row
     // from the first occupied qubit checks all of them, whatever the rest of
     // the device looks like.
@@ -1057,7 +1063,7 @@ mod tests {
     use crate::layout::LayoutStrategy;
     use snailqc_circuit::simulate;
     use snailqc_topology::builders;
-    use snailqc_workloads::{qft, quantum_volume};
+    use snailqc_workloads::{ghz, qft, quantum_volume};
 
     fn route_with(
         circuit: &Circuit,
@@ -1411,29 +1417,56 @@ mod tests {
         }
     }
 
+    /// Routes `circuit` from a dense layout on a fresh cache and asserts
+    /// that hop rows materialized only for qubits that held a program
+    /// qubit: its initial placement or an endpoint of an inserted SWAP.
+    fn assert_rows_only_where_program_qubits_sat(
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &RouterConfig,
+    ) {
+        let layout = LayoutStrategy::Dense.try_compute(circuit, graph).unwrap();
+        let cache = RoutingCache::new();
+        let routed = route_with_cache(circuit, graph, &layout, config, &cache);
+        let mut held = layout.as_slice().to_vec();
+        for inst in routed.circuit.instructions() {
+            if inst.gate.is_swap() {
+                held.extend_from_slice(&inst.qubits);
+            }
+        }
+        held.sort_unstable();
+        held.dedup();
+        // Filling the held rows adds exactly the held rows not yet there, so
+        // the count equals `held` iff no row outside it had materialized.
+        let hops = cache.hops.get().unwrap();
+        let rows = hops.materialized_rows();
+        hops.fill(graph, &held);
+        assert_eq!(
+            hops.materialized_rows(),
+            held.len(),
+            "{}: {rows} hop rows, some outside the {} held qubits",
+            graph.name(),
+            held.len()
+        );
+    }
+
     #[test]
     fn noise_blind_routing_reads_hop_rows_only_where_program_qubits_sat() {
         // A moved term reads the row of its stationary endpoint, never the
-        // row of the qubit a candidate SWAP would move it onto, so the only
-        // rows routing materializes belong to qubits that held a program
-        // qubit: its initial placement or an endpoint of an inserted SWAP.
+        // row of the qubit a candidate SWAP would move it onto, and the
+        // batch fill covers only the initial placement.
         let graph = builders::hypercube(8);
         let c = qft(16, true);
-        let layout = LayoutStrategy::Dense.try_compute(&c, &graph).unwrap();
-        let cache = RoutingCache::new();
-        let routed = route_with_cache(&c, &graph, &layout, &RouterConfig::default(), &cache);
-        let mut held = vec![false; graph.num_qubits()];
-        for &physical in layout.as_slice() {
-            held[physical] = true;
-        }
-        for inst in routed.circuit.instructions() {
-            if inst.gate.is_swap() {
-                inst.qubits.iter().for_each(|&x| held[x] = true);
-            }
-        }
-        let held = held.iter().filter(|&&h| h).count();
-        let rows = cache.hops.get().unwrap().materialized_rows();
-        assert!(rows <= held, "{rows} hop rows for {held} held qubits");
+        assert_rows_only_where_program_qubits_sat(&c, &graph, &RouterConfig::default());
+        let calibrated = builders::calibrated(&graph, 1e-3, 1.2, 17);
+        assert_rows_only_where_program_qubits_sat(&c, &calibrated, &RouterConfig::noise_aware(1.0));
+    }
+
+    #[test]
+    fn a_near_full_ghz_materializes_no_row_outside_the_held_set() {
+        let graph = builders::hypercube(8);
+        let c = ghz(250);
+        assert_rows_only_where_program_qubits_sat(&c, &graph, &RouterConfig::default());
     }
 
     #[test]

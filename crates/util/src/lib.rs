@@ -5,6 +5,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The largest qubit count the workspace accepts anywhere: 65,535. The
+/// `u16` hop rows of `snailqc-topology` set it (the longest possible hop
+/// count, `n − 1` on a line, must stay below their `u16::MAX` unreachable
+/// sentinel); device specs and QASM registers are capped at the same size,
+/// since no program can be larger than the device it runs on.
+pub const MAX_QUBITS: usize = u16::MAX as usize;
+
 /// Normalizes a user-facing name for forgiving matching: lowercases and
 /// strips every non-alphanumeric character, so `corral11-16`, `Corral1,1-16`
 /// and `CORRAL_1_1_16` all compare equal. Used by the topology catalog, the

@@ -352,3 +352,32 @@ fn golden_file_parses_to_the_expected_program() {
     reference.cx(2, 3);
     assert_eq!(c, &reference);
 }
+
+#[test]
+fn registers_above_the_qubit_cap_are_refused_in_both_dialects() {
+    let cap = snailqc::topology::MAX_QUBITS;
+    let v2 = |body: &str| format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n{body}\n");
+    let v3 = |body: &str| format!("OPENQASM 3.0;\ninclude \"stdgates.inc\";\n{body}\n");
+    let at_cap = qasm::parse_circuit(&v2(&format!("qreg q[{cap}];"))).unwrap();
+    assert_eq!(at_cap.num_qubits(), cap);
+    let split = qasm::parse3_circuit(&v3(&format!("qubit[{}] a;\nqubit b;", cap - 1))).unwrap();
+    assert_eq!(split.num_qubits(), cap);
+    let cases = [
+        qasm::parse_circuit(&v2("qreg q[4000000000];")),
+        qasm::parse_circuit(&v2(&format!("qreg q[{}];", cap + 1))),
+        qasm::parse_circuit(&v2(&format!("qreg a[{cap}];\nqreg b[1];"))),
+        qasm::parse3_circuit(&v3("qubit[4000000000] q;")),
+        qasm::parse3_circuit(&v3(&format!("qubit[{cap}] a;\nqubit b;"))),
+    ];
+    for result in cases {
+        let err = result.unwrap_err();
+        assert!(
+            err.message.contains("supported maximum of 65535 qubits"),
+            "{err}"
+        );
+        assert!(
+            err.line >= 3 && err.col >= 1,
+            "span must point into the body: {err}"
+        );
+    }
+}
