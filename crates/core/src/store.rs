@@ -2,7 +2,9 @@
 //!
 //! Routing is by far the most expensive stage of a sweep, and the bench
 //! binaries re-run the same (workload, size, device, seed) cells on every
-//! invocation. A [`SweepStore`] persists each cell's [`TranspileReport`] as
+//! invocation. A [`SweepStore`] persists each cell — its [`TranspileReport`]
+//! and, for a source-submitted transpile, the digests of the routed and
+//! translated circuits ([`CachedCell`]) — as
 //! one JSON line keyed by everything that determines it — workload, size,
 //! device label, basis, seed, error weight, routing trials, and a digest of
 //! the device's per-edge calibration — so repeated runs replay cached cells
@@ -26,6 +28,32 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+/// One replayable transpile outcome: the report plus the digests of the
+/// circuits it stands for. The `snailqc serve` memory cache and a store line
+/// hold the same thing, so a replay answers exactly what the cold run did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedCell {
+    /// The transpile report.
+    pub report: TranspileReport,
+    /// Digest of the routed circuit; `None` for a sweep cell, which keeps
+    /// no circuit.
+    pub routed_digest: Option<String>,
+    /// Digest of the basis-translated circuit; `None` without a basis or
+    /// for a sweep cell.
+    pub basis_digest: Option<String>,
+}
+
+impl From<TranspileReport> for CachedCell {
+    /// A sweep cell: a report with no circuit digests.
+    fn from(report: TranspileReport) -> Self {
+        Self {
+            report,
+            routed_digest: None,
+            basis_digest: None,
+        }
+    }
+}
+
 /// A keyed, file-backed cache of sweep-cell reports.
 ///
 /// Multiple handles — across threads or processes — may share one backing
@@ -36,7 +64,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct SweepStore {
     path: PathBuf,
-    entries: BTreeMap<String, TranspileReport>,
+    entries: BTreeMap<String, CachedCell>,
     /// Keys inserted through this handle that [`SweepStore::flush`] has not
     /// yet appended to the backing file.
     pending: BTreeSet<String>,
@@ -135,8 +163,8 @@ impl SweepStore {
                 // Later lines win: concurrent appenders may both have
                 // written the same key, and the newest report is the one an
                 // uncached run would produce today.
-                if let Some((key, report)) = parse_line(line) {
-                    entries.insert(key, report);
+                if let Some((key, cell)) = parse_line(line) {
+                    entries.insert(key, cell);
                 } else {
                     skipped_corrupt += 1;
                 }
@@ -193,31 +221,36 @@ impl SweepStore {
     }
 
     /// Looks up a cell, counting a hit when present and a miss otherwise.
-    pub fn get(&mut self, key: &str) -> Option<TranspileReport> {
-        let report = self.entries.get(key).copied();
-        if report.is_some() {
+    pub fn get(&mut self, key: &str) -> Option<CachedCell> {
+        let cell = self.entries.get(key).cloned();
+        if cell.is_some() {
             self.hits += 1;
             obs::counter_add("sweep_store.hits", 1);
         } else {
             self.misses += 1;
             obs::counter_add("sweep_store.misses", 1);
         }
-        report
+        cell
     }
 
     /// Inserts (or replaces) a cell; the entry is appended to the backing
     /// file on the next [`SweepStore::flush`].
-    pub fn insert(&mut self, key: String, report: TranspileReport) {
+    pub fn insert(&mut self, key: String, cell: CachedCell) {
         self.pending.insert(key.clone());
-        self.entries.insert(key, report);
+        self.entries.insert(key, cell);
         self.inserted += 1;
     }
 
-    /// Renders one `{"key": …, "report": …}` store line (no newline).
-    fn render_line(key: &str, report: &TranspileReport) -> std::io::Result<String> {
+    /// Renders one `{"key": …, "report": …, "routed_digest": …,
+    /// "basis_digest": …}` store line (no newline).
+    fn render_line(key: &str, cell: &CachedCell) -> std::io::Result<String> {
+        let digest =
+            |d: &Option<String>| d.clone().map_or(serde::Value::Null, serde::Value::String);
         let line = serde::Value::Object(vec![
             ("key".into(), serde::Value::String(key.to_string())),
-            ("report".into(), serde_json::to_value(report)),
+            ("report".into(), serde_json::to_value(&cell.report)),
+            ("routed_digest".into(), digest(&cell.routed_digest)),
+            ("basis_digest".into(), digest(&cell.basis_digest)),
         ]);
         serde_json::to_string(&line).map_err(std::io::Error::other)
     }
@@ -242,8 +275,8 @@ impl SweepStore {
         }
         let mut out = Vec::new();
         for key in &self.pending {
-            let report = self.entries.get(key).expect("pending keys are entries");
-            writeln!(out, "{}", Self::render_line(key, report)?)?;
+            let cell = self.entries.get(key).expect("pending keys are entries");
+            writeln!(out, "{}", Self::render_line(key, cell)?)?;
         }
         let lock = StoreLock::exclusive(&self.path)?;
         let mut file = fs::OpenOptions::new()
@@ -263,8 +296,9 @@ impl SweepStore {
 /// release that may have changed the router or translation counting; bump
 /// the `v*` tag to force invalidation within a release. (`v2` added the
 /// structural `geom=` digest so file-backed devices that merely share a
-/// label cannot alias each other's cells.)
-const KEY_VERSION: &str = concat!("v2-", env!("CARGO_PKG_VERSION"));
+/// label cannot alias each other's cells; `v3` marks the lines that persist
+/// the circuit digests, so no digest-less row is ever replayed.)
+const KEY_VERSION: &str = concat!("v3-", env!("CARGO_PKG_VERSION"));
 
 /// The cache key of one sweep cell: everything that determines its report,
 /// plus the private `KEY_VERSION` code-version fingerprint.
@@ -313,11 +347,16 @@ pub fn source_cell_key(source: &str, seed: u64, device: &Device, pipeline: &Pipe
     )
 }
 
-/// Parses one stored JSON line back into `(key, report)`. Returns `None`
+/// Parses one stored JSON line back into `(key, cell)`. Returns `None`
 /// (skipping the line) on any structural mismatch.
-fn parse_line(line: &str) -> Option<(String, TranspileReport)> {
+fn parse_line(line: &str) -> Option<(String, CachedCell)> {
     let value = serde_json::from_str(line).ok()?;
     let key = value.get("key")?.as_str()?.to_string();
+    let digest = |name: &str| match value.get(name) {
+        None | Some(serde::Value::Null) => Some(None),
+        Some(digest) => digest.as_str().map(|d| Some(d.to_string())),
+    };
+    let (routed_digest, basis_digest) = (digest("routed_digest")?, digest("basis_digest")?);
     let report = value.get("report")?;
     let field = |name: &str| report.get(name)?.as_f64();
     let count = |name: &str| field(name).map(|v| v as usize);
@@ -325,22 +364,27 @@ fn parse_line(line: &str) -> Option<(String, TranspileReport)> {
         serde::Value::Null => None,
         value => Some(basis_from_variant(value.as_str()?)?),
     };
+    let report = TranspileReport {
+        logical_qubits: count("logical_qubits")?,
+        physical_qubits: count("physical_qubits")?,
+        input_two_qubit_gates: count("input_two_qubit_gates")?,
+        swap_count: count("swap_count")?,
+        swap_depth: count("swap_depth")?,
+        routed_two_qubit_gates: count("routed_two_qubit_gates")?,
+        routed_two_qubit_depth: count("routed_two_qubit_depth")?,
+        basis,
+        basis_gate_count: count("basis_gate_count")?,
+        basis_gate_depth: count("basis_gate_depth")?,
+        error_weight: field("error_weight")?,
+        routed_edge_log_fidelity: field("routed_edge_log_fidelity")?,
+        basis_edge_log_fidelity: field("basis_edge_log_fidelity")?,
+    };
     Some((
         key,
-        TranspileReport {
-            logical_qubits: count("logical_qubits")?,
-            physical_qubits: count("physical_qubits")?,
-            input_two_qubit_gates: count("input_two_qubit_gates")?,
-            swap_count: count("swap_count")?,
-            swap_depth: count("swap_depth")?,
-            routed_two_qubit_gates: count("routed_two_qubit_gates")?,
-            routed_two_qubit_depth: count("routed_two_qubit_depth")?,
-            basis,
-            basis_gate_count: count("basis_gate_count")?,
-            basis_gate_depth: count("basis_gate_depth")?,
-            error_weight: field("error_weight")?,
-            routed_edge_log_fidelity: field("routed_edge_log_fidelity")?,
-            basis_edge_log_fidelity: field("basis_edge_log_fidelity")?,
+        CachedCell {
+            report,
+            routed_digest,
+            basis_digest,
         },
     ))
 }
@@ -403,16 +447,54 @@ mod tests {
         let mut store = SweepStore::open(&path);
         let with_basis = sample_report(Some(BasisGate::SqrtISwap));
         let routed_only = sample_report(None);
-        store.insert("a".into(), with_basis);
-        store.insert("b".into(), routed_only);
+        store.insert("a".into(), with_basis.into());
+        store.insert("b".into(), routed_only.into());
         store.flush().unwrap();
 
         let mut reopened = SweepStore::open(&path);
         assert_eq!(reopened.len(), 2);
-        assert_eq!(reopened.get("a"), Some(with_basis));
-        assert_eq!(reopened.get("b"), Some(routed_only));
+        assert_eq!(reopened.get("a"), Some(with_basis.into()));
+        assert_eq!(reopened.get("b"), Some(routed_only.into()));
         assert_eq!(reopened.hits(), 2);
         assert_eq!(reopened.get("missing"), None);
+    }
+
+    #[test]
+    fn a_store_line_round_trips_both_digests() {
+        let tmp = TempStore::new("digests");
+        let path = tmp.path();
+        let translated = CachedCell {
+            report: sample_report(Some(BasisGate::SqrtISwap)),
+            routed_digest: Some("0123456789abcdef".into()),
+            basis_digest: Some("fedcba9876543210".into()),
+        };
+        let routed_only = CachedCell {
+            report: sample_report(None),
+            routed_digest: Some("00000000deadbeef".into()),
+            basis_digest: None,
+        };
+        let mut store = SweepStore::open(&path);
+        store.insert("translated".into(), translated.clone());
+        store.insert("routed".into(), routed_only.clone());
+        store.flush().unwrap();
+
+        let mut reopened = SweepStore::open(&path);
+        assert_eq!(reopened.skipped_corrupt(), 0);
+        assert_eq!(reopened.get("translated"), Some(translated));
+        assert_eq!(reopened.get("routed"), Some(routed_only));
+        // A digest that is not a string makes the line corrupt, not a cell
+        // without digests.
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str(
+            &text
+                .lines()
+                .next()
+                .unwrap()
+                .replace("\"routed_digest\":\"", "\"routed_digest\":7,\"x\":\""),
+        );
+        text.push('\n');
+        fs::write(&path, text).unwrap();
+        assert_eq!(SweepStore::open(&path).skipped_corrupt(), 1);
     }
 
     #[test]
@@ -420,7 +502,7 @@ mod tests {
         let tmp = TempStore::new("corrupt");
         let path = tmp.path();
         let mut store = SweepStore::open(&path);
-        store.insert("good".into(), sample_report(None));
+        store.insert("good".into(), sample_report(None).into());
         store.flush().unwrap();
         let mut text = fs::read_to_string(&path).unwrap();
         text.push_str("not json at all\n{\"key\": \"half\"}\n");
@@ -438,7 +520,7 @@ mod tests {
         let tmp = TempStore::new("hit-miss");
         let path = tmp.path();
         let mut store = SweepStore::open(&path);
-        store.insert("present".into(), sample_report(None));
+        store.insert("present".into(), sample_report(None).into());
         assert!(store.get("present").is_some());
         assert!(store.get("absent").is_none());
         assert!(store.get("also-absent").is_none());
@@ -458,8 +540,8 @@ mod tests {
         let report = sample_report(None);
         let mut a = SweepStore::open(&path);
         let mut b = SweepStore::open(&path);
-        a.insert("from-a".into(), report);
-        b.insert("from-b".into(), report);
+        a.insert("from-a".into(), report.into());
+        b.insert("from-b".into(), report.into());
         a.flush().unwrap();
         b.flush().unwrap();
         let reopened = SweepStore::open(&path);
@@ -477,7 +559,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut store = SweepStore::open(&path);
                     for i in 0..8 {
-                        store.insert(format!("w{writer}-cell{i}"), report);
+                        store.insert(format!("w{writer}-cell{i}"), report.into());
                         // Flush per insert to maximize interleaving.
                         store.flush().unwrap();
                     }
@@ -495,14 +577,14 @@ mod tests {
         let path = tmp.path();
         let report = sample_report(None);
         let mut store = SweepStore::open(&path);
-        store.insert("first".into(), report);
+        store.insert("first".into(), report.into());
         store.flush().unwrap();
         let after_first = fs::read_to_string(&path).unwrap();
         // A second flush with nothing pending must not touch the file; a
         // flush after one more insert must append exactly one line.
         store.flush().unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), after_first);
-        store.insert("second".into(), report);
+        store.insert("second".into(), report.into());
         store.flush().unwrap();
         let after_second = fs::read_to_string(&path).unwrap();
         assert!(after_second.starts_with(&after_first));

@@ -209,14 +209,17 @@ pub fn run_sweep_with_store(
         .iter()
         .map(|cell| cell_key(cell.workload, cell.size, cell.device, config))
         .collect();
-    let mut reports: Vec<Option<TranspileReport>> = keys.iter().map(|key| store.get(key)).collect();
+    let mut reports: Vec<Option<TranspileReport>> = keys
+        .iter()
+        .map(|key| store.get(key).map(|cell| cell.report))
+        .collect();
     let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
     let computed: Vec<(usize, TranspileReport)> = missing
         .par_iter()
         .map(|&i| (i, cells[i].transpile(config)))
         .collect();
     for (i, report) in computed {
-        store.insert(keys[i].clone(), report);
+        store.insert(keys[i].clone(), report.into());
         reports[i] = Some(report);
     }
     if let Err(err) = store.flush() {

@@ -354,32 +354,36 @@ impl Parser {
     }
 
     pub(crate) fn parse_qreg(&mut self) -> Result<(), QasmError> {
+        let at = self.here();
         self.pos += 1; // qreg
         let name = self.expect_ident("register name")?;
         self.expect(&Tok::LBracket, "`[`")?;
         let size = self.expect_int("register size")? as usize;
         self.expect(&Tok::RBracket, "`]`")?;
         self.expect(&Tok::Semi, "`;`")?;
-        self.declare_qreg(name, size, "qreg")
+        self.declare_qreg(at, name, size, "qreg")
     }
 
     /// Registers a quantum register (either dialect's declaration syntax) and
     /// grows the flat circuit register, keeping already-lowered instructions.
+    /// Errors point at `at`, the declaration's first token.
     pub(crate) fn declare_qreg(
         &mut self,
+        (line, col): (usize, usize),
         name: String,
         size: usize,
         kind: &str,
     ) -> Result<(), QasmError> {
+        let err = |message: String| QasmError::new(line, col, message);
         if size == 0 {
-            return Err(self.err(format!("{kind} `{name}` must have at least one qubit")));
+            return Err(err(format!("{kind} `{name}` must have at least one qubit")));
         }
         if self.find_qreg(&name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
-            return Err(self.err(format!("register `{name}` is already declared")));
+            return Err(err(format!("register `{name}` is already declared")));
         }
         let offset = self.circuit.num_qubits();
         if size > MAX_QUBITS - offset {
-            return Err(self.err(format!(
+            return Err(err(format!(
                 "{kind} `{name}[{size}]` takes the program past the supported maximum \
                  of {MAX_QUBITS} qubits"
             )));
@@ -392,19 +396,30 @@ impl Parser {
     }
 
     pub(crate) fn parse_creg(&mut self) -> Result<(), QasmError> {
+        let at = self.here();
         self.pos += 1; // creg
         let name = self.expect_ident("register name")?;
         self.expect(&Tok::LBracket, "`[`")?;
         let size = self.expect_int("register size")? as usize;
         self.expect(&Tok::RBracket, "`]`")?;
         self.expect(&Tok::Semi, "`;`")?;
-        self.declare_creg(name, size)
+        self.declare_creg(at, name, size)
     }
 
     /// Registers a classical register (either dialect's declaration syntax).
-    pub(crate) fn declare_creg(&mut self, name: String, size: usize) -> Result<(), QasmError> {
+    /// Errors point at `at`, the declaration's first token.
+    pub(crate) fn declare_creg(
+        &mut self,
+        (line, col): (usize, usize),
+        name: String,
+        size: usize,
+    ) -> Result<(), QasmError> {
         if self.find_qreg(&name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
-            return Err(self.err(format!("register `{name}` is already declared")));
+            return Err(QasmError::new(
+                line,
+                col,
+                format!("register `{name}` is already declared"),
+            ));
         }
         self.cregs.push((name, size));
         Ok(())

@@ -131,6 +131,7 @@ impl Parser3 {
     /// `qubit[n] name;`, `qubit name;`, `bit[n] name;`, `bit name;`.
     fn parse_typed_decl(&mut self, quantum: bool) -> Result<(), QasmError> {
         let kind = if quantum { "qubit" } else { "bit" };
+        let at = self.p.here();
         self.p.pos += 1; // qubit | bit
         let size = if self.p.eat(&Tok::LBracket) {
             let n = self.p.expect_int("register size")? as usize;
@@ -143,9 +144,9 @@ impl Parser3 {
         let name = self.p.expect_ident("register name")?;
         self.p.expect(&Tok::Semi, "`;` after declaration")?;
         if quantum {
-            self.p.declare_qreg(name, size, kind)
+            self.p.declare_qreg(at, name, size, kind)
         } else {
-            self.p.declare_creg(name, size)
+            self.p.declare_creg(at, name, size)
         }
     }
 

@@ -22,15 +22,17 @@ use snailqc::core::device::Device;
 use snailqc::core::fidelity::{estimate_fidelity, estimate_fidelity_edges, FidelityEstimate};
 use snailqc::core::noise::ErrorModelSpec;
 use snailqc::core::registry::{DeviceRegistry, DeviceSource, LocatedDevice};
-use snailqc::core::store::source_cell_key;
 use snailqc::decompose::BasisGate;
 use snailqc::devices::{basis_name, DeviceSpec, GeneratorSpec, TopologySource};
 use snailqc::prelude::*;
-use snailqc::request::{parse_source, DeviceArg, TranspileArgs};
-use snailqc::transpiler::{TranspileReport, TranspileResult};
+use snailqc::request::{
+    parse_source, run, CacheSource, Caches, DeviceArg, Job, Outcome, TranspileArgs,
+};
+use snailqc::transpiler::TranspileReport;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Mutex;
 
 const USAGE: &str = "snailqc — SNAIL co-design transpilation toolkit (HPCA 2023 reproduction)
 
@@ -329,7 +331,7 @@ struct TranspileOutput {
     /// FNV-1a digest of the routed circuit's canonical QASM emission; equal
     /// digests mean gate-for-gate identical circuits, so this is what the
     /// serve daemon's reproducibility contract is checked against.
-    routed_digest: String,
+    routed_digest: Option<String>,
     /// Digest of the basis-translated circuit (`--basis` runs only).
     basis_digest: Option<String>,
     fidelity: Option<FidelityComparison>,
@@ -373,13 +375,17 @@ fn cmd_transpile(args: &[String]) -> Result<(), String> {
     let [file] = opts.positional.as_slice() else {
         return Err("transpile needs exactly one <file.qasm | directory> argument".into());
     };
+    let batch = file != "-" && Path::new(file).is_dir();
+    if let Some(flag) = ["store", "emit-dir"].iter().find(|f| !batch && opts.has(f)) {
+        return Err(format!("--{flag} applies to batch mode only (a directory)"));
+    }
     let (device, pipeline) =
         transpile_args(&opts)?.resolve(&DeviceRegistry::with_default_paths())?;
     let observed = obs_setup(&opts);
-    if file != "-" && Path::new(file).is_dir() {
+    if batch {
         transpile_directory(file, &device, &pipeline, &opts)?;
     } else {
-        transpile_one_file(file, &device, &pipeline, &opts)?;
+        transpile_one_file(file, device, pipeline, &opts)?;
     }
     if observed {
         obs_finish(&opts)?;
@@ -421,15 +427,20 @@ fn obs_finish(opts: &Options) -> Result<(), String> {
 
 fn transpile_one_file(
     file: &str,
-    device: &Device,
-    pipeline: &Pipeline,
+    device: Device,
+    pipeline: Pipeline,
     opts: &Options,
 ) -> Result<(), String> {
-    let source = read_source(file)?;
-    let circuit = parse_source(&source, device).map_err(|e| format!("`{file}`: {e}"))?;
-    let result = device
-        .try_transpile(&circuit, pipeline)
-        .map_err(|e| format!("`{file}`: {e}"))?;
+    let out = opts.value("out");
+    let job = Job {
+        source: read_source(file)?,
+        device,
+        pipeline,
+        emit: out.map(|_| output_version(opts)),
+        digest: opts.has("json"),
+    };
+    let outcome = run(&job, Caches::default()).map_err(|e| format!("`{file}`: {e}"))?;
+    let (device, pipeline, report) = (&job.device, &job.pipeline, outcome.cell.report);
     let error_weight = pipeline.router().error_weight;
 
     // With an error model, also run the noise-blind router on the same
@@ -441,8 +452,9 @@ fn transpile_one_file(
         || error_weight == 0.0
         || device.graph().edge_errors_uniform()
     {
-        result.report
+        report
     } else {
+        let circuit = parse_source(&job.source, device).map_err(|e| format!("`{file}`: {e}"))?;
         let blind = pipeline.to_builder().error_weight(0.0).build();
         device
             .try_transpile(&circuit, &blind)
@@ -451,9 +463,9 @@ fn transpile_one_file(
     };
     let fidelity = device.error_model().map(|spec| {
         let estimate = |report: &TranspileReport| estimate_fidelity_edges(report, &spec.model);
-        let uniform = estimate_fidelity(&result.report, &spec.model);
+        let uniform = estimate_fidelity(&report, &spec.model);
         let noise_blind = estimate(&blind_report);
-        let noise_aware = estimate(&result.report);
+        let noise_aware = estimate(&report);
         let infidelity_improvement = (1.0 - noise_blind.total_fidelity)
             / (1.0 - noise_aware.total_fidelity).max(f64::MIN_POSITIVE);
         FidelityComparison {
@@ -464,22 +476,11 @@ fn transpile_one_file(
         }
     });
 
-    // A QASM 2 `-o` file is the text `circuit_digest` would emit for the
-    // written circuit, so its digest is taken over that text below.
-    let mut written_qasm2 = None;
-    if let Some(out) = opts.value("out") {
-        let circuit = result.translated.as_ref().unwrap_or(&result.routed.circuit);
-        let version = output_version(opts);
-        let text = snailqc::qasm::emit_versioned(circuit, version);
-        emit_output(&text, Some(out))?;
-        if version == snailqc::qasm::QasmVersion::V2 {
-            written_qasm2 = Some(text);
-        }
+    if let (Some(out), Some(text)) = (out, &outcome.written) {
+        emit_output(text, Some(out))?;
     }
 
     if opts.has("json") {
-        let written_digest =
-            written_qasm2.map(|text| format!("{:016x}", snailqc_util::fnv1a_64(text.as_bytes())));
         let output = TranspileOutput {
             file: file.to_string(),
             topology: device.graph().name().to_string(),
@@ -489,18 +490,9 @@ fn transpile_one_file(
             seed: pipeline.router().seed,
             error_model: device.error_model().cloned(),
             error_weight,
-            report: result.report,
-            // The written circuit is the translated one when there is a
-            // basis, the routed one otherwise.
-            routed_digest: match (&result.translated, &written_digest) {
-                (None, Some(digest)) => digest.clone(),
-                _ => snailqc::serve::circuit_digest(&result.routed.circuit),
-            },
-            basis_digest: result.translated.as_ref().map(|translated| {
-                written_digest
-                    .clone()
-                    .unwrap_or_else(|| snailqc::serve::circuit_digest(translated))
-            }),
+            report,
+            routed_digest: outcome.cell.routed_digest,
+            basis_digest: outcome.cell.basis_digest,
             fidelity,
         };
         println!(
@@ -508,7 +500,7 @@ fn transpile_one_file(
             serde_json::to_string_pretty(&output).map_err(|e| e.to_string())?
         );
     } else {
-        print_human_report(file, device, &result, error_weight, fidelity.as_ref());
+        print_human_report(file, device, &outcome, error_weight, fidelity.as_ref());
     }
     Ok(())
 }
@@ -516,11 +508,11 @@ fn transpile_one_file(
 fn print_human_report(
     file: &str,
     device: &Device,
-    result: &TranspileResult,
+    outcome: &Outcome,
     error_weight: f64,
     fidelity: Option<&FidelityComparison>,
 ) {
-    let r = &result.report;
+    let r = &outcome.cell.report;
     println!("== transpile {file} onto {} ==", device.graph().name());
     println!("  logical qubits        {}", r.logical_qubits);
     println!("  physical qubits       {}", r.physical_qubits);
@@ -551,7 +543,7 @@ fn print_human_report(
         println!("  infidelity improved   {:.3}x", f.infidelity_improvement);
     }
     println!("  -- pass trace --");
-    for stage in &result.trace.stages {
+    for stage in outcome.trace.iter().flat_map(|trace| &trace.stages) {
         let delta = stage.two_qubit_out as i64 - stage.two_qubit_in as i64;
         let delta = if delta == 0 {
             String::new()
@@ -566,7 +558,7 @@ fn print_human_report(
 // transpile (batch mode)
 // ---------------------------------------------------------------------------
 
-#[derive(serde::Serialize)]
+#[derive(serde::Serialize, Default)]
 struct BatchFileOutput {
     file: String,
     /// Router seed used for this file (base seed ⊕ FNV-1a of the file's
@@ -579,6 +571,10 @@ struct BatchFileOutput {
     emitted: Option<String>,
     error: Option<String>,
     report: Option<TranspileReport>,
+    /// Digests of the routed and the basis-translated circuit, as
+    /// `transpile <file> --json` reports them for the same seed.
+    routed_digest: Option<String>,
+    basis_digest: Option<String>,
 }
 
 #[derive(serde::Serialize)]
@@ -631,9 +627,9 @@ fn collect_qasm_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> 
 /// parallel and emit one aggregated report. Each file's router seed is
 /// derived from the base seed and the file's directory-relative path alone,
 /// so results are independent of worker threads, directory enumeration
-/// order, and which other files are present. With `--store <file>`, reports
-/// are cached in a `SweepStore` keyed by file contents + device + routing
-/// config, and repeated runs replay cached cells instead of re-routing.
+/// order, and which other files are present. With `--store <file>`, every
+/// worker runs its job against one shared `SweepStore`, keyed like the
+/// daemon's, and repeated runs replay cached cells instead of re-routing.
 fn transpile_directory(
     dir: &str,
     device: &Device,
@@ -647,149 +643,78 @@ fn transpile_directory(
     if paths.is_empty() {
         return Err(format!("no .qasm files under `{dir}`"));
     }
-    let mut store = opts.value("store").map(SweepStore::open);
+    let store = opts
+        .value("store")
+        .map(|path| Mutex::new(SweepStore::open(path)));
+    let caches = Caches {
+        memory: None,
+        store: store.as_ref(),
+    };
     let emit_dir = opts.value("emit-dir").map(PathBuf::from);
 
-    // Sequential cheap phase: read each file and probe the cache (the store
-    // is single-threaded); parsing and routing — the expensive part — run in
-    // parallel below for every cache miss. An `--emit-dir` run needs the
-    // routed circuit, which the store does not keep, so it transpiles every
-    // file (cache writes still happen).
-    enum Prepared {
-        Failed(String),
-        Cached(TranspileReport),
-        Work(String, String), // source, cache key
-    }
-    let prepared: Vec<(String, u64, Prepared)> = paths
-        .iter()
+    let files: Vec<BatchFileOutput> = paths
+        .par_iter()
         .map(|path| {
             let name = path
                 .strip_prefix(root)
                 .map(|p| p.to_string_lossy().into_owned())
                 .unwrap_or_else(|_| path.display().to_string());
+            let _file_span = snailqc::obs::is_enabled()
+                .then(|| snailqc::obs::span_with("batch.file", name.clone()));
+            let started = std::time::Instant::now();
             let seed = pipeline.router().seed ^ snailqc_util::fnv1a_64(name.as_bytes());
             let outcome = std::fs::read_to_string(path)
-                .map(|source| {
-                    // The same key `snailqc serve` uses, so a cell transpiled
-                    // by either is a store hit for the other.
-                    let key = source_cell_key(&source, seed, device, pipeline);
-                    let cached = if emit_dir.is_some() {
-                        None
-                    } else {
-                        store.as_mut().and_then(|s| s.get(&key))
+                .map_err(|e| format!("reading `{}`: {e}", path.display()))
+                .and_then(|source| {
+                    let job = Job {
+                        source,
+                        device: device.clone(),
+                        pipeline: pipeline.to_builder().seed(seed).build(),
+                        emit: emit_dir.as_ref().map(|_| output_version(opts)),
+                        digest: true,
                     };
-                    match cached {
-                        Some(report) => Prepared::Cached(report),
-                        None => Prepared::Work(source, key),
-                    }
-                })
-                .map_err(|e| format!("reading `{}`: {e}", path.display()));
-            match outcome {
-                Ok(prepared) => (name, seed, prepared),
-                Err(error) => (name, seed, Prepared::Failed(error)),
-            }
-        })
-        .collect();
-
-    let routed: Vec<(BatchFileOutput, Option<String>)> = prepared
-        .par_iter()
-        .map(|(name, seed, prepared)| {
-            let _file_span = if snailqc::obs::is_enabled() {
-                Some(snailqc::obs::span_with("batch.file", name.clone()))
-            } else {
-                None
-            };
-            let started = std::time::Instant::now();
-            let (name, seed) = (name.clone(), *seed);
-            let outcome = match prepared {
-                Prepared::Failed(error) => (
-                    BatchFileOutput {
-                        file: name,
-                        seed,
-                        cached: false,
-                        emitted: None,
-                        error: Some(error.clone()),
-                        report: None,
-                    },
-                    None,
-                ),
-                Prepared::Cached(report) => (
-                    BatchFileOutput {
-                        file: name,
-                        seed,
-                        cached: true,
-                        emitted: None,
-                        error: None,
-                        report: Some(*report),
-                    },
-                    None,
-                ),
-                Prepared::Work(source, key) => {
-                    let outcome = parse_source(source, device).and_then(|circuit| {
-                        let pipeline = pipeline.to_builder().seed(seed).build();
-                        let result = device
-                            .try_transpile(&circuit, &pipeline)
-                            .map_err(|e| e.to_string())?;
-                        let emitted = match &emit_dir {
-                            None => None,
-                            Some(dir) => {
-                                let target = dir.join(&name);
-                                let circuit =
-                                    result.translated.as_ref().unwrap_or(&result.routed.circuit);
-                                let qasm =
-                                    snailqc::qasm::emit_versioned(circuit, output_version(opts));
-                                if let Some(parent) = target.parent() {
-                                    std::fs::create_dir_all(parent).map_err(|e| {
-                                        format!("creating `{}`: {e}", parent.display())
-                                    })?;
-                                }
-                                std::fs::write(&target, qasm)
-                                    .map_err(|e| format!("writing `{}`: {e}", target.display()))?;
-                                Some(target.display().to_string())
+                    let outcome = run(&job, caches)?;
+                    let emitted = match (&emit_dir, &outcome.written) {
+                        (Some(dir), Some(qasm)) => {
+                            let target = dir.join(&name);
+                            if let Some(parent) = target.parent() {
+                                std::fs::create_dir_all(parent)
+                                    .map_err(|e| format!("creating `{}`: {e}", parent.display()))?;
                             }
-                        };
-                        Ok((result.report, emitted))
-                    });
-                    match outcome {
-                        Ok((report, emitted)) => (
-                            BatchFileOutput {
-                                file: name,
-                                seed,
-                                cached: false,
-                                emitted,
-                                error: None,
-                                report: Some(report),
-                            },
-                            Some(key.clone()),
-                        ),
-                        Err(error) => (
-                            BatchFileOutput {
-                                file: name,
-                                seed,
-                                cached: false,
-                                emitted: None,
-                                error: Some(error),
-                                report: None,
-                            },
-                            None,
-                        ),
-                    }
-                }
-            };
+                            std::fs::write(&target, qasm)
+                                .map_err(|e| format!("writing `{}`: {e}", target.display()))?;
+                            Some(target.display().to_string())
+                        }
+                        _ => None,
+                    };
+                    Ok((outcome, emitted))
+                });
             snailqc::obs::histogram_record(
                 "batch.file_micros",
                 started.elapsed().as_micros() as u64,
             );
-            outcome
+            let row = BatchFileOutput {
+                file: name,
+                seed,
+                ..BatchFileOutput::default()
+            };
+            match outcome {
+                Ok((outcome, emitted)) => BatchFileOutput {
+                    cached: outcome.cached == CacheSource::Store,
+                    emitted,
+                    report: Some(outcome.cell.report),
+                    routed_digest: outcome.cell.routed_digest,
+                    basis_digest: outcome.cell.basis_digest,
+                    ..row
+                },
+                Err(error) => BatchFileOutput {
+                    error: Some(error),
+                    ..row
+                },
+            }
         })
         .collect();
-    let mut files = Vec::with_capacity(routed.len());
-    for (output, key) in routed {
-        if let (Some(store), Some(key), Some(report)) = (store.as_mut(), key, output.report) {
-            store.insert(key, report);
-        }
-        files.push(output);
-    }
+    let mut store = store.map(|store| store.into_inner().expect("store lock"));
     if let Some(store) = &mut store {
         store
             .flush()

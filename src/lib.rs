@@ -23,7 +23,7 @@
 //! | [`sim`] | `snailqc-sim` | verification engines: bit-packed stabilizer tableau, Pauli propagation, routed-circuit equivalence checking |
 //! | [`core`] | `snailqc-core` | `Device`, machines, sweeps, the sweep store and headline ratios |
 //! | [`obs`] | `snailqc-obs` | tracing spans, metrics registry, Chrome-trace/JSON exporters |
-//! | [`request`] | (this crate) | the one resolver turning transpile arguments (CLI flags or daemon params) into a `Device` and a `Pipeline` |
+//! | [`request`] | (this crate) | the one resolver turning transpile arguments (CLI flags or daemon params) into a `Device` and a `Pipeline`, and the one job runner (parse, transpile, digest, emit, cache) behind the CLI, batch mode and the daemon |
 //! | [`serve`] | (this crate) | the `snailqc serve` daemon: line-delimited JSON-RPC over TCP/Unix sockets with warm device/routing caches |
 //!
 //! ## Quick start

@@ -1,5 +1,6 @@
-//! How a transpile request becomes a [`Device`] and a [`Pipeline`]: the one
-//! resolver behind both `snailqc transpile` and `snailqc serve`.
+//! How a transpile request becomes a [`Device`] and a [`Pipeline`], and how
+//! the resulting job runs: the one resolver and the one runner behind
+//! `snailqc transpile` (one file or a batch) and `snailqc serve`.
 //!
 //! Each front end maps its own syntax (command-line flags, or JSON request
 //! params) onto [`TranspileArgs`], the arguments as the user spelled them.
@@ -21,13 +22,32 @@
 //! [`DeviceRecipe::key`] names the device the recipe would build;
 //! [`TranspileArgs::pipeline`] then builds the pipeline for the built
 //! device. [`TranspileArgs::resolve`] does both for one-shot callers.
+//!
+//! A resolved [`Job`] goes through [`run`], which parses, transpiles,
+//! digests and emits for every front end. Its cache ladder probes the shared
+//! [`SweepStore`] first (so the store's hit count covers every replayable
+//! request), then the memory cache, then computes, filling both with a
+//! [`CachedCell`]: the report plus both circuit digests, so a replay answers
+//! exactly what the cold run did. A job that writes its circuit reads no
+//! cache, since neither keeps the circuit, but still fills both. The written
+//! circuit is the translated one when the device has a basis, else the routed
+//! one; it is emitted once, and a QASM 2 text is also what gets digested.
+//! Flushing the store is left to the front end.
 
 use snailqc_circuit::Circuit;
 use snailqc_core::device::Device;
 use snailqc_core::noise::ErrorModelSpec;
 use snailqc_core::registry::{DeviceRegistry, LocatedDevice};
+use snailqc_core::store::{source_cell_key, CachedCell, SweepStore};
 use snailqc_decompose::BasisGate;
-use snailqc_transpiler::{LayoutStrategy, Pipeline};
+use snailqc_qasm::QasmVersion;
+use snailqc_transpiler::{LayoutStrategy, PassTrace, Pipeline};
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+/// Memory-cache entries kept before the cache is wholesale cleared; bounds
+/// daemon memory on unbounded distinct-request streams.
+const MEMORY_CACHE_CAP: usize = 4096;
 
 /// How a request names its machine.
 #[derive(Debug)]
@@ -178,4 +198,147 @@ pub fn parse_source(source: &str, device: &Device) -> Result<Circuit, String> {
         ));
     }
     Ok(circuit)
+}
+
+/// The canonical digest of a circuit's instruction stream: FNV-1a over its
+/// OpenQASM 2.0 emission (which is deterministic and total for every routed
+/// or translated circuit). Two circuits share a digest exactly when they
+/// are gate-for-gate identical, so comparing the daemon's digest against a
+/// one-shot `snailqc transpile` digest proves bitwise reproducibility.
+pub fn circuit_digest(circuit: &Circuit) -> String {
+    text_digest(&snailqc_qasm::emit(circuit))
+}
+
+fn text_digest(qasm2: &str) -> String {
+    format!("{:016x}", snailqc_util::fnv1a_64(qasm2.as_bytes()))
+}
+
+/// One resolved transpile job.
+#[derive(Debug)]
+pub struct Job {
+    /// OpenQASM source text (either dialect).
+    pub source: String,
+    /// The target device.
+    pub device: Device,
+    /// The pipeline, router seed included.
+    pub pipeline: Pipeline,
+    /// Dialect to write the circuit in; `None` writes nothing.
+    pub emit: Option<QasmVersion>,
+    /// Whether a computed outcome carries digests even when it fills no
+    /// cache (a cached cell always carries them).
+    pub digest: bool,
+}
+
+/// The caches a job is answered from and fills; both absent by default.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Caches<'a> {
+    /// The in-process cache of `snailqc serve`.
+    pub memory: Option<&'a Mutex<HashMap<String, CachedCell>>>,
+    /// The shared JSON-lines store (`--store`).
+    pub store: Option<&'a Mutex<SweepStore>>,
+}
+
+/// Where an outcome came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheSource {
+    /// Computed by this job.
+    None,
+    /// Replayed from the memory cache.
+    Memory,
+    /// Replayed from the store.
+    Store,
+}
+
+impl CacheSource {
+    /// The wire name: `none`, `memory` or `store`.
+    pub fn label(self) -> &'static str {
+        match self {
+            CacheSource::None => "none",
+            CacheSource::Memory => "memory",
+            CacheSource::Store => "store",
+        }
+    }
+}
+
+/// What a job produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The report and the digests; a computed job that neither asked for
+    /// digests nor filled a cache has none.
+    pub cell: CachedCell,
+    /// The written circuit's text, when the job asked for it.
+    pub written: Option<String>,
+    /// The cache key, when the job was given a cache.
+    pub key: Option<String>,
+    /// Whether and from where the outcome was replayed.
+    pub cached: CacheSource,
+    /// The pass trace of a computed job.
+    pub trace: Option<PassTrace>,
+}
+
+/// Runs one job through the cache ladder: the store, then the memory cache,
+/// then the pipeline, filling both caches on a computed run.
+pub fn run(job: &Job, caches: Caches<'_>) -> Result<Outcome, String> {
+    let (seed, device, pipeline) = (job.pipeline.router().seed, &job.device, &job.pipeline);
+    let key = (caches.memory.is_some() || caches.store.is_some())
+        .then(|| source_cell_key(&job.source, seed, device, pipeline));
+    if let (Some(probe), None) = (&key, job.emit) {
+        let stored = caches
+            .store
+            .and_then(|store| store.lock().expect("store lock").get(probe));
+        let memory = caches
+            .memory
+            .and_then(|memory| memory.lock().expect("memory lock").get(probe).cloned());
+        let replay = memory
+            .map(|cell| (cell, CacheSource::Memory))
+            .or(stored.map(|cell| (cell, CacheSource::Store)));
+        if let Some((cell, cached)) = replay {
+            return Ok(Outcome {
+                cell,
+                written: None,
+                key,
+                cached,
+                trace: None,
+            });
+        }
+    }
+
+    let circuit = parse_source(&job.source, device)?;
+    let result = device
+        .try_transpile(&circuit, pipeline)
+        .map_err(|e| e.to_string())?;
+    let written_circuit = result.translated.as_ref().unwrap_or(&result.routed.circuit);
+    let written = job
+        .emit
+        .map(|version| snailqc_qasm::emit_versioned(written_circuit, version));
+    let mut cell = CachedCell::from(result.report);
+    if job.digest || key.is_some() {
+        // QASM 2 text is what `circuit_digest` hashes: reuse it, not emit again.
+        let digest = |circuit: &Circuit| match (&written, job.emit) {
+            (Some(text), Some(QasmVersion::V2)) if std::ptr::eq(circuit, written_circuit) => {
+                text_digest(text)
+            }
+            _ => circuit_digest(circuit),
+        };
+        cell.routed_digest = Some(digest(&result.routed.circuit));
+        cell.basis_digest = result.translated.as_ref().map(digest);
+    }
+    if let (Some(key), Some(memory)) = (&key, caches.memory) {
+        let mut memory = memory.lock().expect("memory lock");
+        if memory.len() >= MEMORY_CACHE_CAP {
+            memory.clear();
+        }
+        memory.insert(key.clone(), cell.clone());
+    }
+    if let (Some(key), Some(store)) = (&key, caches.store) {
+        let mut store = store.lock().expect("store lock");
+        store.insert(key.clone(), cell.clone());
+    }
+    Ok(Outcome {
+        cell,
+        written,
+        key,
+        cached: CacheSource::None,
+        trace: Some(result.trace),
+    })
 }

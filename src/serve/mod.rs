@@ -31,10 +31,11 @@
 //!   `RoutingCache`, `SweepStore`) and request counters. The daemon never
 //!   turns span recording on: nothing in it would drain the spans, so they
 //!   would pile up with every request.
-//! * **Shared store.** With a store file configured, reports persist across
-//!   daemon restarts and are shared with the batch CLI — both sides key
-//!   cells with [`source_cell_key`], and the store's append-only flush (PR
-//!   7) makes the file safe for concurrent writers.
+//! * **Shared store.** With a store file configured, cells persist across
+//!   daemon restarts and are shared with the batch CLI: both run jobs through
+//!   [`request::run`], whose store rows keep the report and both circuit
+//!   digests, so a `cached: "store"` reply names the circuit the cold run
+//!   answered. Append-only flushes make the file safe for concurrent writers.
 //! * **Graceful drain.** A `shutdown` RPC or SIGTERM/SIGINT stops accepting
 //!   work, finishes every queued job, delivers the responses, flushes the
 //!   store and exits.
@@ -46,17 +47,17 @@
 
 pub mod protocol;
 
-use crate::request::{parse_source, DeviceArg, DeviceRecipe, TranspileArgs};
+pub use crate::request::circuit_digest;
+
+use crate::request::{self, CacheSource, Caches, DeviceArg, DeviceRecipe, TranspileArgs};
 use protocol::{error_response, object, ok_response, parse_request, Request};
 use serde::Value;
-use snailqc_circuit::Circuit;
 use snailqc_core::device::Device;
 use snailqc_core::noise::ErrorModelSpec;
 use snailqc_core::registry::DeviceRegistry;
-use snailqc_core::store::{source_cell_key, SweepStore};
+use snailqc_core::store::{CachedCell, SweepStore};
 use snailqc_obs as obs;
 use snailqc_qasm::QasmVersion;
-use snailqc_transpiler::{Pipeline, TranspileReport};
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -67,10 +68,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Warm in-memory response entries kept before the cache is wholesale
-/// cleared; bounds daemon memory on unbounded distinct-request streams.
-const MEMORY_CACHE_CAP: usize = 4096;
 
 /// Warm `Device`s kept in the pool; beyond this, devices are rebuilt per
 /// request (correct, just cold).
@@ -144,33 +141,8 @@ impl std::fmt::Display for BoundAddr {
 }
 
 // ---------------------------------------------------------------------------
-// Digests
-// ---------------------------------------------------------------------------
-
-/// The canonical digest of a circuit's instruction stream: FNV-1a over its
-/// OpenQASM 2.0 emission (which is deterministic and total for every routed
-/// or translated circuit). Two circuits share a digest exactly when they
-/// are gate-for-gate identical, so comparing the daemon's digest against a
-/// one-shot `snailqc transpile` digest proves bitwise reproducibility.
-pub fn circuit_digest(circuit: &Circuit) -> String {
-    format!(
-        "{:016x}",
-        snailqc_util::fnv1a_64(snailqc_qasm::emit(circuit).as_bytes())
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Request resolution
 // ---------------------------------------------------------------------------
-
-/// A fully resolved transpile request: device (from the warm pool), pipeline
-/// (seed baked in), source text and output options.
-struct TranspileSpec {
-    source: String,
-    device: Device,
-    pipeline: Pipeline,
-    emit: Option<QasmVersion>,
-}
 
 /// Reads an optional param through `get`; `null` counts as absent, and a
 /// value `get` rejects is an error naming the expected `kind`.
@@ -230,9 +202,9 @@ fn transpile_args(params: &Value) -> Result<TranspileArgs<'_>, String> {
     })
 }
 
-/// Resolves `transpile` params into a spec, pulling the device from the warm
+/// Resolves `transpile` params into a job, pulling the device from the warm
 /// pool (or building and pooling it).
-fn resolve_spec(state: &ServerState, params: &Value) -> Result<TranspileSpec, String> {
+fn resolve_spec(state: &ServerState, params: &Value) -> Result<request::Job, String> {
     let source = param_str(params, "source")?
         .ok_or("transpile needs `source` (the QASM text)")?
         .to_string();
@@ -245,11 +217,12 @@ fn resolve_spec(state: &ServerState, params: &Value) -> Result<TranspileSpec, St
         Some("qasm3") => Some(QasmVersion::V3),
         Some(other) => return Err(format!("unknown emit dialect `{other}` (qasm2 | qasm3)")),
     };
-    Ok(TranspileSpec {
+    Ok(request::Job {
         source,
         device,
         pipeline,
         emit,
+        digest: true,
     })
 }
 
@@ -257,19 +230,10 @@ fn resolve_spec(state: &ServerState, params: &Value) -> Result<TranspileSpec, St
 // Server state
 // ---------------------------------------------------------------------------
 
-/// A memoized transpile outcome (report + digests; the circuit itself is
-/// not kept, so `emit` requests bypass this cache).
-#[derive(Clone)]
-struct CachedResult {
-    report: TranspileReport,
-    routed_digest: String,
-    basis_digest: Option<String>,
-}
-
 /// One queued transpile job.
 struct Job {
     id: Value,
-    spec: TranspileSpec,
+    spec: request::Job,
     /// The owning connection's response channel.
     reply: Sender<String>,
 }
@@ -286,7 +250,7 @@ struct ServerState {
     /// Device lookup, with the search path read once at startup.
     registry: DeviceRegistry,
     devices: Mutex<HashMap<String, Device>>,
-    memory: Mutex<HashMap<String, CachedResult>>,
+    memory: Mutex<HashMap<String, CachedCell>>,
     store: Option<Mutex<SweepStore>>,
     started: Instant,
     received: AtomicU64,
@@ -462,114 +426,57 @@ impl ServerState {
 // Request handling
 // ---------------------------------------------------------------------------
 
-/// Runs one transpile job to a response line. The cache ladder is: probe the
-/// shared store (counts its hit/miss), then the in-memory digest cache, then
-/// route for real — inserting into both caches and flushing the store.
+/// Runs one transpile job to a response line through the shared runner,
+/// counting its cache source and flushing the store after a computed job.
 fn handle_transpile(state: &ServerState, job: &Job) -> String {
     let started = Instant::now();
-    let spec = &job.spec;
-    let seed = spec.pipeline.router().seed;
-    let key = source_cell_key(&spec.source, seed, &spec.device, &spec.pipeline);
-
-    // Store probe first (even though the memory cache is cheaper) so shared-
-    // store hit rates in `stats` reflect every replayable request.
-    let store_report: Option<TranspileReport> = state
-        .store
-        .as_ref()
-        .and_then(|store| store.lock().expect("store lock").get(&key));
-    let memory_cached = if spec.emit.is_none() {
-        state.memory.lock().expect("memory lock").get(&key).cloned()
-    } else {
-        // An `emit` request needs the routed circuit, which neither cache
-        // keeps — recompute (identical output, just not skipped).
-        None
+    let caches = Caches {
+        memory: Some(&state.memory),
+        store: state.store.as_ref(),
     };
-
-    let (report, routed_digest, basis_digest, qasm, cached) = if let Some(hit) = memory_cached {
-        state.memory_hits.fetch_add(1, Ordering::SeqCst);
-        (
-            hit.report,
-            Some(hit.routed_digest),
-            hit.basis_digest,
-            None,
-            "memory",
-        )
-    } else if let (Some(report), None) = (store_report, &spec.emit) {
-        // Warm store, cold memory: a cell transpiled by the batch CLI or a
-        // previous daemon run. The digest is not persisted, so it is omitted
-        // here; resubmitting after this response stays a memory miss but
-        // keeps replaying the store.
-        state.store_replayed.fetch_add(1, Ordering::SeqCst);
-        (report, None, None, None, "store")
-    } else {
-        let circuit = match parse_source(&spec.source, &spec.device) {
-            Ok(circuit) => circuit,
-            Err(message) => {
-                state.failed.fetch_add(1, Ordering::SeqCst);
-                return error_response(&job.id, "transpile_failed", &message);
-            }
-        };
-        let result = match spec.device.try_transpile(&circuit, &spec.pipeline) {
-            Ok(result) => result,
-            Err(e) => {
-                state.failed.fetch_add(1, Ordering::SeqCst);
-                return error_response(&job.id, "transpile_failed", &e.to_string());
-            }
-        };
-        let routed_digest = circuit_digest(&result.routed.circuit);
-        let basis_digest = result.translated.as_ref().map(circuit_digest);
-        let qasm = spec.emit.map(|version| {
-            let circuit = result.translated.as_ref().unwrap_or(&result.routed.circuit);
-            snailqc_qasm::emit_versioned(circuit, version)
-        });
-        {
-            let mut memory = state.memory.lock().expect("memory lock");
-            if memory.len() >= MEMORY_CACHE_CAP {
-                memory.clear();
-            }
-            memory.insert(
-                key.clone(),
-                CachedResult {
-                    report: result.report,
-                    routed_digest: routed_digest.clone(),
-                    basis_digest: basis_digest.clone(),
-                },
-            );
+    let outcome = match request::run(&job.spec, caches) {
+        Ok(outcome) => outcome,
+        Err(message) => {
+            state.failed.fetch_add(1, Ordering::SeqCst);
+            return error_response(&job.id, "transpile_failed", &message);
         }
-        if let Some(store) = &state.store {
-            let mut store = store.lock().expect("store lock");
-            store.insert(key.clone(), result.report);
-            if let Err(err) = store.flush() {
-                obs::counter_add("serve.store.write_errors", 1);
-                eprintln!(
-                    "snailqc serve: could not persist store {}: {err}",
-                    store.path().display()
-                );
+    };
+    match outcome.cached {
+        CacheSource::Memory => {
+            state.memory_hits.fetch_add(1, Ordering::SeqCst);
+        }
+        CacheSource::Store => {
+            state.store_replayed.fetch_add(1, Ordering::SeqCst);
+        }
+        CacheSource::None => {
+            if let Some(store) = &state.store {
+                let mut store = store.lock().expect("store lock");
+                if let Err(err) = store.flush() {
+                    obs::counter_add("serve.store.write_errors", 1);
+                    eprintln!(
+                        "snailqc serve: could not persist store {}: {err}",
+                        store.path().display()
+                    );
+                }
             }
         }
-        (
-            result.report,
-            Some(routed_digest),
-            basis_digest,
-            qasm,
-            "none",
-        )
-    };
+    }
 
     let micros = started.elapsed().as_micros() as u64;
     obs::histogram_record("serve.request_micros", micros);
     state.completed.fetch_add(1, Ordering::SeqCst);
     let opt_string = |v: Option<String>| v.map(Value::String).unwrap_or(Value::Null);
+    let cell = outcome.cell;
     ok_response(
         &job.id,
         object(vec![
-            ("report", serde_json::to_value(&report)),
-            ("routed_digest", opt_string(routed_digest)),
-            ("basis_digest", opt_string(basis_digest)),
-            ("cached", Value::String(cached.to_string())),
-            ("cache_key", Value::String(key)),
-            ("seed", Value::UInt(seed)),
-            ("qasm", opt_string(qasm)),
+            ("report", serde_json::to_value(&cell.report)),
+            ("routed_digest", opt_string(cell.routed_digest)),
+            ("basis_digest", opt_string(cell.basis_digest)),
+            ("cached", Value::String(outcome.cached.label().to_string())),
+            ("cache_key", opt_string(outcome.key)),
+            ("seed", Value::UInt(job.spec.pipeline.router().seed)),
+            ("qasm", opt_string(outcome.written)),
             ("micros", Value::UInt(micros)),
         ]),
     )

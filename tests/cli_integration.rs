@@ -557,6 +557,107 @@ fn batch_store_replays_cached_cells_on_the_second_run() {
 }
 
 #[test]
+fn batch_rows_carry_the_single_file_digests_at_the_row_seed() {
+    // A batch row names the circuit it stands for: its digests are the ones
+    // `transpile <file> --json` reports for that file at the row's seed, and
+    // with `--emit-dir` the written QASM 2 file is the digested text.
+    let dir = std::env::temp_dir().join(format!("snailqc-batch-digest-{}", std::process::id()));
+    let out = dir.join("out");
+    let circuits = dir.join("in");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&circuits).unwrap();
+    for (name, qubits) in [("ghz5", 5), ("ghz7", 7)] {
+        let body: String = (1..qubits).map(|q| format!("cx q[0], q[{q}];\n")).collect();
+        std::fs::write(
+            circuits.join(format!("{name}.qasm")),
+            format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{qubits}];\nh q[0];\n{body}"),
+        )
+        .unwrap();
+    }
+    let output = snailqc(&[
+        "transpile",
+        circuits.to_str().unwrap(),
+        "--topology=tree-20",
+        "--basis=sqrt-iswap",
+        "--seed=5",
+        &format!("--emit-dir={}", out.display()),
+        "--json",
+    ]);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let json: serde_json::Value =
+        serde_json::from_str(&String::from_utf8(output.stdout).unwrap()).expect("valid JSON");
+    let files = json.get("files").and_then(|v| v.as_array()).expect("files");
+    assert_eq!(files.len(), 2);
+    for row in files {
+        let text = |value: &serde_json::Value, key: &str| {
+            value
+                .get(key)
+                .and_then(|v| v.as_str())
+                .unwrap_or_else(|| panic!("`{key}` missing in {value:?}"))
+                .to_string()
+        };
+        let name = text(row, "file");
+        let seed = row.get("seed").and_then(|v| v.as_u64()).expect("seed");
+        let single = snailqc(&[
+            "transpile",
+            circuits.join(&name).to_str().unwrap(),
+            "--topology=tree-20",
+            "--basis=sqrt-iswap",
+            &format!("--seed={seed}"),
+            "--json",
+        ]);
+        assert!(single.status.success(), "{name}");
+        let single: serde_json::Value =
+            serde_json::from_str(&String::from_utf8(single.stdout).unwrap()).unwrap();
+        for key in ["routed_digest", "basis_digest"] {
+            assert_eq!(text(row, key), text(&single, key), "{name}: `{key}`");
+        }
+        assert_eq!(row.get("report"), single.get("report"), "{name}");
+        let written = std::fs::read(out.join(&name)).expect("emitted file");
+        assert_eq!(
+            format!("{:016x}", snailqc_util::fnv1a_64(&written)),
+            text(row, "basis_digest"),
+            "{name}: the emitted file is the translated circuit"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn single_file_transpile_refuses_the_batch_only_flags() {
+    // `--store` and `--emit-dir` act on batch mode only; with a file they
+    // used to be accepted and ignored, writing nothing.
+    let dir = std::env::temp_dir().join(format!("snailqc-batch-only-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("s.jsonl");
+    let emit_dir = dir.join("out");
+    for flag in [
+        format!("--store={}", store.display()),
+        format!("--emit-dir={}", emit_dir.display()),
+    ] {
+        let output = snailqc(&[
+            "transpile",
+            "examples/qaoa12.qasm",
+            "--topology",
+            "corral11-16",
+            &flag,
+            "--json",
+        ]);
+        assert!(!output.status.success(), "{flag} was accepted");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("batch mode"), "{flag}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag}: a report was printed");
+    }
+    assert!(!store.exists() && !emit_dir.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn batch_mode_surfaces_per_file_errors_without_aborting() {
     let dir = std::env::temp_dir().join(format!("snailqc-batch-err-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

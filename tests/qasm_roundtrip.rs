@@ -363,21 +363,80 @@ fn registers_above_the_qubit_cap_are_refused_in_both_dialects() {
     let split = qasm::parse3_circuit(&v3(&format!("qubit[{}] a;\nqubit b;", cap - 1))).unwrap();
     assert_eq!(split.num_qubits(), cap);
     let cases = [
-        qasm::parse_circuit(&v2("qreg q[4000000000];")),
-        qasm::parse_circuit(&v2(&format!("qreg q[{}];", cap + 1))),
-        qasm::parse_circuit(&v2(&format!("qreg a[{cap}];\nqreg b[1];"))),
-        qasm::parse3_circuit(&v3("qubit[4000000000] q;")),
-        qasm::parse3_circuit(&v3(&format!("qubit[{cap}] a;\nqubit b;"))),
+        (qasm::parse_circuit(&v2("qreg q[4000000000];")), (3, 1)),
+        (
+            qasm::parse_circuit(&v2(&format!("qreg q[{}];", cap + 1))),
+            (3, 1),
+        ),
+        (
+            qasm::parse_circuit(&v2(&format!("qreg a[{cap}];\nqreg b[1];"))),
+            (4, 1),
+        ),
+        (qasm::parse3_circuit(&v3("qubit[4000000000] q;")), (3, 1)),
+        (
+            qasm::parse3_circuit(&v3(&format!("qubit[{cap}] a;\nqubit b;"))),
+            (4, 1),
+        ),
     ];
-    for result in cases {
+    for (result, span) in cases {
         let err = result.unwrap_err();
         assert!(
             err.message.contains("supported maximum of 65535 qubits"),
             "{err}"
         );
-        assert!(
-            err.line >= 3 && err.col >= 1,
-            "span must point into the body: {err}"
+        assert_eq!(
+            (err.line, err.col),
+            span,
+            "span must be the declaration's: {err}"
+        );
+    }
+}
+
+#[test]
+fn duplicate_and_empty_registers_are_refused_at_the_declaration() {
+    let v2 = |body: &str| format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n{body}\n");
+    let v3 = |body: &str| format!("OPENQASM 3.0;\ninclude \"stdgates.inc\";\n{body}\n");
+    // A blank line after the failing declaration: the error must not point
+    // at whatever token follows it.
+    let cases = [
+        (
+            qasm::parse_circuit(&v2("qreg q[3];\nqreg q[3];\n\nh q[0];")),
+            (4, 1),
+            "already declared",
+        ),
+        (
+            qasm::parse_circuit(&v2("qreg q[3];\n  creg q[3];\n\nh q[0];")),
+            (4, 3),
+            "already declared",
+        ),
+        (
+            qasm::parse3_circuit(&v3("qubit[3] q;\nqubit[3] q;\n\nh q[0];")),
+            (4, 1),
+            "already declared",
+        ),
+        (
+            qasm::parse3_circuit(&v3("qubit[3] q;\nbit[3] q;\n\nh q[0];")),
+            (4, 1),
+            "already declared",
+        ),
+        (
+            qasm::parse_circuit(&v2("qreg q[0];\n\nh q[0];")),
+            (3, 1),
+            "at least one qubit",
+        ),
+        (
+            qasm::parse3_circuit(&v3("qubit[0] q;\n\nh q[0];")),
+            (3, 1),
+            "at least one qubit",
+        ),
+    ];
+    for (result, span, message) in cases {
+        let err = result.unwrap_err();
+        assert!(err.message.contains(message), "{err}");
+        assert_eq!(
+            (err.line, err.col),
+            span,
+            "span must be the declaration's: {err}"
         );
     }
 }

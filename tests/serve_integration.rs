@@ -394,6 +394,13 @@ fn warm_store_is_replayed_by_a_restarted_daemon() {
     let dir = temp_dir("restart");
     let store_path = dir.join("store.jsonl");
     let source = qaoa12_source();
+    let translated = || {
+        object(vec![
+            ("source", Value::String(source.clone())),
+            ("topology", Value::String("corral11-16".to_string())),
+            ("basis", Value::String("sqrt-iswap".to_string())),
+        ])
+    };
 
     let (server, addr) = spawn_tcp(Some(store_path.clone()));
     let mut client = Client::connect_tcp(&addr).expect("client connects");
@@ -406,6 +413,10 @@ fn warm_store_is_replayed_by_a_restarted_daemon() {
         .and_then(|r| r.get("swap_count"))
         .and_then(Value::as_u64)
         .expect("swap count");
+    let first_translated = client
+        .call("transpile", translated())
+        .expect("cold translated transpile");
+    assert_eq!(str_field(&first_translated, "cached"), "none");
     server.shutdown();
     server.join().expect("first daemon drains");
 
@@ -425,8 +436,84 @@ fn warm_store_is_replayed_by_a_restarted_daemon() {
         Some(swaps),
         "replayed report must match the original"
     );
+    // The replay names the circuit the cold run answered, with and without
+    // a basis.
+    let replayed_translated = client
+        .call("transpile", translated())
+        .expect("warm translated transpile");
+    assert_eq!(str_field(&replayed_translated, "cached"), "store");
+    for (cold, warm) in [
+        (&first, &replayed),
+        (&first_translated, &replayed_translated),
+    ] {
+        assert!(!str_field(warm, "routed_digest").is_empty());
+        for field in ["routed_digest", "basis_digest", "report"] {
+            assert_eq!(warm.get(field), cold.get(field), "`{field}` differs");
+        }
+    }
+    assert!(!str_field(&replayed_translated, "basis_digest").is_empty());
     server.shutdown();
     server.join().expect("second daemon drains");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cell_written_by_batch_store_is_a_daemon_store_hit_with_the_same_digests() {
+    let dir = temp_dir("batch-store");
+    let circuits = dir.join("circuits");
+    std::fs::create_dir_all(&circuits).unwrap();
+    let source = qaoa12_source();
+    std::fs::write(circuits.join("qaoa12.qasm"), &source).unwrap();
+    let store_path = dir.join("store.jsonl");
+
+    let batch = Command::new(env!("CARGO_BIN_EXE_snailqc"))
+        .args([
+            "transpile",
+            circuits.to_str().unwrap(),
+            "--topology",
+            "corral11-16",
+            "--basis",
+            "sqrt-iswap",
+            "--seed",
+            "9",
+            "--store",
+            store_path.to_str().unwrap(),
+            "--json",
+        ])
+        .output()
+        .expect("batch CLI runs");
+    assert!(
+        batch.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&batch.stderr)
+    );
+    let batch: Value = serde_json::from_str(&String::from_utf8(batch.stdout).unwrap()).unwrap();
+    let row = &batch
+        .get("files")
+        .and_then(Value::as_array)
+        .expect("batch rows")[0];
+    let seed = row.get("seed").and_then(Value::as_u64).expect("row seed");
+
+    let (server, addr) = spawn_tcp(Some(store_path));
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+    let replayed = client
+        .call(
+            "transpile",
+            object(vec![
+                ("source", Value::String(source)),
+                ("topology", Value::String("corral11-16".to_string())),
+                ("basis", Value::String("sqrt-iswap".to_string())),
+                ("seed", Value::UInt(seed)),
+            ]),
+        )
+        .expect("transpile");
+    assert_eq!(str_field(&replayed, "cached"), "store");
+    assert!(!str_field(&replayed, "basis_digest").is_empty());
+    for field in ["routed_digest", "basis_digest", "report"] {
+        assert_eq!(replayed.get(field), row.get(field), "`{field}` differs");
+    }
+    server.shutdown();
+    server.join().expect("drain completes");
     std::fs::remove_dir_all(&dir).ok();
 }
 
