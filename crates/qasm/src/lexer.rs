@@ -1,26 +1,31 @@
 //! A hand-rolled lexer shared by the OpenQASM 2.0 and 3.0 parsers.
 //!
-//! Produces a flat token stream with 1-based source positions. Comments
-//! (`// …`) and whitespace are skipped. Numbers are classified as integers
-//! (register sizes, version digits) or reals (gate parameters, which may use
-//! scientific notation so that emitted `f64` values round-trip exactly).
-//! The QASM3-only tokens `@` (gate modifiers) and `=` (measure assignment)
-//! lex unconditionally; the version-2 parser rejects them at the grammar
-//! level so both dialects share one token stream.
+//! One walk over the source bytes produces a flat stream of `Copy` tokens
+//! with 1-based source positions; identifiers and strings borrow `&str`
+//! slices of the source, so lexing allocates only the token vector. Columns
+//! count characters, not bytes: before a token on its line, non-ASCII text
+//! can only sit inside strings, whose UTF-8 continuation bytes the count
+//! skips.
+//! Comments (`// …`) and whitespace are skipped. Numbers are classified as
+//! integers (register sizes, version digits) or reals (gate parameters,
+//! which may use scientific notation so that emitted `f64` values
+//! round-trip exactly). The QASM3-only tokens `@` (gate modifiers) and `=`
+//! (measure assignment) lex unconditionally; the version-2 parser rejects
+//! them at the grammar level so both dialects share one token stream.
 
 use crate::error::QasmError;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// A lexical token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
     /// Identifier or keyword (`qreg`, `gate`, gate names, `pi`, …).
-    Ident(String),
+    Ident(&'a str),
     /// Real literal (has a decimal point and/or exponent).
     Real(f64),
     /// Non-negative integer literal.
     Int(u64),
-    /// String literal (only used by `include`).
-    Str(String),
+    /// String literal without its quotes (only used by `include`).
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -58,194 +63,132 @@ pub enum Tok {
 }
 
 /// A token plus its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, in characters.
     pub col: usize,
 }
 
 /// Lexes `source` into a token stream.
-pub fn lex(source: &str) -> Result<Vec<Token>, QasmError> {
-    let chars: Vec<char> = source.chars().collect();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    let mut line = 1usize;
-    let mut col = 1usize;
-
-    let bump = |c: char, line: &mut usize, col: &mut usize| {
-        if c == '\n' {
-            *line += 1;
-            *col = 1;
-        } else {
-            *col += 1;
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, QasmError> {
+    let bytes = source.as_bytes();
+    let digits_from = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
         }
+        i
     };
-
-    while i < chars.len() {
-        let c = chars[i];
-        let (tl, tc) = (line, col);
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump(c, &mut line, &mut col);
+    let mut tokens = Vec::new();
+    // `line_start` is the byte after the last newline; `skipped` counts the
+    // UTF-8 continuation bytes in strings since then, so a column is a
+    // character count. (A comment runs to its newline, which resets both.)
+    let (mut i, mut line, mut line_start, mut skipped) = (0, 1, 0, 0);
+    while let Some(&b) = bytes.get(i) {
+        let (start, col) = (i, i - line_start - skipped + 1);
+        let tok = match b {
+            b'\n' => {
                 i += 1;
+                (line, line_start, skipped) = (line + 1, i, 0);
+                continue;
             }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    bump(chars[i], &mut line, &mut col);
-                    i += 1;
-                }
-            }
-            '"' => {
-                bump(c, &mut line, &mut col);
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
-                let mut s = String::new();
-                loop {
-                    match chars.get(i) {
-                        Some('"') => {
-                            bump('"', &mut line, &mut col);
-                            i += 1;
-                            break;
-                        }
-                        Some(&ch) => {
-                            s.push(ch);
-                            bump(ch, &mut line, &mut col);
-                            i += 1;
-                        }
-                        None => return Err(QasmError::new(tl, tc, "unterminated string")),
-                    }
-                }
-                tokens.push(Token {
-                    tok: Tok::Str(s),
-                    line: tl,
-                    col: tc,
-                });
+                continue;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    s.push(chars[i]);
-                    bump(chars[i], &mut line, &mut col);
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                while bytes.get(i).is_some_and(|&b| b != b'\n') {
                     i += 1;
                 }
-                tokens.push(Token {
-                    tok: Tok::Ident(s),
-                    line: tl,
-                    col: tc,
-                });
+                continue;
             }
-            c if c.is_ascii_digit()
-                || (c == '.' && matches!(chars.get(i + 1), Some(d) if d.is_ascii_digit())) =>
-            {
-                let mut s = String::new();
-                let mut is_real = false;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    s.push(chars[i]);
-                    bump(chars[i], &mut line, &mut col);
-                    i += 1;
-                }
-                if i < chars.len() && chars[i] == '.' {
-                    is_real = true;
-                    s.push('.');
-                    bump('.', &mut line, &mut col);
-                    i += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        s.push(chars[i]);
-                        bump(chars[i], &mut line, &mut col);
-                        i += 1;
-                    }
-                }
-                if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
-                    // Only an exponent when followed by a (signed) digit; an
-                    // identifier like `e0q` should not be swallowed.
-                    let mut j = i + 1;
-                    if matches!(chars.get(j), Some('+') | Some('-')) {
-                        j += 1;
-                    }
-                    if matches!(chars.get(j), Some(d) if d.is_ascii_digit()) {
-                        is_real = true;
-                        while i < j {
-                            s.push(chars[i]);
-                            bump(chars[i], &mut line, &mut col);
-                            i += 1;
-                        }
-                        while i < chars.len() && chars[i].is_ascii_digit() {
-                            s.push(chars[i]);
-                            bump(chars[i], &mut line, &mut col);
-                            i += 1;
-                        }
-                    }
-                }
-                let tok = if is_real {
-                    Tok::Real(
-                        s.parse::<f64>()
-                            .map_err(|_| QasmError::new(tl, tc, format!("bad real `{s}`")))?,
-                    )
-                } else {
-                    Tok::Int(
-                        s.parse::<u64>()
-                            .map_err(|_| QasmError::new(tl, tc, format!("bad integer `{s}`")))?,
-                    )
+            b'"' => {
+                let len = bytes[i + 1..].iter().position(|&b| b == b'"');
+                let len = len.ok_or_else(|| QasmError::new(line, col, "unterminated string"))?;
+                let text = &source[i + 1..i + 1 + len];
+                let tok = Token {
+                    tok: Tok::Str(text),
+                    line,
+                    col,
                 };
-                tokens.push(Token {
-                    tok,
-                    line: tl,
-                    col: tc,
-                });
+                for (k, b) in text.bytes().enumerate() {
+                    if b == b'\n' {
+                        (line, line_start, skipped) = (line + 1, i + 2 + k, 0);
+                    } else {
+                        skipped += usize::from(b & 0xC0 == 0x80);
+                    }
+                }
+                i += len + 2;
+                tokens.push(tok);
+                continue;
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                while bytes
+                    .get(i)
+                    .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
+                {
+                    i += 1;
+                }
+                Tok::Ident(&source[start..i])
+            }
+            b if b.is_ascii_digit()
+                || (b == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
+            {
+                i = digits_from(i);
+                let mut is_real = bytes.get(i) == Some(&b'.');
+                if is_real {
+                    i = digits_from(i + 1);
+                }
+                // Only an exponent when followed by a (signed) digit; an
+                // identifier like `e0q` should not be swallowed.
+                if matches!(bytes.get(i), Some(b'e' | b'E')) {
+                    let sign = usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+                    if bytes.get(i + 1 + sign).is_some_and(u8::is_ascii_digit) {
+                        is_real = true;
+                        i = digits_from(i + 1 + sign);
+                    }
+                }
+                let s = &source[start..i];
+                let bad = |kind| QasmError::new(line, col, format!("bad {kind} `{s}`"));
+                if is_real {
+                    Tok::Real(s.parse().map_err(|_| bad("real"))?)
+                } else {
+                    Tok::Int(s.parse().map_err(|_| bad("integer"))?)
+                }
             }
             _ => {
-                let tok = match c {
-                    '(' => Tok::LParen,
-                    ')' => Tok::RParen,
-                    '[' => Tok::LBracket,
-                    ']' => Tok::RBracket,
-                    '{' => Tok::LBrace,
-                    '}' => Tok::RBrace,
-                    ';' => Tok::Semi,
-                    ',' => Tok::Comma,
-                    '+' => Tok::Plus,
-                    '*' => Tok::Star,
-                    '/' => Tok::Slash,
-                    '^' => Tok::Caret,
-                    '-' => {
-                        if chars.get(i + 1) == Some(&'>') {
-                            bump('-', &mut line, &mut col);
-                            i += 1;
-                            Tok::Arrow
-                        } else {
-                            Tok::Minus
-                        }
-                    }
-                    '@' => Tok::At,
-                    '=' => {
-                        if chars.get(i + 1) == Some(&'=') {
-                            bump('=', &mut line, &mut col);
-                            i += 1;
-                            Tok::EqEq
-                        } else {
-                            Tok::Eq
-                        }
-                    }
-                    other => {
-                        return Err(QasmError::new(
-                            tl,
-                            tc,
-                            format!("unexpected character `{other}`"),
-                        ))
+                let (tok, len) = match (b, bytes.get(i + 1)) {
+                    (b'-', Some(b'>')) => (Tok::Arrow, 2),
+                    (b'=', Some(b'=')) => (Tok::EqEq, 2),
+                    (b'(', _) => (Tok::LParen, 1),
+                    (b')', _) => (Tok::RParen, 1),
+                    (b'[', _) => (Tok::LBracket, 1),
+                    (b']', _) => (Tok::RBracket, 1),
+                    (b'{', _) => (Tok::LBrace, 1),
+                    (b'}', _) => (Tok::RBrace, 1),
+                    (b';', _) => (Tok::Semi, 1),
+                    (b',', _) => (Tok::Comma, 1),
+                    (b'+', _) => (Tok::Plus, 1),
+                    (b'-', _) => (Tok::Minus, 1),
+                    (b'*', _) => (Tok::Star, 1),
+                    (b'/', _) => (Tok::Slash, 1),
+                    (b'^', _) => (Tok::Caret, 1),
+                    (b'@', _) => (Tok::At, 1),
+                    (b'=', _) => (Tok::Eq, 1),
+                    _ => {
+                        let other = source[i..].chars().next().expect("a character starts here");
+                        let message = format!("unexpected character `{other}`");
+                        return Err(QasmError::new(line, col, message));
                     }
                 };
-                bump(chars[i], &mut line, &mut col);
-                i += 1;
-                tokens.push(Token {
-                    tok,
-                    line: tl,
-                    col: tc,
-                });
+                i += len;
+                tok
             }
-        }
+        };
+        tokens.push(Token { tok, line, col });
     }
     Ok(tokens)
 }
@@ -254,7 +197,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, QasmError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -263,11 +206,11 @@ mod tests {
         assert_eq!(
             toks("OPENQASM 2.0;\ninclude \"qelib1.inc\";"),
             vec![
-                Tok::Ident("OPENQASM".into()),
+                Tok::Ident("OPENQASM"),
                 Tok::Real(2.0),
                 Tok::Semi,
-                Tok::Ident("include".into()),
-                Tok::Str("qelib1.inc".into()),
+                Tok::Ident("include"),
+                Tok::Str("qelib1.inc"),
                 Tok::Semi,
             ]
         );
@@ -290,7 +233,7 @@ mod tests {
     #[test]
     fn skips_comments_and_tracks_positions() {
         let tokens = lex("// header\nqreg q[4];").unwrap();
-        assert_eq!(tokens[0].tok, Tok::Ident("qreg".into()));
+        assert_eq!(tokens[0].tok, Tok::Ident("qreg"));
         assert_eq!((tokens[0].line, tokens[0].col), (2, 1));
         assert_eq!(tokens[2].tok, Tok::LBracket);
     }
@@ -300,13 +243,13 @@ mod tests {
         assert_eq!(
             toks("measure q -> c; -pi/2"),
             vec![
-                Tok::Ident("measure".into()),
-                Tok::Ident("q".into()),
+                Tok::Ident("measure"),
+                Tok::Ident("q"),
                 Tok::Arrow,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Semi,
                 Tok::Minus,
-                Tok::Ident("pi".into()),
+                Tok::Ident("pi"),
                 Tok::Slash,
                 Tok::Int(2),
             ]
@@ -324,21 +267,42 @@ mod tests {
         assert_eq!(
             toks("ctrl @ x q; c = measure q;"),
             vec![
-                Tok::Ident("ctrl".into()),
+                Tok::Ident("ctrl"),
                 Tok::At,
-                Tok::Ident("x".into()),
-                Tok::Ident("q".into()),
+                Tok::Ident("x"),
+                Tok::Ident("q"),
                 Tok::Semi,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Eq,
-                Tok::Ident("measure".into()),
-                Tok::Ident("q".into()),
+                Tok::Ident("measure"),
+                Tok::Ident("q"),
                 Tok::Semi,
             ]
         );
         assert_eq!(
             toks("a == b"),
-            vec![Tok::Ident("a".into()), Tok::EqEq, Tok::Ident("b".into()),]
+            vec![Tok::Ident("a"), Tok::EqEq, Tok::Ident("b"),]
         );
+    }
+
+    #[test]
+    fn columns_count_characters_past_non_ascii_comments_and_strings() {
+        let tokens = lex("h q; // ✓é\ninclude \"é\nü\" x;").unwrap();
+        let at: Vec<(Tok, usize, usize)> = tokens.iter().map(|t| (t.tok, t.line, t.col)).collect();
+        assert_eq!(
+            at,
+            vec![
+                (Tok::Ident("h"), 1, 1),
+                (Tok::Ident("q"), 1, 3),
+                (Tok::Semi, 1, 4),
+                (Tok::Ident("include"), 2, 1),
+                (Tok::Str("é\nü"), 2, 9),
+                (Tok::Ident("x"), 3, 4),
+                (Tok::Semi, 3, 5),
+            ]
+        );
+        let err = lex("\"é\" ✓").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 5));
+        assert_eq!(err.message, "unexpected character `✓`");
     }
 }

@@ -67,7 +67,7 @@ pub mod parser3;
 
 pub use emit::{emit, emit_v3, emit_versioned, emit_with, zyz_angles, EmitOptions, QasmVersion};
 pub use error::QasmError;
-pub use parser::{parse, parse_circuit, QasmProgram};
+pub use parser::{parse, parse_circuit, QasmProgram, MAX_EXPANDED_GATES};
 pub use parser3::{parse3, parse3_circuit};
 
 /// Detects the dialect of a QASM source from its `OPENQASM` header.

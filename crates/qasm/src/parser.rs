@@ -1,25 +1,36 @@
-//! A recursive-descent parser lowering OpenQASM 2.0 to the circuit IR.
+//! A single-pass parser lowering OpenQASM 2.0 to the circuit IR.
 //!
 //! Supported language: the `OPENQASM 2.0;` header, `include "qelib1.inc";`,
 //! `qreg`/`creg` declarations, gate applications with register broadcasting,
-//! user `gate` definitions (expanded recursively at application time),
-//! `opaque` declarations, `barrier` (a scheduling no-op for this IR) and
-//! `measure` (recorded but not represented — the IR is unitary-only).
-//! `reset` and classically-controlled `if` statements are rejected with a
-//! clear error, and OpenQASM 3 keywords (`qubit`, `gphase`, `ctrl`, …) under
-//! a 2.0 header are rejected with an error naming the version mismatch.
+//! user `gate` definitions (expanded at application time), `opaque`
+//! declarations, `barrier` (a scheduling no-op for this IR) and `measure`
+//! (recorded but not represented — the IR is unitary-only). `reset` and
+//! classically-controlled `if` statements are rejected with a clear error,
+//! and OpenQASM 3 keywords (`qubit`, `gphase`, `ctrl`, …) under a 2.0 header
+//! are rejected with an error naming the version mismatch.
 //!
 //! The (crate-private) `Parser` state machine itself is version-agnostic:
 //! the [`crate::parser3`] module drives the same register, expression and
 //! gate-application machinery with the OpenQASM 3 surface grammar, so both
 //! dialects lower onto identical [`Gate`] semantics.
 //!
+//! Parameter expressions compile, in one iterative shunting-yard pass, into
+//! flat postfix programs whose gate parameters are slot indices; a program
+//! runs on an explicit stack against the call's `&[f64]` arguments. Nothing
+//! recurses per term or per nesting level, so no expression can exhaust the
+//! call stack. An unknown name or function compiles to an instruction that
+//! fails when run, so a gate body reports it only when the gate is applied.
+//!
 //! The full `qelib1.inc` gate set plus the `snailqc` dialect gates
 //! (`iswap`, `siswap`, `syc`, `iswap_pow`, `fsim`, `zx`, `can`, `unitary2`)
-//! are built in: those names always lower to their native [`Gate`] variants
-//! even when the source re-declares them textually (mirroring how Qiskit
-//! treats known `qelib1` gates), which is what makes `parse(emit(c))`
+//! are built in: those names always lower to their native [`Gate`] variants,
+//! or for the composite `qelib1` gates (`ccx`, `cu3`, …) to their standard
+//! bodies, even when the source re-declares them textually (mirroring how
+//! Qiskit treats known `qelib1` gates), which is what makes `parse(emit(c))`
 //! preserve gate sequences exactly.
+//!
+//! Expansion is budgeted by [`MAX_EXPANDED_GATES`], with each definition's
+//! count taken once and checked before any gate of an application is pushed.
 
 use crate::emit::QasmVersion;
 use crate::error::QasmError;
@@ -27,8 +38,19 @@ use crate::lexer::{lex, Tok, Token};
 use snailqc_circuit::{Circuit, Gate};
 use snailqc_math::{Matrix4, C64};
 use snailqc_util::MAX_QUBITS;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::f64::consts::PI;
+use std::sync::{Arc, OnceLock};
+
+/// The most gate applications one program may expand to. Every gate that a
+/// statement or a definition body applies counts once, at every level of
+/// expansion: `ccx` counts 16, itself and the 15 gates of its body, and a
+/// `gphase` or a definition with an empty body counts although it pushes no
+/// gate. The limit is about the number of statements in an 8 MB source
+/// written out line by line, so expansion does no more work than text could
+/// spell, while 24 definitions that each call the previous one twice (over
+/// 2²⁴ applications from under a kilobyte of text) are refused.
+pub const MAX_EXPANDED_GATES: usize = 1 << 20;
 
 /// A parsed OpenQASM program lowered onto a flattened qubit register.
 #[derive(Debug, Clone)]
@@ -59,60 +81,74 @@ pub fn parse_circuit(source: &str) -> Result<Circuit, QasmError> {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter expressions
+// Parameter programs
 // ---------------------------------------------------------------------------
 
-/// A parameter expression inside a gate call or definition body.
-#[derive(Debug, Clone)]
-pub(crate) enum Expr {
+/// One instruction of a postfix parameter program.
+#[derive(Debug, Clone, Copy)]
+enum Op<'a> {
+    /// Pushes a constant: a literal or `pi`.
     Num(f64),
-    Pi,
-    Param(String),
-    Neg(Box<Expr>),
-    Bin(char, Box<Expr>, Box<Expr>),
-    Call(String, Box<Expr>),
+    /// Pushes the argument in this parameter slot.
+    Param(usize),
+    /// Replaces the top value `x` with `f(x)`: negation or a function.
+    Unary(fn(f64) -> f64),
+    /// Replaces the top two values `a, b` with `f(a, b)`.
+    Binary(fn(f64, f64) -> f64),
+    /// An unknown `parameter` or `function` name; running it fails.
+    Unknown(&'static str, &'a str),
 }
 
-impl Expr {
-    fn eval(&self, env: &HashMap<String, f64>, line: usize, col: usize) -> Result<f64, QasmError> {
-        Ok(match self {
-            Expr::Num(x) => *x,
-            Expr::Pi => PI,
-            Expr::Param(name) => *env
-                .get(name)
-                .ok_or_else(|| QasmError::new(line, col, format!("unknown parameter `{name}`")))?,
-            Expr::Neg(e) => -e.eval(env, line, col)?,
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (a.eval(env, line, col)?, b.eval(env, line, col)?);
-                match op {
-                    '+' => a + b,
-                    '-' => a - b,
-                    '*' => a * b,
-                    '/' => a / b,
-                    '^' => a.powf(b),
-                    _ => unreachable!("unknown operator"),
-                }
+/// An operator waiting for its right operand, with its binding power, or
+/// an open parenthesis (of a function call when it carries the name).
+enum Pending<'a> {
+    Op(Op<'a>, u8),
+    Open(Option<&'a str>),
+}
+
+/// Runs `program` against the arguments `args`. The stack it leaves holds
+/// one value per expression the program was compiled from. Failures point
+/// at `line:col`.
+fn eval(program: &[Op], args: &[f64], line: usize, col: usize) -> Result<Vec<f64>, QasmError> {
+    let mut stack = Vec::new();
+    for op in program {
+        match *op {
+            Op::Num(x) => stack.push(x),
+            Op::Param(slot) => stack.push(args[slot]),
+            Op::Unary(f) => {
+                let x = stack.last_mut().expect("an operand precedes each operator");
+                *x = f(*x);
             }
-            Expr::Call(f, e) => {
-                let x = e.eval(env, line, col)?;
-                match f.as_str() {
-                    "sin" => x.sin(),
-                    "cos" => x.cos(),
-                    "tan" => x.tan(),
-                    "exp" => x.exp(),
-                    "ln" => x.ln(),
-                    "sqrt" => x.sqrt(),
-                    other => {
-                        return Err(QasmError::new(
-                            line,
-                            col,
-                            format!("unknown function `{other}`"),
-                        ))
-                    }
-                }
+            Op::Binary(f) => {
+                let b = stack.pop().expect("two operands precede each operator");
+                let a = stack
+                    .last_mut()
+                    .expect("two operands precede each operator");
+                *a = f(*a, b);
             }
-        })
+            Op::Unknown(kind, name) => {
+                return Err(QasmError::new(
+                    line,
+                    col,
+                    format!("unknown {kind} `{name}`"),
+                ));
+            }
+        }
     }
+    Ok(stack)
+}
+
+/// The functions a parameter expression may call.
+fn function(name: &str) -> Option<fn(f64) -> f64> {
+    Some(match name {
+        "sin" => f64::sin,
+        "cos" => f64::cos,
+        "tan" => f64::tan,
+        "exp" => f64::exp,
+        "ln" => f64::ln,
+        "sqrt" => f64::sqrt,
+        _ => return None,
+    })
 }
 
 /// Rejects a gate application whose evaluated parameters include a NaN or an
@@ -144,46 +180,87 @@ pub(crate) fn check_finite(
 // Gate environment
 // ---------------------------------------------------------------------------
 
-/// One statement inside a `gate` definition body.
-#[derive(Debug, Clone)]
-enum BodyOp {
-    Call {
-        name: String,
-        params: Vec<Expr>,
-        qargs: Vec<String>,
-        line: usize,
-        col: usize,
-    },
-    Barrier,
+/// One gate call inside a `gate` definition body.
+#[derive(Debug)]
+struct BodyCall<'a> {
+    name: &'a str,
+    /// The call's parameters, over the definition's parameter slots.
+    params: Vec<Op<'a>>,
+    /// Operands, as indices into the definition's qubit arguments.
+    qubits: Vec<usize>,
+    line: usize,
+    col: usize,
 }
 
-/// A user gate definition.
-#[derive(Debug, Clone)]
-struct GateDef {
-    params: Vec<String>,
-    qargs: Vec<String>,
-    body: Vec<BodyOp>,
+/// A gate definition. Barriers in its body do nothing and are not kept.
+#[derive(Debug)]
+struct GateDef<'a> {
+    params: usize,
+    qubits: usize,
+    body: Vec<BodyCall<'a>>,
+    /// Errors inside the body point at the application rather than at the
+    /// body call: true for the built-in composites, whose text is not part
+    /// of the program.
+    at_caller: bool,
+}
+
+/// The `qelib1.inc` gates with no native IR variant, compiled once per
+/// process from their standard bodies.
+fn composites() -> &'static HashMap<&'static str, Arc<GateDef<'static>>> {
+    const COMPOSITES: &str = "
+gate cy a,b { sdg b; cx a,b; s b; }
+gate ch a,b { h b; sdg b; cx a,b; h b; t b; cx a,b; t b; h b; s b; x b; s a; }
+gate crz(lambda) a,b { rz(lambda/2) b; cx a,b; rz(-lambda/2) b; cx a,b; }
+gate crx(lambda) a,b { h b; crz(lambda) a,b; h b; }
+gate cry(lambda) a,b { ry(lambda/2) b; cx a,b; ry(-lambda/2) b; cx a,b; }
+gate cu3(theta,phi,lambda) c,t {
+  u1((lambda+phi)/2) c; u1((lambda-phi)/2) t; cx c,t;
+  u3(-theta/2,0,-(phi+lambda)/2) t; cx c,t; u3(theta/2,phi,0) t;
+}
+gate ccx a,b,c {
+  h c; cx b,c; tdg c; cx a,c; t c; cx b,c; tdg c; cx a,c;
+  t b; t c; h c; cx a,b; t a; tdg b; cx a,b;
+}
+gate cswap a,b,c { cx c,b; ccx a,b,c; cx c,b; }
+";
+    static DEFS: OnceLock<HashMap<&'static str, Arc<GateDef<'static>>>> = OnceLock::new();
+    DEFS.get_or_init(|| {
+        let mut parser = Parser::new(lex(COMPOSITES).expect("the composite bodies lex"));
+        let mut defs = HashMap::new();
+        while parser.peek().is_some() {
+            let (name, mut def) = parser.read_gate_def().expect("the composite bodies parse");
+            def.at_caller = true;
+            defs.insert(name, Arc::new(def));
+        }
+        defs
+    })
 }
 
 /// An operand of a gate application / barrier / measure.
-#[derive(Debug, Clone)]
-pub(crate) enum Operand {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Operand<'a> {
     /// A whole register, broadcast element-wise.
-    Reg(String),
+    Reg(&'a str),
     /// One indexed bit of a register.
-    Bit(String, usize),
+    Bit(&'a str, usize),
 }
 
 /// The shared parser state machine. The version-2 grammar lives in this
 /// module; [`crate::parser3`] drives the same machine with the QASM3 surface
 /// grammar so both dialects lower through identical gate semantics.
-pub(crate) struct Parser {
-    pub(crate) tokens: Vec<Token>,
+pub(crate) struct Parser<'a> {
+    pub(crate) tokens: Vec<Token<'a>>,
     pub(crate) pos: usize,
-    pub(crate) qregs: Vec<(String, usize, usize)>, // name, size, flat offset
-    pub(crate) cregs: Vec<(String, usize)>,
-    gate_defs: HashMap<String, GateDef>,
-    opaque_decls: HashMap<String, (usize, usize)>, // params, qubits
+    pub(crate) qregs: Vec<(&'a str, usize, usize)>, // name, size, flat offset
+    pub(crate) cregs: Vec<(&'a str, usize)>,
+    gate_defs: HashMap<&'a str, Arc<GateDef<'a>>>,
+    /// Gate applications inside each definition's expansion, `None` when it
+    /// never ends; cleared whenever a definition is added.
+    expanded: HashMap<&'a str, Option<usize>>,
+    /// Gate applications so far, at every level; at most
+    /// [`MAX_EXPANDED_GATES`].
+    applied: usize,
+    opaque_decls: HashSet<&'a str>,
     pub(crate) circuit: Circuit,
     pub(crate) measurements: usize,
     pub(crate) barriers: usize,
@@ -191,15 +268,17 @@ pub(crate) struct Parser {
     pub(crate) allow_v3: bool,
 }
 
-impl Parser {
-    pub(crate) fn new(tokens: Vec<Token>) -> Self {
+impl<'a> Parser<'a> {
+    pub(crate) fn new(tokens: Vec<Token<'a>>) -> Self {
         Self {
             tokens,
             pos: 0,
             qregs: Vec::new(),
             cregs: Vec::new(),
             gate_defs: HashMap::new(),
-            opaque_decls: HashMap::new(),
+            expanded: HashMap::new(),
+            applied: 0,
+            opaque_decls: HashSet::new(),
             circuit: Circuit::new(0),
             measurements: 0,
             barriers: 0,
@@ -222,24 +301,24 @@ impl Parser {
         QasmError::new(line, col, message)
     }
 
-    pub(crate) fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|t| &t.tok)
+    pub(crate) fn peek(&self) -> Option<Tok<'a>> {
+        self.peek_at(0)
     }
 
-    /// The token after the next one, for one-token lookahead decisions.
-    pub(crate) fn peek2(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos + 1).map(|t| &t.tok)
+    /// The token `ahead` places past the next one, for lookahead decisions.
+    pub(crate) fn peek_at(&self, ahead: usize) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos + ahead).map(|t| t.tok)
     }
 
-    pub(crate) fn next(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|t| t.tok.clone());
+    pub(crate) fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    pub(crate) fn expect(&mut self, want: &Tok, what: &str) -> Result<(), QasmError> {
+    pub(crate) fn expect(&mut self, want: Tok, what: &str) -> Result<(), QasmError> {
         match self.peek() {
             Some(t) if t == want => {
                 self.pos += 1;
@@ -249,10 +328,9 @@ impl Parser {
         }
     }
 
-    pub(crate) fn expect_ident(&mut self, what: &str) -> Result<String, QasmError> {
+    pub(crate) fn expect_ident(&mut self, what: &str) -> Result<&'a str, QasmError> {
         match self.peek() {
             Some(Tok::Ident(s)) => {
-                let s = s.clone();
                 self.pos += 1;
                 Ok(s)
             }
@@ -263,7 +341,6 @@ impl Parser {
     pub(crate) fn expect_int(&mut self, what: &str) -> Result<u64, QasmError> {
         match self.peek() {
             Some(Tok::Int(n)) => {
-                let n = *n;
                 self.pos += 1;
                 Ok(n)
             }
@@ -271,7 +348,7 @@ impl Parser {
         }
     }
 
-    pub(crate) fn eat(&mut self, tok: &Tok) -> bool {
+    pub(crate) fn eat(&mut self, tok: Tok) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -295,8 +372,16 @@ impl Parser {
         QasmProgram {
             version,
             circuit: self.circuit,
-            qregs: self.qregs.iter().map(|(n, s, _)| (n.clone(), *s)).collect(),
-            cregs: self.cregs,
+            qregs: self
+                .qregs
+                .iter()
+                .map(|(n, s, _)| (n.to_string(), *s))
+                .collect(),
+            cregs: self
+                .cregs
+                .iter()
+                .map(|(n, s)| (n.to_string(), *s))
+                .collect(),
             measurements: self.measurements,
             barriers: self.barriers,
         }
@@ -304,7 +389,7 @@ impl Parser {
 
     fn parse_header(&mut self) -> Result<(), QasmError> {
         match self.next() {
-            Some(Tok::Ident(kw)) if kw == "OPENQASM" => {}
+            Some(Tok::Ident("OPENQASM")) => {}
             _ => return Err(self.err("program must start with `OPENQASM 2.0;`")),
         }
         match self.next() {
@@ -314,18 +399,18 @@ impl Parser {
                 return Err(self.err(format!("unsupported OPENQASM version {other:?} (need 2.0)")))
             }
         }
-        self.expect(&Tok::Semi, "`;` after version")
+        self.expect(Tok::Semi, "`;` after version")
     }
 
     fn parse_statement(&mut self) -> Result<(), QasmError> {
         let kw = match self.peek() {
-            Some(Tok::Ident(s)) => s.clone(),
+            Some(Tok::Ident(s)) => s,
             other => return Err(self.err(format!("expected a statement, found {other:?}"))),
         };
-        match kw.as_str() {
+        match kw {
             "include" => self.parse_include(),
-            "qreg" => self.parse_qreg(),
-            "creg" => self.parse_creg(),
+            "qreg" => self.parse_reg_decl(true),
+            "creg" => self.parse_reg_decl(false),
             "gate" => self.parse_gate_def(),
             "opaque" => self.parse_opaque(),
             "barrier" => self.parse_barrier(),
@@ -350,18 +435,23 @@ impl Parser {
                 "cannot include `{file}`: only the built-in \"qelib1.inc\" is available"
             )));
         }
-        self.expect(&Tok::Semi, "`;` after include")
+        self.expect(Tok::Semi, "`;` after include")
     }
 
-    pub(crate) fn parse_qreg(&mut self) -> Result<(), QasmError> {
+    /// `qreg name[size];` (when `quantum`) or `creg name[size];`.
+    pub(crate) fn parse_reg_decl(&mut self, quantum: bool) -> Result<(), QasmError> {
         let at = self.here();
-        self.pos += 1; // qreg
+        self.pos += 1; // qreg | creg
         let name = self.expect_ident("register name")?;
-        self.expect(&Tok::LBracket, "`[`")?;
+        self.expect(Tok::LBracket, "`[`")?;
         let size = self.expect_int("register size")? as usize;
-        self.expect(&Tok::RBracket, "`]`")?;
-        self.expect(&Tok::Semi, "`;`")?;
-        self.declare_qreg(at, name, size, "qreg")
+        self.expect(Tok::RBracket, "`]`")?;
+        self.expect(Tok::Semi, "`;`")?;
+        if quantum {
+            self.declare_qreg(at, name, size, "qreg")
+        } else {
+            self.declare_creg(at, name, size)
+        }
     }
 
     /// Registers a quantum register (either dialect's declaration syntax) and
@@ -370,7 +460,7 @@ impl Parser {
     pub(crate) fn declare_qreg(
         &mut self,
         (line, col): (usize, usize),
-        name: String,
+        name: &'a str,
         size: usize,
         kind: &str,
     ) -> Result<(), QasmError> {
@@ -378,7 +468,7 @@ impl Parser {
         if size == 0 {
             return Err(err(format!("{kind} `{name}` must have at least one qubit")));
         }
-        if self.find_qreg(&name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
+        if self.find_qreg(name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
             return Err(err(format!("register `{name}` is already declared")));
         }
         let offset = self.circuit.num_qubits();
@@ -395,26 +485,15 @@ impl Parser {
         Ok(())
     }
 
-    pub(crate) fn parse_creg(&mut self) -> Result<(), QasmError> {
-        let at = self.here();
-        self.pos += 1; // creg
-        let name = self.expect_ident("register name")?;
-        self.expect(&Tok::LBracket, "`[`")?;
-        let size = self.expect_int("register size")? as usize;
-        self.expect(&Tok::RBracket, "`]`")?;
-        self.expect(&Tok::Semi, "`;`")?;
-        self.declare_creg(at, name, size)
-    }
-
     /// Registers a classical register (either dialect's declaration syntax).
     /// Errors point at `at`, the declaration's first token.
     pub(crate) fn declare_creg(
         &mut self,
         (line, col): (usize, usize),
-        name: String,
+        name: &'a str,
         size: usize,
     ) -> Result<(), QasmError> {
-        if self.find_qreg(&name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
+        if self.find_qreg(name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
             return Err(QasmError::new(
                 line,
                 col,
@@ -428,18 +507,32 @@ impl Parser {
     pub(crate) fn find_qreg(&self, name: &str) -> Option<(usize, usize)> {
         self.qregs
             .iter()
-            .find(|(n, _, _)| n == name)
+            .find(|(n, _, _)| *n == name)
             .map(|(_, size, offset)| (*size, *offset))
     }
 
     // --- gate definitions ---------------------------------------------------
 
+    /// A `gate` statement. Built-in names (native gates and the composites)
+    /// keep their built-in lowering, so their re-declarations are parsed and
+    /// dropped. A new definition can change what others expand to, so it
+    /// clears the expansion counts.
     pub(crate) fn parse_gate_def(&mut self) -> Result<(), QasmError> {
+        let (name, def) = self.read_gate_def()?;
+        if native(name).is_none() && !composites().contains_key(name) {
+            self.gate_defs.insert(name, Arc::new(def));
+            self.expanded.clear();
+        }
+        Ok(())
+    }
+
+    /// Reads one `gate name(params) qargs { body }` definition.
+    fn read_gate_def(&mut self) -> Result<(&'a str, GateDef<'a>), QasmError> {
         self.pos += 1; // gate
         let name = self.expect_ident("gate name")?;
-        let params = if self.eat(&Tok::LParen) {
+        let params = if self.eat(Tok::LParen) {
             let p = self.parse_ident_list()?;
-            self.expect(&Tok::RParen, "`)` after gate parameters")?;
+            self.expect(Tok::RParen, "`)` after gate parameters")?;
             p
         } else {
             Vec::new()
@@ -448,78 +541,65 @@ impl Parser {
         if qargs.is_empty() {
             return Err(self.err(format!("gate `{name}` needs at least one qubit argument")));
         }
-        self.expect(&Tok::LBrace, "`{` opening the gate body")?;
+        self.expect(Tok::LBrace, "`{` opening the gate body")?;
         let mut body = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             let (line, col) = self.here();
             let op = self.expect_ident("a gate call inside the body")?;
             if op == "barrier" {
                 self.parse_ident_list()?; // formal operands, unused
-                self.expect(&Tok::Semi, "`;`")?;
-                body.push(BodyOp::Barrier);
+                self.expect(Tok::Semi, "`;`")?;
                 continue;
             }
-            let call_params = if self.eat(&Tok::LParen) {
-                let p = self.parse_expr_list()?;
-                self.expect(&Tok::RParen, "`)` after call parameters")?;
-                p
-            } else {
-                Vec::new()
-            };
-            let call_qargs = self.parse_ident_list()?;
-            self.expect(&Tok::Semi, "`;` after gate call")?;
-            for q in &call_qargs {
-                if !qargs.contains(q) {
-                    return Err(QasmError::new(
-                        line,
-                        col,
-                        format!("`{q}` is not an argument of gate `{name}`"),
-                    ));
-                }
+            let mut program = Vec::new();
+            if self.eat(Tok::LParen) {
+                self.parse_expr_list(&params, &mut program)?;
+                self.expect(Tok::RParen, "`)` after call parameters")?;
             }
-            body.push(BodyOp::Call {
+            let operands = self.parse_ident_list()?;
+            self.expect(Tok::Semi, "`;` after gate call")?;
+            // A repeated formal name binds its last position.
+            let slot = |q: &&str| {
+                qargs.iter().rposition(|a| a == q).ok_or_else(|| {
+                    let message = format!("`{q}` is not an argument of gate `{name}`");
+                    QasmError::new(line, col, message)
+                })
+            };
+            body.push(BodyCall {
                 name: op,
-                params: call_params,
-                qargs: call_qargs,
+                params: program,
+                qubits: operands.iter().map(slot).collect::<Result<_, _>>()?,
                 line,
                 col,
             });
         }
-        // Known names always lower natively; parse and drop re-declarations.
-        if builtin_arity(&name).is_none() {
-            self.gate_defs.insert(
-                name,
-                GateDef {
-                    params,
-                    qargs,
-                    body,
-                },
-            );
-        }
-        Ok(())
+        let def = GateDef {
+            params: params.len(),
+            qubits: qargs.len(),
+            body,
+            at_caller: false,
+        };
+        Ok((name, def))
     }
 
     pub(crate) fn parse_opaque(&mut self) -> Result<(), QasmError> {
         self.pos += 1; // opaque
         let name = self.expect_ident("opaque gate name")?;
-        let params = if self.eat(&Tok::LParen) {
-            let p = self.parse_ident_list()?;
-            self.expect(&Tok::RParen, "`)`")?;
-            p
-        } else {
-            Vec::new()
-        };
-        let qargs = self.parse_ident_list()?;
-        self.expect(&Tok::Semi, "`;` after opaque declaration")?;
-        self.opaque_decls.insert(name, (params.len(), qargs.len()));
+        if self.eat(Tok::LParen) {
+            self.parse_ident_list()?;
+            self.expect(Tok::RParen, "`)`")?;
+        }
+        self.parse_ident_list()?;
+        self.expect(Tok::Semi, "`;` after opaque declaration")?;
+        self.opaque_decls.insert(name);
         Ok(())
     }
 
-    fn parse_ident_list(&mut self) -> Result<Vec<String>, QasmError> {
+    fn parse_ident_list(&mut self) -> Result<Vec<&'a str>, QasmError> {
         let mut out = Vec::new();
         if let Some(Tok::Ident(_)) = self.peek() {
             out.push(self.expect_ident("identifier")?);
-            while self.eat(&Tok::Comma) {
+            while self.eat(Tok::Comma) {
                 out.push(self.expect_ident("identifier")?);
             }
         }
@@ -528,108 +608,111 @@ impl Parser {
 
     // --- expressions --------------------------------------------------------
 
-    pub(crate) fn parse_expr_list(&mut self) -> Result<Vec<Expr>, QasmError> {
-        let mut out = vec![self.parse_expr()?];
-        while self.eat(&Tok::Comma) {
-            out.push(self.parse_expr()?);
+    /// Compiles `expr (, expr)*` onto `program`, which then leaves one value
+    /// per expression. Names resolve against `params`, the parameters in
+    /// scope (a repeated name binds its last slot).
+    fn parse_expr_list(
+        &mut self,
+        params: &[&str],
+        program: &mut Vec<Op<'a>>,
+    ) -> Result<(), QasmError> {
+        self.parse_expr(params, program)?;
+        while self.eat(Tok::Comma) {
+            self.parse_expr(params, program)?;
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, QasmError> {
-        self.parse_additive()
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, QasmError> {
-        let mut lhs = self.parse_multiplicative()?;
+    /// Compiles one expression onto `out` with a shunting-yard pass. The
+    /// grammar, loosest first, with each level's binding power: `+ -` (1)
+    /// and `* /` (2), both left-associative, then prefix `-` (3; prefix `+`
+    /// is a no-op), then right-associative `^` (4), whose right operand may
+    /// carry its own prefix signs. An atom is a number, `pi`, a parameter,
+    /// a function call `f(expr)` or a parenthesised expression.
+    fn parse_expr(&mut self, params: &[&str], out: &mut Vec<Op<'a>>) -> Result<(), QasmError> {
+        let mut pending: Vec<Pending<'a>> = Vec::new();
         loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => '+',
-                Some(Tok::Minus) => '-',
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, QasmError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => '*',
-                Some(Tok::Slash) => '/',
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, QasmError> {
-        if self.eat(&Tok::Minus) {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.eat(&Tok::Plus) {
-            return self.parse_unary();
-        }
-        self.parse_power()
-    }
-
-    fn parse_power(&mut self) -> Result<Expr, QasmError> {
-        let base = self.parse_atom()?;
-        if self.eat(&Tok::Caret) {
-            // Right associative.
-            let exp = self.parse_unary()?;
-            return Ok(Expr::Bin('^', Box::new(base), Box::new(exp)));
-        }
-        Ok(base)
-    }
-
-    fn parse_atom(&mut self) -> Result<Expr, QasmError> {
-        match self.next() {
-            Some(Tok::Real(x)) => Ok(Expr::Num(x)),
-            Some(Tok::Int(n)) => Ok(Expr::Num(n as f64)),
-            Some(Tok::LParen) => {
-                let e = self.parse_expr()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(e)
-            }
-            Some(Tok::Ident(name)) => {
-                if name == "pi" {
-                    Ok(Expr::Pi)
-                } else if self.eat(&Tok::LParen) {
-                    let arg = self.parse_expr()?;
-                    self.expect(&Tok::RParen, "`)` closing function call")?;
-                    Ok(Expr::Call(name, Box::new(arg)))
-                } else {
-                    Ok(Expr::Param(name))
+            // Operand position: prefix signs and opening parentheses, then
+            // an atom.
+            match self.next() {
+                Some(Tok::Minus) => {
+                    pending.push(Pending::Op(Op::Unary(|x| -x), 3));
+                    continue;
                 }
+                Some(Tok::Plus) => continue,
+                Some(Tok::LParen) => {
+                    pending.push(Pending::Open(None));
+                    continue;
+                }
+                Some(Tok::Real(x)) => out.push(Op::Num(x)),
+                Some(Tok::Int(n)) => out.push(Op::Num(n as f64)),
+                Some(Tok::Ident("pi")) => out.push(Op::Num(PI)),
+                Some(Tok::Ident(name)) if self.peek() == Some(Tok::LParen) => {
+                    self.pos += 1;
+                    pending.push(Pending::Open(Some(name)));
+                    continue;
+                }
+                Some(Tok::Ident(name)) => out.push(match params.iter().rposition(|p| *p == name) {
+                    Some(slot) => Op::Param(slot),
+                    None => Op::Unknown("parameter", name),
+                }),
+                other => return Err(self.err(format!("expected an expression, found {other:?}"))),
             }
-            other => Err(self.err(format!("expected an expression, found {other:?}"))),
+            // Operator position: close parentheses until a binary operator
+            // continues the expression, or end it.
+            let (op, power): (fn(f64, f64) -> f64, u8) = loop {
+                match self.peek() {
+                    Some(Tok::Plus) => break (|a, b| a + b, 1),
+                    Some(Tok::Minus) => break (|a, b| a - b, 1),
+                    Some(Tok::Star) => break (|a, b| a * b, 2),
+                    Some(Tok::Slash) => break (|a, b| a / b, 2),
+                    Some(Tok::Caret) => break (f64::powf, 4),
+                    _ => {}
+                }
+                let call = loop {
+                    match pending.pop() {
+                        Some(Pending::Op(op, _)) => out.push(op),
+                        Some(Pending::Open(call)) => break call,
+                        None => return Ok(()),
+                    }
+                };
+                match call {
+                    Some(name) => {
+                        self.expect(Tok::RParen, "`)` closing function call")?;
+                        let f = function(name).map(Op::Unary);
+                        out.push(f.unwrap_or(Op::Unknown("function", name)));
+                    }
+                    None => self.expect(Tok::RParen, "`)`")?,
+                }
+            };
+            self.pos += 1;
+            while let Some(&Pending::Op(top, top_power)) = pending.last() {
+                if top_power < power || (top_power == power && power == 4) {
+                    break;
+                }
+                out.push(top);
+                pending.pop();
+            }
+            pending.push(Pending::Op(Op::Binary(op), power));
         }
     }
 
     // --- operands, barrier, measure -----------------------------------------
 
-    pub(crate) fn parse_operand(&mut self) -> Result<Operand, QasmError> {
+    pub(crate) fn parse_operand(&mut self) -> Result<Operand<'a>, QasmError> {
         let name = self.expect_ident("register operand")?;
-        if self.eat(&Tok::LBracket) {
+        if self.eat(Tok::LBracket) {
             let idx = self.expect_int("qubit index")? as usize;
-            self.expect(&Tok::RBracket, "`]`")?;
+            self.expect(Tok::RBracket, "`]`")?;
             Ok(Operand::Bit(name, idx))
         } else {
             Ok(Operand::Reg(name))
         }
     }
 
-    pub(crate) fn parse_operand_list(&mut self) -> Result<Vec<Operand>, QasmError> {
+    pub(crate) fn parse_operand_list(&mut self) -> Result<Vec<Operand<'a>>, QasmError> {
         let mut out = vec![self.parse_operand()?];
-        while self.eat(&Tok::Comma) {
+        while self.eat(Tok::Comma) {
             out.push(self.parse_operand()?);
         }
         Ok(out)
@@ -638,22 +721,16 @@ impl Parser {
     /// Flat qubit indices of a quantum operand: one per register element, or
     /// a single entry for a bit.
     pub(crate) fn resolve_qubits(&self, op: &Operand) -> Result<Vec<usize>, QasmError> {
-        match op {
-            Operand::Reg(name) => {
-                let (size, offset) = self
-                    .find_qreg(name)
-                    .ok_or_else(|| self.err(format!("unknown quantum register `{name}`")))?;
-                Ok((offset..offset + size).collect())
+        let (Operand::Reg(name) | Operand::Bit(name, _)) = *op;
+        let (size, offset) = self
+            .find_qreg(name)
+            .ok_or_else(|| self.err(format!("unknown quantum register `{name}`")))?;
+        match *op {
+            Operand::Reg(_) => Ok((offset..offset + size).collect()),
+            Operand::Bit(_, idx) if idx >= size => {
+                Err(self.err(format!("index {idx} out of range for `{name}[{size}]`")))
             }
-            Operand::Bit(name, idx) => {
-                let (size, offset) = self
-                    .find_qreg(name)
-                    .ok_or_else(|| self.err(format!("unknown quantum register `{name}`")))?;
-                if *idx >= size {
-                    return Err(self.err(format!("index {idx} out of range for `{name}[{size}]`")));
-                }
-                Ok(vec![offset + idx])
-            }
+            Operand::Bit(_, idx) => Ok(vec![offset + idx]),
         }
     }
 
@@ -663,7 +740,7 @@ impl Parser {
         for op in &ops {
             self.resolve_qubits(op)?; // validate only
         }
-        self.expect(&Tok::Semi, "`;` after barrier")?;
+        self.expect(Tok::Semi, "`;` after barrier")?;
         self.barriers += 1;
         Ok(())
     }
@@ -671,31 +748,27 @@ impl Parser {
     pub(crate) fn parse_measure(&mut self) -> Result<(), QasmError> {
         self.pos += 1; // measure
         let q = self.parse_operand()?;
-        self.expect(&Tok::Arrow, "`->` in measure")?;
+        self.expect(Tok::Arrow, "`->` in measure")?;
         let c = self.parse_operand()?;
-        self.expect(&Tok::Semi, "`;` after measure")?;
+        self.expect(Tok::Semi, "`;` after measure")?;
         self.record_measure(&q, &c)
     }
 
     /// Number of classical bits a measure target covers (the whole register,
     /// or 1 for an in-range indexed bit).
     pub(crate) fn resolve_bits(&self, op: &Operand) -> Result<usize, QasmError> {
-        let size_of = |name: &str| {
-            self.cregs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, size)| *size)
-                .ok_or_else(|| self.err(format!("unknown classical register `{name}`")))
-        };
-        match op {
-            Operand::Reg(name) => size_of(name),
-            Operand::Bit(name, idx) => {
-                let size = size_of(name)?;
-                if *idx >= size {
-                    return Err(self.err(format!("index {idx} out of range for `{name}[{size}]`")));
-                }
-                Ok(1)
+        let (Operand::Reg(name) | Operand::Bit(name, _)) = *op;
+        let (_, size) = self
+            .cregs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .ok_or_else(|| self.err(format!("unknown classical register `{name}`")))?;
+        match *op {
+            Operand::Reg(_) => Ok(*size),
+            Operand::Bit(_, idx) if idx >= *size => {
+                Err(self.err(format!("index {idx} out of range for `{name}[{size}]`")))
             }
+            Operand::Bit(..) => Ok(1),
         }
     }
 
@@ -720,27 +793,23 @@ impl Parser {
         let (line, col) = self.here();
         let name = self.expect_ident("gate name")?;
         let params = self.parse_call_params(line, col)?;
-        self.apply_broadcast(&name, &params, line, col)
+        self.apply_broadcast(name, &params, line, col)
     }
 
-    /// Parses an optional `(expr, …)` parameter list and evaluates it in the
-    /// empty environment (top-level applications have no free parameters).
+    /// Parses an optional `(expr, …)` parameter list and evaluates it with
+    /// no parameters in scope (top-level applications have none).
     pub(crate) fn parse_call_params(
         &mut self,
         line: usize,
         col: usize,
     ) -> Result<Vec<f64>, QasmError> {
-        if self.eat(&Tok::LParen) {
-            let exprs = self.parse_expr_list()?;
-            self.expect(&Tok::RParen, "`)` after parameters")?;
-            let env = HashMap::new();
-            exprs
-                .iter()
-                .map(|e| e.eval(&env, line, col))
-                .collect::<Result<Vec<f64>, _>>()
-        } else {
-            Ok(Vec::new())
+        if !self.eat(Tok::LParen) {
+            return Ok(Vec::new());
         }
+        let mut program = Vec::new();
+        self.parse_expr_list(&[], &mut program)?;
+        self.expect(Tok::RParen, "`)` after parameters")?;
+        eval(&program, &[], line, col)
     }
 
     /// Parses the operand list and trailing `;` of a gate application, then
@@ -748,13 +817,13 @@ impl Parser {
     /// dialects' application statements.
     pub(crate) fn apply_broadcast(
         &mut self,
-        name: &str,
+        name: &'a str,
         params: &[f64],
         line: usize,
         col: usize,
     ) -> Result<(), QasmError> {
         let operands = self.parse_operand_list()?;
-        self.expect(&Tok::Semi, "`;` after gate application")?;
+        self.expect(Tok::Semi, "`;` after gate application")?;
 
         // Broadcast over register operands (all registers must agree in size).
         let resolved: Vec<Vec<usize>> = operands
@@ -785,10 +854,18 @@ impl Parser {
         Ok(())
     }
 
-    /// Applies a named gate, preferring built-ins, then user definitions.
+    /// The definition `name` expands through: a composite built-in or a
+    /// user definition.
+    fn find_def(&self, name: &str) -> Option<Arc<GateDef<'a>>> {
+        let composite: Option<&Arc<GateDef<'a>>> = composites().get(name);
+        composite.or_else(|| self.gate_defs.get(name)).cloned()
+    }
+
+    /// Applies a named gate: natives lower to one instruction, definitions
+    /// (composite built-ins, then user gates) expand their bodies.
     pub(crate) fn apply(
         &mut self,
-        name: &str,
+        name: &'a str,
         params: &[f64],
         qubits: &[usize],
         line: usize,
@@ -816,6 +893,7 @@ impl Parser {
                     "`gphase` takes exactly one parameter and no qubit operands",
                 ));
             }
+            self.spend(name, Some(1), line, col)?;
             self.circuit.add_global_phase(params[0]);
             return Ok(());
         }
@@ -831,261 +909,174 @@ impl Parser {
                 ));
             }
         }
-        if let Some((want_params, want_qubits)) = builtin_arity(name) {
-            if params.len() != want_params || qubits.len() != want_qubits {
-                return Err(QasmError::new(
-                    line,
-                    col,
-                    format!(
-                        "gate `{name}` expects {want_params} parameter(s) on {want_qubits} \
-                         qubit(s), got {} on {}",
-                        params.len(),
-                        qubits.len()
-                    ),
-                ));
-            }
-            return self.lower_builtin(name, params, qubits, line, col, depth);
-        }
-        if let Some(def) = self.gate_defs.get(name).cloned() {
-            if params.len() != def.params.len() || qubits.len() != def.qargs.len() {
-                return Err(QasmError::new(
-                    line,
-                    col,
-                    format!(
-                        "gate `{name}` expects {} parameter(s) on {} qubit(s), got {} on {}",
-                        def.params.len(),
-                        def.qargs.len(),
-                        params.len(),
-                        qubits.len()
-                    ),
-                ));
-            }
-            let env: HashMap<String, f64> = def
-                .params
-                .iter()
-                .cloned()
-                .zip(params.iter().copied())
-                .collect();
-            let qmap: HashMap<&str, usize> = def
-                .qargs
-                .iter()
-                .map(String::as_str)
-                .zip(qubits.iter().copied())
-                .collect();
-            for op in &def.body {
-                match op {
-                    BodyOp::Barrier => {}
-                    BodyOp::Call {
-                        name: inner,
-                        params: exprs,
-                        qargs,
-                        line,
-                        col,
-                    } => {
-                        let inner_params = exprs
-                            .iter()
-                            .map(|e| e.eval(&env, *line, *col))
-                            .collect::<Result<Vec<f64>, _>>()?;
-                        let inner_qubits: Vec<usize> =
-                            qargs.iter().map(|q| qmap[q.as_str()]).collect();
-                        self.apply(inner, &inner_params, &inner_qubits, *line, *col, depth + 1)?;
-                    }
-                }
-            }
+        if let Some((arity, gate)) = native(name) {
+            check_arity(name, arity, params, qubits, line, col)?;
+            self.spend(name, Some(1), line, col)?;
+            self.circuit.push(gate(params), qubits);
             return Ok(());
         }
-        if self.opaque_decls.contains_key(name) {
+        let Some(def) = self.find_def(name) else {
+            let message = if self.opaque_decls.contains(name) {
+                format!("opaque gate `{name}` has no built-in lowering")
+            } else {
+                format!("unknown gate `{name}`")
+            };
+            return Err(QasmError::new(line, col, message));
+        };
+        check_arity(name, (def.params, def.qubits), params, qubits, line, col)?;
+        let inner = self.expanded_len(name, def.clone());
+        self.spend(name, inner.map(|n| n.saturating_add(1)), line, col)?;
+        for call in &def.body {
+            let (line, col) = if def.at_caller {
+                (line, col)
+            } else {
+                (call.line, call.col)
+            };
+            let inner_params = eval(&call.params, params, line, col)?;
+            let inner_qubits: Vec<usize> = call.qubits.iter().map(|&k| qubits[k]).collect();
+            self.apply(
+                call.name,
+                &inner_params,
+                &inner_qubits,
+                line,
+                col,
+                depth + 1,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Counts one application of `name`, or refuses it when the `need`
+    /// applications of its whole expansion would take the program past
+    /// [`MAX_EXPANDED_GATES`]. An expansion that never ends (`None`) is
+    /// checked one application at a time; it always hits the depth limit.
+    fn spend(
+        &mut self,
+        name: &str,
+        need: Option<usize>,
+        line: usize,
+        col: usize,
+    ) -> Result<(), QasmError> {
+        let need = need.unwrap_or(1);
+        if need > MAX_EXPANDED_GATES - self.applied {
             return Err(QasmError::new(
                 line,
                 col,
-                format!("opaque gate `{name}` has no built-in lowering"),
+                format!(
+                    "gate `{name}` expands to {need} gate application(s), which takes the \
+                     program past the limit of {MAX_EXPANDED_GATES}"
+                ),
             ));
         }
-        Err(QasmError::new(line, col, format!("unknown gate `{name}`")))
+        self.applied += 1;
+        Ok(())
     }
 
-    /// Lowers one built-in gate application onto the circuit.
-    fn lower_builtin(
-        &mut self,
-        name: &str,
-        p: &[f64],
-        q: &[usize],
-        line: usize,
-        col: usize,
-        depth: usize,
-    ) -> Result<(), QasmError> {
-        // Composite qelib1 gates expand structurally through `apply` so their
-        // bodies stay in one place; everything else maps straight to the IR.
-        let expand =
-            |parser: &mut Self, ops: &[(&str, Vec<f64>, Vec<usize>)]| -> Result<(), QasmError> {
-                for (inner, ip, iq) in ops {
-                    parser.apply(inner, ip, iq, line, col, depth + 1)?;
-                }
-                Ok(())
-            };
-        let gate = match name {
-            "id" => Gate::I,
-            "x" => Gate::X,
-            "y" => Gate::Y,
-            "z" => Gate::Z,
-            "h" => Gate::H,
-            "s" => Gate::S,
-            "sdg" => Gate::Sdg,
-            "t" => Gate::T,
-            "tdg" => Gate::Tdg,
-            "sx" => Gate::SX,
-            "rx" => Gate::RX(p[0]),
-            "ry" => Gate::RY(p[0]),
-            "rz" => Gate::RZ(p[0]),
-            "p" | "u1" => Gate::P(p[0]),
-            "u2" => Gate::U3(PI / 2.0, p[0], p[1]),
-            "u3" | "u" | "U" => Gate::U3(p[0], p[1], p[2]),
-            "cx" | "CX" => Gate::CX,
-            "cz" => Gate::CZ,
-            "cp" | "cu1" => Gate::CPhase(p[0]),
-            "swap" => Gate::Swap,
-            "iswap" => Gate::ISwap,
-            "siswap" => Gate::SqrtISwap,
-            "syc" => Gate::Syc,
-            "iswap_pow" => Gate::ISwapPow(p[0]),
-            "fsim" => Gate::Fsim(p[0], p[1]),
-            "zx" => Gate::ZXInteraction(p[0]),
-            "rzz" => Gate::RZZ(p[0]),
-            "rxx" => Gate::RXX(p[0]),
-            "ryy" => Gate::RYY(p[0]),
-            "can" => Gate::Canonical(p[0], p[1], p[2]),
-            "unitary2" => Gate::Unitary2(matrix4_from_params(p)),
-            // --- composite qelib1 gates ------------------------------------
-            "cy" => {
-                return expand(
-                    self,
-                    &[
-                        ("sdg", vec![], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("s", vec![], vec![q[1]]),
-                    ],
-                );
-            }
-            "ch" => {
-                return expand(
-                    self,
-                    &[
-                        ("h", vec![], vec![q[1]]),
-                        ("sdg", vec![], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("h", vec![], vec![q[1]]),
-                        ("t", vec![], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("t", vec![], vec![q[1]]),
-                        ("h", vec![], vec![q[1]]),
-                        ("s", vec![], vec![q[1]]),
-                        ("x", vec![], vec![q[1]]),
-                        ("s", vec![], vec![q[0]]),
-                    ],
-                );
-            }
-            "crz" => {
-                return expand(
-                    self,
-                    &[
-                        ("rz", vec![p[0] / 2.0], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("rz", vec![-p[0] / 2.0], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                    ],
-                );
-            }
-            "crx" => {
-                return expand(
-                    self,
-                    &[
-                        ("h", vec![], vec![q[1]]),
-                        ("crz", vec![p[0]], vec![q[0], q[1]]),
-                        ("h", vec![], vec![q[1]]),
-                    ],
-                );
-            }
-            "cry" => {
-                return expand(
-                    self,
-                    &[
-                        ("ry", vec![p[0] / 2.0], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("ry", vec![-p[0] / 2.0], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                    ],
-                );
-            }
-            "cu3" => {
-                let (theta, phi, lambda) = (p[0], p[1], p[2]);
-                return expand(
-                    self,
-                    &[
-                        ("u1", vec![(lambda + phi) / 2.0], vec![q[0]]),
-                        ("u1", vec![(lambda - phi) / 2.0], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        (
-                            "u3",
-                            vec![-theta / 2.0, 0.0, -(phi + lambda) / 2.0],
-                            vec![q[1]],
-                        ),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("u3", vec![theta / 2.0, phi, 0.0], vec![q[1]]),
-                    ],
-                );
-            }
-            "ccx" => {
-                return expand(
-                    self,
-                    &[
-                        ("h", vec![], vec![q[2]]),
-                        ("cx", vec![], vec![q[1], q[2]]),
-                        ("tdg", vec![], vec![q[2]]),
-                        ("cx", vec![], vec![q[0], q[2]]),
-                        ("t", vec![], vec![q[2]]),
-                        ("cx", vec![], vec![q[1], q[2]]),
-                        ("tdg", vec![], vec![q[2]]),
-                        ("cx", vec![], vec![q[0], q[2]]),
-                        ("t", vec![], vec![q[1]]),
-                        ("t", vec![], vec![q[2]]),
-                        ("h", vec![], vec![q[2]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                        ("t", vec![], vec![q[0]]),
-                        ("tdg", vec![], vec![q[1]]),
-                        ("cx", vec![], vec![q[0], q[1]]),
-                    ],
-                );
-            }
-            "cswap" => {
-                return expand(
-                    self,
-                    &[
-                        ("cx", vec![], vec![q[2], q[1]]),
-                        ("ccx", vec![], vec![q[0], q[1], q[2]]),
-                        ("cx", vec![], vec![q[2], q[1]]),
-                    ],
-                );
-            }
-            other => return Err(QasmError::new(line, col, format!("unknown gate `{other}`"))),
+    /// Gate applications inside one application of the definition `root`,
+    /// at every level, memoised per definition; `None` when its expansion
+    /// reaches `root` again and so never ends. Counts with an explicit stack
+    /// of the definitions being counted; entering one marks it `None` in the
+    /// memo, which is what a call from its own body then reads.
+    fn expanded_len(&mut self, root: &'a str, def: Arc<GateDef<'a>>) -> Option<usize> {
+        if let Some(&len) = self.expanded.get(root) {
+            return len;
+        }
+        // Each body call is one application plus those inside it.
+        let add = |sum: Option<usize>, inner: Option<usize>| {
+            Some(sum?.saturating_add(inner?).saturating_add(1))
         };
-        self.circuit.push(gate, q);
-        Ok(())
+        self.expanded.insert(root, None);
+        // (name, definition, next body call, applications so far)
+        let mut frames = vec![(root, def, 0, Some(0))];
+        while let Some((_, def, next, sum)) = frames.last_mut() {
+            let Some(call) = def.body.get(*next) else {
+                let (name, _, _, len) = frames.pop().expect("the frame on top");
+                self.expanded.insert(name, len);
+                if let Some(parent) = frames.last_mut() {
+                    parent.3 = add(parent.3, len);
+                }
+                continue;
+            };
+            *next += 1;
+            let callee = call.name;
+            let inner = if let Some(&len) = self.expanded.get(callee) {
+                len
+            } else if let Some(child) = self.find_def(callee) {
+                self.expanded.insert(callee, None);
+                frames.push((callee, child, 0, Some(0)));
+                continue;
+            } else {
+                Some(0) // a native gate or `gphase`; or unknown, refused when applied
+            };
+            *sum = add(*sum, inner);
+        }
+        self.expanded[root]
     }
 }
 
-/// Parameter/qubit arity of built-in gates, or `None` for unknown names.
-fn builtin_arity(name: &str) -> Option<(usize, usize)> {
+/// Refuses an application whose parameter or qubit count differs from the
+/// gate's arity `(params, qubits)`.
+fn check_arity(
+    name: &str,
+    (want_params, want_qubits): (usize, usize),
+    params: &[f64],
+    qubits: &[usize],
+    line: usize,
+    col: usize,
+) -> Result<(), QasmError> {
+    if params.len() == want_params && qubits.len() == want_qubits {
+        return Ok(());
+    }
+    Err(QasmError::new(
+        line,
+        col,
+        format!(
+            "gate `{name}` expects {want_params} parameter(s) on {want_qubits} qubit(s), \
+             got {} on {}",
+            params.len(),
+            qubits.len()
+        ),
+    ))
+}
+
+/// A native gate's constructor from its arity-checked parameters.
+type Lowering = fn(&[f64]) -> Gate;
+
+/// The gates with a native IR variant: their `(parameters, qubits)` arity
+/// and their [`Lowering`]. `None` for every other name.
+fn native(name: &str) -> Option<((usize, usize), Lowering)> {
     Some(match name {
-        "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" => (0, 1),
-        "rx" | "ry" | "rz" | "p" | "u1" => (1, 1),
-        "u2" => (2, 1),
-        "u3" | "u" | "U" => (3, 1),
-        "cx" | "CX" | "cz" | "swap" | "iswap" | "siswap" | "syc" | "cy" | "ch" => (0, 2),
-        "cp" | "cu1" | "rzz" | "rxx" | "ryy" | "iswap_pow" | "zx" | "crz" | "crx" | "cry" => (1, 2),
-        "fsim" => (2, 2),
-        "can" | "cu3" => (3, 2),
-        "unitary2" => (32, 2),
-        "ccx" | "cswap" => (0, 3),
+        "id" => ((0, 1), |_| Gate::I),
+        "x" => ((0, 1), |_| Gate::X),
+        "y" => ((0, 1), |_| Gate::Y),
+        "z" => ((0, 1), |_| Gate::Z),
+        "h" => ((0, 1), |_| Gate::H),
+        "s" => ((0, 1), |_| Gate::S),
+        "sdg" => ((0, 1), |_| Gate::Sdg),
+        "t" => ((0, 1), |_| Gate::T),
+        "tdg" => ((0, 1), |_| Gate::Tdg),
+        "sx" => ((0, 1), |_| Gate::SX),
+        "rx" => ((1, 1), |p| Gate::RX(p[0])),
+        "ry" => ((1, 1), |p| Gate::RY(p[0])),
+        "rz" => ((1, 1), |p| Gate::RZ(p[0])),
+        "p" | "u1" => ((1, 1), |p| Gate::P(p[0])),
+        "u2" => ((2, 1), |p| Gate::U3(PI / 2.0, p[0], p[1])),
+        "u3" | "u" | "U" => ((3, 1), |p| Gate::U3(p[0], p[1], p[2])),
+        "cx" | "CX" => ((0, 2), |_| Gate::CX),
+        "cz" => ((0, 2), |_| Gate::CZ),
+        "cp" | "cu1" => ((1, 2), |p| Gate::CPhase(p[0])),
+        "swap" => ((0, 2), |_| Gate::Swap),
+        "iswap" => ((0, 2), |_| Gate::ISwap),
+        "siswap" => ((0, 2), |_| Gate::SqrtISwap),
+        "syc" => ((0, 2), |_| Gate::Syc),
+        "iswap_pow" => ((1, 2), |p| Gate::ISwapPow(p[0])),
+        "fsim" => ((2, 2), |p| Gate::Fsim(p[0], p[1])),
+        "zx" => ((1, 2), |p| Gate::ZXInteraction(p[0])),
+        "rzz" => ((1, 2), |p| Gate::RZZ(p[0])),
+        "rxx" => ((1, 2), |p| Gate::RXX(p[0])),
+        "ryy" => ((1, 2), |p| Gate::RYY(p[0])),
+        "can" => ((3, 2), |p| Gate::Canonical(p[0], p[1], p[2])),
+        "unitary2" => ((32, 2), |p| Gate::Unitary2(matrix4_from_params(p))),
         _ => return None,
     })
 }
@@ -1106,6 +1097,8 @@ fn matrix4_from_params(p: &[f64]) -> Matrix4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use snailqc_circuit::simulate;
 
     const HEADER: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
@@ -1298,5 +1291,387 @@ mod tests {
         assert_eq!(p.circuit.len(), 2);
         assert_eq!(p.barriers, 1);
         assert_eq!(p.measurements, 1);
+    }
+
+    /// The recursive-descent parser and tree evaluator that the postfix
+    /// programs replaced, kept as their reference.
+    mod reference {
+        use super::*;
+
+        pub(super) enum Expr {
+            Num(f64),
+            Pi,
+            Param(String),
+            Neg(Box<Expr>),
+            Bin(char, Box<Expr>, Box<Expr>),
+            Call(String, Box<Expr>),
+        }
+
+        impl Expr {
+            pub(super) fn eval(
+                &self,
+                env: &HashMap<String, f64>,
+                line: usize,
+                col: usize,
+            ) -> Result<f64, QasmError> {
+                Ok(match self {
+                    Expr::Num(x) => *x,
+                    Expr::Pi => PI,
+                    Expr::Param(name) => *env.get(name).ok_or_else(|| {
+                        QasmError::new(line, col, format!("unknown parameter `{name}`"))
+                    })?,
+                    Expr::Neg(e) => -e.eval(env, line, col)?,
+                    Expr::Bin(op, a, b) => {
+                        let (a, b) = (a.eval(env, line, col)?, b.eval(env, line, col)?);
+                        match op {
+                            '+' => a + b,
+                            '-' => a - b,
+                            '*' => a * b,
+                            '/' => a / b,
+                            '^' => a.powf(b),
+                            _ => unreachable!("unknown operator"),
+                        }
+                    }
+                    Expr::Call(f, e) => {
+                        let x = e.eval(env, line, col)?;
+                        match f.as_str() {
+                            "sin" => x.sin(),
+                            "cos" => x.cos(),
+                            "tan" => x.tan(),
+                            "exp" => x.exp(),
+                            "ln" => x.ln(),
+                            "sqrt" => x.sqrt(),
+                            other => {
+                                let message = format!("unknown function `{other}`");
+                                return Err(QasmError::new(line, col, message));
+                            }
+                        }
+                    }
+                })
+            }
+        }
+
+        impl Parser<'_> {
+            pub(super) fn ref_expr_list(&mut self) -> Result<Vec<Expr>, QasmError> {
+                let mut out = vec![self.ref_additive()?];
+                while self.eat(Tok::Comma) {
+                    out.push(self.ref_additive()?);
+                }
+                Ok(out)
+            }
+
+            fn ref_additive(&mut self) -> Result<Expr, QasmError> {
+                let mut lhs = self.ref_multiplicative()?;
+                loop {
+                    let op = match self.peek() {
+                        Some(Tok::Plus) => '+',
+                        Some(Tok::Minus) => '-',
+                        _ => break,
+                    };
+                    self.pos += 1;
+                    let rhs = self.ref_multiplicative()?;
+                    lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+                }
+                Ok(lhs)
+            }
+
+            fn ref_multiplicative(&mut self) -> Result<Expr, QasmError> {
+                let mut lhs = self.ref_unary()?;
+                loop {
+                    let op = match self.peek() {
+                        Some(Tok::Star) => '*',
+                        Some(Tok::Slash) => '/',
+                        _ => break,
+                    };
+                    self.pos += 1;
+                    let rhs = self.ref_unary()?;
+                    lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+                }
+                Ok(lhs)
+            }
+
+            fn ref_unary(&mut self) -> Result<Expr, QasmError> {
+                if self.eat(Tok::Minus) {
+                    return Ok(Expr::Neg(Box::new(self.ref_unary()?)));
+                }
+                if self.eat(Tok::Plus) {
+                    return self.ref_unary();
+                }
+                let base = self.ref_atom()?;
+                if self.eat(Tok::Caret) {
+                    let exp = self.ref_unary()?;
+                    return Ok(Expr::Bin('^', Box::new(base), Box::new(exp)));
+                }
+                Ok(base)
+            }
+
+            fn ref_atom(&mut self) -> Result<Expr, QasmError> {
+                match self.next() {
+                    Some(Tok::Real(x)) => Ok(Expr::Num(x)),
+                    Some(Tok::Int(n)) => Ok(Expr::Num(n as f64)),
+                    Some(Tok::LParen) => {
+                        let e = self.ref_additive()?;
+                        self.expect(Tok::RParen, "`)`")?;
+                        Ok(e)
+                    }
+                    Some(Tok::Ident("pi")) => Ok(Expr::Pi),
+                    Some(Tok::Ident(name)) if self.eat(Tok::LParen) => {
+                        let arg = self.ref_additive()?;
+                        self.expect(Tok::RParen, "`)` closing function call")?;
+                        Ok(Expr::Call(name.to_string(), Box::new(arg)))
+                    }
+                    Some(Tok::Ident(name)) => Ok(Expr::Param(name.to_string())),
+                    other => Err(self.err(format!("expected an expression, found {other:?}"))),
+                }
+            }
+        }
+    }
+
+    /// Random expression text over parentheses, prefix chains, every binary
+    /// operator (including right-associative `^`), `pi`, the functions, the
+    /// parameters `a`, `b`, `theta` and, when `unknown`, a name and a
+    /// function that do not exist.
+    fn random_expr(rng: &mut TestRng, depth: usize, unknown: bool) -> String {
+        if depth == 0 || rng.next_u64().is_multiple_of(3) {
+            if unknown && rng.next_u64().is_multiple_of(10) {
+                return "zz".to_string();
+            }
+            let leaves = [
+                "0", "1", "2", "7", ".25", "1e-3", "2.5", "pi", "a", "b", "theta",
+            ];
+            return leaves[rng.next_u64() as usize % leaves.len()].to_string();
+        }
+        let sub = |rng: &mut TestRng| random_expr(rng, depth - 1, unknown);
+        match rng.next_u64() % 8 {
+            0 => format!("-{}", sub(rng)),
+            1 => format!("+-{}", sub(rng)),
+            2 => format!("({})", sub(rng)),
+            3 => {
+                let mut f = vec!["sin", "cos", "tan", "exp", "ln", "sqrt"];
+                if unknown {
+                    f.push("nope");
+                }
+                format!("{}({})", f[rng.next_u64() as usize % f.len()], sub(rng))
+            }
+            _ => {
+                let ops = ["+", "-", "*", "/", "^", "^-", "*-"];
+                let op = ops[rng.next_u64() as usize % ops.len()];
+                format!("{}{op}{}", sub(rng), sub(rng))
+            }
+        }
+    }
+
+    /// Random token soup, for the syntax errors and their positions.
+    fn random_tokens(rng: &mut TestRng) -> String {
+        let alphabet = [
+            "(", ")", "-", "+", "*", "/", "^", ",", "1", "pi", "a", "sin", "f", ";",
+        ];
+        let len = 1 + rng.next_u64() as usize % 12;
+        let tokens: Vec<&str> = (0..len)
+            .map(|_| alphabet[rng.next_u64() as usize % alphabet.len()])
+            .collect();
+        tokens.join(" ")
+    }
+
+    /// Compiles and runs `text` both ways, with parameters `a`, `b` and
+    /// `theta` bound to `args`; the results (values as bits, or the error)
+    /// and the tokens consumed must agree.
+    fn assert_matches_reference(text: &str, args: [f64; 3]) {
+        let names = ["a", "b", "theta"];
+        let tokens = lex(text).unwrap();
+        let mut postfix = Parser::new(tokens.clone());
+        let mut program = Vec::new();
+        let got = postfix
+            .parse_expr_list(&names, &mut program)
+            .and_then(|()| eval(&program, &args, 3, 9));
+        let mut tree = Parser::new(tokens);
+        let env: HashMap<String, f64> = names.iter().map(|n| n.to_string()).zip(args).collect();
+        let want = tree.ref_expr_list().and_then(|exprs| {
+            exprs
+                .iter()
+                .map(|e| e.eval(&env, 3, 9))
+                .collect::<Result<Vec<f64>, _>>()
+        });
+        let bits = |r: Result<Vec<f64>, QasmError>| {
+            r.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(got), bits(want), "{text}");
+        assert_eq!(postfix.pos, tree.pos, "{text}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn postfix_programs_match_the_recursive_evaluator(
+            seed in any::<u64>(),
+            a in -4.0..4.0f64,
+            b in -4.0..4.0f64,
+            theta in 0.0..7.0f64,
+        ) {
+            let mut rng = TestRng::for_case("expr", seed as u32);
+            let unknown = seed.is_multiple_of(3);
+            let mut text = random_expr(&mut rng, 6, unknown);
+            if seed.is_multiple_of(4) {
+                text = format!("{text}, {}", random_expr(&mut rng, 3, unknown));
+            }
+            assert_matches_reference(&text, [a, b, theta]);
+            assert_matches_reference(&random_tokens(&mut rng), [a, b, theta]);
+        }
+    }
+
+    #[test]
+    fn composites_lower_to_their_qelib1_bodies() {
+        // The bodies the composites were hand-lowered with, as the reference.
+        let (l, p, t) = (0.3, -1.1, 2.9);
+        let reference = [
+            ("cy", vec![], "sdg 1; cx 0,1; s 1;".to_string()),
+            (
+                "ch",
+                vec![],
+                "h 1; sdg 1; cx 0,1; h 1; t 1; cx 0,1; t 1; h 1; s 1; x 1; s 0;".to_string(),
+            ),
+            (
+                "crz",
+                vec![l],
+                format!("rz({}) 1; cx 0,1; rz({}) 1; cx 0,1;", l / 2.0, -l / 2.0),
+            ),
+            (
+                "crx",
+                vec![l],
+                format!(
+                    "h 1; rz({}) 1; cx 0,1; rz({}) 1; cx 0,1; h 1;",
+                    l / 2.0,
+                    -l / 2.0
+                ),
+            ),
+            (
+                "cry",
+                vec![l],
+                format!("ry({}) 1; cx 0,1; ry({}) 1; cx 0,1;", l / 2.0, -l / 2.0),
+            ),
+            (
+                "cu3",
+                vec![t, p, l],
+                format!(
+                    "u1({}) 0; u1({}) 1; cx 0,1; u3({},{},{}) 1; cx 0,1; u3({},{},{}) 1;",
+                    (l + p) / 2.0,
+                    (l - p) / 2.0,
+                    -t / 2.0,
+                    0.0,
+                    -(p + l) / 2.0,
+                    t / 2.0,
+                    p,
+                    0.0
+                ),
+            ),
+            (
+                "ccx",
+                vec![],
+                "h 2; cx 1,2; tdg 2; cx 0,2; t 2; cx 1,2; tdg 2; cx 0,2; t 1; t 2; h 2; \
+                 cx 0,1; t 0; tdg 1; cx 0,1;"
+                    .to_string(),
+            ),
+        ];
+        let ccx = reference[6].2.clone();
+        let reference =
+            reference
+                .into_iter()
+                .chain([("cswap", vec![], format!("cx 2,1; {ccx} cx 2,1;"))]);
+        for (name, params, body) in reference {
+            let mut want = Circuit::new(3);
+            for stmt in body.split(';').map(str::trim).filter(|s| !s.is_empty()) {
+                let (head, qubits) = stmt.rsplit_once(' ').unwrap();
+                let qubits: Vec<usize> = qubits.split(',').map(|q| q.parse().unwrap()).collect();
+                let (gate, args) = match head.split_once('(') {
+                    Some((gate, args)) => {
+                        let args = args.trim_end_matches(')').split(',');
+                        (gate, args.map(|x| x.parse().unwrap()).collect())
+                    }
+                    None => (head, Vec::new()),
+                };
+                want.push(native(gate).unwrap().1(&args), &qubits);
+            }
+            let mut parser = Parser::new(Vec::new());
+            parser.circuit = Circuit::new(3);
+            let qubits: Vec<usize> = (0..composites()[name].qubits).collect();
+            parser.apply(name, &params, &qubits, 1, 1, 0).unwrap();
+            assert_eq!(
+                format!("{:?}", parser.circuit.instructions()),
+                format!("{:?}", want.instructions()),
+                "{name}"
+            );
+            // The count is exact: every application but the root's own.
+            assert_eq!(
+                parser.expanded_len(name, composites()[name].clone()),
+                Some(parser.applied - 1),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn expansion_counts_are_exact_and_cycles_are_left_to_the_depth_limit() {
+        let src = with_header(
+            "gate a x,y,z { h x; barrier x; ccx x,y,z; }\n\
+             gate b(t) x,y,z { a x,y,z; rz(t) y; gphase(t); cswap x,y,z; nope x; }\n",
+        );
+        let mut parser = Parser::new(lex(&src).unwrap());
+        parser.parse_header().unwrap();
+        while parser.peek().is_some() {
+            parser.parse_statement().unwrap();
+        }
+        // Barriers are not kept; `gphase` and the unknown `nope` count one
+        // application each, though neither pushes a gate.
+        let a = parser.find_def("a").unwrap();
+        assert_eq!(parser.expanded_len("a", a), Some(1 + 16));
+        let b = parser.find_def("b").unwrap();
+        assert_eq!(parser.expanded_len("b", b), Some(18 + 1 + 1 + 19 + 1));
+
+        let cyclic =
+            with_header("gate f x { g x; }\ngate g x { h x; f x; }\nqreg q[1];\nf q[0];\n");
+        let err = parse_circuit(&cyclic).unwrap_err();
+        assert_eq!(err.message, "gate expansion too deep", "{err}");
+        assert_eq!((err.line, err.col), (3, 12), "{err}");
+    }
+
+    #[test]
+    fn applications_past_the_expansion_budget_are_refused_before_any_gate() {
+        // Definitions with empty bodies push no gate, but each application
+        // counts: `e19` expands to 2^20 - 2 applications inside, so applying
+        // it takes 2^20 - 1, one short of the budget.
+        let mut src = with_header("gate e0 a { }\n");
+        for k in 1..=20 {
+            src += &format!("gate e{k} a {{ e{} a; e{} a; }}\n", k - 1, k - 1);
+        }
+        assert_eq!(MAX_EXPANDED_GATES, 1 << 20);
+        let mut parser = Parser::new(lex(&src).unwrap());
+        parser.parse_header().unwrap();
+        while parser.peek().is_some() {
+            parser.parse_statement().unwrap();
+        }
+        let e19 = parser.find_def("e19").unwrap();
+        assert_eq!(parser.expanded_len("e19", e19), Some((1 << 20) - 2));
+
+        // After two other gates, `e19` is one application too many; `e20`
+        // is refused alone. Nothing of a refused call is pushed.
+        for (tail, line, need) in [
+            ("h q[1];\nh q[1];\ne19 q[0];\n", 27, (1 << 20) - 1),
+            ("e20 q[0];\n", 25, (1 << 21) - 1),
+        ] {
+            let src = format!("{src}qreg q[2];\n{tail}");
+            let mut parser = Parser::new(lex(&src).unwrap());
+            parser.parse_header().unwrap();
+            let err = loop {
+                if let Err(err) = parser.parse_statement() {
+                    break err;
+                }
+            };
+            assert_eq!((err.line, err.col), (line, 1), "{err}");
+            let want = format!("expands to {need} gate application(s)");
+            assert!(err.message.contains(&want), "{err}");
+            assert!(err.message.contains("limit of 1048576"), "{err}");
+            assert_eq!(parser.circuit.len(), tail.matches("h q").count());
+        }
     }
 }

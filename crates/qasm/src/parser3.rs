@@ -1,5 +1,4 @@
-//! A recursive-descent parser lowering the OpenQASM 3 subset to the circuit
-//! IR.
+//! A single-pass parser lowering the OpenQASM 3 subset to the circuit IR.
 //!
 //! Supported language: the `OPENQASM 3;` / `OPENQASM 3.0;` header,
 //! `include "stdgates.inc";`, `qubit[n]` / `qubit` / `bit[n]` / `bit`
@@ -16,9 +15,12 @@
 //!
 //! The lowering reuses the exact `Parser` machinery of the
 //! QASM2 path — registers flatten in declaration order, known gate names
-//! shadow textual re-definitions, broadcasting works identically — so
-//! `parse3(emit_v3(c))` and `parse(emit(c))` produce the *same* circuit,
-//! which is what the cross-version equivalence test battery asserts.
+//! shadow textual re-definitions, broadcasting works identically, parameter
+//! expressions compile to the same flat postfix programs and expansion
+//! draws on the same [`MAX_EXPANDED_GATES`](crate::parser::MAX_EXPANDED_GATES)
+//! budget — so `parse3(emit_v3(c))` and `parse(emit(c))` produce the *same*
+//! circuit, which is what the cross-version equivalence test battery
+//! asserts.
 
 use crate::emit::QasmVersion;
 use crate::error::QasmError;
@@ -45,14 +47,14 @@ pub fn parse3_circuit(source: &str) -> Result<Circuit, QasmError> {
 }
 
 /// The QASM3 surface grammar over the shared `Parser` machine.
-struct Parser3 {
-    p: Parser,
+struct Parser3<'a> {
+    p: Parser<'a>,
 }
 
-impl Parser3 {
+impl Parser3<'_> {
     fn parse_header(&mut self) -> Result<(), QasmError> {
         match self.p.next() {
-            Some(Tok::Ident(kw)) if kw == "OPENQASM" => {}
+            Some(Tok::Ident("OPENQASM")) => {}
             _ => return Err(self.p.err("program must start with `OPENQASM 3;`")),
         }
         match self.p.next() {
@@ -64,21 +66,21 @@ impl Parser3 {
                 )))
             }
         }
-        self.p.expect(&Tok::Semi, "`;` after version")
+        self.p.expect(Tok::Semi, "`;` after version")
     }
 
     fn parse_statement(&mut self) -> Result<(), QasmError> {
         let kw = match self.p.peek() {
-            Some(Tok::Ident(s)) => s.clone(),
+            Some(Tok::Ident(s)) => s,
             other => return Err(self.p.err(format!("expected a statement, found {other:?}"))),
         };
-        match kw.as_str() {
+        match kw {
             "include" => self.parse_include(),
             "qubit" => self.parse_typed_decl(true),
             "bit" => self.parse_typed_decl(false),
             // Legacy declarations remain valid OpenQASM 3.
-            "qreg" => self.p.parse_qreg(),
-            "creg" => self.p.parse_creg(),
+            "qreg" => self.p.parse_reg_decl(true),
+            "creg" => self.p.parse_reg_decl(false),
             "gate" => self.p.parse_gate_def(),
             "barrier" => self.p.parse_barrier(),
             "measure" => self.parse_measure_statement(),
@@ -125,7 +127,7 @@ impl Parser3 {
                 "cannot include `{file}`: only the built-in \"stdgates.inc\" is available"
             )));
         }
-        self.p.expect(&Tok::Semi, "`;` after include")
+        self.p.expect(Tok::Semi, "`;` after include")
     }
 
     /// `qubit[n] name;`, `qubit name;`, `bit[n] name;`, `bit name;`.
@@ -133,16 +135,16 @@ impl Parser3 {
         let kind = if quantum { "qubit" } else { "bit" };
         let at = self.p.here();
         self.p.pos += 1; // qubit | bit
-        let size = if self.p.eat(&Tok::LBracket) {
+        let size = if self.p.eat(Tok::LBracket) {
             let n = self.p.expect_int("register size")? as usize;
             self.p
-                .expect(&Tok::RBracket, "`]` closing the array designator")?;
+                .expect(Tok::RBracket, "`]` closing the array designator")?;
             n
         } else {
             1
         };
         let name = self.p.expect_ident("register name")?;
-        self.p.expect(&Tok::Semi, "`;` after declaration")?;
+        self.p.expect(Tok::Semi, "`;` after declaration")?;
         if quantum {
             self.p.declare_qreg(at, name, size, kind)
         } else {
@@ -155,7 +157,7 @@ impl Parser3 {
         let (line, col) = self.p.here();
         self.p.pos += 1; // gphase
         let params = self.p.parse_call_params(line, col)?;
-        self.p.expect(&Tok::Semi, "`;` after gphase")?;
+        self.p.expect(Tok::Semi, "`;` after gphase")?;
         if params.len() != 1 {
             return Err(QasmError::new(
                 line,
@@ -174,12 +176,12 @@ impl Parser3 {
         let (line, col) = self.p.here();
         let mut controls = 0usize;
         while let Some(Tok::Ident(kw)) = self.p.peek() {
-            match kw.as_str() {
+            match kw {
                 "ctrl" => {
                     self.p.pos += 1;
-                    let count = if self.p.eat(&Tok::LParen) {
+                    let count = if self.p.eat(Tok::LParen) {
                         let n = self.p.expect_int("control count")?;
-                        self.p.expect(&Tok::RParen, "`)` after control count")?;
+                        self.p.expect(Tok::RParen, "`)` after control count")?;
                         if n == 0 {
                             return Err(self.p.err("`ctrl(0)` is not a valid modifier"));
                         }
@@ -188,7 +190,7 @@ impl Parser3 {
                         1
                     };
                     self.p
-                        .expect(&Tok::At, "`@` after the `ctrl` gate modifier")?;
+                        .expect(Tok::At, "`@` after the `ctrl` gate modifier")?;
                     controls += count;
                 }
                 "inv" | "pow" | "negctrl" => {
@@ -202,7 +204,6 @@ impl Parser3 {
         }
         let name = match self.p.peek() {
             Some(Tok::Ident(s)) => {
-                let s = s.clone();
                 self.p.pos += 1;
                 s
             }
@@ -215,22 +216,18 @@ impl Parser3 {
         let mut params = self.p.parse_call_params(line, col)?;
         let mut folded = name;
         for _ in 0..controls {
-            (folded, params) = fold_control(&folded, params, line, col)?;
+            (folded, params) = fold_control(folded, params, line, col)?;
         }
-        self.p.apply_broadcast(&folded, &params, line, col)
+        self.p.apply_broadcast(folded, &params, line, col)
     }
 
     /// True when the upcoming tokens spell a measure assignment target:
     /// `name =` or `name [ idx ] =`.
     fn measure_assignment_ahead(&self) -> bool {
-        match (self.p.peek(), self.p.peek2()) {
+        match (self.p.peek(), self.p.peek_at(1)) {
             (Some(Tok::Ident(_)), Some(Tok::Eq)) => true,
             (Some(Tok::Ident(_)), Some(Tok::LBracket)) => matches!(
-                (
-                    self.p.tokens.get(self.p.pos + 2).map(|t| &t.tok),
-                    self.p.tokens.get(self.p.pos + 3).map(|t| &t.tok),
-                    self.p.tokens.get(self.p.pos + 4).map(|t| &t.tok),
-                ),
+                (self.p.peek_at(2), self.p.peek_at(3), self.p.peek_at(4)),
                 (Some(Tok::Int(_)), Some(Tok::RBracket), Some(Tok::Eq))
             ),
             _ => false,
@@ -240,9 +237,9 @@ impl Parser3 {
     /// `c = measure q;` (widths validated like the arrow form).
     fn parse_measure_assignment(&mut self) -> Result<(), QasmError> {
         let c = self.p.parse_operand()?;
-        self.p.expect(&Tok::Eq, "`=` in measure assignment")?;
+        self.p.expect(Tok::Eq, "`=` in measure assignment")?;
         match self.p.next() {
-            Some(Tok::Ident(kw)) if kw == "measure" => {}
+            Some(Tok::Ident("measure")) => {}
             other => {
                 return Err(self.p.err(format!(
                     "only `measure` may appear on the right of `=`, found {other:?}"
@@ -250,7 +247,7 @@ impl Parser3 {
             }
         }
         let q = self.p.parse_operand()?;
-        self.p.expect(&Tok::Semi, "`;` after measure")?;
+        self.p.expect(Tok::Semi, "`;` after measure")?;
         self.p.record_measure(&q, &c)
     }
 
@@ -258,12 +255,12 @@ impl Parser3 {
     fn parse_measure_statement(&mut self) -> Result<(), QasmError> {
         self.p.pos += 1; // measure
         let q = self.p.parse_operand()?;
-        if self.p.eat(&Tok::Arrow) {
+        if self.p.eat(Tok::Arrow) {
             let c = self.p.parse_operand()?;
-            self.p.expect(&Tok::Semi, "`;` after measure")?;
+            self.p.expect(Tok::Semi, "`;` after measure")?;
             return self.p.record_measure(&q, &c);
         }
-        self.p.expect(&Tok::Semi, "`;` after measure")?;
+        self.p.expect(Tok::Semi, "`;` after measure")?;
         let count = self.p.resolve_qubits(&q)?.len();
         self.p.measurements += count;
         Ok(())
@@ -277,7 +274,7 @@ fn fold_control(
     params: Vec<f64>,
     line: usize,
     col: usize,
-) -> Result<(String, Vec<f64>), QasmError> {
+) -> Result<(&'static str, Vec<f64>), QasmError> {
     let arity_err = |want: usize| {
         QasmError::new(
             line,
@@ -292,7 +289,7 @@ fn fold_control(
             Err(arity_err(want))
         }
     };
-    let folded: (&str, Vec<f64>) = match name {
+    Ok(match name {
         "x" => {
             check(0)?;
             ("cx", vec![])
@@ -376,8 +373,7 @@ fn fold_control(
                 ),
             ))
         }
-    };
-    Ok((folded.0.to_string(), folded.1))
+    })
 }
 
 #[cfg(test)]

@@ -525,14 +525,6 @@ impl CouplingGraph {
         }
     }
 
-    /// Returns the subgraph induced on the first `n` qubits, relabelled
-    /// `0..n`. Edge error rates carry over. Panics if `n` exceeds the current
-    /// size.
-    pub fn induced_prefix(&self, n: usize, name: impl Into<String>) -> CouplingGraph {
-        assert!(n <= self.num_qubits());
-        self.relabelled_subgraph(name, n, |q| (q < n).then_some(q))
-    }
-
     /// Removes qubits down to `target_qubits` while keeping the graph
     /// connected, then relabels qubits contiguously. Each step removes the
     /// lowest-live-degree, then highest-index, qubit whose removal keeps
@@ -860,14 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_prefix_keeps_inner_edges() {
-        let g = complete(5);
-        let sub = g.induced_prefix(3, "k3");
-        assert_eq!(sub.num_qubits(), 3);
-        assert_eq!(sub.num_edges(), 3);
-    }
-
-    #[test]
     fn truncate_boundary_preserves_connectivity() {
         let g = path(10);
         let t = g.truncate_boundary(7, "path7");
@@ -1090,11 +1074,6 @@ mod tests {
         g.set_uniform_edge_error(0.002);
         g.set_edge_error(1, 2, 0.03);
         g.set_edge_error(6, 7, 0.05);
-        let sub = g.induced_prefix(5, "p5");
-        assert_eq!(sub.default_edge_error(), 0.002);
-        assert_eq!(sub.edge_error(1, 2), 0.03);
-        assert_eq!(sub.edge_error(3, 4), 0.002);
-        assert!(!sub.edge_errors_uniform());
         // Truncation drops qubit 7, and with it the overridden edge (6, 7).
         let t = g.truncate_boundary(7, "t7");
         assert_eq!(t.num_edges(), 6);
@@ -1148,15 +1127,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_induction_carry_edge_errors() {
+    fn truncation_carries_edge_errors() {
         let mut g = path(10);
         g.set_edge_error(0, 1, 0.04);
         g.set_edge_error(8, 9, 0.09);
         let t = g.truncate_boundary(7, "path7");
         assert_eq!(t.edge_error(0, 1), 0.04); // low end survives truncation
-        let sub = g.induced_prefix(5, "path5");
-        assert_eq!(sub.edge_error(0, 1), 0.04);
-        assert_eq!(sub.edge_error(3, 4), DEFAULT_EDGE_ERROR);
     }
 
     #[test]

@@ -127,16 +127,6 @@ proptest! {
     }
 
     #[test]
-    fn induced_prefix_never_gains_edges(n in 2usize..16) {
-        let g = builders::hypercube(4);
-        let sub = g.induced_prefix(n, "prefix");
-        prop_assert!(sub.num_edges() <= g.num_edges());
-        for (a, b) in sub.edges() {
-            prop_assert!(g.has_edge(a, b));
-        }
-    }
-
-    #[test]
     fn average_distance_is_bounded_by_diameter(rows in 2usize..5, cols in 2usize..5) {
         let g: CouplingGraph = builders::square_lattice(rows, cols);
         let m = g.metrics();

@@ -421,7 +421,7 @@ fn edge_list_digest(graph: &CouplingGraph) -> u64 {
 /// holds every Table 1/2 row), each shipped `devices/*.json` spec, the
 /// generator builders no catalog entry or spec reaches, and a calibrated
 /// grid with a non-default default rate and per-edge overrides, alone and
-/// through `induced_prefix` and `truncate_boundary`.
+/// through `truncate_boundary`.
 fn oracle_graphs() -> Vec<(String, CouplingGraph)> {
     use snailqc::topology::builders;
     let mut graphs: Vec<(String, CouplingGraph)> = catalog::names()
@@ -459,10 +459,6 @@ fn oracle_graphs() -> Vec<(String, CouplingGraph)> {
         calibrated.set_edge_error(a, b, 1e-4 * (i + 1) as f64);
     }
     graphs.push((
-        "calibrated-prefix-17".to_string(),
-        calibrated.induced_prefix(17, "prefix"),
-    ));
-    graphs.push((
         "calibrated-truncated-23".to_string(),
         calibrated.truncate_boundary(23, "truncated"),
     ));
@@ -473,7 +469,7 @@ fn oracle_graphs() -> Vec<(String, CouplingGraph)> {
 /// `(name, qubits, edges, edge_list_digest)` of every graph in
 /// `oracle_graphs`, frozen from the edge-by-edge builders the graphs were
 /// first made with.
-const FROZEN_EDGE_LISTS: [(&str, usize, usize, u64); 37] = [
+const FROZEN_EDGE_LISTS: [(&str, usize, usize, u64); 36] = [
     ("heavy-hex-20", 20, 21, 0xe150ac36333922f8),
     ("hex-lattice-20", 20, 24, 0x80334a434551b485),
     ("square-lattice-16", 16, 24, 0xf7efe89f5720f499),
@@ -508,7 +504,6 @@ const FROZEN_EDGE_LISTS: [(&str, usize, usize, u64); 37] = [
     ("tree4-340q", 340, 846, 0xa38fd20273960025),
     ("tree4rr-340q", 340, 846, 0x6865dd7e103b72a5),
     ("corral2,5-24q", 24, 72, 0x08827c8721b049ed),
-    ("calibrated-prefix-17", 17, 25, 0x1d3e8cf0268ac08c),
     ("calibrated-truncated-23", 23, 36, 0x7863bda381df52d5),
     ("calibrated-5x6", 30, 49, 0xe7f4370c61eabee2),
 ];
