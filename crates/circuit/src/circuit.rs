@@ -55,6 +55,15 @@ impl Circuit {
         self.num_qubits
     }
 
+    /// Grows the register to `num_qubits` qubits, keeping every instruction.
+    ///
+    /// # Panics
+    /// Panics if `num_qubits` is below the current register size.
+    pub fn widen(&mut self, num_qubits: usize) {
+        assert!(num_qubits >= self.num_qubits, "a register cannot shrink");
+        self.num_qubits = num_qubits;
+    }
+
     /// The accumulated global phase φ: the circuit's unitary carries an
     /// overall factor `e^{iφ}`. Unobservable in any measurement, but tracked
     /// so OpenQASM 3 `gphase` statements round-trip exactly and controlled

@@ -195,10 +195,14 @@ pub fn run_sweep_with_store(
     let _sweep_span = obs::span("sweep.run");
     let circuits = generate_circuits(config);
     let cells = build_cells(&circuits, devices);
+    let trace = obs::carry();
     let Some(store) = store else {
         return cells
             .par_iter()
-            .map(|cell| cell.point(cell.transpile(config)))
+            .map(|cell| {
+                let _trace = trace.enter();
+                cell.point(cell.transpile(config))
+            })
             .collect();
     };
 
@@ -216,7 +220,10 @@ pub fn run_sweep_with_store(
     let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
     let computed: Vec<(usize, TranspileReport)> = missing
         .par_iter()
-        .map(|&i| (i, cells[i].transpile(config)))
+        .map(|&i| {
+            let _trace = trace.enter();
+            (i, cells[i].transpile(config))
+        })
         .collect();
     for (i, report) in computed {
         store.insert(keys[i].clone(), report.into());

@@ -4,7 +4,7 @@
 use serde::Value;
 
 use crate::metrics::MetricsSnapshot;
-use crate::span::SpanEvent;
+use crate::span::TraceRecord;
 
 fn object(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -20,8 +20,10 @@ fn object(entries: Vec<(&str, Value)>) -> Value {
 /// becomes one complete (`"ph": "X"`) event; timestamps and durations are
 /// microseconds as the format requires, and span/parent ids are carried in
 /// `args` so the nesting survives even in viewers that re-sort events.
-pub fn chrome_trace(spans: &[SpanEvent]) -> String {
-    let events: Vec<Value> = spans
+/// `otherData.dropped_spans` carries the trace's drop count.
+pub fn chrome_trace(record: &TraceRecord) -> String {
+    let events: Vec<Value> = record
+        .spans
         .iter()
         .map(|span| {
             let mut args = vec![
@@ -48,10 +50,10 @@ pub fn chrome_trace(spans: &[SpanEvent]) -> String {
         ("displayTimeUnit", Value::String("ms".to_string())),
         (
             "otherData",
-            object(vec![(
-                "generator",
-                Value::String("snailqc-obs".to_string()),
-            )]),
+            object(vec![
+                ("generator", Value::String("snailqc-obs".to_string())),
+                ("dropped_spans", Value::UInt(record.dropped)),
+            ]),
         ),
     ]);
     serde_json::to_string(&trace).expect("trace serialization is infallible")
@@ -134,6 +136,7 @@ pub fn summary_table(snapshot: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::metrics::HistogramSummary;
+    use crate::span::SpanEvent;
 
     fn sample_span() -> SpanEvent {
         SpanEvent {
@@ -149,7 +152,10 @@ mod tests {
 
     #[test]
     fn chrome_trace_emits_complete_events_with_micros() {
-        let json = chrome_trace(&[sample_span()]);
+        let json = chrome_trace(&TraceRecord {
+            spans: vec![sample_span()],
+            dropped: 4,
+        });
         let value = serde_json::from_str(&json).unwrap();
         let events = match value.get("traceEvents").unwrap() {
             Value::Array(events) => events,
@@ -164,6 +170,8 @@ mod tests {
             event.get("args").unwrap().get("parent").unwrap(),
             &Value::UInt(3)
         );
+        let other = value.get("otherData").unwrap();
+        assert_eq!(other.get("dropped_spans"), Some(&Value::UInt(4)));
     }
 
     #[test]

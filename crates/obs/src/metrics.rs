@@ -1,9 +1,8 @@
 //! Named counters and fixed-bucket histograms.
 //!
-//! Metrics always record: the switch in [`crate::enable`] governs spans
-//! only. Every call site records at most once per route, simulation, batch
-//! file or request, never inside a per-gate loop, so a switch would save
-//! nothing.
+//! Metrics always record, trace or not. Every call site records at most
+//! once per route, simulation, batch file or request, never inside a
+//! per-gate loop, so a switch would save nothing.
 //! Metrics are interned by `&'static str` name in one global registry and
 //! updated under its mutex, which each record holds for a map lookup and a
 //! few integer adds.

@@ -1,8 +1,8 @@
-//! Behavioural tests for the global span/metrics machinery.
+//! Behavioural tests for traces and the global metrics registry.
 //!
-//! These tests toggle the process-global span switch and drain the global
-//! collectors, so they serialize on one mutex — `cargo test` runs tests in
-//! the same binary concurrently and the switch is shared state.
+//! Tests that read or reset the metrics registry serialize on one mutex —
+//! `cargo test` runs tests in the same binary concurrently and the registry
+//! is shared state. Traces belong to the test that made them.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -11,21 +11,21 @@ use snailqc_obs as obs;
 fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    obs::disable();
-    obs::reset();
+    obs::reset_metrics();
     guard
 }
 
 #[test]
 fn disabled_records_no_spans_and_metrics_still_count() {
     let _guard = exclusive();
+    let trace = obs::Trace::default();
     {
         let _span = obs::span("never.recorded");
         let _detailed = obs::span_with("never.recorded_either", "detail");
         obs::counter_add("still.counted", 5);
         obs::histogram_record("still.sampled", 9);
     }
-    assert!(obs::take_spans().is_empty());
+    assert!(trace.finish().spans.is_empty());
     let snapshot = obs::snapshot();
     assert_eq!(snapshot.counter("still.counted"), Some(5));
     let sampled = snapshot.histogram("still.sampled").unwrap();
@@ -34,18 +34,20 @@ fn disabled_records_no_spans_and_metrics_still_count() {
 
 #[test]
 fn spans_nest_and_drain_with_parent_links() {
-    let _guard = exclusive();
-    obs::enable();
+    let trace = obs::Trace::default();
     {
+        let _entered = trace.enter();
         let _outer = obs::span("outer");
         {
             let _inner = obs::span_with("inner", "detail-text");
         }
         let _sibling = obs::span("sibling");
     }
-    obs::disable();
-    let spans = obs::take_spans();
-    assert_eq!(spans.len(), 3);
+    // Outside the entered scope nothing records.
+    drop(obs::span("after.exit"));
+    let record = trace.finish();
+    let spans = record.spans;
+    assert_eq!((spans.len(), record.dropped), (3, 0));
     let outer = spans.iter().find(|s| s.name == "outer").unwrap();
     let inner = spans.iter().find(|s| s.name == "inner").unwrap();
     let sibling = spans.iter().find(|s| s.name == "sibling").unwrap();
@@ -55,34 +57,69 @@ fn spans_nest_and_drain_with_parent_links() {
     assert_eq!(inner.detail.as_deref(), Some("detail-text"));
     assert!(inner.start_ns >= outer.start_ns);
     assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
-    // Drained means gone.
-    assert!(obs::take_spans().is_empty());
 }
 
 #[test]
-fn worker_thread_spans_flush_when_the_thread_exits() {
-    let _guard = exclusive();
-    obs::enable();
+fn worker_threads_record_into_a_trace_only_when_it_is_carried_to_them() {
+    let trace = obs::Trace::default();
     {
+        let _entered = trace.enter();
         let _span = obs::span("main.thread");
+        let carried = obs::carry();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let _span = obs::span("worker.thread");
+                    let _entered = carried.enter();
+                    let _outer = obs::span("worker.carried");
+                    let _inner = obs::span("worker.inner");
+                });
+                scope.spawn(|| {
+                    let _span = obs::span("worker.uncarried");
                 });
             }
         });
     }
-    obs::disable();
-    let spans = obs::take_spans();
-    let workers: Vec<_> = spans.iter().filter(|s| s.name == "worker.thread").collect();
+    let spans = trace.finish().spans;
     let main = spans.iter().find(|s| s.name == "main.thread").unwrap();
-    assert_eq!(workers.len(), 4);
-    // Worker spans are roots on their own threads, with distinct tids.
-    for worker in &workers {
-        assert_eq!(worker.parent, 0);
+    let named = |name| spans.iter().filter(move |s| s.name == name);
+    assert_eq!(named("worker.uncarried").count(), 0);
+    assert_eq!(named("worker.carried").count(), 4);
+    for worker in named("worker.carried") {
+        assert_eq!(worker.parent, main.id);
         assert_ne!(worker.tid, main.tid);
+        let inner: Vec<_> = named("worker.inner")
+            .filter(|s| s.parent == worker.id)
+            .collect();
+        assert_eq!(inner.len(), 1);
+        assert_eq!(inner[0].tid, worker.tid);
     }
+    // Outside a trace there is nothing to carry.
+    assert!(obs::carry().enter().is_none());
+}
+
+#[test]
+fn a_flooded_trace_keeps_its_capacity_and_counts_the_rest() {
+    let _guard = exclusive();
+    const EXTRA: usize = 37;
+    let trace = obs::Trace::default();
+    {
+        let _entered = trace.enter();
+        for _ in 0..obs::TRACE_CAPACITY + EXTRA {
+            drop(obs::span("flood"));
+        }
+    }
+    let record = trace.finish();
+    assert_eq!(record.spans.len(), obs::TRACE_CAPACITY);
+    assert_eq!(record.dropped, EXTRA as u64);
+    let json = serde_json::from_str(&obs::chrome_trace(&record)).unwrap();
+    assert_eq!(
+        json.get("otherData").and_then(|o| o.get("dropped_spans")),
+        Some(&serde::Value::UInt(EXTRA as u64))
+    );
+    assert_eq!(
+        obs::snapshot().counter("trace.spans_dropped"),
+        Some(EXTRA as u64)
+    );
 }
 
 #[test]
@@ -105,7 +142,7 @@ fn counters_and_histograms_accumulate_and_reset() {
     assert!(summary.p50 <= summary.p90 && summary.p90 <= summary.p99);
     assert!(summary.p99 >= 1000 && summary.p99 <= 1023);
 
-    obs::reset();
+    obs::reset_metrics();
     let cleared = obs::snapshot();
     assert_eq!(cleared.counter("test.counter"), Some(0));
     assert_eq!(cleared.histogram("test.hist").unwrap().count, 0);
@@ -116,15 +153,13 @@ fn counters_and_histograms_accumulate_and_reset() {
 
 #[test]
 fn chrome_trace_of_a_real_run_parses_and_nests() {
-    let _guard = exclusive();
-    obs::enable();
+    let trace = obs::Trace::default();
     {
+        let _entered = trace.enter();
         let _outer = obs::span("trace.outer");
         let _inner = obs::span("trace.inner");
     }
-    obs::disable();
-    let spans = obs::take_spans();
-    let json = obs::chrome_trace(&spans);
+    let json = obs::chrome_trace(&trace.finish());
     let value = serde_json::from_str(&json).expect("trace is valid JSON");
     let events = match value.get("traceEvents").unwrap() {
         serde::Value::Array(events) => events.clone(),

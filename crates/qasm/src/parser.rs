@@ -251,8 +251,11 @@ pub(crate) enum Operand<'a> {
 pub(crate) struct Parser<'a> {
     pub(crate) tokens: Vec<Token<'a>>,
     pub(crate) pos: usize,
-    pub(crate) qregs: Vec<(&'a str, usize, usize)>, // name, size, flat offset
+    pub(crate) qregs: Vec<(&'a str, usize)>,
     pub(crate) cregs: Vec<(&'a str, usize)>,
+    /// Every declared register by name: its size, and its flat offset when
+    /// it is a quantum register.
+    registers: HashMap<&'a str, (usize, Option<usize>)>,
     gate_defs: HashMap<&'a str, Arc<GateDef<'a>>>,
     /// Gate applications inside each definition's expansion, `None` when it
     /// never ends; cleared whenever a definition is added.
@@ -275,6 +278,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             qregs: Vec::new(),
             cregs: Vec::new(),
+            registers: HashMap::new(),
             gate_defs: HashMap::new(),
             expanded: HashMap::new(),
             applied: 0,
@@ -375,7 +379,7 @@ impl<'a> Parser<'a> {
             qregs: self
                 .qregs
                 .iter()
-                .map(|(n, s, _)| (n.to_string(), *s))
+                .map(|(n, s)| (n.to_string(), *s))
                 .collect(),
             cregs: self
                 .cregs
@@ -468,7 +472,7 @@ impl<'a> Parser<'a> {
         if size == 0 {
             return Err(err(format!("{kind} `{name}` must have at least one qubit")));
         }
-        if self.find_qreg(name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
+        if self.registers.contains_key(name) {
             return Err(err(format!("register `{name}` is already declared")));
         }
         let offset = self.circuit.num_qubits();
@@ -478,10 +482,9 @@ impl<'a> Parser<'a> {
                  of {MAX_QUBITS} qubits"
             )));
         }
-        self.qregs.push((name, size, offset));
-        let total = offset + size;
-        let mapping: Vec<usize> = (0..offset).collect();
-        self.circuit = self.circuit.remap_qubits(&mapping, total);
+        self.qregs.push((name, size));
+        self.registers.insert(name, (size, Some(offset)));
+        self.circuit.widen(offset + size);
         Ok(())
     }
 
@@ -493,7 +496,7 @@ impl<'a> Parser<'a> {
         name: &'a str,
         size: usize,
     ) -> Result<(), QasmError> {
-        if self.find_qreg(name).is_some() || self.cregs.iter().any(|(n, _)| *n == name) {
+        if self.registers.contains_key(name) {
             return Err(QasmError::new(
                 line,
                 col,
@@ -501,14 +504,15 @@ impl<'a> Parser<'a> {
             ));
         }
         self.cregs.push((name, size));
+        self.registers.insert(name, (size, None));
         Ok(())
     }
 
     pub(crate) fn find_qreg(&self, name: &str) -> Option<(usize, usize)> {
-        self.qregs
-            .iter()
-            .find(|(n, _, _)| *n == name)
-            .map(|(_, size, offset)| (*size, *offset))
+        match self.registers.get(name) {
+            Some(&(size, Some(offset))) => Some((size, offset)),
+            _ => None,
+        }
     }
 
     // --- gate definitions ---------------------------------------------------
@@ -758,14 +762,12 @@ impl<'a> Parser<'a> {
     /// or 1 for an in-range indexed bit).
     pub(crate) fn resolve_bits(&self, op: &Operand) -> Result<usize, QasmError> {
         let (Operand::Reg(name) | Operand::Bit(name, _)) = *op;
-        let (_, size) = self
-            .cregs
-            .iter()
-            .find(|(n, _)| *n == name)
-            .ok_or_else(|| self.err(format!("unknown classical register `{name}`")))?;
+        let Some(&(size, None)) = self.registers.get(name) else {
+            return Err(self.err(format!("unknown classical register `{name}`")));
+        };
         match *op {
-            Operand::Reg(_) => Ok(*size),
-            Operand::Bit(_, idx) if idx >= *size => {
+            Operand::Reg(_) => Ok(size),
+            Operand::Bit(_, idx) if idx >= size => {
                 Err(self.err(format!("index {idx} out of range for `{name}[{size}]`")))
             }
             Operand::Bit(..) => Ok(1),

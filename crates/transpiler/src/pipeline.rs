@@ -34,10 +34,11 @@
 //! [`PassTrace`] recording per-stage wall time and gate/SWAP deltas for
 //! observability.
 //!
-//! When `snailqc-obs` span recording is on (see [`snailqc_obs::enable`]),
-//! every stage additionally runs inside a tracing span (`pipeline.layout`,
-//! `pipeline.routing`, …) nested under a `pipeline.run` root. Instrumentation
-//! only records — routed output is bitwise-identical with recording on or off.
+//! When the calling thread has a [`snailqc_obs::Trace`] entered, every stage
+//! additionally runs inside a tracing span (`pipeline.layout`,
+//! `pipeline.routing`, …) nested under a `pipeline.run` span.
+//! Instrumentation only records — routed output is bitwise-identical with or
+//! without a trace.
 
 use crate::layout::{LayoutError, LayoutStrategy};
 use crate::routing::{route_with_cache, RoutedCircuit, RouterConfig, RoutingCache};

@@ -724,9 +724,13 @@ pub fn route_with_cache(
     let trials: Vec<(RoutedCircuit, TrialStats)> = if seeds.len() == 1 {
         vec![route_once(&shared, seeds[0])]
     } else {
+        let trace = obs::carry();
         seeds
             .par_iter()
-            .map(|&seed| route_once(&shared, seed))
+            .map(|&seed| {
+                let _trace = trace.enter();
+                route_once(&shared, seed)
+            })
             .collect()
     };
 

@@ -121,7 +121,8 @@ fn tracing_enabled_routing_is_bitwise_identical_to_the_frozen_digests() {
     {
         return;
     }
-    snailqc_obs::enable();
+    let trace = snailqc_obs::Trace::default();
+    let entered = trace.enter();
     for &(name, frozen_blind, frozen_aware) in &FROZEN {
         assert_eq!(
             digest(&route_cell(name, false)),
@@ -135,7 +136,8 @@ fn tracing_enabled_routing_is_bitwise_identical_to_the_frozen_digests() {
         );
     }
     // And the run really was recorded: trial spans and router counters.
-    let spans = snailqc_obs::take_spans();
+    drop(entered);
+    let spans = trace.finish().spans;
     assert!(
         spans.iter().any(|s| s.name == "router.trial"),
         "no router.trial spans recorded"
@@ -147,5 +149,4 @@ fn tracing_enabled_routing_is_bitwise_identical_to_the_frozen_digests() {
         .unwrap_or(0);
     assert!(trials >= 2 * FROZEN.len() as u64, "trials_run = {trials}");
     assert!(scored > 0, "swap_candidates_scored = {scored}");
-    snailqc_obs::disable();
 }

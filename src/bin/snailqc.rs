@@ -381,45 +381,40 @@ fn cmd_transpile(args: &[String]) -> Result<(), String> {
     }
     let (device, pipeline) =
         transpile_args(&opts)?.resolve(&DeviceRegistry::with_default_paths())?;
-    let observed = obs_setup(&opts);
-    if batch {
-        transpile_directory(file, &device, &pipeline, &opts)?;
-    } else {
-        transpile_one_file(file, device, pipeline, &opts)?;
-    }
-    if observed {
-        obs_finish(&opts)?;
-    }
-    Ok(())
-}
-
-/// Turns on span recording when the run writes a trace (`--trace-out`);
-/// metrics are always counted. Returns whether the run wants any
-/// observability output (`--metrics-json`, or the `SNAILQC_TRACE` summary
-/// table), so the caller knows to drain.
-fn obs_setup(opts: &Options) -> bool {
-    let tracing = opts.value("trace-out").is_some();
-    if tracing {
-        snailqc::obs::enable();
-    }
-    tracing || opts.value("metrics-json").is_some() || snailqc::obs::env_requests_tracing()
+    // `--trace-out` records one trace around the run; metrics always count.
+    let trace = opts
+        .value("trace-out")
+        .map(|_| snailqc::obs::Trace::default());
+    let outcome = {
+        let _entered = trace.as_ref().map(snailqc::obs::Trace::enter);
+        if batch {
+            transpile_directory(file, &device, &pipeline, &opts)
+        } else {
+            transpile_one_file(file, device, pipeline, &opts)
+        }
+    };
+    // A failed run still writes the observability files it was asked for.
+    let written = obs_finish(&opts, trace);
+    outcome.and(written)
 }
 
 /// Writes the Chrome trace-event JSON and/or the metrics snapshot where
 /// requested, and falls back to a human-readable metrics table on stderr
 /// for env-only runs, so `SNAILQC_TRACE=1` alone still shows something.
-fn obs_finish(opts: &Options) -> Result<(), String> {
-    let metrics = snailqc::obs::snapshot();
-    if let Some(path) = opts.value("trace-out") {
-        let spans = snailqc::obs::take_spans();
-        std::fs::write(path, snailqc::obs::chrome_trace(&spans))
+fn obs_finish(opts: &Options, trace: Option<snailqc::obs::Trace>) -> Result<(), String> {
+    if let (Some(path), Some(trace)) = (opts.value("trace-out"), trace) {
+        std::fs::write(path, snailqc::obs::chrome_trace(&trace.finish()))
             .map_err(|e| format!("writing trace `{path}`: {e}"))?;
     }
+    let metrics = snailqc::obs::snapshot();
     if let Some(path) = opts.value("metrics-json") {
         std::fs::write(path, snailqc::obs::metrics_json(&metrics))
             .map_err(|e| format!("writing metrics `{path}`: {e}"))?;
     }
-    if opts.value("trace-out").is_none() && opts.value("metrics-json").is_none() {
+    if opts.value("trace-out").is_none()
+        && opts.value("metrics-json").is_none()
+        && snailqc::obs::env_requests_tracing()
+    {
         eprint!("{}", snailqc::obs::summary_table(&metrics));
     }
     Ok(())
@@ -652,15 +647,17 @@ fn transpile_directory(
     };
     let emit_dir = opts.value("emit-dir").map(PathBuf::from);
 
+    let _batch_span = snailqc::obs::span("batch.run");
+    let trace = snailqc::obs::carry();
     let files: Vec<BatchFileOutput> = paths
         .par_iter()
         .map(|path| {
+            let _trace = trace.enter();
             let name = path
                 .strip_prefix(root)
                 .map(|p| p.to_string_lossy().into_owned())
                 .unwrap_or_else(|_| path.display().to_string());
-            let _file_span = snailqc::obs::is_enabled()
-                .then(|| snailqc::obs::span_with("batch.file", name.clone()));
+            let _file_span = snailqc::obs::span_with("batch.file", name.as_str());
             let started = std::time::Instant::now();
             let seed = pipeline.router().seed ^ snailqc_util::fnv1a_64(name.as_bytes());
             let outcome = std::fs::read_to_string(path)

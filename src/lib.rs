@@ -60,8 +60,8 @@
 //! and every run carries a [`PassTrace`](transpiler::PassTrace) with
 //! per-stage timings and gate/SWAP deltas. For deeper introspection, the
 //! workspace-wide observability layer always counts router work and cache
-//! hits/misses as metrics ([`obs::snapshot`]), and [`obs::enable`] turns on
-//! nested tracing spans around every pipeline stage and routing trial,
+//! hits/misses as metrics ([`obs::snapshot`]), and an entered [`obs::Trace`]
+//! records nested spans around every pipeline stage and routing trial,
 //! exportable as Chrome trace-event JSON ([`obs::chrome_trace`]) — see the
 //! CLI's `--trace-out` / `--metrics-json` flags and the README's
 //! Observability section.

@@ -28,9 +28,8 @@
 //!   job are timed into the `snailqc-obs` metrics registry, which always
 //!   counts; the `stats` RPC surfaces their p50/p90/p99 (`decode_micros`,
 //!   `latency_micros`), queue depth, cache hit rates (memory,
-//!   `RoutingCache`, `SweepStore`) and request counters. The daemon never
-//!   turns span recording on: nothing in it would drain the spans, so they
-//!   would pile up with every request.
+//!   `RoutingCache`, `SweepStore`) and request counters. No daemon thread
+//!   enters a `snailqc_obs::Trace`, so the daemon records no spans.
 //! * **Shared store.** With a store file configured, cells persist across
 //!   daemon restarts and are shared with the batch CLI: both run jobs through
 //!   [`request::run`], whose store rows keep the report and both circuit
@@ -718,9 +717,9 @@ pub struct Server {
 impl Server {
     /// Binds, starts the worker pool and the accept loop, and returns
     /// without blocking. `stats` reads the `snailqc-obs` metrics, which
-    /// always count; the daemon never turns span recording on, so a request
-    /// leaves no trace events behind and memory does not grow with the
-    /// number of requests served.
+    /// always count; no daemon thread enters a trace, so a request leaves
+    /// no spans behind and memory does not grow with the number of requests
+    /// served.
     pub fn spawn(config: ServeConfig) -> Result<Self, String> {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(2, |n| n.get())

@@ -831,6 +831,49 @@ fn trace_out_and_metrics_json_capture_the_pipeline_run() {
 }
 
 #[test]
+fn a_failed_transpile_still_writes_its_trace_and_metrics_files() {
+    let dir = std::env::temp_dir().join(format!("snailqc-obs-failed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (source, trace_path, metrics_path) = (
+        dir.join("ghz20.qasm"),
+        dir.join("trace.json"),
+        dir.join("metrics.json"),
+    );
+    let body: String = (1..20)
+        .map(|q| format!("cx q[{}], q[{q}];\n", q - 1))
+        .collect();
+    std::fs::write(
+        &source,
+        format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[20];\nh q[0];\n{body}"),
+    )
+    .unwrap();
+    let output = snailqc(&[
+        "transpile",
+        source.to_str().unwrap(),
+        "--topology=corral11-16",
+        &format!("--trace-out={}", trace_path.display()),
+        &format!("--metrics-json={}", metrics_path.display()),
+    ]);
+    assert!(!output.status.success(), "20 qubits fit a 16-qubit device?");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("only has 16"), "{stderr}");
+    let read = |path: &std::path::Path| -> serde_json::Value {
+        serde_json::from_str(&std::fs::read_to_string(path).expect("file written"))
+            .expect("valid JSON")
+    };
+    let trace = read(&trace_path);
+    assert!(trace
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .is_some());
+    let dropped = trace.get("otherData").and_then(|o| o.get("dropped_spans"));
+    assert_eq!(dropped.and_then(|v| v.as_u64()), Some(0));
+    assert!(read(&metrics_path).get("counters").is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn snailqc_trace_without_output_files_prints_the_counter_table() {
     let output = Command::new(env!("CARGO_BIN_EXE_snailqc"))
         .args([
@@ -871,15 +914,21 @@ fn batch_mode_records_per_file_latency_histograms() {
     let metrics_path = dir.join("metrics.json");
     let trace_path = dir.join("trace.json");
 
-    let output = snailqc(&[
-        "transpile",
-        dir.to_str().unwrap(),
-        "--topology=tree-20",
-        "--seed=5",
-        &format!("--trace-out={}", trace_path.display()),
-        &format!("--metrics-json={}", metrics_path.display()),
-        "--json",
-    ]);
+    // Two workers even on a one-core machine, so the trials and the files
+    // run off the main thread.
+    let output = Command::new(env!("CARGO_BIN_EXE_snailqc"))
+        .args([
+            "transpile",
+            dir.to_str().unwrap(),
+            "--topology=tree-20",
+            "--seed=5",
+            &format!("--trace-out={}", trace_path.display()),
+            &format!("--metrics-json={}", metrics_path.display()),
+            "--json",
+        ])
+        .env("RAYON_NUM_THREADS", "2")
+        .output()
+        .expect("snailqc binary runs");
     assert!(
         output.status.success(),
         "stderr: {}",
@@ -906,6 +955,52 @@ fn batch_mode_records_per_file_latency_histograms() {
         .filter(|e| e.get("name").and_then(|v| v.as_str()) == Some("batch.file"))
         .collect();
     assert_eq!(file_spans.len(), 2);
+
+    // The run is one tree: every span's parent chain reaches the one root,
+    // through the spans that carried the trace to the worker threads.
+    let events = trace.get("traceEvents").and_then(|v| v.as_array()).unwrap();
+    let arg = |event: &serde_json::Value, field: &str| {
+        event
+            .get("args")
+            .and_then(|a| a.get(field))
+            .and_then(|v| v.as_u64())
+            .unwrap()
+    };
+    let parents: std::collections::HashMap<u64, u64> = events
+        .iter()
+        .map(|e| (arg(e, "id"), arg(e, "parent")))
+        .collect();
+    let roots: Vec<u64> = parents
+        .iter()
+        .filter(|&(_, &parent)| parent == 0)
+        .map(|(&id, _)| id)
+        .collect();
+    assert_eq!(roots.len(), 1, "roots {roots:?}");
+    for &id in parents.keys() {
+        let mut at = id;
+        for _ in 0..parents.len() {
+            if parents[&at] == 0 {
+                break;
+            }
+            at = parents[&at];
+        }
+        assert_eq!(at, roots[0], "span {id} does not reach the root");
+    }
+    let tids = |name: &str| -> std::collections::HashSet<u64> {
+        events
+            .iter()
+            .filter(|e| e.get("name").and_then(|v| v.as_str()) == Some(name))
+            .map(|e| e.get("tid").and_then(|v| v.as_u64()).unwrap())
+            .collect()
+    };
+    let trial_tids = tids("router.trial");
+    assert!(!trial_tids.is_empty(), "no router.trial spans in the tree");
+    assert!(
+        trial_tids
+            .iter()
+            .any(|tid| !tids("batch.run").contains(tid)),
+        "no router.trial span from a worker thread: {trial_tids:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

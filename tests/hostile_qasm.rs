@@ -1,8 +1,9 @@
 //! Hostile QASM inputs that once took the front end down: sums, nested
 //! parentheses and prefix chains deep enough to overflow the call stack,
-//! and gate definitions whose expansion doubles at every level. Each one
-//! now parses, or is refused with a `line:col` error, on a small stack and
-//! in bounded time, through the library, the CLI and a live `serve` daemon.
+//! gate definitions whose expansion doubles at every level, and tens of
+//! thousands of register declarations. Each one now parses, or is refused
+//! with a `line:col` error, on a small stack and in bounded time, through
+//! the library, the CLI and a live `serve` daemon.
 
 use serde::Value;
 use snailqc::circuit::Gate;
@@ -90,6 +91,50 @@ fn doubling_definitions_are_refused_at_their_application_before_expanding() {
         let limit = format!("limit of {MAX_EXPANDED_GATES}");
         assert!(err.message.contains(&limit), "{err}");
     }
+}
+
+/// 20,000 one-qubit registers, each followed by a gate on it, in both
+/// dialects. Declaring a register once rebuilt the whole circuit, which made
+/// this take half a minute.
+fn many_registers() -> [String; 2] {
+    let (mut v2, mut v3) = (
+        String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"),
+        String::from("OPENQASM 3.0;\ninclude \"stdgates.inc\";\n"),
+    );
+    for r in 0..20_000 {
+        v2 += &format!("qreg r{r}[1];\nh r{r}[0];\n");
+        v3 += &format!("qubit r{r};\nh r{r};\n");
+    }
+    [v2, v3]
+}
+
+#[test]
+fn many_register_declarations_parse_in_linear_time() {
+    let [v2, v3] = many_registers();
+    let dir = std::env::temp_dir().join(format!("snailqc-registers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("registers.qasm");
+    std::fs::write(&path, &v2).unwrap();
+    let started = Instant::now();
+    let (c2, c3) = (parse_circuit(&v2).unwrap(), parse3_circuit(&v3).unwrap());
+    let cli = Command::new(env!("CARGO_BIN_EXE_snailqc"))
+        .arg("parse")
+        .arg(&path)
+        .output()
+        .expect("the CLI runs");
+    let elapsed = started.elapsed();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(elapsed < Duration::from_secs(20), "{elapsed:?}");
+    assert_eq!(c2, c3);
+    assert_eq!((c2.num_qubits(), c2.len()), (20_000, 20_000));
+    assert_eq!(c2.instructions()[19_999].qubits, vec![19_999]);
+    let stdout = String::from_utf8_lossy(&cli.stdout);
+    assert!(
+        cli.status.success(),
+        "{}",
+        String::from_utf8_lossy(&cli.stderr)
+    );
+    assert!(stdout.contains("h:20000"), "{stdout}");
 }
 
 #[test]

@@ -194,12 +194,14 @@ fn serve_matches_one_shot_cli_and_surfaces_cache_hits_in_stats() {
 }
 
 /// The daemon's memory must not grow with the number of requests served:
-/// it never turns span recording on (nothing in it would drain the spans),
-/// while the metrics behind `stats` always count. No test in this binary
-/// turns spans on, so any span in the collector was recorded by a daemon.
+/// no daemon thread has a trace entered, so none records a span, while the
+/// metrics behind `stats` always count. A trace entered on the client
+/// thread collects nothing from the daemon's threads.
 #[test]
 fn the_daemon_records_no_spans_and_stats_still_counts_every_request() {
     const REQUESTS: u64 = 200;
+    let trace = snailqc::obs::Trace::default();
+    let entered = trace.enter();
     let (server, addr) = spawn_tcp(None);
     let ghz3 = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n\
                 h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
@@ -220,10 +222,11 @@ fn the_daemon_records_no_spans_and_stats_still_counts_every_request() {
         assert_eq!(str_field(&response, "cached"), "none");
     }
     let stats = client.call("stats", object(vec![])).expect("stats RPC");
-    let spans = snailqc::obs::take_spans();
+    drop(entered);
+    let spans = trace.finish().spans;
     assert!(
         spans.is_empty(),
-        "the daemon recorded {} spans it never drains, e.g. `{}`",
+        "the client's trace holds {} daemon spans, e.g. `{}`",
         spans.len(),
         spans[0].name
     );
