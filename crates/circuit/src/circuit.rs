@@ -168,29 +168,6 @@ impl Circuit {
         self.push(Gate::RZZ(theta), &[a, b]);
     }
 
-    // --- composition --------------------------------------------------------
-
-    /// Appends every instruction of `other` (registers must match).
-    pub fn compose(&mut self, other: &Circuit) {
-        assert_eq!(self.num_qubits, other.num_qubits, "register sizes differ");
-        self.instructions.extend(other.instructions.iter().cloned());
-        self.global_phase += other.global_phase;
-    }
-
-    /// Returns a new circuit with every qubit index `q` replaced by
-    /// `mapping[q]`. The mapping must be a permutation-like injection into a
-    /// register of `new_num_qubits` qubits.
-    pub fn remap_qubits(&self, mapping: &[usize], new_num_qubits: usize) -> Circuit {
-        assert_eq!(mapping.len(), self.num_qubits);
-        let mut out = Circuit::new(new_num_qubits);
-        out.global_phase = self.global_phase;
-        for inst in &self.instructions {
-            let qubits: Vec<usize> = inst.qubits.iter().map(|&q| mapping[q]).collect();
-            out.push(inst.gate.clone(), &qubits);
-        }
-        out
-    }
-
     /// The inverse circuit (every gate inverted, order reversed).
     pub fn inverse(&self) -> Circuit {
         let mut out = Circuit::new(self.num_qubits);
@@ -271,25 +248,6 @@ impl Circuit {
             .round() as usize
     }
 
-    /// Groups instruction indices into ASAP layers (all instructions in a
-    /// layer act on disjoint qubits and have all dependencies in earlier
-    /// layers). Useful for visualisation and parallelism analysis.
-    pub fn asap_layers(&self) -> Vec<Vec<usize>> {
-        let mut level = vec![0usize; self.num_qubits];
-        let mut layers: Vec<Vec<usize>> = Vec::new();
-        for (idx, inst) in self.instructions.iter().enumerate() {
-            let start = inst.qubits.iter().map(|&q| level[q]).max().unwrap_or(0);
-            if layers.len() <= start {
-                layers.resize_with(start + 1, Vec::new);
-            }
-            layers[start].push(idx);
-            for &q in &inst.qubits {
-                level[q] = start + 1;
-            }
-        }
-        layers
-    }
-
     /// The multiset of undirected qubit pairs touched by two-qubit gates, as
     /// sorted `(min, max)` tuples in program order. Used by routing tests to
     /// check interaction preservation.
@@ -358,10 +316,6 @@ mod tests {
         c.cx(1, 2); // depends on both
         assert_eq!(c.depth(), 2);
         assert_eq!(c.two_qubit_depth(), 2);
-        let layers = c.asap_layers();
-        assert_eq!(layers.len(), 2);
-        assert_eq!(layers[0], vec![0, 1]);
-        assert_eq!(layers[1], vec![2]);
     }
 
     #[test]
@@ -382,24 +336,6 @@ mod tests {
         let counts = c.gate_counts();
         assert_eq!(counts["h"], 1);
         assert_eq!(counts["cx"], 3);
-    }
-
-    #[test]
-    fn remap_preserves_structure() {
-        let c = ghz(3);
-        let remapped = c.remap_qubits(&[2, 0, 1], 4);
-        assert_eq!(remapped.num_qubits(), 4);
-        assert_eq!(remapped.instructions()[0].qubits, vec![2]);
-        assert_eq!(remapped.instructions()[1].qubits, vec![2, 0]);
-        assert_eq!(remapped.instructions()[2].qubits, vec![0, 1]);
-    }
-
-    #[test]
-    fn compose_appends() {
-        let mut a = ghz(3);
-        let b = ghz(3);
-        a.compose(&b);
-        assert_eq!(a.len(), 6);
     }
 
     #[test]
@@ -426,12 +362,7 @@ mod tests {
         c.add_global_phase(0.5);
         c.add_global_phase(-0.2);
         assert!((c.global_phase() - 0.3).abs() < 1e-15);
-        assert!((c.remap_qubits(&[2, 0, 1], 4).global_phase() - 0.3).abs() < 1e-15);
         assert!((c.inverse().global_phase() + 0.3).abs() < 1e-15);
-        let mut other = ghz(3);
-        other.add_global_phase(0.7);
-        c.compose(&other);
-        assert!((c.global_phase() - 1.0).abs() < 1e-15);
         // Phase participates in equality: two otherwise-identical circuits
         // with different phases are distinct.
         let mut a = ghz(2);

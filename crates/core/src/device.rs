@@ -23,10 +23,10 @@
 //! assert_eq!(result.report.basis, Some(BasisGate::SqrtISwap));
 //! ```
 //!
-//! [`Device::try_transpile`] resolves the pipeline's default
-//! [`BasisChoice::Device`](snailqc_transpiler::BasisChoice::Device)
-//! translation stage against the device's native basis — on a co-designed
-//! machine the modulator chooses the gate, not the transpiler call site.
+//! [`Device::try_transpile`] translates into the device's native basis —
+//! on a co-designed machine the modulator chooses the gate, so the device
+//! is the one place a basis is set; a [`Pipeline`] carries only its layout
+//! and router settings.
 
 use crate::machine::Machine;
 use crate::noise::ErrorModelSpec;
@@ -215,9 +215,8 @@ impl Device {
         circuit.num_qubits() <= self.graph.num_qubits()
     }
 
-    /// Runs `pipeline` on this device. The pipeline's default
-    /// `BasisChoice::Device` translation stage resolves to this device's
-    /// native basis (no translation when the device has none).
+    /// Runs `pipeline` on this device, translating into the device's native
+    /// basis (no translation when the device has none).
     ///
     /// Returns a [`TranspileError`] when the circuit cannot be placed on this
     /// device — e.g. it needs more qubits than the device's largest connected

@@ -152,10 +152,8 @@ mod tests {
 
     fn report_for(basis: BasisGate, graph: &snailqc_topology::CouplingGraph) -> TranspileReport {
         let circuit = Workload::Qft.generate(12, 3);
-        Pipeline::builder()
-            .translate_to(basis)
-            .build()
-            .run(&circuit, graph, None, &RoutingCache::new())
+        Pipeline::default()
+            .run(&circuit, graph, Some(basis), &RoutingCache::new())
             .unwrap()
             .report
     }
@@ -202,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn routing_only_reports_are_estimated_at_routed_granularity() {
+    fn reports_without_a_basis_are_estimated_at_routed_granularity() {
         let circuit = Workload::Qft.generate(8, 2);
         let report = Pipeline::default()
             .run(&circuit, &catalog::tree_20(), None, &RoutingCache::new())
@@ -245,18 +243,18 @@ mod tests {
         let circuit = Workload::Qft.generate(12, 3);
         let graph = catalog::corral11_16();
         let mut degraded = graph.clone();
-        degraded.scale_edge_error(0, 2, 50.0);
+        degraded.set_edge_error(0, 2, graph.edge_error(0, 2) * 50.0);
         let pipeline = Pipeline::builder()
             // Noise-blind routing so both devices get the identical circuit.
             .router(RouterConfig::default())
-            .translate_to(BasisGate::SqrtISwap)
             .build();
+        let basis = Some(BasisGate::SqrtISwap);
         let clean = pipeline
-            .run(&circuit, &graph, None, &RoutingCache::new())
+            .run(&circuit, &graph, basis, &RoutingCache::new())
             .unwrap()
             .report;
         let noisy = pipeline
-            .run(&circuit, &degraded, None, &RoutingCache::new())
+            .run(&circuit, &degraded, basis, &RoutingCache::new())
             .unwrap()
             .report;
         assert_eq!(clean.swap_count, noisy.swap_count);

@@ -10,8 +10,8 @@
 //!   [`machine::Machine`] pairing ([`Device::from_machine`]), or from a bare
 //!   graph, then refined with [`Device::with_error_model`] /
 //!   [`Device::with_basis`]. [`Device::try_transpile`] runs a staged
-//!   [`Pipeline`](snailqc_transpiler::Pipeline) whose translation stage
-//!   defaults to the device's native gate.
+//!   [`Pipeline`](snailqc_transpiler::Pipeline) and translates into the
+//!   device's native gate, the one place a basis is set.
 //! * [`machine::Machine`] — a catalog topology name paired with a basis
 //!   gate. Its two line-ups are the machines compared in Figs. 13 and 14
 //!   (Heavy-Hex/CNOT, Square-Lattice/SYC, and the SNAIL machines with

@@ -279,6 +279,8 @@ mod tests {
         assert_eq!(points.len(), 8);
         for p in &points {
             assert!(p.basis.is_some());
+            // The label and the translation read the one basis, the device's.
+            assert_eq!(p.basis, p.report.basis);
             assert!(p.report.basis_gate_count >= p.report.routed_two_qubit_gates);
         }
     }

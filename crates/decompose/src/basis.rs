@@ -168,24 +168,6 @@ impl BasisGate {
         self.count_for_unitary(&u)
     }
 
-    /// Number of applications needed to implement a SWAP (the routing
-    /// primitive, paper §2.4.3): 3 for CNOT and √iSWAP, 4 for SYC.
-    pub fn swap_cost(&self) -> usize {
-        self.count_for_coords(&WeylCoordinates {
-            c1: std::f64::consts::FRAC_PI_4,
-            c2: std::f64::consts::FRAC_PI_4,
-            c3: std::f64::consts::FRAC_PI_4,
-        })
-    }
-
-    /// The worst-case number of applications for an arbitrary 2Q unitary.
-    pub fn worst_case(&self) -> usize {
-        match self {
-            BasisGate::Cnot | BasisGate::SqrtISwap => 3,
-            BasisGate::Syc => 4,
-        }
-    }
-
     /// Relative pulse duration of one application, normalized to a full
     /// iSWAP pulse (paper §6.3): √iSWAP is half an iSWAP; CNOT and SYC count
     /// as a full two-qubit pulse.
@@ -277,14 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_costs_match_paper() {
-        // Paper §2.4.3: SWAP = 3 CNOT = 3 √iSWAP.
-        assert_eq!(BasisGate::Cnot.swap_cost(), 3);
-        assert_eq!(BasisGate::SqrtISwap.swap_cost(), 3);
-        assert_eq!(BasisGate::Syc.swap_cost(), 4);
-    }
-
-    #[test]
     fn sqrt_iswap_is_free_in_its_own_basis() {
         assert_eq!(
             BasisGate::SqrtISwap.count_for_unitary(&gates::sqrt_iswap()),
@@ -336,10 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn worst_cases_and_pulse_fractions() {
-        assert_eq!(BasisGate::Cnot.worst_case(), 3);
-        assert_eq!(BasisGate::SqrtISwap.worst_case(), 3);
-        assert_eq!(BasisGate::Syc.worst_case(), 4);
+    fn pulse_fractions() {
         assert!((BasisGate::SqrtISwap.pulse_fraction() - 0.5).abs() < 1e-12);
         assert!((BasisGate::Cnot.pulse_fraction() - 1.0).abs() < 1e-12);
     }
@@ -352,7 +323,9 @@ mod tests {
 
     #[test]
     fn swap_gate_classification_via_circuit_gate() {
+        // Paper §2.4.3: SWAP = 3 CNOT = 3 √iSWAP.
         assert_eq!(BasisGate::Cnot.count_for_gate(&Gate::Swap), 3);
         assert_eq!(BasisGate::SqrtISwap.count_for_gate(&Gate::Swap), 3);
+        assert_eq!(BasisGate::Syc.count_for_gate(&Gate::Swap), 4);
     }
 }

@@ -309,18 +309,6 @@ impl Matrix4 {
     pub fn approx_eq_up_to_phase(&self, other: &Self, tol: f64) -> bool {
         phase_aligned_distance_4(self, other) <= tol
     }
-
-    /// Swaps the roles of the two qubits: `U ↦ SWAP · U · SWAP`.
-    pub fn reverse_qubits(&self) -> Self {
-        let perm = [0usize, 2, 1, 3];
-        let mut out = Self::zeros();
-        for r in 0..4 {
-            for c in 0..4 {
-                out[(r, c)] = self.data[perm[r]][perm[c]];
-            }
-        }
-        out
-    }
 }
 
 /// Maximum entry-wise distance between `a` and `e^{iφ} b` for the optimal φ.
@@ -599,13 +587,6 @@ mod tests {
         let b = pauli_x().scale(I);
         assert!(a.approx_eq_up_to_phase(&b, TOL));
         assert!(!a.approx_eq(&b, TOL));
-    }
-
-    #[test]
-    fn reverse_qubits_swaps_tensor_factors() {
-        let a = pauli_x().kron(&pauli_z());
-        let b = pauli_z().kron(&pauli_x());
-        assert!(a.reverse_qubits().approx_eq(&b, TOL));
     }
 
     #[test]

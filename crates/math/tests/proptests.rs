@@ -138,7 +138,7 @@ proptest! {
     fn weyl_coordinates_symmetric_under_qubit_exchange(seed in 0u64..500) {
         let u = haar_unitary4(&mut rng_from(seed));
         let a = weyl_coordinates(&u);
-        let b = weyl_coordinates(&u.reverse_qubits());
+        let b = weyl_coordinates(&(gates::swap() * u * gates::swap()));
         prop_assert!(a.approx_eq(&b, 1e-6));
     }
 

@@ -57,26 +57,17 @@ impl std::fmt::Display for QasmVersion {
     }
 }
 
+/// Name of the one flat quantum register every emitted program declares.
+const REGISTER: &str = "q";
+
 /// Options controlling QASM emission.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EmitOptions {
-    /// Name of the flat quantum register (default `q`).
-    pub register: String,
     /// Emit a classical register plus a full-register measurement at the end
     /// (`measure q -> c;` in V2, `c = measure q;` in V3).
     pub measure_all: bool,
     /// Target dialect (default [`QasmVersion::V2`]).
     pub version: QasmVersion,
-}
-
-impl Default for EmitOptions {
-    fn default() -> Self {
-        Self {
-            register: "q".to_string(),
-            measure_all: false,
-            version: QasmVersion::V2,
-        }
-    }
 }
 
 /// Emits `circuit` as OpenQASM 2.0 with default options.
@@ -108,14 +99,13 @@ pub fn emit_versioned(circuit: &Circuit, version: QasmVersion) -> String {
 
 /// Emits `circuit` as OpenQASM, honouring every option.
 pub fn emit_with(circuit: &Circuit, options: &EmitOptions) -> String {
-    let reg = &options.register;
     let v3 = options.version == QasmVersion::V3;
     let mut out = String::new();
     out.push_str(&format!("OPENQASM {};\n", options.version.header()));
     if v3 {
         out.push_str("include \"stdgates.inc\";\n");
         emit_dialect_header_v3(circuit, &mut out);
-        out.push_str(&format!("qubit[{}] {reg};\n", circuit.num_qubits()));
+        out.push_str(&format!("qubit[{}] {REGISTER};\n", circuit.num_qubits()));
         if options.measure_all {
             out.push_str(&format!("bit[{}] c;\n", circuit.num_qubits()));
         }
@@ -125,7 +115,7 @@ pub fn emit_with(circuit: &Circuit, options: &EmitOptions) -> String {
     } else {
         out.push_str("include \"qelib1.inc\";\n");
         emit_dialect_header(circuit, &mut out);
-        out.push_str(&format!("qreg {reg}[{}];\n", circuit.num_qubits()));
+        out.push_str(&format!("qreg {REGISTER}[{}];\n", circuit.num_qubits()));
         if options.measure_all {
             out.push_str(&format!("creg c[{}];\n", circuit.num_qubits()));
         }
@@ -150,7 +140,7 @@ pub fn emit_with(circuit: &Circuit, options: &EmitOptions) -> String {
             &inst
                 .qubits
                 .iter()
-                .map(|q| format!("{reg}[{q}]"))
+                .map(|q| format!("{REGISTER}[{q}]"))
                 .collect::<Vec<_>>()
                 .join(","),
         );
@@ -158,9 +148,9 @@ pub fn emit_with(circuit: &Circuit, options: &EmitOptions) -> String {
     }
     if options.measure_all {
         if v3 {
-            out.push_str(&format!("c = measure {reg};\n"));
+            out.push_str(&format!("c = measure {REGISTER};\n"));
         } else {
-            out.push_str(&format!("measure {reg} -> c;\n"));
+            out.push_str(&format!("measure {REGISTER} -> c;\n"));
         }
     }
     out
@@ -525,7 +515,6 @@ mod tests {
         let opts = EmitOptions {
             measure_all: true,
             version: QasmVersion::V3,
-            ..EmitOptions::default()
         };
         let text = emit_with(&c, &opts);
         assert!(text.contains("bit[2] c;"));
@@ -605,14 +594,13 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0);
         let opts = EmitOptions {
-            register: "qr".into(),
             measure_all: true,
             ..EmitOptions::default()
         };
         let text = emit_with(&c, &opts);
-        assert!(text.contains("qreg qr[3];"));
+        assert!(text.contains("qreg q[3];"));
         assert!(text.contains("creg c[3];"));
-        assert!(text.contains("measure qr -> c;"));
+        assert!(text.contains("measure q -> c;"));
         assert!(crate::parser::parse(&text).unwrap().measurements == 3);
     }
 }

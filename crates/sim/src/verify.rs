@@ -47,12 +47,6 @@ impl Verdict {
     pub fn is_equivalent(&self) -> bool {
         matches!(self, Verdict::Equivalent)
     }
-
-    /// True unless the verdict refutes equivalence — the right assertion
-    /// for tests that accept a passed spot check.
-    pub fn is_consistent(&self) -> bool {
-        !matches!(self, Verdict::NotEquivalent(_))
-    }
 }
 
 impl std::fmt::Display for Verdict {

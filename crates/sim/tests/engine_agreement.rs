@@ -155,7 +155,6 @@ fn pauli_spot_checks_catch_large_near_clifford_tampering() {
         matches!(verdict, Verdict::Inconclusive(_)),
         "expected spot-check pass: {verdict}"
     );
-    assert!(verdict.is_consistent());
 
     // Tamper: flip logical qubit 0's wire *before* the routed circuit runs.
     // The Z_0 probe anticommutes with the inserted X at time zero, so its
@@ -169,7 +168,9 @@ fn pauli_spot_checks_catch_large_near_clifford_tampering() {
     );
     let mut prefixed = snailqc_circuit::Circuit::new(tampered.circuit.num_qubits());
     prefixed.push(Gate::X, &[tampered.initial_layout.physical(0)]);
-    prefixed.compose(&tampered.circuit);
+    for inst in tampered.circuit.instructions() {
+        prefixed.push_instruction(inst.clone());
+    }
     tampered.circuit = prefixed;
     let verdict = verify_equivalent(&circuit, &tampered);
     assert!(

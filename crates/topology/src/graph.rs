@@ -214,14 +214,6 @@ impl CouplingGraph {
         Some(self.csr_edge_ids[self.offsets[a] + pos])
     }
 
-    /// The `(min, max)` endpoints of the edge with index `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx >= num_edges()`.
-    pub fn edge_endpoints(&self, idx: usize) -> (usize, usize) {
-        self.edge_list[idx]
-    }
-
     // -----------------------------------------------------------------------
     // Per-edge error rates
     // -----------------------------------------------------------------------
@@ -238,15 +230,6 @@ impl CouplingGraph {
         self.edge_rates[idx]
     }
 
-    /// The error rate of the edge with index `idx` — the allocation-free
-    /// edge-indexed read the router's cost models use.
-    ///
-    /// # Panics
-    /// Panics if `idx >= num_edges()`.
-    pub fn edge_error_at(&self, idx: usize) -> f64 {
-        self.edge_rates[idx]
-    }
-
     /// Sets the error rate of edge `(a, b)`.
     ///
     /// # Panics
@@ -258,13 +241,6 @@ impl CouplingGraph {
         assert!((0.0..1.0).contains(&rate), "edge error {rate} not in [0,1)");
         self.edge_rates[idx] = rate;
         self.edge_overridden[idx] = true;
-    }
-
-    /// Multiplies the error rate of edge `(a, b)` by `factor` (clamped below
-    /// 1), modelling a degraded link on an otherwise calibrated device.
-    pub fn scale_edge_error(&mut self, a: usize, b: usize, factor: f64) {
-        let scaled = (self.edge_error(a, b) * factor).clamp(0.0, 0.999_999);
-        self.set_edge_error(a, b, scaled);
     }
 
     /// Resets every edge to the uniform error `rate`, discarding overrides.
@@ -980,7 +956,6 @@ mod tests {
         for (rank, (a, b)) in g.edges().enumerate() {
             assert_eq!(g.edge_index(a, b), Some(rank));
             assert_eq!(g.edge_index(b, a), Some(rank), "order-insensitive");
-            assert_eq!(g.edge_endpoints(rank), (a, b));
         }
         assert_eq!(g.edge_index(0, 2), None);
         assert_eq!(g.edge_index(99, 0), None);
@@ -1011,7 +986,7 @@ mod tests {
             );
             for (v, id) in pairs {
                 assert_eq!(g.edge_index(q, v), Some(id));
-                assert_eq!(g.edge_error_at(id), g.edge_error(q, v));
+                assert_eq!(g.edge_rates[id], g.edge_error(q, v));
             }
         }
     }
@@ -1058,15 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_edge_error_multiplies_and_clamps() {
-        let mut g = path(3);
-        g.scale_edge_error(0, 1, 10.0);
-        assert!((g.edge_error(0, 1) - 10.0 * DEFAULT_EDGE_ERROR).abs() < 1e-15);
-        g.scale_edge_error(0, 1, 1e9);
-        assert!(g.edge_error(0, 1) < 1.0);
-    }
-
-    #[test]
     fn subgraphs_keep_a_non_default_default_rate_and_kept_overrides() {
         // Edges of a subgraph are built in one pass at the source's default
         // rate, and the source's overrides are replayed on the kept edges.
@@ -1080,7 +1046,7 @@ mod tests {
         assert_eq!(t.default_edge_error(), 0.002);
         assert_eq!(t.edge_error(1, 2), 0.03);
         assert_eq!(t.edge_error(5, 6), 0.002);
-        assert!((0..t.num_edges()).all(|i| t.edge_error_at(i) != 0.05));
+        assert!(t.edge_errors().all(|(_, rate)| rate != 0.05));
     }
 
     #[test]

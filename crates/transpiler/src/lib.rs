@@ -17,7 +17,8 @@
 //!
 //! Every stage is instrumented with `snailqc-obs` spans and counters; the
 //! instrumentation records only (routed output is bitwise-identical with
-//! recording on or off) and costs one atomic flag read per site when off.
+//! recording on or off) and costs one thread-local read per site when the
+//! thread has no trace entered.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +30,7 @@ pub mod translate;
 
 pub use layout::{Layout, LayoutError, LayoutStrategy};
 pub use pipeline::{
-    BasisChoice, PassTrace, Pipeline, PipelineBuilder, StageTrace, TranspileError, TranspileReport,
+    PassTrace, Pipeline, PipelineBuilder, StageTrace, TranspileError, TranspileReport,
     TranspileResult,
 };
 pub use routing::{route_with_cache, RoutedCircuit, RouterConfig, RoutingCache};

@@ -1,8 +1,10 @@
 //! The staged transpilation pipeline of Fig. 10.
 //!
 //! `Quantum circuit → layout → routing → (count SWAPs) → basis translation
-//! → analysis (count 2Q gates)`. The stages are assembled with
-//! [`Pipeline::builder`], each with its own configuration:
+//! → analysis (count 2Q gates)`. A [`Pipeline`] configures the two stages
+//! that have settings, layout and routing, through [`Pipeline::builder`];
+//! the basis to translate into is an argument of [`Pipeline::run`], because
+//! on a co-designed machine the device, not the pipeline, fixes the gate:
 //!
 //! ```
 //! use snailqc_transpiler::{Pipeline, LayoutStrategy, RouterConfig, RoutingCache};
@@ -13,12 +15,11 @@
 //! let pipeline = Pipeline::builder()
 //!     .layout(LayoutStrategy::Dense)
 //!     .router(RouterConfig::default())
-//!     .translate_to(BasisGate::SqrtISwap)
 //!     .build();
 //! let graph = builders::hypercube(4);
-//! // No native basis (a bare graph), and a fresh cache of distance rows.
+//! // Translate into √iSWAP, with a fresh cache of distance rows.
 //! let result = pipeline
-//!     .run(&qft(8, true), &graph, None, &RoutingCache::new())
+//!     .run(&qft(8, true), &graph, Some(BasisGate::SqrtISwap), &RoutingCache::new())
 //!     .unwrap();
 //! assert!(result.report.basis_gate_count >= result.report.swap_count);
 //! ```
@@ -83,31 +84,6 @@ impl From<LayoutError> for TranspileError {
     }
 }
 
-/// How the translation stage picks its target basis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub enum BasisChoice {
-    /// Use the native basis of the device the pipeline runs on, when it has
-    /// one (the `native_basis` argument of [`Pipeline::run`]; a bare
-    /// [`CouplingGraph`] has none, so translation is skipped). This is the
-    /// default: on a co-designed machine the modulator chooses the gate.
-    Device,
-    /// Always translate into this basis, whatever the device says.
-    Fixed(BasisGate),
-    /// Stop after routing (the gate-agnostic SWAP studies of Figs. 4/11/12).
-    Skip,
-}
-
-impl BasisChoice {
-    /// Resolves the translation target given a device's native basis.
-    pub fn resolve(&self, native: Option<BasisGate>) -> Option<BasisGate> {
-        match self {
-            BasisChoice::Device => native,
-            BasisChoice::Fixed(basis) => Some(*basis),
-            BasisChoice::Skip => None,
-        }
-    }
-}
-
 /// The staged transpilation flow: layout → routing → translation → analysis.
 ///
 /// Build one with [`Pipeline::builder`], then [`Pipeline::run`] it on any
@@ -117,7 +93,6 @@ impl BasisChoice {
 pub struct Pipeline {
     layout: LayoutStrategy,
     router: RouterConfig,
-    translation: BasisChoice,
 }
 
 impl Default for Pipeline {
@@ -127,8 +102,7 @@ impl Default for Pipeline {
 }
 
 impl Pipeline {
-    /// Starts building a pipeline (dense layout, default router, translation
-    /// to the device's native basis).
+    /// Starts building a pipeline (dense layout, default router).
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder::default()
     }
@@ -139,7 +113,6 @@ impl Pipeline {
         PipelineBuilder {
             layout: self.layout,
             router: self.router,
-            translation: self.translation,
         }
     }
 
@@ -153,16 +126,11 @@ impl Pipeline {
         &self.router
     }
 
-    /// The configured translation stage.
-    pub fn translation(&self) -> BasisChoice {
-        self.translation
-    }
-
     /// Runs the pipeline on `circuit`: layout → routing → translation →
     /// analysis.
     ///
-    /// `native_basis` is the basis [`BasisChoice::Device`] resolves to —
-    /// `None` for a bare coupling graph, which then skips translation.
+    /// `basis` is the basis to translate into — `None` (a bare coupling
+    /// graph, or a device without a native gate) stops after routing.
     /// `cache` holds the distance rows routing reads; it must belong to
     /// `graph` (same structure and edge errors), and reusing it across runs
     /// on that graph saves recomputing rows without changing the output.
@@ -177,10 +145,9 @@ impl Pipeline {
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
-        native_basis: Option<BasisGate>,
+        basis: Option<BasisGate>,
         cache: &RoutingCache,
     ) -> Result<TranspileResult, TranspileError> {
-        let basis = self.translation.resolve(native_basis);
         let _run_span = obs::span("pipeline.run");
         let mut trace = PassTrace::default();
 
@@ -267,7 +234,6 @@ impl Pipeline {
 pub struct PipelineBuilder {
     layout: LayoutStrategy,
     router: RouterConfig,
-    translation: BasisChoice,
 }
 
 impl Default for PipelineBuilder {
@@ -275,7 +241,6 @@ impl Default for PipelineBuilder {
         Self {
             layout: LayoutStrategy::Dense,
             router: RouterConfig::default(),
-            translation: BasisChoice::Device,
         }
     }
 }
@@ -311,24 +276,11 @@ impl PipelineBuilder {
         self
     }
 
-    /// Always translate into `basis`, ignoring the device's native gate.
-    pub fn translate_to(mut self, basis: BasisGate) -> Self {
-        self.translation = BasisChoice::Fixed(basis);
-        self
-    }
-
-    /// Stop after routing (gate-agnostic SWAP studies).
-    pub fn routing_only(mut self) -> Self {
-        self.translation = BasisChoice::Skip;
-        self
-    }
-
     /// Finalizes the pipeline.
     pub fn build(self) -> Pipeline {
         Pipeline {
             layout: self.layout,
             router: self.router,
-            translation: self.translation,
         }
     }
 }
@@ -459,14 +411,15 @@ mod tests {
     use snailqc_topology::{builders, catalog};
     use snailqc_workloads::{ghz, qaoa_vanilla, qft};
 
-    fn with_basis(basis: BasisGate) -> Pipeline {
-        Pipeline::builder().translate_to(basis).build()
-    }
-
     /// A run on a bare graph with a fresh cache.
-    fn run(pipeline: &Pipeline, circuit: &Circuit, graph: &CouplingGraph) -> TranspileResult {
+    fn run(
+        pipeline: &Pipeline,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        basis: Option<BasisGate>,
+    ) -> TranspileResult {
         pipeline
-            .run(circuit, graph, None, &RoutingCache::new())
+            .run(circuit, graph, basis, &RoutingCache::new())
             .unwrap()
     }
 
@@ -474,7 +427,7 @@ mod tests {
     fn report_fields_are_consistent() {
         let c = qft(8, true);
         let graph = builders::square_lattice(3, 3);
-        let result = run(&with_basis(BasisGate::Cnot), &c, &graph);
+        let result = run(&Pipeline::default(), &c, &graph, Some(BasisGate::Cnot));
         let r = result.report;
         assert_eq!(r.logical_qubits, 8);
         assert_eq!(r.physical_qubits, 9);
@@ -491,39 +444,29 @@ mod tests {
     }
 
     #[test]
-    fn bare_graph_run_skips_translation_under_device_choice() {
+    fn a_run_without_a_basis_skips_translation() {
         let c = ghz(6);
         let graph = builders::line(6);
-        let result = run(&Pipeline::default(), &c, &graph);
+        let result = run(&Pipeline::default(), &c, &graph, None);
         assert!(result.translated.is_none());
         assert_eq!(result.report.basis_gate_count, 0);
         assert!(result.trace.stage("translation").is_none());
     }
 
     #[test]
-    fn native_basis_resolves_the_device_choice() {
+    fn a_run_translates_into_the_basis_it_is_given() {
         let c = ghz(6);
         let graph = builders::line(6);
-        let cache = RoutingCache::new();
-        let result = Pipeline::default()
-            .run(&c, &graph, Some(BasisGate::SqrtISwap), &cache)
-            .unwrap();
+        let result = run(&Pipeline::default(), &c, &graph, Some(BasisGate::SqrtISwap));
         assert_eq!(result.report.basis, Some(BasisGate::SqrtISwap));
         assert!(result.translated.is_some());
-        // An explicit Skip ignores the native basis.
-        let skipped = Pipeline::builder()
-            .routing_only()
-            .build()
-            .run(&c, &graph, Some(BasisGate::SqrtISwap), &cache)
-            .unwrap();
-        assert!(skipped.translated.is_none());
     }
 
     #[test]
     fn ghz_on_a_line_with_trivial_adjacency_needs_no_swaps() {
         let c = ghz(6);
         let graph = builders::line(6);
-        let result = run(&Pipeline::builder().routing_only().build(), &c, &graph);
+        let result = run(&Pipeline::default(), &c, &graph, None);
         assert_eq!(result.report.swap_count, 0);
     }
 
@@ -535,8 +478,8 @@ mod tests {
         let corral = catalog::corral11_16();
         let heavy = catalog::heavy_hex_20();
         let pipeline = Pipeline::default();
-        let on_corral = run(&pipeline, &c, &corral).report;
-        let on_heavy = run(&pipeline, &c, &heavy).report;
+        let on_corral = run(&pipeline, &c, &corral, None).report;
+        let on_heavy = run(&pipeline, &c, &heavy, None).report;
         assert!(
             on_corral.swap_count < on_heavy.swap_count,
             "corral {} vs heavy-hex {}",
@@ -551,8 +494,8 @@ mod tests {
         // needs more applications than SYC.
         let c = qft(10, true);
         let graph = builders::hypercube(4);
-        let siswap = run(&with_basis(BasisGate::SqrtISwap), &c, &graph);
-        let syc = run(&with_basis(BasisGate::Syc), &c, &graph);
+        let siswap = run(&Pipeline::default(), &c, &graph, Some(BasisGate::SqrtISwap));
+        let syc = run(&Pipeline::default(), &c, &graph, Some(BasisGate::Syc));
         assert!(siswap.report.basis_gate_count <= syc.report.basis_gate_count);
     }
 
@@ -563,23 +506,18 @@ mod tests {
             .trials(2)
             .seed(99)
             .error_weight(0.5)
-            .translate_to(BasisGate::SqrtISwap)
             .build();
         assert_eq!(pipeline.layout(), LayoutStrategy::Trivial);
         assert_eq!(pipeline.router().trials, 2);
         assert_eq!(pipeline.router().seed, 99);
         assert_eq!(pipeline.router().error_weight, 0.5);
-        assert_eq!(
-            pipeline.translation(),
-            BasisChoice::Fixed(BasisGate::SqrtISwap)
-        );
     }
 
     #[test]
     fn pass_trace_records_every_stage_and_the_swap_delta() {
         let c = qft(8, true);
         let graph = builders::square_lattice(3, 3);
-        let result = run(&with_basis(BasisGate::Cnot), &c, &graph);
+        let result = run(&Pipeline::default(), &c, &graph, Some(BasisGate::Cnot));
         let names: Vec<&str> = result.trace.stages.iter().map(|s| s.stage).collect();
         assert_eq!(names, ["layout", "routing", "translation", "analysis"]);
         assert_eq!(result.trace.swaps_inserted(), result.report.swap_count);

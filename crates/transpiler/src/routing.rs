@@ -181,12 +181,6 @@ impl RouterConfig {
             ..Self::default()
         }
     }
-
-    /// Overrides the fidelity weight, keeping everything else.
-    pub fn with_error_weight(mut self, error_weight: f64) -> Self {
-        self.error_weight = error_weight;
-        self
-    }
 }
 
 /// Precomputed noise data for one routing run: normalized per-edge penalties

@@ -59,14 +59,15 @@ fn noise_blind_router_matches_frozen_baseline_on_every_catalog_topology() {
 fn cached_pipeline_matches_the_uncached_run_bitwise_on_every_catalog_topology() {
     // For any (graph, pipeline) the run with a shared, reused RoutingCache
     // is bitwise-identical to the run with a fresh cache across all 16
-    // catalog topologies — same routed instructions, same report.
+    // catalog topologies — same routed instructions, same report. Each
+    // pipeline runs with the basis a device would pass: none, or √iSWAP.
     let pipelines = [
-        Pipeline::builder().routing_only().build(),
-        Pipeline::builder()
-            .translate_to(BasisGate::SqrtISwap)
-            .seed(23)
-            .build(),
-        Pipeline::builder().routing_only().error_weight(1.0).build(),
+        (Pipeline::default(), None),
+        (
+            Pipeline::builder().seed(23).build(),
+            Some(BasisGate::SqrtISwap),
+        ),
+        (Pipeline::builder().error_weight(1.0).build(), None),
     ];
     let names = catalog::names();
     assert_eq!(names.len(), 16, "catalog grew; extend the regression");
@@ -76,9 +77,11 @@ fn cached_pipeline_matches_the_uncached_run_bitwise_on_every_catalog_topology() 
         // One cache per graph, shared across every pipeline — the Device
         // ownership pattern, with warm rows by the second iteration.
         let cache = RoutingCache::new();
-        for pipeline in &pipelines {
-            let fresh = run(pipeline, &circuit, &graph);
-            let cached = pipeline.run(&circuit, &graph, None, &cache).unwrap();
+        for &(pipeline, basis) in &pipelines {
+            let fresh = pipeline
+                .run(&circuit, &graph, basis, &RoutingCache::new())
+                .unwrap();
+            let cached = pipeline.run(&circuit, &graph, basis, &cache).unwrap();
             assert_eq!(
                 fresh.report, cached.report,
                 "{name}: cached pipeline report drifted from the uncached run"
@@ -173,7 +176,7 @@ fn raising_one_edges_error_never_attracts_traffic_to_it() {
         for &(a, b) in &edges {
             let base = run(&pipeline, &circuit, &graph);
             let mut degraded = graph.clone();
-            degraded.scale_edge_error(a, b, 10.0);
+            degraded.set_edge_error(a, b, graph.edge_error(a, b) * 10.0);
             let noisy = run(&pipeline, &circuit, &degraded);
             let before = gates_on_edge(&base.routed.circuit, (a, b));
             let after = gates_on_edge(&noisy.routed.circuit, (a, b));

@@ -107,7 +107,7 @@ proptest! {
             let (translated, stats) = translate_to_basis(&circuit, basis);
             prop_assert_eq!(stats.input_two_qubit_gates, circuit.two_qubit_count());
             prop_assert_eq!(translated.two_qubit_count(), stats.output_basis_gates);
-            prop_assert!(stats.output_basis_gates <= basis.worst_case() * circuit.two_qubit_count());
+            prop_assert!(stats.output_basis_gates <= basis.count_for_gate(&Gate::Swap) * circuit.two_qubit_count());
             prop_assert_eq!(count_basis_gates(&circuit, basis), stats.output_basis_gates);
             // Only the basis gate's mnemonic appears among 2Q gates.
             for inst in translated.instructions() {
@@ -124,9 +124,8 @@ proptest! {
         let pipeline = Pipeline::builder()
             .layout(LayoutStrategy::Dense)
             .router(RouterConfig { trials: 1, seed, ..RouterConfig::default() })
-            .translate_to(BasisGate::SqrtISwap)
             .build();
-        let report = pipeline.run(&circuit, &graph, None, &RoutingCache::new())
+        let report = pipeline.run(&circuit, &graph, Some(BasisGate::SqrtISwap), &RoutingCache::new())
 .unwrap().report;
         prop_assert_eq!(report.input_two_qubit_gates, circuit.two_qubit_count());
         prop_assert_eq!(
@@ -250,7 +249,10 @@ proptest! {
         if graph.num_qubits() <= snailqc_sim::DENSE_VERIFY_MAX_QUBITS || circuit.is_clifford() {
             prop_assert!(verdict.is_equivalent(), "dev={dev} seed={seed}: {verdict}");
         } else {
-            prop_assert!(verdict.is_consistent(), "dev={dev} seed={seed}: {verdict}");
+            prop_assert!(
+                !matches!(verdict, snailqc_sim::Verdict::NotEquivalent(_)),
+                "dev={dev} seed={seed}: {verdict}"
+            );
         }
     }
 

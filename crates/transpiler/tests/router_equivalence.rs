@@ -81,7 +81,7 @@ fn frozen_cells_are_semantically_verified() {
             assert!(verdict.is_equivalent(), "{name}: {verdict}");
         } else {
             assert!(
-                verdict.is_consistent(),
+                !matches!(verdict, Verdict::NotEquivalent(_)),
                 "{name}: routed output refuted: {verdict}"
             );
         }

@@ -55,7 +55,10 @@ fn parallel_first_use_counts_exactly_one_miss_per_matrix() {
     // hits + misses still equals the exact number of cache accesses (two
     // per call).
     let noisy = builders::calibrated(&graph, 1e-3, 1.5, 7);
-    let config = RouterConfig::default().with_error_weight(1.0);
+    let config = RouterConfig {
+        error_weight: 1.0,
+        ..RouterConfig::default()
+    };
     let layout = LayoutStrategy::Dense.try_compute(&circuit, &noisy).unwrap();
     let cache = RoutingCache::new();
     let (hits_before, misses_before) = cache_counters();

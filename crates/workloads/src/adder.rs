@@ -115,8 +115,8 @@ mod tests {
                 c.x(layout.b(i));
             }
         }
-        c.compose(&cdkm_adder(state_bits));
-        let sv = simulate(&c);
+        let mut sv = simulate(&c);
+        sv.apply_circuit(&cdkm_adder(state_bits));
         // The state stays computational: find the single basis state with
         // probability ~1.
         let mut best = 0;

@@ -78,9 +78,8 @@ mod tests {
     fn qft_followed_by_inverse_is_identity() {
         let n = 5;
         let c = qft(n, true);
-        let mut round_trip = c.clone();
-        round_trip.compose(&c.inverse());
-        let sv = simulate(&round_trip);
+        let mut sv = simulate(&c);
+        sv.apply_circuit(&c.inverse());
         assert!((sv.probability(0) - 1.0).abs() < 1e-9);
     }
 

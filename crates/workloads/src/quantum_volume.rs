@@ -82,7 +82,8 @@ mod tests {
     fn produces_normalized_states() {
         let c = quantum_volume(4, 4, 2);
         let sv = simulate(&c);
-        assert!((sv.total_probability() - 1.0).abs() < 1e-8);
+        let total: f64 = sv.amplitudes().iter().map(|a| a.norm_sqr()).sum();
+        assert!((total - 1.0).abs() < 1e-8);
     }
 
     #[test]

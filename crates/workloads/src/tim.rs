@@ -67,7 +67,8 @@ mod tests {
     fn state_stays_normalized() {
         let c = tim_hamiltonian(6, 3);
         let sv = simulate(&c);
-        assert!((sv.total_probability() - 1.0).abs() < 1e-9);
+        let total: f64 = sv.amplitudes().iter().map(|a| a.norm_sqr()).sum();
+        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

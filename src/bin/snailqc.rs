@@ -875,7 +875,6 @@ fn cmd_emit(args: &[String]) -> Result<(), String> {
     let emit_opts = snailqc::qasm::EmitOptions {
         measure_all: opts.has("measure-all"),
         version: output_version(&opts),
-        ..Default::default()
     };
     emit_output(
         &snailqc::qasm::emit_with(&circuit, &emit_opts),
@@ -921,7 +920,6 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let emit_opts = snailqc::qasm::EmitOptions {
         measure_all,
         version: output_version(&opts),
-        ..Default::default()
     };
     emit_output(
         &snailqc::qasm::emit_with(&program.circuit, &emit_opts),

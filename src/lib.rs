@@ -31,8 +31,8 @@
 //! A co-designed machine is one artifact — a topology, its calibrated noise
 //! and its native basis gate — captured by [`Device`](core::device::Device).
 //! Transpilation is a staged [`Pipeline`](transpiler::Pipeline) (layout →
-//! routing → translation → analysis) whose translation stage defaults to
-//! the device's native gate:
+//! routing → translation → analysis); the device, not the pipeline, picks
+//! the basis, so a run translates into the device's native gate:
 //!
 //! ```
 //! use snailqc::prelude::*;
@@ -108,6 +108,6 @@ pub mod prelude {
     };
     pub use snailqc_sim::{verify_equivalent, Verdict};
     pub use snailqc_topology::CouplingGraph;
-    pub use snailqc_transpiler::{BasisChoice, LayoutStrategy, PassTrace, Pipeline, RouterConfig};
+    pub use snailqc_transpiler::{LayoutStrategy, PassTrace, Pipeline, RouterConfig};
     pub use snailqc_workloads::Workload;
 }

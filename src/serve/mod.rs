@@ -35,6 +35,10 @@
 //!   [`request::run`], whose store rows keep the report and both circuit
 //!   digests, so a `cached: "store"` reply names the circuit the cold run
 //!   answered. Append-only flushes make the file safe for concurrent writers.
+//! * **Bounded frames.** A request line longer than [`MAX_FRAME_BYTES`] is
+//!   refused with a `frame_too_large` error and its connection closed, so
+//!   a client that never sends a newline cannot grow the daemon's memory.
+//!   `stats` counts the refusals (`requests.frames_refused`).
 //! * **Graceful drain.** A `shutdown` RPC or SIGTERM/SIGINT stops accepting
 //!   work, finishes every queued job, delivers the responses, flushes the
 //!   store and exits.
@@ -58,7 +62,7 @@ use snailqc_core::store::{CachedCell, SweepStore};
 use snailqc_obs as obs;
 use snailqc_qasm::QasmVersion;
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -79,6 +83,13 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// Per-connection read timeout; bounds how long a drain waits on an idle
 /// client holding its connection open.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request frame a connection may send, newline excluded. A
+/// longer one is refused with `frame_too_large` and its connection closed,
+/// so a partial frame holds at most this much of the daemon's memory. It is
+/// 8x the 4 MiB frame of the CI smoke, and above the ~21 MB a plain program
+/// of `MAX_EXPANDED_GATES` two-qubit gates takes once JSON-escaped.
+pub const MAX_FRAME_BYTES: usize = 32 << 20;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -385,6 +396,7 @@ impl ServerState {
                         Value::UInt(self.busy_rejected.load(Ordering::SeqCst)),
                     ),
                     ("failed", Value::UInt(self.failed.load(Ordering::SeqCst))),
+                    ("frames_refused", counter("serve.frames_refused")),
                 ]),
             ),
             ("latency_micros", micros("serve.request_micros")),
@@ -554,25 +566,46 @@ fn handle_line(state: &Arc<ServerState>, line: &str, reply: &Sender<String>) {
     }
 }
 
-/// Reads request lines from one connection until EOF, error, or drain.
-/// Responses flow through `reply` to the connection's writer thread, so a
-/// pipelining client gets each response as soon as its worker finishes.
+/// Reads request lines from one connection until EOF, error, drain, or a
+/// frame longer than [`MAX_FRAME_BYTES`]. Responses flow through `reply` to
+/// the connection's writer thread, so a pipelining client gets each
+/// response as soon as its worker finishes.
 fn connection_loop(
     state: Arc<ServerState>,
     mut reader: Box<dyn std::io::Read + Send>,
     reply: Sender<String>,
 ) {
     let mut reader = std::io::BufReader::new(&mut reader);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Room for the rest of a longest frame and its newline.
+        let room = (MAX_FRAME_BYTES + 1 - frame.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
             Ok(0) => break,
+            Ok(_) if frame.last() != Some(&b'\n') && frame.len() > MAX_FRAME_BYTES => {
+                obs::counter_add("serve.frames_refused", 1);
+                let _ = reply.send(error_response(
+                    &Value::Null,
+                    "frame_too_large",
+                    &format!("a request frame holds at most {MAX_FRAME_BYTES} bytes"),
+                ));
+                break;
+            }
+            // A whole frame, or the last one of a client that closed
+            // without a newline.
             Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle_line(&state, trimmed, &reply);
+                match std::str::from_utf8(&frame) {
+                    Ok(text) if text.trim().is_empty() => {}
+                    Ok(text) => handle_line(&state, text.trim(), &reply),
+                    Err(_) => {
+                        let _ = reply.send(error_response(
+                            &Value::Null,
+                            "bad_request",
+                            "frame is not valid UTF-8",
+                        ));
+                    }
                 }
-                line.clear();
+                frame.clear();
             }
             Err(e)
                 if matches!(
@@ -580,8 +613,9 @@ fn connection_loop(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                // Read timeout: `line` keeps any partial frame; just check
-                // for a drain before blocking again.
+                // Read timeout: `frame` keeps the bytes read so far, even
+                // half a UTF-8 character; just check for a drain before
+                // blocking again.
                 if state.draining() {
                     break;
                 }

@@ -22,30 +22,23 @@ fn same_instructions(a: &Circuit, b: &Circuit) -> bool {
 fn device_pipeline_matches_the_bare_graph_pipeline_on_every_catalog_topology() {
     // For any (graph, basis) the Device-driven Pipeline output is
     // bitwise-identical to the same pipeline run on the bare graph with the
-    // basis fixed up front, across all 16 catalog topologies.
+    // basis passed explicitly, across all 16 catalog topologies.
     let names = catalog::names();
     assert_eq!(names.len(), 16);
     let circuit = Workload::Qft.generate(12, 7);
     for name in names {
         let graph = catalog::by_name(name).unwrap();
         for basis in [None, Some(BasisGate::SqrtISwap)] {
-            let builder = Pipeline::builder().seed(19);
-            let explicit = match basis {
-                Some(basis) => builder.translate_to(basis),
-                None => builder.routing_only(),
-            }
-            .build();
-            let bare = explicit
-                .run(&circuit, &graph, None, &RoutingCache::new())
+            let pipeline = Pipeline::builder().seed(19).build();
+            let bare = pipeline
+                .run(&circuit, &graph, basis, &RoutingCache::new())
                 .unwrap();
 
             let mut device = Device::from_catalog(name).unwrap();
             if let Some(basis) = basis {
                 device = device.with_basis(basis);
             }
-            let staged = device
-                .try_transpile(&circuit, &Pipeline::builder().seed(19).build())
-                .unwrap();
+            let staged = device.try_transpile(&circuit, &pipeline).unwrap();
 
             assert_eq!(
                 bare.report, staged.report,

@@ -5,13 +5,16 @@
 //! with a `line:col` error, on a small stack and in bounded time, through
 //! the library, the CLI and a live `serve` daemon.
 
+mod support;
+
 use serde::Value;
 use snailqc::circuit::Gate;
 use snailqc::qasm::{parse3_circuit, parse_circuit, MAX_EXPANDED_GATES};
-use snailqc::serve::protocol::{object, Client};
+use snailqc::serve::protocol::object;
 use snailqc::serve::{Bind, BoundAddr, ServeConfig, Server};
 use std::process::Command;
 use std::time::{Duration, Instant};
+use support::Client;
 
 /// `rx(angle) q[0];` on one qubit, in both dialects.
 fn rx_programs(angle: &str) -> [String; 2] {

@@ -409,8 +409,8 @@ fn every_catalog_name_ends_in_its_qubit_count() {
 /// pins the edge ids and every per-edge rate bit for bit.
 fn edge_list_digest(graph: &CouplingGraph) -> u64 {
     let mut bytes = Vec::with_capacity(24 * graph.num_edges());
-    for (id, (a, b)) in graph.edges().enumerate() {
-        for word in [a as u64, b as u64, graph.edge_error_at(id).to_bits()] {
+    for ((a, b), rate) in graph.edge_errors() {
+        for word in [a as u64, b as u64, rate.to_bits()] {
             bytes.extend_from_slice(&word.to_le_bytes());
         }
     }

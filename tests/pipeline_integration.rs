@@ -168,9 +168,9 @@ fn basis_choice_does_not_change_routing() {
     let graph = catalog::tree_20();
     let mut counts = Vec::new();
     for basis in BasisGate::all() {
-        let pipeline = Pipeline::builder().translate_to(basis).build();
         let report = Device::from(graph.clone())
-            .try_transpile(&circuit, &pipeline)
+            .with_basis(basis)
+            .try_transpile(&circuit, &Pipeline::default())
             .unwrap()
             .report;
         counts.push(report.swap_count);

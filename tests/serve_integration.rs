@@ -3,11 +3,17 @@
 //! visible through the `stats` RPC, graceful drain, and the shared store
 //! surviving daemon restarts.
 
+mod support;
+
 use serde::Value;
-use snailqc::serve::protocol::{object, Client};
-use snailqc::serve::{Bind, BoundAddr, ServeConfig, Server};
+use snailqc::serve::protocol::object;
+use snailqc::serve::{Bind, BoundAddr, ServeConfig, Server, MAX_FRAME_BYTES};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::Duration;
+use support::Client;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -241,6 +247,85 @@ fn the_daemon_records_no_spans_and_stats_still_counts_every_request() {
     client
         .call("shutdown", object(vec![]))
         .expect("shutdown RPC");
+    server.join().expect("drain completes");
+}
+
+/// Reads one response line from a raw connection.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Value {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply line");
+    serde_json::from_str(line.trim()).unwrap_or_else(|e| panic!("`{line}`: {e}"))
+}
+
+#[test]
+fn a_frame_over_the_cap_is_refused_and_its_connection_closes() {
+    let (server, addr) = spawn_tcp(None);
+    let mut stream = TcpStream::connect(&addr).expect("raw client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    // One byte over the cap, and no newline for the daemon to wait for.
+    stream
+        .write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("the daemon reads the whole over-long frame");
+    let mut reader = BufReader::new(stream);
+    let reply = read_reply(&mut reader);
+    assert_eq!(reply.get("id"), Some(&Value::Null), "{reply:?}");
+    let error = reply.get("error").expect("an error reply");
+    assert_eq!(str_field(error, "code"), "frame_too_large", "{reply:?}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader
+            .read_line(&mut rest)
+            .expect("a closed connection reads EOF"),
+        0,
+        "the daemon closes the connection after refusing: `{rest}`"
+    );
+
+    // A fresh client is served, and `stats` counts the refusal.
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+    let ping = client.call("ping", object(vec![])).expect("ping");
+    assert_eq!(ping.get("ok"), Some(&Value::Bool(true)));
+    let stats = client.call("stats", object(vec![])).expect("stats RPC");
+    let refused = stats
+        .get("requests")
+        .and_then(|r| r.get("frames_refused"))
+        .and_then(Value::as_u64);
+    assert!(refused >= Some(1), "{stats:?}");
+    server.shutdown();
+    server.join().expect("drain completes");
+}
+
+#[test]
+fn a_frame_split_inside_a_utf8_character_across_a_read_timeout_is_answered() {
+    let (server, addr) = spawn_tcp(None);
+    let mut stream = TcpStream::connect(&addr).expect("raw client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let frame = "{\"id\": 1, \"method\": \"ping\", \"params\": {\"note\": \"é\"}}\n";
+    // Split after the first byte of `é`, and pause past the daemon's
+    // 100 ms read timeout so the first half arrives alone.
+    let split = frame.find('é').unwrap() + 1;
+    stream.write_all(&frame.as_bytes()[..split]).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    stream.write_all(&frame.as_bytes()[split..]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let reply = read_reply(&mut reader);
+    assert_eq!(
+        reply.get("result").and_then(|r| r.get("ok")),
+        Some(&Value::Bool(true)),
+        "{reply:?}"
+    );
+    // A whole frame that is not UTF-8 is a bad request, and the connection
+    // stays open for the next one.
+    reader.get_mut().write_all(b"\xff\n").unwrap();
+    let reply = read_reply(&mut reader);
+    let error = reply.get("error").expect("an error reply");
+    assert_eq!(str_field(error, "code"), "bad_request", "{reply:?}");
+    reader.get_mut().write_all(frame.as_bytes()).unwrap();
+    assert!(read_reply(&mut reader).get("result").is_some());
+    server.shutdown();
     server.join().expect("drain completes");
 }
 
